@@ -5,95 +5,66 @@ rank <= k by alternating eigenproblems: with one side's orthonormal frame
 fixed, the optimal other side is the bottom eigenvector of a small effective
 matrix, so the objective is exact and monotone at every half-step.
 
-The kernel body is plain numpy written within numba's nopython subset. It is
-compiled with @njit when numba imports and CONEKIT_NO_NUMBA is unset;
-otherwise the same function runs as pure Python. benchmarks/bench_seesaw.py
-times the two paths against each other.
+All restarts advance together. Each half-step takes one stacked `svd` of the
+active restarts' coefficient matrices, builds their effective matrices by a
+`tensordot` of C (viewed as a dA x dB x dA x dB tensor) with the fixed frames
+followed by a two-operand `einsum`, and takes one stacked `eigh`. A restart
+leaves the active set on the sweep at which its value moves by less than
+eps_conv, so every restart runs exactly the sweeps it would run on its own.
+tests/_seesaw_oracle.py keeps the one-restart-at-a-time scalar loop as the
+reference the parity tests compare against.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-ENV_FLAG = "CONEKIT_NO_NUMBA"
+from .errors import BadParam
+
+# Always False: no compiled kernel exists; perfbench's environment header reads it.
+NUMBA_ACTIVE = False
 
 
 def _seesaw_kernel(C, da, db, k, starts, max_iters, eps_conv):
-    # C: (da*db, da*db) complex128 Hermitian, contiguous.
+    # C: (da*db, da*db) complex128 Hermitian.
     # starts: (restarts, da, db) complex128.
     # Returns (best value, best coefficient matrix, total sweeps).
+    c4 = C.reshape(da, db, da, db)
     n_restarts = starts.shape[0]
-    best_q = np.inf
-    best_m = np.zeros((da, db), dtype=np.complex128)
+    norms = np.sqrt(np.sum(np.abs(starts.reshape(n_restarts, -1)) ** 2, axis=1))
+    m = starts / norms[:, None, None]
+    q = np.full(n_restarts, np.inf)  # each restart's value after its last sweep
+    active = np.arange(n_restarts)
     sweeps = 0
-    for r in range(n_restarts):
-        m = starts[r] / np.sqrt(np.sum(np.abs(starts[r]) ** 2))
-        q = np.inf
-        q_prev = np.inf
-        for _ in range(max_iters):
-            # Fix the right frame V (rows span the row space of m, padded to k).
-            u0, s0, vh0 = np.linalg.svd(m)
-            v = np.ascontiguousarray(vh0[:k, :])
-            aeff = np.zeros((da * k, da * k), dtype=np.complex128)
-            for a in range(da):
-                for c in range(da):
-                    for i in range(k):
-                        for l in range(k):
-                            acc = 0.0 + 0.0j
-                            for b in range(db):
-                                cv = np.conj(v[i, b]) * 1.0
-                                for e in range(db):
-                                    acc += cv * C[a * db + b, c * db + e] * v[l, e]
-                            aeff[a * k + i, c * k + l] = acc
-            aeff = 0.5 * (aeff + np.conj(aeff.T))
-            w_a, vec_a = np.linalg.eigh(aeff)
-            q = w_a[0]
-            p = np.ascontiguousarray(vec_a[:, 0]).reshape(da, k)
-            m = p @ v
-            # Fix the left frame U (columns span the column space of m).
-            u1, s1, vh1 = np.linalg.svd(m)
-            u = np.ascontiguousarray(u1[:, :k])
-            beff = np.zeros((k * db, k * db), dtype=np.complex128)
-            for i in range(k):
-                for l in range(k):
-                    for a in range(da):
-                        cu = np.conj(u[a, i])
-                        for c in range(da):
-                            f = cu * u[c, l]
-                            for b in range(db):
-                                for e in range(db):
-                                    beff[i * db + b, l * db + e] += (
-                                        f * C[a * db + b, c * db + e]
-                                    )
-            beff = 0.5 * (beff + np.conj(beff.T))
-            w_b, vec_b = np.linalg.eigh(beff)
-            q = w_b[0]
-            wv = np.ascontiguousarray(vec_b[:, 0]).reshape(k, db)
-            m = u @ wv
-            sweeps += 1
-            if abs(q_prev - q) < eps_conv:
-                break
-            q_prev = q
-        if q < best_q:
-            best_q = q
-            best_m = m.copy()
-    return best_q, best_m, sweeps
-
-
-_py_kernel = _seesaw_kernel
-_jit_kernel = None
-if not os.environ.get(ENV_FLAG):
-    try:
-        from numba import njit
-
-        _jit_kernel = njit(cache=True)(_seesaw_kernel)
-    except ImportError:
-        _jit_kernel = None
-
-NUMBA_ACTIVE = _jit_kernel is not None
-_active_kernel = _jit_kernel if NUMBA_ACTIVE else _py_kernel
+    for _ in range(max_iters):
+        r = active.size
+        # Fix the right frames V (rows span the row space of m, padded to k):
+        # aeff[r, a, i, c, l] = sum_{b, e} conj(v[r, i, b]) C[a, b, c, e] v[r, l, e].
+        v = np.linalg.svd(m[active])[2][:, :k, :]
+        cv = np.tensordot(c4, v, axes=([3], [2]))  # (a, b, c, r, l)
+        aeff = np.einsum("rib,abcrl->raicl", v.conj(), cv).reshape(r, da * k, da * k)
+        aeff = 0.5 * (aeff + aeff.conj().swapaxes(1, 2))
+        p = np.linalg.eigh(aeff)[1][:, :, 0].reshape(r, da, k)
+        # Fix the left frames U (columns span the column space of m):
+        # beff[r, i, b, l, e] = sum_{a, c} conj(u[r, a, i]) C[a, b, c, e] u[r, c, l].
+        u = np.linalg.svd(p @ v)[0][:, :, :k]
+        cu = np.tensordot(c4, u, axes=([2], [1]))  # (a, b, e, r, l)
+        beff = np.einsum("rai,aberl->rible", u.conj(), cu).reshape(r, k * db, k * db)
+        beff = 0.5 * (beff + beff.conj().swapaxes(1, 2))
+        w_b, vec_b = np.linalg.eigh(beff)
+        m[active] = u @ vec_b[:, :, 0].reshape(r, k, db)
+        q_new = w_b[:, 0]
+        converged = np.abs(q[active] - q_new) < eps_conv
+        q[active] = q_new
+        sweeps += r
+        active = active[~converged]
+        if active.size == 0:
+            break
+    # Strictly smaller wins, so the first restart wins a tie; NaN never wins.
+    best = int(np.argmin(np.where(q < np.inf, q, np.inf)))
+    if not q[best] < np.inf:
+        return np.inf, np.zeros((da, db), dtype=np.complex128), sweeps
+    return q[best], m[best].copy(), sweeps
 
 
 def random_starts(da: int, db: int, k: int, restarts: int, seed: int) -> np.ndarray:
@@ -109,13 +80,21 @@ def random_starts(da: int, db: int, k: int, restarts: int, seed: int) -> np.ndar
 
 def seesaw_minimize(c_mat: np.ndarray, dims: tuple[int, int], k: int,
                     restarts: int = 20, max_iters: int = 500,
-                    eps_conv: float = 1e-10, seed: int = 42,
-                    kernel=None) -> tuple[float, np.ndarray, int]:
+                    eps_conv: float = 1e-10,
+                    seed: int = 42) -> tuple[float, np.ndarray, int]:
     """Best value, best dA x dB coefficient matrix (unit Frobenius norm, rank
-    <= k) and total sweep count over all restarts. Deterministic in seed."""
+    <= k) and total sweep count over all restarts. Deterministic in seed.
+
+    Raises BadParam unless restarts >= 1 and max_iters >= 1: a search that
+    never runs has no value to report.
+    """
+    if restarts < 1:
+        raise BadParam(f"need restarts >= 1, got {restarts}")
+    if max_iters < 1:
+        raise BadParam(f"need max_iters >= 1, got {max_iters}")
     da, db = dims
-    c = np.ascontiguousarray(c_mat, dtype=np.complex128)
+    c = np.asarray(c_mat, dtype=np.complex128)
     starts = random_starts(da, db, k, restarts, seed)
-    fn = kernel if kernel is not None else _active_kernel
-    best_q, best_m, sweeps = fn(c, da, db, k, starts, int(max_iters), float(eps_conv))
+    best_q, best_m, sweeps = _seesaw_kernel(c, da, db, k, starts, int(max_iters),
+                                            float(eps_conv))
     return float(best_q), best_m, int(sweeps)

@@ -342,16 +342,12 @@ def compose_certified(a, phi: MapRep, k: int, tol: float = 1e-9,
     return KrausSet(tuple(ops), rank_bound=k)
 
 
-def reduction_detectors(d: int, include_co: bool = True) -> list[Detector]:
+def reduction_detectors(d: int) -> list[Detector]:
     """Default detector bank: reduction maps at c = 1/k for k = 1..d-1, each
-    k-positive by the closed-form threshold, plus their co-maps."""
-    dets = []
-    for k in range(1, d):
-        dets.append(Detector(reduction_family(d, 1.0 / k), k, f"reduction[c=1/{k}]"))
-    if include_co:
-        for k in range(1, d):
-            dets.append(Detector(co(reduction_family(d, 1.0 / k)), k, f"co-reduction[c=1/{k}]"))
-    return dets
+    k-positive by the closed-form threshold and not completely positive, so
+    each can fire on an entangled state."""
+    return [Detector(reduction_family(d, 1.0 / k), k, f"reduction[c=1/{k}]")
+            for k in range(1, d)]
 
 
 def max_entangled_projector(d: int) -> MatrixOp:

@@ -138,6 +138,18 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_zero_restarts_rejected(tmap_file, capsys):
+    """A search that never runs is a bad parameter, not an Inconclusive
+    verdict or an inf scan row."""
+    assert cli.main(["scan", "--family", "reduction:3", "--k", "2",
+                     "--grid", "0.4:0.6:3", "--restarts", "0"]) == cli.PARSE_ERROR
+    assert cli.main(["classify", tmap_file, "--no-dec",
+                     "--restarts", "0"]) == cli.PARSE_ERROR
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "restarts" in out.err
+
+
 def test_invariant_error_exit_3(tmp_path, capsys):
     """A non-Hermitian matrix parses fine but fails the Choi invariant."""
     m = np.zeros((4, 4), dtype=complex)

@@ -310,11 +310,12 @@ def test_random_k_positive_map_blends_known_families():
 
 
 def test_reduction_detectors_bank():
+    """One detector per level, each with a negative Choi eigenvalue: a CP
+    detector sends every PSD input to a PSD matrix and so can never fire."""
     bank = reduction_detectors(3)
-    assert len(bank) == 4
-    assert sorted(det.k_level for det in bank) == [1, 1, 2, 2]
-    plain = reduction_detectors(3, include_co=False)
-    assert len(plain) == 2
+    assert [det.k_level for det in bank] == [1, 2]
+    for det in bank:
+        assert np.linalg.eigvalsh(choi(det.map).mat)[0] < -1e-9
 
 
 # ---------------------------------------------------------------------------

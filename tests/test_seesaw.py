@@ -1,21 +1,12 @@
 """Tests for the rank-constrained see-saw minimizer, including parity between
-the jitted kernel and the pure-python fallback."""
-
-import os
-import subprocess
-import sys
+the batched kernel and the scalar loop kept in tests/_seesaw_oracle.py."""
 
 import numpy as np
 import pytest
+from _seesaw_oracle import _seesaw_kernel as loop_kernel
 
-from conekit import choi, max_entangled, reduction_family
-from conekit._seesaw import (
-    NUMBA_ACTIVE,
-    _jit_kernel,
-    _py_kernel,
-    random_starts,
-    seesaw_minimize,
-)
+from conekit import BadParam, choi, max_entangled, reduction_family
+from conekit._seesaw import random_starts, seesaw_minimize
 
 
 def _rand_herm(rng, n):
@@ -87,31 +78,60 @@ def test_random_starts_per_restart_seeding():
     assert np.array_equal(s[1:], s_shift)
 
 
-@pytest.mark.skipif(not NUMBA_ACTIVE, reason="numba unavailable or disabled")
-def test_jit_and_python_kernels_agree():
-    rng = np.random.default_rng(4)
-    for trial in range(5):
-        c = np.ascontiguousarray(_rand_herm(rng, 9))
-        out_py = seesaw_minimize(c, (3, 3), 2, restarts=4, seed=trial,
-                                 kernel=_py_kernel)
-        out_jit = seesaw_minimize(c, (3, 3), 2, restarts=4, seed=trial,
-                                  kernel=_jit_kernel)
-        assert abs(out_py[0] - out_jit[0]) <= 1e-12
-        assert np.abs(out_py[1] - out_jit[1]).max() <= 1e-10
-        assert out_py[2] == out_jit[2]
+def _oracle(c, dims, k, restarts, seed, max_iters=500):
+    starts = random_starts(dims[0], dims[1], k, restarts, seed)
+    return loop_kernel(np.ascontiguousarray(c), dims[0], dims[1], k, starts,
+                       max_iters, 1e-10)
 
 
-def test_env_flag_disables_numba():
-    """With CONEKIT_NO_NUMBA set the module loads with the python kernel."""
-    env = dict(os.environ, CONEKIT_NO_NUMBA="1")
-    code = (
-        "import conekit._seesaw as s; "
-        "print(s.NUMBA_ACTIVE, s._active_kernel is s._py_kernel)"
-    )
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
-    assert out.returncode == 0
-    assert out.stdout.split() == ["False", "True"]
+_PARITY_CASES = (
+    [((3, 3), k, restarts) for k in (1, 2) for restarts in (1, 6)]
+    + [((4, 4), k, restarts) for k in (1, 2, 3) for restarts in (1, 6)]
+    + [((2, 3), k, restarts) for k in (1, 2) for restarts in (1, 6)]
+)
+
+
+@pytest.mark.parametrize("dims,k,restarts", _PARITY_CASES)
+def test_batched_kernel_matches_loop_oracle(dims, k, restarts):
+    """Same value, witness and sweep count as the one-restart-at-a-time loop
+    on seeded random Hermitian forms (non-degenerate minimisers)."""
+    rng = np.random.default_rng(100 * dims[0] + 10 * dims[1] + k)
+    for trial in range(2):
+        c = _rand_herm(rng, dims[0] * dims[1])
+        q, m, sweeps = seesaw_minimize(c, dims, k, restarts=restarts, seed=trial)
+        q_ref, m_ref, sweeps_ref = _oracle(c, dims, k, restarts, trial)
+        assert abs(q - q_ref) <= 1e-12
+        assert sweeps == sweeps_ref
+        assert np.abs(m - m_ref).max() <= 1e-10
+
+
+def test_batched_kernel_matches_loop_oracle_at_iteration_cap():
+    """With a small max_iters some restarts stop at the cap while others of
+    the same call converge earlier and leave the active set; values,
+    witnesses and sweep counts still match the loop."""
+    rng = np.random.default_rng(7)
+    mixed = 0
+    for trial in range(3):
+        c = _rand_herm(rng, 9)
+        uncapped = [_oracle(c, (3, 3), 1, 1, trial + r)[2] for r in range(6)]
+        for max_iters in (5, 20):
+            q, m, sweeps = seesaw_minimize(c, (3, 3), 1, restarts=6, seed=trial,
+                                           max_iters=max_iters)
+            q_ref, m_ref, sweeps_ref = _oracle(c, (3, 3), 1, 6, trial,
+                                               max_iters=max_iters)
+            assert abs(q - q_ref) <= 1e-12
+            assert sweeps == sweeps_ref == sum(min(n, max_iters) for n in uncapped)
+            assert np.abs(m - m_ref).max() <= 1e-10
+            mixed += min(uncapped) < max_iters < max(uncapped)
+    assert mixed
+
+
+def test_search_that_never_runs_is_rejected():
+    c = choi(reduction_family(3, 0.7)).mat
+    with pytest.raises(BadParam):
+        seesaw_minimize(c, (3, 3), 2, restarts=0)
+    with pytest.raises(BadParam):
+        seesaw_minimize(c, (3, 3), 2, max_iters=0)
 
 
 def test_entangled_projector_rank_gap():
