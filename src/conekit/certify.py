@@ -18,6 +18,7 @@ from .errors import BadK, ConekitError, DimMismatch, MissingDims, NotPSD
 from .linalg import (
     BipartiteVector,
     MatrixOp,
+    _pt_array,
     hermitian_eig,
     hs_inner,
     numerical_rank,
@@ -90,6 +91,18 @@ def _witness_quadratic_form(c: np.ndarray, w: BipartiteVector) -> float:
     return float(val.real)
 
 
+def _min_eigenvector_cert(c: np.ndarray, da: int, db: int, v: np.ndarray,
+                          tol: float, detail: str) -> Certificate:
+    """The bottom eigenvector as a witness, reported as a violation only when
+    its re-verified value is below -tol (an overflowing or ill-conditioned
+    eigensolve can return a vector that does not violate)."""
+    wit = BipartiteVector(da, db, v[:, 0])
+    val = _witness_quadratic_form(c, wit)
+    if val < -tol:
+        return Certificate(Verdict.VIOLATION, val, witness=wit, detail=detail)
+    return Certificate(Verdict.INCONCLUSIVE, val, detail=detail + "-unverified")
+
+
 def k_block_positive_certify(c: MatrixOp, k: int,
                              opts: SeesawOpts = DEFAULT_OPTS) -> Certificate:
     """Certify <psi|C|psi> >= 0 over Schmidt rank <= k unit vectors.
@@ -108,9 +121,7 @@ def k_block_positive_certify(c: MatrixOp, k: int,
     if lam_min >= -opts.eps_neg:
         return Certificate(Verdict.MEMBERSHIP, lam_min, detail="choi-psd")
     if k == kmax:
-        wit = BipartiteVector(da, db, v[:, 0])
-        val = _witness_quadratic_form(c.mat, wit)
-        return Certificate(Verdict.VIOLATION, val, witness=wit, detail="min-eigenvector")
+        return _min_eigenvector_cert(c.mat, da, db, v, opts.eps_neg, "min-eigenvector")
     val, m, _ = seesaw_minimize(c.mat, (da, db), k, restarts=opts.restarts,
                                 max_iters=opts.max_iters, eps_conv=opts.eps_conv,
                                 seed=opts.seed)
@@ -134,9 +145,7 @@ def is_cp(phi: MapRep, tol: float = 1e-9) -> Certificate:
     lam_min = float(w[0])
     if lam_min >= -tol:
         return Certificate(Verdict.MEMBERSHIP, lam_min, detail="choi-psd")
-    wit = BipartiteVector(phi.d, phi.d, v[:, 0])
-    return Certificate(Verdict.VIOLATION, _witness_quadratic_form(c.mat, wit),
-                       witness=wit, detail="min-eigenvector")
+    return _min_eigenvector_cert(c.mat, phi.d, phi.d, v, tol, "min-eigenvector")
 
 
 def is_ccp(phi: MapRep, tol: float = 1e-9) -> Certificate:
@@ -146,9 +155,7 @@ def is_ccp(phi: MapRep, tol: float = 1e-9) -> Certificate:
     lam_min = float(w[0])
     if lam_min >= -tol:
         return Certificate(Verdict.MEMBERSHIP, lam_min, detail="pt-choi-psd")
-    wit = BipartiteVector(phi.d, phi.d, v[:, 0])
-    return Certificate(Verdict.VIOLATION, _witness_quadratic_form(c.mat, wit),
-                       witness=wit, detail="pt-min-eigenvector")
+    return _min_eigenvector_cert(c.mat, phi.d, phi.d, v, tol, "pt-min-eigenvector")
 
 
 def _crosscheck_violation(phi: MapRep, cert: Certificate, k: int,
@@ -277,7 +284,9 @@ def classify(phi: MapRep, opts: SeesawOpts = DEFAULT_OPTS,
 
     A violation witness found at level k is inherited upward (it is a valid
     witness at every k' > k), so reports never claim membership above a
-    refuted level.
+    refuted level. A level keeps its own violation unless it is weaker than
+    the inherited one by more than eps_neg*max(1, |value|), so ties between
+    levels do not turn on last-bit differences.
     """
     d = phi.d
     if km_pairs is None:
@@ -289,7 +298,10 @@ def classify(phi: MapRep, opts: SeesawOpts = DEFAULT_OPTS,
         target_choi = choi(target)
         for k in range(1, d + 1):
             cert = k_block_positive_certify(target_choi, k, opts)
-            if best_viol is not None and cert.value > best_viol.value:
+            if best_viol is not None and (
+                    cert.verdict is not Verdict.VIOLATION
+                    or cert.value > best_viol.value
+                    + opts.eps_neg * max(1.0, abs(best_viol.value))):
                 inherited = Certificate(Verdict.VIOLATION, best_viol.value,
                                         witness=best_viol.witness,
                                         detail=best_viol.detail + "+inherited",
@@ -323,26 +335,90 @@ def classify(phi: MapRep, opts: SeesawOpts = DEFAULT_OPTS,
                       decomposable=dec)
 
 
+# Dual early exit of decomposable_certify: the gap vector is tested every
+# _GAP_EVERY sweeps, and a candidate PPT state is shifted _WITNESS_SHIFT into
+# the interior of both cones before it is re-checked.
+_GAP_EVERY = 10
+_WITNESS_SHIFT = 1e-9
+
+
+def _herm(m: np.ndarray) -> np.ndarray:
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
+
+
 def _clip_psd(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
+    """Nearest PSD matrix to the Hermitian part, over the last two axes."""
+    w, v = np.linalg.eigh(_herm(m))
     w = np.clip(w, 0.0, None)
-    return (v * w) @ v.conj().T
+    return (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def _ppt_witness(gap: np.ndarray, target: np.ndarray, da: int, db: int,
+                 eps_neg: float) -> tuple[np.ndarray, float] | None:
+    """A PPT state rho with Tr(rho C) < 0 built from the gap vector, or None.
+
+    g = herm(gap)/||.||_F is shifted to W = g + (max(0, -lmin(g), -lmin(PT g))
+    + delta)*1 with delta = _WITNESS_SHIFT, so W and PT(W) = PT(g) + shift*1
+    have all eigenvalues >= delta in exact arithmetic, and rho = W / Tr W
+    (Tr W >= n*delta > 0). rho is then re-checked as given:
+    Tr(rho C) < -eps_neg*max(1, max|C|), and lmin(rho), lmin(PT rho) >
+    n*eps. eigh's backward error on a
+    unit-trace PSD matrix is a small multiple of n*eps, and the shift keeps
+    both minima at delta/Tr W or more, orders of magnitude above it. The
+    rounding error of Tr(rho C) is ~n^2*eps*max|C|, far below the value
+    margin, so a decomposable C (Tr(rho C) = Tr(rho A) + Tr(PT(rho) B) >= 0)
+    is never refuted.
+    """
+    n = target.shape[0]
+    g = _herm(gap)
+    norm = float(np.linalg.norm(g))
+    if not norm > 0.0:
+        return None
+    g = g / norm
+    lam = np.linalg.eigvalsh(np.stack((g, _pt_array(g, da, db))))[:, 0]
+    w = g + (max(0.0, -lam[0], -lam[1]) + _WITNESS_SHIFT) * np.eye(n)
+    rho = w / np.trace(w).real
+    value = float(np.einsum("ij,ji->", rho, target).real)
+    if not value < -eps_neg * max(1.0, float(np.abs(target).max())):
+        return None
+    lam = np.linalg.eigvalsh(np.stack((rho, _pt_array(rho, da, db))))[:, 0]
+    if not (lam > n * np.finfo(float).eps).all():
+        return None
+    return rho, value
 
 
 def decomposable_certify(c: MatrixOp, opts: SeesawOpts = DEFAULT_OPTS,
                          max_sweeps: int = 2000) -> Certificate:
-    """Search for C = A + PT(B) with A, B PSD (Dykstra-corrected alternating
-    projections between the PSD cone and its partial-transpose slide).
+    """Decide whether C = A + PT(B) with A, B PSD, either way with a proof.
 
-    Heuristic: success returns MembershipProven with the re-verified pair in
-    extras; failure to converge is Inconclusive, never a refutation.
+    Dykstra-corrected alternating projections run between the PSD cone and
+    its partial-transpose slide {C - PT(B) : B PSD}. Each sweep stacks the
+    projection and the residual's projection into one `eigh` call.
+
+    - MembershipProven: a split with max-abs residual < eps_neg; extras hold
+      the re-verified A and B.
+    - ViolationFound (detail "ppt-witness"): decomposable maps are exactly
+      those whose Choi matrix pairs nonnegatively with every PPT operator, so
+      a PPT state rho with Tr(rho C) < 0 refutes decomposability. On an
+      infeasible pair Dykstra's y - x tends to the minimal gap vector between
+      the two sets (Bauschke & Borwein 1994), which is such a witness up to
+      a shift. Every _GAP_EVERY = 10 sweeps the gap is shifted
+      delta = 1e-9 past both cones' boundaries and scaled to unit trace;
+      rho is accepted only if Tr(rho C) < -eps_neg*max(1, max|C|) and
+      lmin(rho), lmin(PT rho) > n*eps, recomputed from rho itself (the
+      reasons for these margins are in _ppt_witness). value is Tr(rho C)
+      and extras["W"] is rho.
+    - Inconclusive: neither within max_sweeps.
+
+    extras always carry "A", "B", "residual" (the best split found) and
+    "sweeps".
     """
     da, db = c.require_dims()
-    w0, _ = hermitian_eig(c)
+    hermitian_eig(c)  # Hermiticity gate
     target = 0.5 * (c.mat + c.mat.conj().T)
 
     def pt(m: np.ndarray) -> np.ndarray:
-        return partial_transpose(MatrixOp(m, dims=(da, db))).mat
+        return _pt_array(m, da, db)
 
     x = target.copy()
     p_inc = np.zeros_like(target)
@@ -350,25 +426,36 @@ def decomposable_certify(c: MatrixOp, opts: SeesawOpts = DEFAULT_OPTS,
     a_best = None
     res_best = np.inf
     sweeps_done = 0
+    witness = None
     for sweep in range(max_sweeps):
         y = _clip_psd(x + p_inc)
         p_inc = x + p_inc - y
         z = y + q_inc
-        x = target - pt(_clip_psd(pt(target - z)))
+        # clip(pt(target - z)) is the projection, clip(pt(target - y)) the
+        # residual's B: both are known once y is, so one stacked eigh serves both
+        b_z, b = _clip_psd(pt(np.stack((target - z, target - y))))
+        x = target - pt(b_z)
         q_inc = z - x
         sweeps_done = sweep + 1
-        b = _clip_psd(pt(target - y))
         res = float(np.abs(target - y - pt(b)).max())
         if res < res_best:
             res_best = res
             a_best = y
         if res_best < opts.eps_neg:
             break
+        if sweeps_done % _GAP_EVERY == 0:
+            witness = _ppt_witness(y - x, target, da, db, opts.eps_neg)
+            if witness is not None:
+                break
 
     a = _clip_psd(a_best)
     b = _clip_psd(pt(target - a))
     residual = float(np.abs(target - a - pt(b)).max())
     extras = {"A": a, "B": b, "residual": residual, "sweeps": sweeps_done}
+    if witness is not None:
+        rho, value = witness
+        extras["W"] = rho
+        return Certificate(Verdict.VIOLATION, value, detail="ppt-witness", extras=extras)
     if residual < opts.eps_neg:
         return Certificate(Verdict.MEMBERSHIP, residual, detail="psd+pt-psd-split",
                            extras=extras)

@@ -114,19 +114,24 @@ def schmidt_rank(v: BipartiteVector, tol: float = SCHMIDT_RANK_TOL) -> int:
     return schmidt_decompose(v, tol=tol).rank
 
 
+def _pt_array(m: np.ndarray, da: int, db: int, subsystem: str = "B") -> np.ndarray:
+    """Partial transpose of raw arrays over their last two axes (any stack
+    of (da*db, da*db) matrices); no validation, no copy into a MatrixOp."""
+    t = m.reshape(m.shape[:-2] + (da, db, da, db))
+    if subsystem == "B":
+        t = t.swapaxes(-3, -1)
+    elif subsystem == "A":
+        t = t.swapaxes(-4, -2)
+    else:
+        raise DimMismatch(f"subsystem must be 'A' or 'B', got {subsystem!r}")
+    return t.reshape(m.shape)
+
+
 def partial_transpose(x: MatrixOp, subsystem: str = "B") -> MatrixOp:
     """Transpose one tensor factor. For subsystem B:
     out_{ij,kl} = x_{il,kj}. Involutive and trace preserving."""
     da, db = x.require_dims()
-    t4 = x.mat.reshape(da, db, da, db)
-    if subsystem == "B":
-        out = t4.transpose(0, 3, 2, 1)
-    elif subsystem == "A":
-        out = t4.transpose(2, 1, 0, 3)
-    else:
-        raise DimMismatch(f"subsystem must be 'A' or 'B', got {subsystem!r}")
-    n = da * db
-    return MatrixOp(out.reshape(n, n), dims=(da, db))
+    return MatrixOp(_pt_array(x.mat, da, db, subsystem), dims=(da, db))
 
 
 def reshuffle(superop: np.ndarray, d: int) -> np.ndarray:

@@ -24,12 +24,22 @@ def _grid(m: np.ndarray) -> tuple[list, list]:
     return m.real.tolist(), m.imag.tolist()
 
 
+def _complex(re, im) -> np.ndarray:
+    """re + 1j*im from JSON number lists. json.loads accepts NaN and
+    Infinity; no certificate can be built on them, so they are refused."""
+    re = np.asarray(re, dtype=float)
+    im = np.asarray(im, dtype=float)
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ValueError("entries must be finite numbers")
+    return re + 1j * im
+
+
 def _ungrid(obj: dict, n: int) -> np.ndarray:
     re = np.asarray(obj["re"], dtype=float)
     im = np.asarray(obj.get("im") or np.zeros_like(re), dtype=float)
     if re.shape != (n, n) or im.shape != (n, n):
         raise ValueError(f"re/im grids must be {n}x{n}")
-    return re + 1j * im
+    return _complex(re, im)
 
 
 def matrix_to_json(x: MatrixOp) -> dict:
@@ -92,8 +102,7 @@ def vector_to_json(v: BipartiteVector) -> dict:
 
 def vector_from_json(obj: dict) -> BipartiteVector:
     da, db = (int(x) for x in obj["dims"])
-    amp = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
-    return BipartiteVector(da, db, amp)
+    return BipartiteVector(da, db, _complex(obj["re"], obj["im"]))
 
 
 def certificate_to_json(cert: Certificate) -> dict:
@@ -116,13 +125,20 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 
 def certificate_from_json(obj: dict) -> Certificate:
+    """Inverse of certificate_to_json; matrix entries of extras come back as
+    ndarrays, so a decomposability split or PPT witness can be re-checked."""
     wit = obj.get("witness")
+    extras = obj.get("extras")
+    if extras is not None:
+        extras = {key: _ungrid(val, int(val["dim"])) if isinstance(val, dict) else val
+                  for key, val in extras.items()}
     return Certificate(
         verdict=Verdict(obj["verdict"]),
         value=float(obj["value"]),
         witness=vector_from_json(wit) if wit is not None else None,
         detail=obj.get("detail", ""),
         restarts_used=int(obj.get("restarts_used", 0)),
+        extras=extras,
     )
 
 

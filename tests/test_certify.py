@@ -33,10 +33,13 @@ from conekit import (
     reduction_family,
     schmidt_number_bounds,
     schmidt_rank,
+    seesaw_minimize,
     swap_matrix,
     transpose_map,
 )
 from conekit.errors import BadK, ConekitError, NotPSD
+
+from _decompose_oracle import decomposable_certify as decomposable_oracle
 
 
 def _rank_ops(rng, d, k, n):
@@ -120,6 +123,20 @@ def test_violation_witness_stays_rank_bounded():
             psi = cert.witness.amp
             assert abs(psi.conj() @ h @ psi - cert.value) <= 1e-10
     assert hits > 0
+
+
+def test_min_eigenvector_verdict_matches_its_value():
+    """An overflowing eigensolve returns a bottom eigenvector whose re-verified
+    value is positive; that is no violation."""
+    c = MatrixOp(choi(reduction_family(2, 0.7)).mat * 1e308, dims=(2, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        cert = k_block_positive_certify(c, 2)
+    assert cert.verdict is Verdict.INCONCLUSIVE
+    assert cert.witness is None
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = map_from_choi(c)
+        for cert in (is_cp(phi), is_ccp(phi)):
+            assert cert.verdict is Verdict.INCONCLUSIVE
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +375,97 @@ def test_decomposable_never_refutes():
     cert = decomposable_certify(MatrixOp(h, dims=(3, 3)),
                                 max_sweeps=5)
     assert cert.verdict in (Verdict.MEMBERSHIP, Verdict.INCONCLUSIVE)
+
+
+def _hermitian(rng, n):
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return 0.5 * (g + g.conj().T)
+
+
+def _unit_trace_psd(rng, n):
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    a = g @ g.conj().T
+    return a / np.trace(a).real
+
+
+def _block_positive(rng, dims, margin, seed):
+    """Random Hermitian form shifted so that its product-state minimum (as
+    the see-saw finds it) sits at `margin`."""
+    h = _hermitian(rng, dims[0] * dims[1])
+    h = h / np.abs(h).max()
+    q, _, _ = seesaw_minimize(h, dims, 1, restarts=10, seed=seed)
+    return MatrixOp(h + (margin - q) * np.eye(h.shape[0]), dims=dims)
+
+
+def _generalized_choi(a, b, c):
+    """Choi matrix of the Cho-Kye-Lee map Phi[a,b,c] on M_3:
+    Phi(X) = diag(a x11 + b x22 + c x33, c x11 + a x22 + b x33,
+    b x11 + c x22 + a x33) - X."""
+    weights = np.array([[a, c, b], [b, a, c], [c, b, a]])
+    out = np.zeros((9, 9), dtype=complex)
+    for i in range(3):
+        out[3 * i:3 * i + 3, 3 * i:3 * i + 3] = np.diag(weights[i])
+        for j in range(3):
+            out[3 * i + i, 3 * j + j] -= 1.0
+    return out
+
+
+def _decompose_parity_inputs():
+    rng = np.random.default_rng(37)
+    yield MatrixOp(swap_matrix(2).astype(complex), dims=(2, 2))
+    yield choi(random_cp_map(3, 2, 3, 5))
+    for i in range(3):
+        yield _block_positive(rng, (2, 2), 0.05, i)
+    for _ in range(3):
+        b = MatrixOp(_unit_trace_psd(rng, 9), dims=(3, 3))
+        yield MatrixOp(0.5 * _unit_trace_psd(rng, 9) + partial_transpose(b).mat, dims=(3, 3))
+
+
+def test_decomposable_matches_loop_oracle():
+    """The stacked-eigh loop runs the same iterates as the old loop on every
+    input it splits: same sweep count, same A, B and residual."""
+    for c in _decompose_parity_inputs():
+        new = decomposable_certify(c)
+        old = decomposable_oracle(c)
+        assert new.verdict is old.verdict is Verdict.MEMBERSHIP
+        assert new.detail == old.detail
+        assert new.extras["sweeps"] == old.extras["sweeps"]
+        for key in ("A", "B"):
+            assert np.abs(new.extras[key] - old.extras[key]).max() <= 1e-12
+        assert abs(new.extras["residual"] - old.extras["residual"]) <= 1e-12
+        assert set(new.extras) == {"A", "B", "residual", "sweeps"}
+
+
+def test_choi_map_refuted_by_ppt_witness():
+    """Phi[2,0,1] is positive but not decomposable; the search returns a PPT
+    state that pairs negatively with its Choi matrix."""
+    c = _generalized_choi(2.0, 0.0, 1.0)
+    cert = decomposable_certify(MatrixOp(c, dims=(3, 3)))
+    assert cert.verdict is Verdict.VIOLATION
+    assert cert.detail == "ppt-witness"
+    assert set(cert.extras) == {"A", "B", "residual", "sweeps", "W"}
+    assert cert.extras["sweeps"] < 2000
+    rho = cert.extras["W"]
+    assert abs(np.trace(rho) - 1.0) <= 1e-12
+    assert np.abs(rho - rho.conj().T).max() <= 1e-12
+    assert np.linalg.eigvalsh(rho)[0] >= 0.0
+    pt_rho = rho.reshape(3, 3, 3, 3).transpose(0, 3, 2, 1).reshape(9, 9)
+    assert np.linalg.eigvalsh(pt_rho)[0] >= 0.0
+    value = float(np.trace(rho @ c).real)
+    assert value < 0.0
+    assert abs(value - cert.value) <= 1e-12
+
+
+def test_decomposable_never_refutes_by_stormer_woronowicz():
+    """On M_2 (x) M_2 and M_2 (x) M_3 every block-positive matrix is
+    decomposable (Stormer, Woronowicz), so a PPT witness can never be
+    returned there."""
+    rng = np.random.default_rng(38)
+    for dims in ((2, 2), (2, 3)):
+        for i in range(6):
+            c = _block_positive(rng, dims, 0.01, i)
+            cert = decomposable_certify(c, max_sweeps=300)
+            assert cert.verdict is not Verdict.VIOLATION, (dims, i, cert.value)
 
 
 # ---------------------------------------------------------------------------

@@ -188,3 +188,18 @@ def test_entry_point_installed(tmp_path):
         return
     eps = installed.entry_points.select(group="console_scripts", name="conekit")
     assert [ep.value for ep in eps] == ["conekit.cli:main"]
+
+
+def test_classify_rejects_non_finite_entries(tmp_path, capsys):
+    """json.loads reads NaN and Infinity; the loader refuses them (exit 2)."""
+    for bad in ("NaN", "Infinity"):
+        obj = matrix_to_json(choi(reduction_family(2, 0.5)))
+        obj["re"][1][1] = float(bad.lower())
+        text = dumps(obj)
+        assert bad in text
+        path = tmp_path / f"{bad}.json"
+        path.write_text(text)
+        assert cli.main(["classify", str(path), "--no-dec"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite" in captured.err

@@ -12,10 +12,12 @@ from conekit import (
     Verdict,
     choi,
     classify,
+    decomposable_certify,
     k_block_positive_certify,
     kraus_decompose,
     random_cp_map,
     reduction_family,
+    swap_matrix,
     transpose_map,
 )
 from conekit.serialize import (
@@ -99,6 +101,54 @@ def test_certificate_round_trip_with_witness():
     assert back.value == cert.value
     assert np.abs(back.witness.amp - cert.witness.amp).max() <= 1e-15
     assert back.detail == cert.detail
+
+
+def _assert_extras_round_trip(cert):
+    back = certificate_from_json(json.loads(dumps(certificate_to_json(cert))))
+    assert back.verdict is cert.verdict
+    assert back.value == cert.value
+    assert back.detail == cert.detail
+    assert set(back.extras) == set(cert.extras)
+    for key, val in cert.extras.items():
+        if isinstance(val, np.ndarray):
+            assert isinstance(back.extras[key], np.ndarray)
+            assert np.array_equal(back.extras[key], val)
+        else:
+            assert back.extras[key] == val
+    return back
+
+
+def test_certificate_round_trip_keeps_split():
+    cert = decomposable_certify(MatrixOp(swap_matrix(2).astype(complex), dims=(2, 2)))
+    assert cert.verdict is Verdict.MEMBERSHIP
+    back = _assert_extras_round_trip(cert)
+    a, b = back.extras["A"], back.extras["B"]
+    pt_b = b.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    assert np.abs(a + pt_b - swap_matrix(2)).max() <= 1e-8
+
+
+def test_certificate_round_trip_keeps_ppt_witness():
+    # Choi matrix of the Choi map Phi[2,0,1] on M_3: positive, not decomposable
+    c = np.zeros((9, 9), dtype=complex)
+    for i in range(3):
+        c[3 * i:3 * i + 3, 3 * i:3 * i + 3] = np.diag(np.roll([2.0, 1.0, 0.0], i))
+        for j in range(3):
+            c[3 * i + i, 3 * j + j] -= 1.0
+    cert = decomposable_certify(MatrixOp(c, dims=(3, 3)))
+    assert cert.detail == "ppt-witness"
+    back = _assert_extras_round_trip(cert)
+    assert float(np.trace(back.extras["W"] @ c).real) < 0.0
+
+
+def test_non_finite_entries_rejected():
+    obj = matrix_to_json(MatrixOp(np.eye(2, dtype=complex)))
+    obj["re"][0][1] = float("nan")
+    with pytest.raises(ValueError):
+        matrix_from_json(obj)
+    obj = vector_to_json(BipartiteVector(1, 2, np.ones(2)))
+    obj["im"][1] = float("inf")
+    with pytest.raises(ValueError):
+        vector_from_json(obj)
 
 
 def test_certificate_json_is_json_serializable():
