@@ -19,6 +19,7 @@ from .linalg import (
     BipartiteVector,
     MatrixOp,
     _pt_array,
+    check_hermitian,
     hermitian_eig,
     hs_inner,
     numerical_rank,
@@ -357,6 +358,9 @@ def _ppt_witness(gap: np.ndarray, target: np.ndarray, da: int, db: int,
                  eps_neg: float) -> tuple[np.ndarray, float] | None:
     """A PPT state rho with Tr(rho C) < 0 built from the gap vector, or None.
 
+    gap is the search's DR displacement a - x (PSD iterate minus slide
+    iterate), which on an infeasible pair tends to the minimal gap vector.
+
     g = herm(gap)/||.||_F is shifted to W = g + (max(0, -lmin(g), -lmin(PT g))
     + delta)*1 with delta = _WITNESS_SHIFT, so W and PT(W) = PT(g) + shift*1
     have all eigenvalues >= delta in exact arithmetic, and rho = W / Tr W
@@ -391,18 +395,24 @@ def decomposable_certify(c: MatrixOp, opts: SeesawOpts = DEFAULT_OPTS,
                          max_sweeps: int = 2000) -> Certificate:
     """Decide whether C = A + PT(B) with A, B PSD, either way with a proof.
 
-    Dykstra-corrected alternating projections run between the PSD cone and
-    its partial-transpose slide {C - PT(B) : B PSD}. Each sweep stacks the
-    projection and the residual's projection into one `eigh` call.
+    Douglas-Rachford (DR) runs on the PSD cone and its partial-transpose
+    slide {C - PT(B) : B PSD}: a = clip(z), x = the slide's projection of
+    2a - z, z += x - a. DR looks for any point of the intersection, not the
+    nearest split, so on inputs that split it stops after a few sweeps
+    (finite convergence under Slater's condition is known for some set
+    pairs: Bauschke, Dao, Noll & Phan 2016). Each sweep stacks the reflected
+    projection and the residual's projection into one `eigh` call; the split
+    is A = a and B = clip(PT(C - a)).
 
     - MembershipProven: a split with max-abs residual < eps_neg; extras hold
       the re-verified A and B.
     - ViolationFound (detail "ppt-witness"): decomposable maps are exactly
       those whose Choi matrix pairs nonnegatively with every PPT operator, so
       a PPT state rho with Tr(rho C) < 0 refutes decomposability. On an
-      infeasible pair Dykstra's y - x tends to the minimal gap vector between
-      the two sets (Bauschke & Borwein 1994), which is such a witness up to
-      a shift. Every _GAP_EVERY = 10 sweeps the gap is shifted
+      infeasible pair the DR displacement a - x = z_k - z_{k+1} tends to the
+      minimal displacement vector, which is the gap vector between the two
+      sets (Bauschke, Combettes & Luke 2004) and such a witness up to a
+      shift. Every _GAP_EVERY = 10 sweeps the gap is shifted
       delta = 1e-9 past both cones' boundaries and scaled to unit trace;
       rho is accepted only if Tr(rho C) < -eps_neg*max(1, max|C|) and
       lmin(rho), lmin(PT rho) > n*eps, recomputed from rho itself (the
@@ -414,39 +424,36 @@ def decomposable_certify(c: MatrixOp, opts: SeesawOpts = DEFAULT_OPTS,
     "sweeps".
     """
     da, db = c.require_dims()
-    hermitian_eig(c)  # Hermiticity gate
+    check_hermitian(c.mat)
     target = 0.5 * (c.mat + c.mat.conj().T)
 
     def pt(m: np.ndarray) -> np.ndarray:
         return _pt_array(m, da, db)
 
-    x = target.copy()
-    p_inc = np.zeros_like(target)
-    q_inc = np.zeros_like(target)
+    z = target.copy()
     a_best = None
     res_best = np.inf
     sweeps_done = 0
     witness = None
     for sweep in range(max_sweeps):
-        y = _clip_psd(x + p_inc)
-        p_inc = x + p_inc - y
-        z = y + q_inc
-        # clip(pt(target - z)) is the projection, clip(pt(target - y)) the
-        # residual's B: both are known once y is, so one stacked eigh serves both
-        b_z, b = _clip_psd(pt(np.stack((target - z, target - y))))
-        x = target - pt(b_z)
-        q_inc = z - x
+        a = _clip_psd(z)
+        # clip(pt(target - (2a - z))) is the reflected step's projection,
+        # clip(pt(target - a)) the residual's B: both are known once a is,
+        # so one stacked eigh serves both
+        b_r, b = _clip_psd(pt(np.stack((target - (2.0 * a - z), target - a))))
+        x = target - pt(b_r)
         sweeps_done = sweep + 1
-        res = float(np.abs(target - y - pt(b)).max())
+        res = float(np.abs(target - a - pt(b)).max())
         if res < res_best:
             res_best = res
-            a_best = y
+            a_best = a
         if res_best < opts.eps_neg:
             break
         if sweeps_done % _GAP_EVERY == 0:
-            witness = _ppt_witness(y - x, target, da, db, opts.eps_neg)
+            witness = _ppt_witness(a - x, target, da, db, opts.eps_neg)
             if witness is not None:
                 break
+        z += x - a
 
     a = _clip_psd(a_best)
     b = _clip_psd(pt(target - a))

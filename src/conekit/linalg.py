@@ -147,12 +147,18 @@ def unreshuffle(choi: np.ndarray, d: int) -> np.ndarray:
     return np.einsum("caeb->abce", c4).reshape(d * d, d * d)
 
 
-def hermitian_eig(x: MatrixOp | np.ndarray, tol: float = HERM_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition with a Hermiticity gate. Ascending eigenvalues."""
-    m = x.mat if isinstance(x, MatrixOp) else np.asarray(x, dtype=np.complex128)
+def check_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> None:
+    """The Hermiticity gate: raise NotHermitian when max |X - X^dag| exceeds
+    tol * max(1, max |X|)."""
     dev = float(np.abs(m - m.conj().T).max())
     if dev > tol * max(1.0, float(np.abs(m).max())):
         raise NotHermitian(f"max |X - X^dag| = {dev:.3e} exceeds tolerance")
+
+
+def hermitian_eig(x: MatrixOp | np.ndarray, tol: float = HERM_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Eigen-decomposition with a Hermiticity gate. Ascending eigenvalues."""
+    m = x.mat if isinstance(x, MatrixOp) else np.asarray(x, dtype=np.complex128)
+    check_hermitian(m, tol)
     w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
     return w, v
 
@@ -163,10 +169,8 @@ def hs_inner(a: MatrixOp | np.ndarray, b: MatrixOp | np.ndarray, tol: float = HE
     mb = b.mat if isinstance(b, MatrixOp) else np.asarray(b, dtype=np.complex128)
     if ma.shape != mb.shape:
         raise DimMismatch(f"shape mismatch {ma.shape} vs {mb.shape}")
-    for m in (ma, mb):
-        dev = float(np.abs(m - m.conj().T).max())
-        if dev > tol * max(1.0, float(np.abs(m).max())):
-            raise NotHermitian("hs_inner arguments must be Hermitian")
+    check_hermitian(ma, tol)
+    check_hermitian(mb, tol)
     return float(np.einsum("ij,ji->", ma, mb).real)
 
 
