@@ -10,7 +10,8 @@ active restarts' coefficient matrices, builds their effective matrices by a
 `tensordot` of C (viewed as a dA x dB x dA x dB tensor) with the fixed frames
 followed by a two-operand `einsum`, and takes one stacked `eigh`. A restart
 leaves the active set on the sweep at which its value moves by less than
-eps_conv, so every restart runs exactly the sweeps it would run on its own.
+the stop threshold, so every restart runs exactly the sweeps it would run on
+its own.
 tests/_seesaw_oracle.py keeps the one-restart-at-a-time scalar loop as the
 reference the parity tests compare against.
 """
@@ -85,6 +86,9 @@ def seesaw_minimize(c_mat: np.ndarray, dims: tuple[int, int], k: int,
     """Best value, best dA x dB coefficient matrix (unit Frobenius norm, rank
     <= k) and total sweep count over all restarts. Deterministic in seed.
 
+    A restart stops when its value moves by less than
+    eps_conv * max(1, max|C|), so the stop rule scales with C above unit size.
+
     Raises BadParam unless restarts >= 1 and max_iters >= 1: a search that
     never runs has no value to report.
     """
@@ -95,6 +99,6 @@ def seesaw_minimize(c_mat: np.ndarray, dims: tuple[int, int], k: int,
     da, db = dims
     c = np.asarray(c_mat, dtype=np.complex128)
     starts = random_starts(da, db, k, restarts, seed)
-    best_q, best_m, sweeps = _seesaw_kernel(c, da, db, k, starts, int(max_iters),
-                                            float(eps_conv))
+    tol = float(eps_conv) * max(1.0, float(np.abs(c).max()))
+    best_q, best_m, sweeps = _seesaw_kernel(c, da, db, k, starts, int(max_iters), tol)
     return float(best_q), best_m, int(sweeps)

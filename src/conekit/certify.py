@@ -8,7 +8,7 @@ Inconclusive with the best value found.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -32,7 +32,6 @@ from .maps import (
     MapRep,
     apply_on_right_factor,
     choi,
-    co,
     reduction_detectors,
 )
 
@@ -50,7 +49,6 @@ class SeesawOpts:
     eps_conv: float = 1e-10
     eps_neg: float = 1e-9
     seed: int = 42
-    crosscheck: bool = False
 
 
 DEFAULT_OPTS = SeesawOpts()
@@ -92,16 +90,24 @@ def _witness_quadratic_form(c: np.ndarray, w: BipartiteVector) -> float:
     return float(val.real)
 
 
-def _min_eigenvector_cert(c: np.ndarray, da: int, db: int, v: np.ndarray,
-                          tol: float, detail: str) -> Certificate:
-    """The bottom eigenvector as a witness, reported as a violation only when
-    its re-verified value is below -tol (an overflowing or ill-conditioned
-    eigensolve can return a vector that does not violate)."""
+def _eigen_cert(c: MatrixOp, tol: float, prefix: str = "") -> Certificate:
+    """The eigen-decision on C: PSD within tol is a constructive proof
+    ("choi-psd"); otherwise the bottom eigenvector is the witness, reported as
+    a violation only when its re-verified value is below -tol (an overflowing
+    or ill-conditioned eigensolve can return a vector that does not violate).
+    prefix marks the co-chain ("pt-")."""
+    w, v = hermitian_eig(c)
+    lam_min = float(w[0])
+    if lam_min >= -tol:
+        return Certificate(Verdict.MEMBERSHIP, lam_min, detail=prefix + "choi-psd")
+    da, db = _bipartite_dims(c)
     wit = BipartiteVector(da, db, v[:, 0])
-    val = _witness_quadratic_form(c, wit)
+    val = _witness_quadratic_form(c.mat, wit)
     if val < -tol:
-        return Certificate(Verdict.VIOLATION, val, witness=wit, detail=detail)
-    return Certificate(Verdict.INCONCLUSIVE, val, detail=detail + "-unverified")
+        return Certificate(Verdict.VIOLATION, val, witness=wit,
+                           detail=prefix + "min-eigenvector")
+    return Certificate(Verdict.INCONCLUSIVE, val,
+                       detail=prefix + "min-eigenvector-unverified")
 
 
 def k_block_positive_certify(c: MatrixOp, k: int,
@@ -117,12 +123,9 @@ def k_block_positive_certify(c: MatrixOp, k: int,
     kmax = min(da, db)
     if not 1 <= k <= kmax:
         raise BadK(f"k={k} outside 1..{kmax}")
-    w, v = hermitian_eig(c)
-    lam_min = float(w[0])
-    if lam_min >= -opts.eps_neg:
-        return Certificate(Verdict.MEMBERSHIP, lam_min, detail="choi-psd")
-    if k == kmax:
-        return _min_eigenvector_cert(c.mat, da, db, v, opts.eps_neg, "min-eigenvector")
+    cert = _eigen_cert(c, opts.eps_neg)
+    if cert.verdict is Verdict.MEMBERSHIP or k == kmax:
+        return cert
     val, m, _ = seesaw_minimize(c.mat, (da, db), k, restarts=opts.restarts,
                                 max_iters=opts.max_iters, eps_conv=opts.eps_conv,
                                 seed=opts.seed)
@@ -141,67 +144,18 @@ def k_block_positive_certify(c: MatrixOp, k: int,
 
 def is_cp(phi: MapRep, tol: float = 1e-9) -> Certificate:
     """Complete positivity via the bottom Choi eigenpair."""
-    c = choi(phi)
-    w, v = hermitian_eig(c)
-    lam_min = float(w[0])
-    if lam_min >= -tol:
-        return Certificate(Verdict.MEMBERSHIP, lam_min, detail="choi-psd")
-    return _min_eigenvector_cert(c.mat, phi.d, phi.d, v, tol, "min-eigenvector")
+    return _eigen_cert(choi(phi), tol)
 
 
 def is_ccp(phi: MapRep, tol: float = 1e-9) -> Certificate:
     """Complete copositivity: the partially transposed Choi matrix is tested."""
-    c = partial_transpose(choi(phi))
-    w, v = hermitian_eig(c)
-    lam_min = float(w[0])
-    if lam_min >= -tol:
-        return Certificate(Verdict.MEMBERSHIP, lam_min, detail="pt-choi-psd")
-    return _min_eigenvector_cert(c.mat, phi.d, phi.d, v, tol, "pt-min-eigenvector")
-
-
-def _crosscheck_violation(phi: MapRep, cert: Certificate, k: int,
-                          opts: SeesawOpts) -> Certificate:
-    """Re-express a k-positivity violation as a failure of positivity of
-    x -> (1 (x) phi)((q (x) 1) x (q (x) 1)) for an explicit k-dim projection q
-    built from the witness's Schmidt frame."""
-    wit = cert.witness
-    sd = schmidt_decompose(wit)
-    r = sd.rank
-    d = phi.d
-    u_rows = sd.left_vectors          # orthonormal rows, min(dims) of them
-    if u_rows.shape[0] < k:
-        raise ConekitError("not enough frame vectors to build a k-dim projection")
-    q = np.zeros((d, d), dtype=np.complex128)
-    for l in range(k):
-        q += np.outer(u_rows[l], u_rows[l].conj())
-    if (abs(np.trace(q).real - k) > 1e-9
-            or float(np.abs(q @ q - q).max()) > 1e-9
-            or float(np.abs(q - q.conj().T).max()) > 1e-9):
-        raise ConekitError("constructed q is not a rank-k projection")
-    chi = np.zeros(d * d, dtype=np.complex128)
-    beta = np.zeros(d * d, dtype=np.complex128)
-    for l in range(r):
-        chi += np.kron(u_rows[l], u_rows[l].conj())
-        beta += sd.coefficients[l] * np.kron(u_rows[l], sd.right_vectors[l])
-    q_ext = np.kron(q, np.eye(d, dtype=np.complex128))
-    sandwiched = q_ext @ np.outer(chi, chi.conj()) @ q_ext
-    mapped = apply_on_right_factor(phi, MatrixOp(sandwiched, dims=(d, d))).mat
-    val = complex(beta.conj() @ (mapped @ beta)).real
-    if abs(val - cert.value) > 1e-8 * max(1.0, abs(cert.value)):
-        raise ConekitError(
-            f"projection-form value {val:.6e} disagrees with witness value {cert.value:.6e}")
-    if val >= -opts.eps_neg:
-        raise ConekitError("projection-form value is not negative")
-    return replace(cert, detail=cert.detail + "+projection-crosscheck")
+    return _eigen_cert(partial_transpose(choi(phi)), tol, prefix="pt-")
 
 
 def is_k_positive_certify(phi: MapRep, k: int,
                           opts: SeesawOpts = DEFAULT_OPTS) -> Certificate:
     """k-positivity of phi == k-block positivity of its Choi matrix."""
-    cert = k_block_positive_certify(choi(phi), k, opts)
-    if opts.crosscheck and cert.verdict is Verdict.VIOLATION:
-        cert = _crosscheck_violation(phi, cert, k, opts)
-    return cert
+    return k_block_positive_certify(choi(phi), k, opts)
 
 
 def dual_pairing(phi: MapRep, psi: MapRep) -> float:
@@ -224,7 +178,7 @@ def schmidt_number_bounds(c: MatrixOp, detectors: list[Detector] | None = None,
     the range vector when C has rank one, else min(dims).
     """
     da, db = _bipartite_dims(c)
-    w, _ = hermitian_eig(c)
+    w, v = hermitian_eig(c)
     if float(w[0]) < -tol * max(1.0, float(w[-1])):
         raise NotPSD(f"matrix has eigenvalue {w[0]:.3e}; Schmidt number undefined")
     if detectors is None:
@@ -242,9 +196,8 @@ def schmidt_number_bounds(c: MatrixOp, detectors: list[Detector] | None = None,
         for op in construction.operators:
             upper = max(upper, numerical_rank(op))
         upper = max(1, min(upper, kmax))
-    elif numerical_rank(c.mat) == 1:
-        w_eig, v_eig = hermitian_eig(c)
-        upper = schmidt_decompose(BipartiteVector(da, db, v_eig[:, -1])).rank
+    elif np.count_nonzero(np.abs(w) > 1e-8 * np.abs(w).max()) == 1:
+        upper = schmidt_decompose(BipartiteVector(da, db, v[:, -1])).rank
     else:
         upper = kmax
     if lower > upper:
@@ -293,10 +246,9 @@ def classify(phi: MapRep, opts: SeesawOpts = DEFAULT_OPTS,
     if km_pairs is None:
         km_pairs = [(k, m) for k in range(1, d + 1) for m in range(1, d + 1)]
 
-    def chain(target: MapRep) -> dict:
+    def chain(target_choi: MatrixOp) -> dict:
         certs: dict[int, Certificate] = {}
         best_viol: Certificate | None = None
-        target_choi = choi(target)
         for k in range(1, d + 1):
             cert = k_block_positive_certify(target_choi, k, opts)
             if best_viol is not None and (
@@ -314,14 +266,16 @@ def classify(phi: MapRep, opts: SeesawOpts = DEFAULT_OPTS,
             certs[k] = cert
         return certs
 
-    p = chain(phi)
-    co_phi = co(phi)
-    co_p = chain(co_phi)
+    # choi(co(phi)) = PT_B(choi(phi)): the co-chain reads the same Choi matrix
+    c = choi(phi)
+    co_c = partial_transpose(c)
+    p = chain(c)
+    co_p = chain(co_c)
     cp = p[d].verdict is Verdict.MEMBERSHIP
     ccp = co_p[d].verdict is Verdict.MEMBERSHIP
 
-    bounds = schmidt_number_bounds(choi(phi)) if cp else None
-    co_bounds = schmidt_number_bounds(choi(co_phi)) if ccp else None
+    bounds = schmidt_number_bounds(c) if cp else None
+    co_bounds = schmidt_number_bounds(co_c) if ccp else None
 
     km_positive = {}
     km_superpositive = {}
@@ -330,7 +284,7 @@ def classify(phi: MapRep, opts: SeesawOpts = DEFAULT_OPTS,
         km_superpositive[(k, m)] = _flag(_bound_flag(bounds, p[d], k),
                                          _bound_flag(co_bounds, co_p[d], m))
 
-    dec = decomposable_certify(choi(phi), opts=opts) if include_dec else None
+    dec = decomposable_certify(c, opts=opts) if include_dec else None
     return ConeReport(d=d, p=p, co_p=co_p, cp=cp, schmidt_number=bounds,
                       km_positive=km_positive, km_superpositive=km_superpositive,
                       decomposable=dec)

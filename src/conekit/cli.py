@@ -11,13 +11,14 @@ exit codes: 0 ok, 2 parse/input error, 3 invariant violation, 4 fuzz failures.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 import numpy as np
 
 from . import fuzz as fuzz_mod
-from .certify import SeesawOpts, classify
+from .certify import DEFAULT_OPTS, SeesawOpts, classify
 from .errors import (
     BadFamily,
     BadK,
@@ -86,19 +87,18 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _opts_from(args, cfg: dict) -> SeesawOpts:
-    def pick(flag_val, key, default):
-        if flag_val is not None:
-            return flag_val
-        return cfg.get(key, default)
-
-    return SeesawOpts(
-        restarts=int(pick(args.restarts, "restarts", 20)),
-        max_iters=int(cfg.get("max_iters", 500)),
-        eps_conv=float(cfg.get("eps_conv", 1e-10)),
-        eps_neg=float(pick(args.tol, "eps_neg", 1e-9)),
-        seed=int(pick(args.seed, "seed", 42)),
-    )
+def _opts_from(args) -> SeesawOpts:
+    """Config keys are SeesawOpts's field names; --restarts, --tol and --seed
+    win over them, and every other field keeps its default."""
+    cfg = _load_config(args.config)
+    names = [f.name for f in dataclasses.fields(SeesawOpts)]
+    unknown = sorted(set(cfg) - set(names))
+    if unknown:
+        raise ValueError(f"unknown config keys {unknown}; allowed: {names}")
+    flags = {"restarts": args.restarts, "eps_neg": args.tol, "seed": args.seed}
+    merged = {**cfg, **{key: val for key, val in flags.items() if val is not None}}
+    return SeesawOpts(**{key: type(getattr(DEFAULT_OPTS, key))(val)
+                         for key, val in merged.items()})
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -129,8 +129,7 @@ def _parse_family(spec: str) -> tuple[str, int]:
 
 
 def _cmd_classify(args) -> int:
-    cfg = _load_config(args.config)
-    opts = _opts_from(args, cfg)
+    opts = _opts_from(args)
     with open(args.input, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     op = load_operator(payload)
@@ -143,26 +142,24 @@ def _cmd_classify(args) -> int:
     else:  # pragma: no cover - load_operator only returns the above
         raise ValueError("unsupported operator payload")
     report = classify(phi, opts=opts, include_dec=not args.no_dec)
-    _emit(dumps(report_to_json(report)), args.out or cfg.get("out"))
+    _emit(dumps(report_to_json(report)), args.out)
     return 0
 
 
 def _cmd_scan(args) -> int:
-    cfg = _load_config(args.config)
-    opts = _opts_from(args, cfg)
+    opts = _opts_from(args)
     name, d = _parse_family(args.family)
     grid = _parse_grid(args.grid)
-    rows = threshold_scan(name, d, args.k, grid, tol=opts.eps_neg, opts=opts)
-    _emit(scan_rows_to_csv(rows), args.out or cfg.get("out"))
+    rows = threshold_scan(name, d, args.k, grid, opts=opts)
+    _emit(scan_rows_to_csv(rows), args.out)
     return 0
 
 
 def _cmd_fuzz(args) -> int:
-    cfg = _load_config(args.config)
-    opts = _opts_from(args, cfg)
+    opts = _opts_from(args)
     summary = fuzz_mod.run_suite(args.suite, args.n, opts.seed, d=args.d, k=args.k)
     summary["seed"] = opts.seed
-    _emit(dumps(summary), args.out or cfg.get("out"))
+    _emit(dumps(summary), args.out)
     return FUZZ_FAILURE if summary["failed"] else 0
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimMismatch, MissingDims, NotHermitian, ZeroVector
+from .errors import BadParam, DimMismatch, MissingDims, NotHermitian, ZeroVector
 
 HERM_TOL = 1e-10
 ZERO_TOL = 1e-14
@@ -20,7 +20,10 @@ SCHMIDT_RANK_TOL = 1e-8
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
+    """Read-only complex copy; NaN or inf entries raise BadParam."""
     out = np.array(a, dtype=np.complex128, copy=True, order="C")
+    if not np.isfinite(out).all():
+        raise BadParam("matrix has a NaN or infinite entry")
     out.setflags(write=False)
     return out
 

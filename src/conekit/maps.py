@@ -20,11 +20,19 @@ from .errors import (
     DimMismatch,
     EmptyList,
     NotCompletelyPositive,
-    NotHermitian,
     NotHermiticityPreserving,
     RankTooHigh,
 )
-from .linalg import HERM_TOL, MatrixOp, _freeze, max_entangled, reshuffle, swap_matrix, unreshuffle
+from .linalg import (
+    HERM_TOL,
+    MatrixOp,
+    _freeze,
+    check_hermitian,
+    max_entangled,
+    reshuffle,
+    swap_matrix,
+    unreshuffle,
+)
 
 KRAUS_DROP_TOL = 1e-9
 RANK_TOL = 1e-8
@@ -127,9 +135,7 @@ def map_from_choi(c) -> MapRep:
     d = int(round(np.sqrt(n)))
     if d * d != n:
         raise DimMismatch(f"Choi matrix size {n} is not a perfect square")
-    dev = float(np.abs(m - m.conj().T).max())
-    if dev > HERM_TOL * max(1.0, float(np.abs(m).max())):
-        raise NotHermitian(f"Choi matrix deviates from Hermitian by {dev:.3e}")
+    check_hermitian(m)
     return MapRep(d, unreshuffle(m, d))
 
 

@@ -140,15 +140,16 @@ def random_schmidt_bounded_state(d: int, k: int, n_terms: int, seed: int) -> Mat
 
 
 def threshold_scan(family: str, d: int, k: int, grid,
-                   tol: float = STATE_TOL,
                    opts: SeesawOpts = DEFAULT_OPTS) -> list[ScanPoint]:
-    """Sweep a one-parameter family and record where the detector fires.
+    """Sweep a one-parameter family and record where the detector fires
+    (value below -opts.eps_neg).
 
     isotropic: bottom eigenvalue of (1 (x) reduction[1/k]) rho_F; the flip
     sits at F = k/d. werner (d=2): bottom eigenvalue of the partial
     transpose; flip at p = 1/3. reduction: see-saw best value of the family's
     Choi matrix at level k (closed form 1 - ck); flip at c = 1/k.
     """
+    tol = opts.eps_neg
     rows: list[ScanPoint] = []
     if family == "isotropic":
         if not 1 <= k <= d:

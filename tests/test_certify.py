@@ -12,6 +12,7 @@ from conekit import (
     SeesawOpts,
     Verdict,
     ad,
+    apply_on_right_factor,
     choi,
     classify,
     co,
@@ -31,13 +32,14 @@ from conekit import (
     random_cp_map,
     random_k_positive_map,
     reduction_family,
+    schmidt_decompose,
     schmidt_number_bounds,
     schmidt_rank,
     seesaw_minimize,
     swap_matrix,
     transpose_map,
 )
-from conekit.errors import BadK, ConekitError, NotHermitian, NotPSD
+from conekit.errors import BadK, BadParam, ConekitError, NotHermitian, NotPSD
 
 from _decompose_oracle import decomposable_certify as decomposable_oracle
 
@@ -135,8 +137,9 @@ def test_min_eigenvector_verdict_matches_its_value():
     assert cert.witness is None
     with np.errstate(over="ignore", invalid="ignore"):
         phi = map_from_choi(c)
-        for cert in (is_cp(phi), is_ccp(phi)):
+        for cert, prefix in ((is_cp(phi), ""), (is_ccp(phi), "pt-")):
             assert cert.verdict is Verdict.INCONCLUSIVE
+            assert cert.detail == prefix + "min-eigenvector-unverified"
 
 
 # ---------------------------------------------------------------------------
@@ -155,13 +158,17 @@ def test_transpose_not_cp_with_witness():
 def test_transpose_is_ccp():
     cert = is_ccp(transpose_map(3))
     assert cert.verdict is Verdict.MEMBERSHIP
+    assert cert.detail == "pt-choi-psd"
     assert cert.value >= -1e-12
 
 
 def test_identity_cp_but_not_ccp():
-    assert is_cp(identity_map(3)).verdict is Verdict.MEMBERSHIP
+    cert = is_cp(identity_map(3))
+    assert cert.verdict is Verdict.MEMBERSHIP
+    assert cert.detail == "choi-psd"
     cert = is_ccp(identity_map(3))
     assert cert.verdict is Verdict.VIOLATION
+    assert cert.detail == "pt-min-eigenvector"
     assert abs(cert.value - (-1.0)) <= 1e-12
 
 
@@ -170,13 +177,33 @@ def test_reduction_cp_exactly_at_one_over_d():
     assert is_cp(reduction_family(3, 0.34)).verdict is Verdict.VIOLATION
 
 
-def test_projection_crosscheck_on_violation():
-    """The stored witness also violates through the projected block form."""
-    opts = SeesawOpts(crosscheck=True)
-    cert = is_k_positive_certify(reduction_family(3, 0.7), 2, opts)
+def test_k_positivity_violation_is_projected_positivity_failure():
+    """A k-positivity violation is a positivity failure of
+    x -> (1 (x) phi)((q (x) 1) x (q (x) 1)) for a rank-k projection q built
+    from the witness's Schmidt frame: with chi = sum_l u_l (x) conj(u_l) and
+    beta the witness, <beta|(1 (x) phi)((q (x) 1)|chi><chi|(q (x) 1))|beta>
+    equals the witness value."""
+    d, k = 3, 2
+    phi = reduction_family(d, 0.7)
+    cert = is_k_positive_certify(phi, k)
     assert cert.verdict is Verdict.VIOLATION
-    assert cert.detail.endswith("+projection-crosscheck")
+    assert cert.detail == "seesaw"
     assert abs(cert.value - (1 - 2 * 0.7)) <= 2e-3
+    sd = schmidt_decompose(cert.witness)
+    u = sd.left_vectors
+    q = sum(np.outer(u[l], u[l].conj()) for l in range(k))
+    assert abs(np.trace(q).real - k) <= 1e-9
+    assert np.abs(q @ q - q).max() <= 1e-9
+    assert np.abs(q - q.conj().T).max() <= 1e-9
+    chi = sum(np.kron(u[l], u[l].conj()) for l in range(sd.rank))
+    beta = sum(sd.coefficients[l] * np.kron(u[l], sd.right_vectors[l])
+               for l in range(sd.rank))
+    q_ext = np.kron(q, np.eye(d))
+    sandwiched = q_ext @ np.outer(chi, chi.conj()) @ q_ext
+    mapped = apply_on_right_factor(phi, MatrixOp(sandwiched, dims=(d, d))).mat
+    value = float((beta.conj() @ mapped @ beta).real)
+    assert abs(value - cert.value) <= 1e-8 * max(1.0, abs(cert.value))
+    assert value < -1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +363,22 @@ def test_classify_chain_monotonicity():
     # the inherited witnesses never weaken
     assert rep.p[2].value <= rep.p[1].value + 1e-12
     assert rep.p[3].value <= rep.p[2].value + 1e-12
+
+
+def test_classify_builds_one_choi_matrix(monkeypatch):
+    """Both chains, the Schmidt bounds and the decomposability search read one
+    Choi matrix; the co-chain uses its partial transpose."""
+    import conekit.certify as certify_mod
+    calls = []
+
+    def counting_choi(phi):
+        calls.append(phi)
+        return choi(phi)
+
+    monkeypatch.setattr(certify_mod, "choi", counting_choi)
+    rep = classify(reduction_family(3, 0.6), opts=SeesawOpts(restarts=2))
+    assert len(calls) == 1
+    assert rep.co_p[3].verdict is Verdict.MEMBERSHIP
 
 
 def test_classify_km_pairs_subset():
@@ -522,7 +565,7 @@ def test_decomposable_rejects_non_hermitian():
 def test_decomposable_rejects_nan(entry):
     c = np.eye(4, dtype=complex)
     c[entry] = np.nan
-    with pytest.raises(np.linalg.LinAlgError):
+    with pytest.raises(BadParam):
         decomposable_certify(MatrixOp(c, dims=(2, 2)))
 
 

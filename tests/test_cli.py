@@ -75,6 +75,20 @@ def test_classify_config_merge(tmap_file, tmp_path, capsys):
     assert rep["p"]["1"]["restarts_used"] == 3
 
 
+def test_unknown_config_key_exits_2(tmap_file, tmp_path, capsys):
+    """Config keys are exactly SeesawOpts's fields; a misspelt key or the
+    former "out" key is an input error, not silently ignored."""
+    for bad in ({"restart": 6}, {"out": str(tmp_path / "report.json")}):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(bad))
+        assert cli.main(["classify", tmap_file, "--no-dec",
+                         "--config", str(cfg)]) == cli.PARSE_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown config keys" in captured.err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_scan_csv_stdout(capsys):
     assert cli.main(["scan", "--family", "reduction:3", "--k", "2",
                      "--grid", "0.3:0.7:9"]) == 0

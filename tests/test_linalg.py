@@ -19,7 +19,7 @@ from conekit import (
     swap_matrix,
     unreshuffle,
 )
-from conekit.errors import DimMismatch, MissingDims, NotHermitian, ZeroVector
+from conekit.errors import BadParam, DimMismatch, MissingDims, NotHermitian, ZeroVector
 
 
 def _rand_vec(rng, da, db):
@@ -260,6 +260,21 @@ def test_matrix_op_immutable():
     x = MatrixOp(np.eye(2))
     with pytest.raises(ValueError):
         x.mat[0, 0] = 5.0
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(0.0, np.inf),
+              complex(0.0, -np.inf)]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_matrix_op_rejects_non_finite(bad):
+    """NaN or inf in the real or the imaginary part is refused at
+    construction, before any eigensolve can turn it into a verdict."""
+    for entry in ((1, 1), (0, 1)):
+        m = np.eye(4, dtype=complex)
+        m[entry] = bad
+        with pytest.raises(BadParam):
+            MatrixOp(m, dims=(2, 2))
 
 
 def test_matrix_op_dims_product_checked():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conekit import (
+    KrausSet,
     MapRep,
     MatrixOp,
     ad,
@@ -67,6 +68,21 @@ def _rand_herm(rng, n):
 def test_maprep_rejects_bad_shape():
     with pytest.raises(DimMismatch):
         MapRep(2, np.eye(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan),
+                                 complex(0.0, np.inf), complex(0.0, -np.inf)])
+def test_maps_and_kraus_sets_reject_non_finite(bad):
+    s = np.eye(4, dtype=complex)
+    s[0, 3] = bad
+    with pytest.raises(BadParam):
+        MapRep(2, s)
+    a = np.eye(2, dtype=complex)
+    a[1, 0] = bad
+    with pytest.raises(BadParam):
+        KrausSet((np.eye(2), a))
+    with pytest.raises(BadParam):
+        map_from_choi(s)
 
 
 def test_maprep_rejects_non_hermiticity_preserving():

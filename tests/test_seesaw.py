@@ -81,7 +81,7 @@ def test_random_starts_per_restart_seeding():
 def _oracle(c, dims, k, restarts, seed, max_iters=500):
     starts = random_starts(dims[0], dims[1], k, restarts, seed)
     return loop_kernel(np.ascontiguousarray(c), dims[0], dims[1], k, starts,
-                       max_iters, 1e-10)
+                       max_iters, 1e-10 * max(1.0, np.abs(c).max()))
 
 
 _PARITY_CASES = (
@@ -124,6 +124,17 @@ def test_batched_kernel_matches_loop_oracle_at_iteration_cap():
             assert np.abs(m - m_ref).max() <= 1e-10
             mixed += min(uncapped) < max_iters < max(uncapped)
     assert mixed
+
+
+def test_stop_rule_scales_with_c():
+    """The stop threshold is eps_conv * max(1, max|C|): scaling C up leaves
+    the sweep count and the value relative to the scale unchanged."""
+    c = choi(reduction_family(2, 0.7)).mat
+    q1, _, sweeps1 = seesaw_minimize(c, (2, 2), 1, restarts=20)
+    for s in (1e10, 1e100, 1e300):
+        q, _, sweeps = seesaw_minimize(c * s, (2, 2), 1, restarts=20)
+        assert sweeps == sweeps1
+        assert abs(q / s - q1) <= 1e-12 * abs(q1)
 
 
 def test_search_that_never_runs_is_rejected():
