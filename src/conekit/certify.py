@@ -90,13 +90,22 @@ def _witness_quadratic_form(c: np.ndarray, w: BipartiteVector) -> float:
     return float(val.real)
 
 
-def _eigen_cert(c: MatrixOp, tol: float, prefix: str = "") -> Certificate:
-    """The eigen-decision on C: PSD within tol is a constructive proof
-    ("choi-psd"); otherwise the bottom eigenvector is the witness, reported as
-    a violation only when its re-verified value is below -tol (an overflowing
-    or ill-conditioned eigensolve can return a vector that does not violate).
-    prefix marks the co-chain ("pt-")."""
-    w, v = hermitian_eig(c)
+def _margin(c: np.ndarray, eps: float) -> float:
+    """The margin eps * max|C| of a sign decision on C, so that scaling C by
+    any positive factor leaves the decision unchanged. C = 0 gets the least
+    positive scale, so exact zeros still pass."""
+    return eps * max(float(np.abs(c).max()), np.finfo(float).tiny)
+
+
+def _eigen_cert(c: MatrixOp, eig: tuple[np.ndarray, np.ndarray], tol: float,
+                prefix: str = "") -> Certificate:
+    """The eigen-decision on C from its eigendecomposition eig: PSD within
+    tol is a constructive proof ("choi-psd"); otherwise the bottom
+    eigenvector is the witness, reported as a violation only when its
+    re-verified value is below -tol (an overflowing or ill-conditioned
+    eigensolve can return a vector that does not violate). prefix marks the
+    co-chain ("pt-")."""
+    w, v = eig
     lam_min = float(w[0])
     if lam_min >= -tol:
         return Certificate(Verdict.MEMBERSHIP, lam_min, detail=prefix + "choi-psd")
@@ -110,30 +119,37 @@ def _eigen_cert(c: MatrixOp, tol: float, prefix: str = "") -> Certificate:
                        detail=prefix + "min-eigenvector-unverified")
 
 
-def k_block_positive_certify(c: MatrixOp, k: int,
-                             opts: SeesawOpts = DEFAULT_OPTS) -> Certificate:
+def k_block_positive_certify(c: MatrixOp, k: int, opts: SeesawOpts = DEFAULT_OPTS,
+                             eig: tuple[np.ndarray, np.ndarray] | None = None) -> Certificate:
     """Certify <psi|C|psi> >= 0 over Schmidt rank <= k unit vectors.
 
     PSD input is a constructive proof for every k. For k = min(dims) the
     rank constraint is vacuous and the bottom eigenpair decides. Otherwise
     the see-saw minimizer searches for a violating vector; its witnesses are
-    re-verified against C before being reported.
+    re-verified against C before being reported. Every margin is
+    eps_neg * max|C|.
+
+    eig is C's eigendecomposition as `hermitian_eig` returns it, for a
+    caller that certifies several levels of one C (as `classify` does);
+    without it C is decomposed here.
     """
     da, db = _bipartite_dims(c)
     kmax = min(da, db)
     if not 1 <= k <= kmax:
         raise BadK(f"k={k} outside 1..{kmax}")
-    cert = _eigen_cert(c, opts.eps_neg)
-    if cert.verdict is Verdict.MEMBERSHIP or k == kmax:
-        return cert
+    if eig is None:
+        eig = hermitian_eig(c)
+    tol = _margin(c.mat, opts.eps_neg)
+    if k == kmax or float(eig[0][0]) >= -tol:
+        return _eigen_cert(c, eig, tol)
     val, m, _ = seesaw_minimize(c.mat, (da, db), k, restarts=opts.restarts,
                                 max_iters=opts.max_iters, eps_conv=opts.eps_conv,
                                 seed=opts.seed)
     wit = BipartiteVector(da, db, m.reshape(-1))
     val_check = _witness_quadratic_form(c.mat, wit)
-    if abs(val_check - val) > 1e-8 * max(1.0, abs(val)):
+    if abs(val_check - val) > _margin(c.mat, 1e-8):
         raise ConekitError("optimizer value disagrees with its own witness")
-    if val_check < -opts.eps_neg:
+    if val_check < -tol:
         if schmidt_decompose(wit).rank > k:
             raise ConekitError("witness Schmidt rank exceeds the queried level")
         return Certificate(Verdict.VIOLATION, val_check, witness=wit,
@@ -143,13 +159,16 @@ def k_block_positive_certify(c: MatrixOp, k: int,
 
 
 def is_cp(phi: MapRep, tol: float = 1e-9) -> Certificate:
-    """Complete positivity via the bottom Choi eigenpair."""
-    return _eigen_cert(choi(phi), tol)
+    """Complete positivity via the bottom Choi eigenpair, with margin
+    tol * max|C|."""
+    c = choi(phi)
+    return _eigen_cert(c, hermitian_eig(c), _margin(c.mat, tol))
 
 
 def is_ccp(phi: MapRep, tol: float = 1e-9) -> Certificate:
     """Complete copositivity: the partially transposed Choi matrix is tested."""
-    return _eigen_cert(partial_transpose(choi(phi)), tol, prefix="pt-")
+    c = partial_transpose(choi(phi))
+    return _eigen_cert(c, hermitian_eig(c), _margin(c.mat, tol), prefix="pt-")
 
 
 def is_k_positive_certify(phi: MapRep, k: int,
@@ -249,8 +268,9 @@ def classify(phi: MapRep, opts: SeesawOpts = DEFAULT_OPTS,
     def chain(target_choi: MatrixOp) -> dict:
         certs: dict[int, Certificate] = {}
         best_viol: Certificate | None = None
+        eig = hermitian_eig(target_choi)
         for k in range(1, d + 1):
-            cert = k_block_positive_certify(target_choi, k, opts)
+            cert = k_block_positive_certify(target_choi, k, opts, eig)
             if best_viol is not None and (
                     cert.verdict is not Verdict.VIOLATION
                     or cert.value > best_viol.value
@@ -309,7 +329,7 @@ def _clip_psd(m: np.ndarray) -> np.ndarray:
 
 
 def _ppt_witness(gap: np.ndarray, target: np.ndarray, da: int, db: int,
-                 eps_neg: float) -> tuple[np.ndarray, float] | None:
+                 margin: float) -> tuple[np.ndarray, float] | None:
     """A PPT state rho with Tr(rho C) < 0 built from the gap vector, or None.
 
     gap is the search's DR displacement a - x (PSD iterate minus slide
@@ -318,14 +338,14 @@ def _ppt_witness(gap: np.ndarray, target: np.ndarray, da: int, db: int,
     g = herm(gap)/||.||_F is shifted to W = g + (max(0, -lmin(g), -lmin(PT g))
     + delta)*1 with delta = _WITNESS_SHIFT, so W and PT(W) = PT(g) + shift*1
     have all eigenvalues >= delta in exact arithmetic, and rho = W / Tr W
-    (Tr W >= n*delta > 0). rho is then re-checked as given:
-    Tr(rho C) < -eps_neg*max(1, max|C|), and lmin(rho), lmin(PT rho) >
-    n*eps. eigh's backward error on a
-    unit-trace PSD matrix is a small multiple of n*eps, and the shift keeps
-    both minima at delta/Tr W or more, orders of magnitude above it. The
-    rounding error of Tr(rho C) is ~n^2*eps*max|C|, far below the value
-    margin, so a decomposable C (Tr(rho C) = Tr(rho A) + Tr(PT(rho) B) >= 0)
-    is never refuted.
+    (Tr W >= n*delta > 0). rho is then re-checked as given: Tr(rho C) <
+    -margin (the caller passes eps_neg*max|C|), and lmin(rho), lmin(PT rho)
+    > n*eps. eigh's backward error on a unit-trace PSD matrix is a small
+    multiple of n*eps, and the shift keeps both minima at delta/Tr W or
+    more, orders of magnitude above it. The rounding error of Tr(rho C) is
+    ~n^2*eps*max|C|, far below the value margin at every scale of C, so a
+    decomposable C (Tr(rho C) = Tr(rho A) + Tr(PT(rho) B) >= 0) is never
+    refuted.
     """
     n = target.shape[0]
     g = _herm(gap)
@@ -337,7 +357,7 @@ def _ppt_witness(gap: np.ndarray, target: np.ndarray, da: int, db: int,
     w = g + (max(0.0, -lam[0], -lam[1]) + _WITNESS_SHIFT) * np.eye(n)
     rho = w / np.trace(w).real
     value = float(np.einsum("ij,ji->", rho, target).real)
-    if not value < -eps_neg * max(1.0, float(np.abs(target).max())):
+    if not value < -margin:
         return None
     lam = np.linalg.eigvalsh(np.stack((rho, _pt_array(rho, da, db))))[:, 0]
     if not (lam > n * np.finfo(float).eps).all():
@@ -358,8 +378,8 @@ def decomposable_certify(c: MatrixOp, opts: SeesawOpts = DEFAULT_OPTS,
     projection and the residual's projection into one `eigh` call; the split
     is A = a and B = clip(PT(C - a)).
 
-    - MembershipProven: a split with max-abs residual < eps_neg; extras hold
-      the re-verified A and B.
+    - MembershipProven: a split with max-abs residual < eps_neg*max|C|;
+      extras hold the re-verified A and B.
     - ViolationFound (detail "ppt-witness"): decomposable maps are exactly
       those whose Choi matrix pairs nonnegatively with every PPT operator, so
       a PPT state rho with Tr(rho C) < 0 refutes decomposability. On an
@@ -368,7 +388,7 @@ def decomposable_certify(c: MatrixOp, opts: SeesawOpts = DEFAULT_OPTS,
       sets (Bauschke, Combettes & Luke 2004) and such a witness up to a
       shift. Every _GAP_EVERY = 10 sweeps the gap is shifted
       delta = 1e-9 past both cones' boundaries and scaled to unit trace;
-      rho is accepted only if Tr(rho C) < -eps_neg*max(1, max|C|) and
+      rho is accepted only if Tr(rho C) < -eps_neg*max|C| and
       lmin(rho), lmin(PT rho) > n*eps, recomputed from rho itself (the
       reasons for these margins are in _ppt_witness). value is Tr(rho C)
       and extras["W"] is rho.
@@ -380,6 +400,7 @@ def decomposable_certify(c: MatrixOp, opts: SeesawOpts = DEFAULT_OPTS,
     da, db = c.require_dims()
     check_hermitian(c.mat)
     target = 0.5 * (c.mat + c.mat.conj().T)
+    tol = _margin(target, opts.eps_neg)
 
     def pt(m: np.ndarray) -> np.ndarray:
         return _pt_array(m, da, db)
@@ -401,10 +422,10 @@ def decomposable_certify(c: MatrixOp, opts: SeesawOpts = DEFAULT_OPTS,
         if res < res_best:
             res_best = res
             a_best = a
-        if res_best < opts.eps_neg:
+        if res_best < tol:
             break
         if sweeps_done % _GAP_EVERY == 0:
-            witness = _ppt_witness(a - x, target, da, db, opts.eps_neg)
+            witness = _ppt_witness(a - x, target, da, db, tol)
             if witness is not None:
                 break
         z += x - a
@@ -417,7 +438,7 @@ def decomposable_certify(c: MatrixOp, opts: SeesawOpts = DEFAULT_OPTS,
         rho, value = witness
         extras["W"] = rho
         return Certificate(Verdict.VIOLATION, value, detail="ppt-witness", extras=extras)
-    if residual < opts.eps_neg:
+    if residual < tol:
         return Certificate(Verdict.MEMBERSHIP, residual, detail="psd+pt-psd-split",
                            extras=extras)
     return Certificate(Verdict.INCONCLUSIVE, residual, detail="no-split-found",

@@ -1,10 +1,14 @@
 """Test-only reference for the see-saw kernel: the scalar loop that
-`conekit._seesaw` used before the batched kernel, kept verbatim.
+`conekit._seesaw` used before the batched kernel, kept verbatim. It is the
+plain see-saw, with no quasi-Newton phase.
 
 It runs one restart at a time and builds every effective-matrix entry in
-nested Python loops, so it is slow; the parity tests in test_seesaw.py call
-it on small inputs to pin the batched kernel's values, witnesses and sweep
-counts.
+nested Python loops, so it is slow. test_seesaw.py calls it on small inputs
+in two ways: where no restart enters the kernel's quasi-Newton phase
+(reduction and CP maps, rotated Kronecker forms) the kernel must reproduce
+its values, sweep counts and (for a unique minimiser) witnesses; where the
+phase runs, the kernel's value must never be above the loop's, also with the
+loop run to 20 000 sweeps on the maps near the k-positivity boundary.
 """
 
 import numpy as np

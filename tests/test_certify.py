@@ -20,6 +20,7 @@ from conekit import (
     decomposable_certify,
     dual_pairing,
     from_kraus,
+    hermitian_eig,
     identity_map,
     is_ccp,
     is_cp,
@@ -466,14 +467,15 @@ def _decompose_parity_inputs():
 
 def _assert_split_holds(cert, c):
     """Re-check a MembershipProven split with numpy alone: A and B PSD to
-    -1e-10 * scale and C = A + PT(B) to 1e-9 max-abs."""
+    -1e-10 * scale and C = A + PT(B) to 1e-9 * scale max-abs, the split
+    test's own margin eps_neg * max|C| (scale = max(1, max|C|))."""
     da, db = c.dims
     a, b = cert.extras["A"], cert.extras["B"]
     scale = max(1.0, float(np.abs(c.mat).max()))
     assert np.linalg.eigvalsh(a)[0] >= -1e-10 * scale
     assert np.linalg.eigvalsh(b)[0] >= -1e-10 * scale
     pt_b = b.reshape(da, db, da, db).transpose(0, 3, 2, 1).reshape(da * db, da * db)
-    assert np.abs(c.mat - a - pt_b).max() < 1e-9
+    assert np.abs(c.mat - a - pt_b).max() < 1e-9 * scale
 
 
 def test_decomposable_matches_oracle_verdicts():
@@ -585,3 +587,64 @@ def test_verdict_string_values():
     assert Verdict.VIOLATION.value == "ViolationFound"
     assert Verdict.MEMBERSHIP.value == "MembershipProven"
     assert Verdict.INCONCLUSIVE.value == "Inconclusive"
+
+
+def test_margins_scale_with_c():
+    """Every sign decision is relative to max|C|, so scaling C by 1e-12 ..
+    1e12 changes no verdict: the Choi map Phi[2,0,1] stays refuted by a PPT
+    witness and not CP, with the same chains as at unit scale; a decomposable
+    A/2 + PT(B) still splits; reduction(2, 0.7) at k = 1 stays undecided at
+    0.3 * scale. With absolute margins Phi[2,0,1] * 1e-9 split, the map of
+    Phi[2,0,1] * 1e-10 came out CP, and the reduction map's non-PSD Choi
+    matrix * 1e-9 came out PSD."""
+    gen = _generalized_choi(2.0, 0.0, 1.0)
+    red = choi(reduction_family(2, 0.7)).mat
+    rng = np.random.default_rng(41)
+    b = MatrixOp(_unit_trace_psd(rng, 9), dims=(3, 3))
+    split = 0.5 * _unit_trace_psd(rng, 9) + partial_transpose(b).mat
+
+    def chains(rep):
+        return [(c.verdict, c.detail) for ch in (rep.p, rep.co_p) for c in ch.values()]
+
+    ref = chains(classify(map_from_choi(MatrixOp(gen, dims=(3, 3))), include_dec=False))
+    for s in 10.0 ** np.arange(-12, 13, 2):
+        cert = decomposable_certify(MatrixOp(gen * s, dims=(3, 3)))
+        assert (cert.verdict, cert.detail) == (Verdict.VIOLATION, "ppt-witness")
+        phi = map_from_choi(MatrixOp(gen * s, dims=(3, 3)))
+        rep = classify(phi, include_dec=False)
+        assert not rep.cp
+        assert chains(rep) == ref
+        assert is_cp(phi).verdict is Verdict.VIOLATION
+        cert = k_block_positive_certify(MatrixOp(red * s, dims=(2, 2)), 1)
+        assert (cert.verdict, cert.detail) == (Verdict.INCONCLUSIVE, "seesaw-best")
+        assert abs(cert.value / s - 0.3) <= 1e-12
+        cert = decomposable_certify(MatrixOp(split * s, dims=(3, 3)))
+        assert cert.verdict is Verdict.MEMBERSHIP
+        assert cert.extras["residual"] < 1e-9 * np.abs(split * s).max()
+
+
+def test_classify_decomposes_each_chain_once(monkeypatch):
+    """One eigendecomposition per chain serves every level, and only the
+    level k = min(dims) builds the bottom-eigenvector certificate when C is
+    not PSD: the levels below go straight to the see-saw."""
+    import conekit.certify as certify_mod
+    eigs, certs = [], []
+
+    def counting_eig(x, *args):
+        eigs.append(x)
+        return hermitian_eig(x, *args)
+
+    def counting_cert(*args, **kwargs):
+        certs.append(args[0])
+        return eigen_cert(*args, **kwargs)
+
+    eigen_cert = certify_mod._eigen_cert
+    monkeypatch.setattr(certify_mod, "hermitian_eig", counting_eig)
+    monkeypatch.setattr(certify_mod, "_eigen_cert", counting_cert)
+    # neither Choi matrix nor its partial transpose is PSD: no Schmidt bounds
+    rep = classify(reduction_family(3, 1.02), opts=SeesawOpts(restarts=2), include_dec=False)
+    assert len(eigs) == 2 and len(certs) == 2
+    assert not rep.cp and rep.co_p[3].verdict is Verdict.VIOLATION
+    eigs.clear()
+    assert k_block_positive_certify(choi(reduction_family(3, 0.7)), 2).detail == "seesaw"
+    assert len(eigs) == 1

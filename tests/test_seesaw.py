@@ -1,11 +1,23 @@
-"""Tests for the rank-constrained see-saw minimizer, including parity between
-the batched kernel and the scalar loop kept in tests/_seesaw_oracle.py."""
+"""Tests for the rank-constrained see-saw minimizer: parity with the scalar
+loop kept in tests/_seesaw_oracle.py where the quasi-Newton phase never
+runs, and values never worse than the loop's where it does."""
 
 import numpy as np
 import pytest
 from _seesaw_oracle import _seesaw_kernel as loop_kernel
 
-from conekit import BadParam, choi, max_entangled, reduction_family
+from conekit import (
+    BadParam,
+    MapRep,
+    choi,
+    from_kraus,
+    max_entangled,
+    partial_transpose,
+    random_cp_map,
+    random_k_positive_map,
+    reduction_family,
+)
+from conekit import _seesaw
 from conekit._seesaw import random_starts, seesaw_minimize
 
 
@@ -81,7 +93,72 @@ def test_random_starts_per_restart_seeding():
 def _oracle(c, dims, k, restarts, seed, max_iters=500):
     starts = random_starts(dims[0], dims[1], k, restarts, seed)
     return loop_kernel(np.ascontiguousarray(c), dims[0], dims[1], k, starts,
-                       max_iters, 1e-10 * max(1.0, np.abs(c).max()))
+                       max_iters, 1e-10 * np.abs(c).max())
+
+
+@pytest.fixture
+def phase_evaluations(monkeypatch):
+    """Counts evaluations of the quasi-Newton phase's reduced objective."""
+    calls = [0]
+    reduced = _seesaw._reduced
+
+    def counting(*args):
+        calls[0] += 1
+        return reduced(*args)
+
+    monkeypatch.setattr(_seesaw, "_reduced", counting)
+    return calls
+
+
+def _assert_witness(c, dims, k, q, m):
+    """The witness is a unit vector of Schmidt rank <= k that attains q."""
+    psi = m.reshape(-1)
+    assert abs((psi.conj() @ c @ psi).real - q) <= 1e-12 * np.abs(c).max()
+    assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
+    assert np.linalg.matrix_rank(m, tol=1e-8) <= k
+
+
+def _kron_form(rng, dims):
+    """(Ua (x) Ub)(A (x) B)(Ua (x) Ub)^dag with simple random spectra: its
+    minimum is a nondegenerate eigenvalue with a product eigenvector, which
+    the first sweep finds."""
+    a, b = (np.diag(rng.uniform(-2.0, 2.0, size=d)).astype(complex) for d in dims)
+    u = np.kron(*(np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+                  for d in dims))
+    return u @ np.kron(a, b) @ u.conj().T
+
+
+def _off_phase_inputs():
+    rng = np.random.default_rng(11)
+    for d in (2, 3, 4):
+        for k in range(1, d):
+            for c in (1.0 / k - 0.02, 1.0 / k + 0.02):
+                red = choi(reduction_family(d, c))
+                yield pytest.param(red.mat, (d, d), k, False, id=f"reduction({d},{c:.2f})-k{k}")
+                yield pytest.param(partial_transpose(red).mat, (d, d), k, False,
+                                   id=f"co-reduction({d},{c:.2f})-k{k}")
+            yield pytest.param(choi(random_cp_map(d, d, 2, 10 * d + k)).mat, (d, d), k, False,
+                               id=f"cp({d})-k{k}")
+    for dims in ((2, 3), (3, 3), (3, 4)):
+        for k in range(1, min(dims) + 1):
+            yield pytest.param(_kron_form(rng, dims), dims, k, True, id=f"kron{dims}-k{k}")
+
+
+@pytest.mark.parametrize("c,dims,k,unique", list(_off_phase_inputs()))
+def test_kernel_matches_loop_oracle_off_phase(phase_evaluations, c, dims, k, unique):
+    """Where no restart enters the quasi-Newton phase the kernel is the plain
+    see-saw: value and sweep count equal to the one-restart-at-a-time loop's
+    on reduction and CP maps, and the witness too where the minimiser is
+    unique (the rotated Kronecker forms), up to a global phase."""
+    q, m, sweeps = seesaw_minimize(c, dims, k, restarts=6, seed=3)
+    q_ref, m_ref, sweeps_ref = _oracle(c, dims, k, 6, 3)
+    assert phase_evaluations[0] == 0
+    assert abs(q - q_ref) <= 1e-12 * np.abs(c).max()
+    assert sweeps == sweeps_ref
+    _assert_witness(c, dims, k, q, m)
+    if unique:  # the same unit vector, up to the eigensolver's global phase
+        phase = np.vdot(m_ref, m)
+        assert np.abs(m - phase / abs(phase) * m_ref).max() <= 1e-10
 
 
 _PARITY_CASES = (
@@ -93,48 +170,106 @@ _PARITY_CASES = (
 
 @pytest.mark.parametrize("dims,k,restarts", _PARITY_CASES)
 def test_batched_kernel_matches_loop_oracle(dims, k, restarts):
-    """Same value, witness and sweep count as the one-restart-at-a-time loop
-    on seeded random Hermitian forms (non-degenerate minimisers)."""
+    """On seeded random Hermitian forms, where many restarts pass through the
+    quasi-Newton phase and so leave the loop's trajectory, the best value is
+    never above the plain see-saw loop's by more than 1e-9 * max|C|, and the
+    witness attains it with Schmidt rank <= k."""
     rng = np.random.default_rng(100 * dims[0] + 10 * dims[1] + k)
     for trial in range(2):
         c = _rand_herm(rng, dims[0] * dims[1])
-        q, m, sweeps = seesaw_minimize(c, dims, k, restarts=restarts, seed=trial)
-        q_ref, m_ref, sweeps_ref = _oracle(c, dims, k, restarts, trial)
-        assert abs(q - q_ref) <= 1e-12
-        assert sweeps == sweeps_ref
-        assert np.abs(m - m_ref).max() <= 1e-10
+        q, m, _ = seesaw_minimize(c, dims, k, restarts=restarts, seed=trial)
+        q_ref, _, _ = _oracle(c, dims, k, restarts, trial)
+        assert q <= q_ref + 1e-9 * np.abs(c).max()
+        _assert_witness(c, dims, k, q, m)
 
 
-def test_batched_kernel_matches_loop_oracle_at_iteration_cap():
-    """With a small max_iters some restarts stop at the cap while others of
-    the same call converge earlier and leave the active set; values,
-    witnesses and sweep counts still match the loop."""
+def test_batched_kernel_matches_loop_oracle_at_iteration_cap(phase_evaluations):
+    """A restart stops after max_iters iterations, sweeps and quasi-Newton
+    evaluations together: with the cap, the total is the sum over restarts
+    of min(own count, max_iters), where some restarts of one call hit the
+    cap while others finish, and the capped value is still attained."""
     rng = np.random.default_rng(7)
     mixed = 0
     for trial in range(3):
         c = _rand_herm(rng, 9)
-        uncapped = [_oracle(c, (3, 3), 1, 1, trial + r)[2] for r in range(6)]
+        uncapped = [seesaw_minimize(c, (3, 3), 1, restarts=1, seed=trial + r)[2]
+                    for r in range(6)]
         for max_iters in (5, 20):
-            q, m, sweeps = seesaw_minimize(c, (3, 3), 1, restarts=6, seed=trial,
-                                           max_iters=max_iters)
-            q_ref, m_ref, sweeps_ref = _oracle(c, (3, 3), 1, 6, trial,
-                                               max_iters=max_iters)
-            assert abs(q - q_ref) <= 1e-12
-            assert sweeps == sweeps_ref == sum(min(n, max_iters) for n in uncapped)
-            assert np.abs(m - m_ref).max() <= 1e-10
-            mixed += min(uncapped) < max_iters < max(uncapped)
+            phase_evaluations[0] = 0
+            q, m, iters = seesaw_minimize(c, (3, 3), 1, restarts=6, seed=trial,
+                                          max_iters=max_iters)
+            assert iters == sum(min(n, max_iters) for n in uncapped)
+            _assert_witness(c, (3, 3), 1, q, m)
+            mixed += min(uncapped) < max_iters < max(uncapped) and phase_evaluations[0] > 0
     assert mixed
 
 
+def _kpos_family(seed=1):
+    """The benchmark's k-positive classify maps: reduction(3, 1/2), whose
+    level-2 minimum is 0, mixed with a normalized two-Kraus CP map at weight
+    0.02..0.1 (the draws of perfbench/inputs.py at this seed)."""
+    rng = np.random.default_rng([seed, 0])
+    maps = []
+    for _ in range(8):
+        lam = float(rng.uniform(0.02, 0.1))
+        ops = [rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(2)]
+        cp = from_kraus([a / np.linalg.norm(a) for a in ops])
+        maps.append(MapRep(3, lam * cp.super_mat + (1.0 - lam) * reduction_family(3, 0.5).super_mat))
+    return maps
+
+
+def test_kpos_family_converges_to_the_loop_minimum(phase_evaluations):
+    """On the maps near the k-positivity boundary the plain see-saw creeps:
+    run to 20 000 sweeps, the loop needs hundreds to thousands per search.
+    With the quasi-Newton phase every level-1 and level-2 value at one
+    restart is within 1e-9 of (or below) the loop's, using at most a quarter
+    of the 8000 sweeps the plain kernel's 500-sweep cap allows."""
+    total = 0
+    for phi in _kpos_family():
+        c = choi(phi).mat
+        for k in (1, 2):
+            q, m, iters = seesaw_minimize(c, (3, 3), k, restarts=1)
+            q_ref, _, _ = _oracle(c, (3, 3), k, 1, 42, max_iters=20000)
+            assert q <= q_ref + 1e-9
+            _assert_witness(c, (3, 3), k, q, m)
+            total += iters
+    assert total <= 8000 // 4
+    assert phase_evaluations[0] > 0
+
+
+def test_zero_minimum_of_a_k_positive_map():
+    """random_k_positive_map(4, 2, 1) mixes a CP map with reduction(4, 1/2),
+    so its level-2 minimum is 0; the plain see-saw ended at 2.7e-9 after
+    9221 sweeps over 20 restarts."""
+    c = choi(random_k_positive_map(4, 2, 1)).mat
+    q, m, iters = seesaw_minimize(c, (4, 4), 2)
+    assert abs(q) <= 1e-12
+    assert iters <= 2305
+    _assert_witness(c, (4, 4), 2, q, m)
+
+
 def test_stop_rule_scales_with_c():
-    """The stop threshold is eps_conv * max(1, max|C|): scaling C up leaves
-    the sweep count and the value relative to the scale unchanged."""
+    """The search runs on C / 2^e with max|C / 2^e| in [1/2, 1) and stops at
+    eps_conv * max|C|: scaling C up or down leaves the iteration count and
+    the value relative to the scale unchanged, bit for bit at powers of two,
+    also where the quasi-Newton phase runs (without the normalization its
+    squared gradient underflows below 1e-154); C = 0 stops at the second
+    sweep of each restart."""
     c = choi(reduction_family(2, 0.7)).mat
     q1, _, sweeps1 = seesaw_minimize(c, (2, 2), 1, restarts=20)
-    for s in (1e10, 1e100, 1e300):
+    for s in (1e-300, 1e-100, 1e-12, 1e12, 1e100, 1e300):
         q, _, sweeps = seesaw_minimize(c * s, (2, 2), 1, restarts=20)
         assert sweeps == sweeps1
         assert abs(q / s - q1) <= 1e-12 * abs(q1)
+    c = choi(random_k_positive_map(4, 2, 1)).mat
+    q1, m1, iters1 = seesaw_minimize(c, (4, 4), 2, restarts=4)
+    for e in (-1000, -500, 500, 1000):
+        q, m, iters = seesaw_minimize(c * 2.0 ** e, (4, 4), 2, restarts=4)
+        assert (q * 2.0 ** -e, iters) == (q1, iters1)
+        assert np.array_equal(m, m1)
+    q0, m0, sweeps0 = seesaw_minimize(np.zeros((9, 9)), (3, 3), 2, restarts=3)
+    assert (q0, sweeps0) == (0.0, 6)
+    assert abs(np.linalg.norm(m0) - 1.0) <= 1e-12
 
 
 def test_search_that_never_runs_is_rejected():
