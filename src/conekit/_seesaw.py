@@ -41,6 +41,7 @@ import math
 import numpy as np
 
 from .errors import BadParam
+from .linalg import _margin
 
 # Always False: no compiled kernel exists; perfbench's environment header reads it.
 NUMBA_ACTIVE = False
@@ -263,6 +264,7 @@ def seesaw_minimize(c_mat: np.ndarray, dims: tuple[int, int], k: int,
     # and no squared gradient of the quasi-Newton phase under- or overflows.
     top = float(np.abs(c).max())
     scale = math.ldexp(1.0, math.frexp(top)[1]) if 0.0 < top < math.inf else 1.0
-    tol = float(eps_conv) * max(top / scale, np.finfo(float).tiny)
-    best_q, best_m, iters = _seesaw_kernel(c / scale, da, db, k, starts, int(max_iters), tol)
+    c = c / scale
+    best_q, best_m, iters = _seesaw_kernel(c, da, db, k, starts, int(max_iters),
+                                           _margin(c, float(eps_conv)))
     return float(best_q) * scale, best_m, int(iters)

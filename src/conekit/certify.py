@@ -14,11 +14,14 @@ from enum import Enum
 import numpy as np
 
 from ._seesaw import seesaw_minimize
-from .errors import BadK, ConekitError, DimMismatch, MissingDims, NotPSD
+from .errors import BadK, BadParam, ConekitError, DimMismatch, MissingDims, NotPSD
 from .linalg import (
+    PSD_TOL,
     BipartiteVector,
     MatrixOp,
+    _margin,
     _pt_array,
+    _rank,
     check_hermitian,
     hermitian_eig,
     hs_inner,
@@ -49,6 +52,13 @@ class SeesawOpts:
     eps_conv: float = 1e-10
     eps_neg: float = 1e-9
     seed: int = 42
+
+    def __post_init__(self) -> None:
+        # a negative margin reverses every sign decision, a NaN one disables it
+        for name in ("eps_conv", "eps_neg"):
+            val = getattr(self, name)
+            if not 0.0 <= val < np.inf:
+                raise BadParam(f"{name} must be finite and >= 0, got {val}")
 
 
 DEFAULT_OPTS = SeesawOpts()
@@ -88,13 +98,6 @@ def _bipartite_dims(c: MatrixOp) -> tuple[int, int]:
 def _witness_quadratic_form(c: np.ndarray, w: BipartiteVector) -> float:
     val = complex(w.amp.conj() @ (c @ w.amp))
     return float(val.real)
-
-
-def _margin(c: np.ndarray, eps: float) -> float:
-    """The margin eps * max|C| of a sign decision on C, so that scaling C by
-    any positive factor leaves the decision unchanged. C = 0 gets the least
-    positive scale, so exact zeros still pass."""
-    return eps * max(float(np.abs(c).max()), np.finfo(float).tiny)
 
 
 def _eigen_cert(c: MatrixOp, eig: tuple[np.ndarray, np.ndarray], tol: float,
@@ -158,17 +161,17 @@ def k_block_positive_certify(c: MatrixOp, k: int, opts: SeesawOpts = DEFAULT_OPT
                        restarts_used=opts.restarts)
 
 
-def is_cp(phi: MapRep, tol: float = 1e-9) -> Certificate:
+def is_cp(phi: MapRep) -> Certificate:
     """Complete positivity via the bottom Choi eigenpair, with margin
-    tol * max|C|."""
+    PSD_TOL * max|C|."""
     c = choi(phi)
-    return _eigen_cert(c, hermitian_eig(c), _margin(c.mat, tol))
+    return _eigen_cert(c, hermitian_eig(c), _margin(c.mat, PSD_TOL))
 
 
-def is_ccp(phi: MapRep, tol: float = 1e-9) -> Certificate:
+def is_ccp(phi: MapRep) -> Certificate:
     """Complete copositivity: the partially transposed Choi matrix is tested."""
     c = partial_transpose(choi(phi))
-    return _eigen_cert(c, hermitian_eig(c), _margin(c.mat, tol), prefix="pt-")
+    return _eigen_cert(c, hermitian_eig(c), _margin(c.mat, PSD_TOL), prefix="pt-")
 
 
 def is_k_positive_certify(phi: MapRep, k: int,
@@ -186,19 +189,20 @@ def dual_pairing(phi: MapRep, psi: MapRep) -> float:
 
 
 def schmidt_number_bounds(c: MatrixOp, detectors: list[Detector] | None = None,
-                          construction: KrausSet | None = None,
-                          tol: float = 1e-9) -> tuple[int, int]:
+                          construction: KrausSet | None = None) -> tuple[int, int]:
     """(lower, upper) bounds on the Schmidt number of a PSD bipartite matrix.
 
     Lower bound: 1 + the largest k among detectors that fire (a k-positive
     map sends Schmidt-number <= k states to PSD, so a negative eigenvalue of
     (1 (x) psi)(C) proves Schmidt number >= k+1). Upper bound: the largest
     operator rank when a Kraus construction is supplied, the Schmidt rank of
-    the range vector when C has rank one, else min(dims).
+    the range vector when C has rank one, else min(dims). C counts as PSD,
+    and a detector as fired, against the margin PSD_TOL * max|M| of the
+    matrix M tested, so the bounds are the same at every scale of C.
     """
     da, db = _bipartite_dims(c)
     w, v = hermitian_eig(c)
-    if float(w[0]) < -tol * max(1.0, float(w[-1])):
+    if float(w[0]) < -_margin(c.mat, PSD_TOL):
         raise NotPSD(f"matrix has eigenvalue {w[0]:.3e}; Schmidt number undefined")
     if detectors is None:
         detectors = reduction_detectors(db)
@@ -207,7 +211,7 @@ def schmidt_number_bounds(c: MatrixOp, detectors: list[Detector] | None = None,
     for det in detectors:
         moved = apply_on_right_factor(det.map, cm)
         w_det, _ = hermitian_eig(moved)
-        if float(w_det[0]) < -tol:
+        if float(w_det[0]) < -_margin(moved.mat, PSD_TOL):
             lower = max(lower, det.k_level + 1)
     kmax = min(da, db)
     if construction is not None:
@@ -215,7 +219,7 @@ def schmidt_number_bounds(c: MatrixOp, detectors: list[Detector] | None = None,
         for op in construction.operators:
             upper = max(upper, numerical_rank(op))
         upper = max(1, min(upper, kmax))
-    elif np.count_nonzero(np.abs(w) > 1e-8 * np.abs(w).max()) == 1:
+    elif _rank(np.abs(w), 1e-8) == 1:
         upper = schmidt_decompose(BipartiteVector(da, db, v[:, -1])).rank
     else:
         upper = kmax
@@ -258,8 +262,8 @@ def classify(phi: MapRep, opts: SeesawOpts = DEFAULT_OPTS,
     A violation witness found at level k is inherited upward (it is a valid
     witness at every k' > k), so reports never claim membership above a
     refuted level. A level keeps its own violation unless it is weaker than
-    the inherited one by more than eps_neg*max(1, |value|), so ties between
-    levels do not turn on last-bit differences.
+    the inherited one by more than eps_neg*max|C|, so ties between levels do
+    not turn on last-bit differences at any scale of C.
     """
     d = phi.d
     if km_pairs is None:
@@ -269,12 +273,12 @@ def classify(phi: MapRep, opts: SeesawOpts = DEFAULT_OPTS,
         certs: dict[int, Certificate] = {}
         best_viol: Certificate | None = None
         eig = hermitian_eig(target_choi)
+        tie = _margin(target_choi.mat, opts.eps_neg)
         for k in range(1, d + 1):
             cert = k_block_positive_certify(target_choi, k, opts, eig)
             if best_viol is not None and (
                     cert.verdict is not Verdict.VIOLATION
-                    or cert.value > best_viol.value
-                    + opts.eps_neg * max(1.0, abs(best_viol.value))):
+                    or cert.value > best_viol.value + tie):
                 inherited = Certificate(Verdict.VIOLATION, best_viol.value,
                                         witness=best_viol.witness,
                                         detail=best_viol.detail + "+inherited",

@@ -82,7 +82,7 @@ def fuzz_composition(n: int, d: int = 3, k: int = 2, seed: int = 0,
         a = g1 @ g2
         a = a / np.linalg.norm(a)
         psi = random_k_positive_map(d, k, s_psi)
-        ks_set = compose_certified(a, psi, k, tol=tol)
+        ks_set = compose_certified(a, psi, k)
         for op in ks_set.operators:
             if numerical_rank(op) > k:
                 return f"factor rank {numerical_rank(op)} > {k}"

@@ -15,8 +15,28 @@ import numpy as np
 from .errors import BadParam, DimMismatch, MissingDims, NotHermitian, ZeroVector
 
 HERM_TOL = 1e-10
+# Relative floor of the PSD decisions in is_cp, is_ccp, schmidt_number_bounds
+# and compose_certified: an eigenvalue counts as negative below
+# -PSD_TOL * max|M| of the matrix M it belongs to.
+PSD_TOL = 1e-9
 ZERO_TOL = 1e-14
 SCHMIDT_RANK_TOL = 1e-8
+
+
+def _margin(m: np.ndarray, eps: float) -> float:
+    """The margin eps * max|M| of a sign or Hermiticity decision on M, so that
+    scaling M by any positive factor leaves the decision unchanged. M = 0 gets
+    the least positive scale, so exact zeros still pass."""
+    return eps * max(float(np.abs(m).max()), np.finfo(float).tiny)
+
+
+def _rank(values: np.ndarray, tol: float) -> int:
+    """Number of nonnegative values above tol times the largest; 0 when the
+    largest is not positive."""
+    top = float(values.max()) if values.size else 0.0
+    if not top > 0.0:
+        return 0
+    return int(np.count_nonzero(values > tol * top))
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -91,10 +111,7 @@ class SchmidtDecomposition:
 
     @property
     def rank(self) -> int:
-        c = self.coefficients
-        if c.size == 0 or c[0] <= 0.0:
-            return 0
-        return int(np.count_nonzero(c > self.tol * c[0]))
+        return _rank(self.coefficients, self.tol)
 
 
 def schmidt_decompose(v: BipartiteVector, tol: float = SCHMIDT_RANK_TOL) -> SchmidtDecomposition:
@@ -150,30 +167,30 @@ def unreshuffle(choi: np.ndarray, d: int) -> np.ndarray:
     return np.einsum("caeb->abce", c4).reshape(d * d, d * d)
 
 
-def check_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> None:
+def check_hermitian(m: np.ndarray) -> None:
     """The Hermiticity gate: raise NotHermitian when max |X - X^dag| exceeds
-    tol * max(1, max |X|)."""
+    HERM_TOL * max |X|, so the gate is the same at every scale of X."""
     dev = float(np.abs(m - m.conj().T).max())
-    if dev > tol * max(1.0, float(np.abs(m).max())):
+    if dev > _margin(m, HERM_TOL):
         raise NotHermitian(f"max |X - X^dag| = {dev:.3e} exceeds tolerance")
 
 
-def hermitian_eig(x: MatrixOp | np.ndarray, tol: float = HERM_TOL) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(x: MatrixOp | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigen-decomposition with a Hermiticity gate. Ascending eigenvalues."""
     m = x.mat if isinstance(x, MatrixOp) else np.asarray(x, dtype=np.complex128)
-    check_hermitian(m, tol)
+    check_hermitian(m)
     w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
     return w, v
 
 
-def hs_inner(a: MatrixOp | np.ndarray, b: MatrixOp | np.ndarray, tol: float = HERM_TOL) -> float:
+def hs_inner(a: MatrixOp | np.ndarray, b: MatrixOp | np.ndarray) -> float:
     """Hilbert-Schmidt pairing Tr(a b) of two Hermitian matrices (real)."""
     ma = a.mat if isinstance(a, MatrixOp) else np.asarray(a, dtype=np.complex128)
     mb = b.mat if isinstance(b, MatrixOp) else np.asarray(b, dtype=np.complex128)
     if ma.shape != mb.shape:
         raise DimMismatch(f"shape mismatch {ma.shape} vs {mb.shape}")
-    check_hermitian(ma, tol)
-    check_hermitian(mb, tol)
+    check_hermitian(ma)
+    check_hermitian(mb)
     return float(np.einsum("ij,ji->", ma, mb).real)
 
 
@@ -195,7 +212,4 @@ def swap_matrix(d: int) -> np.ndarray:
 
 
 def numerical_rank(m: np.ndarray, tol: float = 1e-8) -> int:
-    s = np.linalg.svd(np.asarray(m), compute_uv=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol * s[0]))
+    return _rank(np.linalg.svd(np.asarray(m), compute_uv=False), tol)

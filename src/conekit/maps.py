@@ -20,13 +20,16 @@ from .errors import (
     DimMismatch,
     EmptyList,
     NotCompletelyPositive,
+    NotHermitian,
     NotHermiticityPreserving,
     RankTooHigh,
 )
 from .linalg import (
-    HERM_TOL,
+    PSD_TOL,
     MatrixOp,
     _freeze,
+    _margin,
+    _rank,
     check_hermitian,
     max_entangled,
     reshuffle,
@@ -50,10 +53,10 @@ class MapRep:
         n = self.d * self.d
         if s.shape != (n, n):
             raise DimMismatch(f"superoperator shape {s.shape} != ({n}, {n})")
-        c = reshuffle(s, self.d)
-        dev = float(np.abs(c - c.conj().T).max())
-        if dev > HERM_TOL * max(1.0, float(np.abs(c).max())):
-            raise NotHermiticityPreserving(f"Choi deviates from Hermitian by {dev:.3e}")
+        try:
+            check_hermitian(reshuffle(s, self.d))
+        except NotHermitian as exc:
+            raise NotHermiticityPreserving(f"Choi matrix: {exc}") from None
         object.__setattr__(self, "super_mat", s)
 
     @classmethod
@@ -186,21 +189,22 @@ def from_kraus(ops: list) -> MapRep:
     return MapRep(d, s)
 
 
-def kraus_decompose(phi: MapRep, tol: float = KRAUS_DROP_TOL) -> KrausSet:
-    """Eigen-decompose the Choi matrix into Kraus operators.
+def kraus_decompose(phi: MapRep) -> KrausSet:
+    """Eigen-decompose the Choi matrix C into Kraus operators.
 
-    Raises NotCompletelyPositive if the Choi matrix has an eigenvalue below
-    -tol (relative to its largest). Eigenvalues under tol * lambda_max are
-    dropped as numerical noise.
+    Raises NotCompletelyPositive if C has an eigenvalue below
+    -KRAUS_DROP_TOL * max|C|, so the CP floor is the same at every scale of
+    phi. Eigenvalues under KRAUS_DROP_TOL * lambda_max are dropped as
+    numerical noise.
     """
     c = choi(phi).mat
     w, v = np.linalg.eigh(0.5 * (c + c.conj().T))
     lam_max = max(float(w[-1]), 0.0)
-    if float(w[0]) < -tol * max(1.0, lam_max):
+    if float(w[0]) < -_margin(c, KRAUS_DROP_TOL):
         raise NotCompletelyPositive(f"Choi eigenvalue {w[0]:.3e} below the CP floor")
     ops = []
     for lam, vec in zip(w, v.T):
-        if lam > tol * max(lam_max, 1e-300):
+        if lam > KRAUS_DROP_TOL * max(lam_max, 1e-300):
             ops.append(np.conj((np.sqrt(lam) * vec).reshape(phi.d, phi.d)))
     if not ops:
         ops.append(np.zeros((phi.d, phi.d), dtype=np.complex128))
@@ -285,7 +289,7 @@ def block_action(phi: MapRep, psis: list) -> MatrixOp:
     return MatrixOp(out, dims=(k, d))
 
 
-def compose_certified(a, phi: MapRep, k: int, tol: float = 1e-9,
+def compose_certified(a, phi: MapRep, k: int,
                       order: str = "map_after_ad") -> KrausSet:
     """Kraus operators of rank <= k reconstructing compose(phi, ad(a)) exactly,
     assuming rank(a) <= k and phi k-positive.
@@ -293,11 +297,14 @@ def compose_certified(a, phi: MapRep, k: int, tol: float = 1e-9,
     Writes a = sum_i |f_i><g_i| from its SVD, eigendecomposes the PSD block
     matrix [phi(|g_i><g_j|)]_ij and slices each scaled eigenvector into the
     second legs of one Kraus operator. A negative block eigenvalue refutes
-    k-positivity of phi and raises BlockNotPSD. With order="ad_after_map" the
-    same route applied to (a^dag, phi^dag) certifies compose(ad(a), phi).
+    k-positivity of phi and raises BlockNotPSD, as does a reconstruction
+    residual above PSD_TOL * max|target|. The block floor is
+    -PSD_TOL * max|block|, so both tests are the same at every scale of phi.
+    With order="ad_after_map" the same route applied to (a^dag, phi^dag)
+    certifies compose(ad(a), phi).
     """
     if order == "ad_after_map":
-        inner = compose_certified(_as_matrix(a).conj().T, adjoint(phi), k, tol=tol)
+        inner = compose_certified(_as_matrix(a).conj().T, adjoint(phi), k)
         return KrausSet(tuple(b.conj().T for b in inner.operators), rank_bound=k)
     if order != "map_after_ad":
         raise BadParam(f"unknown order {order!r}")
@@ -310,7 +317,7 @@ def compose_certified(a, phi: MapRep, k: int, tol: float = 1e-9,
         raise BadK(f"k={k} outside 1..{d}")
 
     u, s, vh = np.linalg.svd(m)
-    r = int(np.count_nonzero(s > RANK_TOL * s[0])) if s[0] > 0 else 0
+    r = _rank(s, RANK_TOL)
     if r > k:
         raise RankTooHigh(f"rank(a) = {r} exceeds the certified level k = {k}")
     if r == 0:
@@ -322,7 +329,7 @@ def compose_certified(a, phi: MapRep, k: int, tol: float = 1e-9,
     block = block_action(phi, rights).mat
     w, vecs = np.linalg.eigh(0.5 * (block + block.conj().T))
     lam_max = max(float(w[-1]), 0.0)
-    if float(w[0]) < -tol * max(1.0, lam_max):
+    if float(w[0]) < -_margin(block, PSD_TOL):
         raise BlockNotPSD(
             f"block eigenvalue {w[0]:.3e} < 0: the map is not {r}-positive")
 
@@ -343,7 +350,7 @@ def compose_certified(a, phi: MapRep, k: int, tol: float = 1e-9,
     for op in ops:
         recon += np.kron(op.conj().T, op.T)
     err = float(np.abs(recon - target).max())
-    if err > max(tol, 1e-9) * max(1.0, float(np.abs(target).max())):
+    if err > _margin(target, PSD_TOL):
         raise BlockNotPSD(f"reconstruction residual {err:.3e} exceeds tolerance")
     return KrausSet(tuple(ops), rank_bound=k)
 

@@ -25,6 +25,7 @@ from conekit import (
     is_ccp,
     is_cp,
     is_k_positive_certify,
+    isotropic_state,
     k_block_positive_certify,
     kraus_decompose,
     map_from_choi,
@@ -594,14 +595,17 @@ def test_margins_scale_with_c():
     1e12 changes no verdict: the Choi map Phi[2,0,1] stays refuted by a PPT
     witness and not CP, with the same chains as at unit scale; a decomposable
     A/2 + PT(B) still splits; reduction(2, 0.7) at k = 1 stays undecided at
-    0.3 * scale. With absolute margins Phi[2,0,1] * 1e-9 split, the map of
-    Phi[2,0,1] * 1e-10 came out CP, and the reduction map's non-PSD Choi
-    matrix * 1e-9 came out PSD."""
+    0.3 * scale; the isotropic state at F = 0.9 keeps Schmidt bounds (3, 3).
+    With absolute margins Phi[2,0,1] * 1e-9 split, the map of
+    Phi[2,0,1] * 1e-10 came out CP, the reduction map's non-PSD Choi
+    matrix * 1e-9 came out PSD, and the isotropic state * 1e-9 lost its
+    lower bound (1, 3)."""
     gen = _generalized_choi(2.0, 0.0, 1.0)
     red = choi(reduction_family(2, 0.7)).mat
     rng = np.random.default_rng(41)
     b = MatrixOp(_unit_trace_psd(rng, 9), dims=(3, 3))
     split = 0.5 * _unit_trace_psd(rng, 9) + partial_transpose(b).mat
+    iso = isotropic_state(3, 0.9).mat
 
     def chains(rep):
         return [(c.verdict, c.detail) for ch in (rep.p, rep.co_p) for c in ch.values()]
@@ -621,6 +625,7 @@ def test_margins_scale_with_c():
         cert = decomposable_certify(MatrixOp(split * s, dims=(3, 3)))
         assert cert.verdict is Verdict.MEMBERSHIP
         assert cert.extras["residual"] < 1e-9 * np.abs(split * s).max()
+        assert schmidt_number_bounds(MatrixOp(iso * s, dims=(3, 3))) == (3, 3)
 
 
 def test_classify_decomposes_each_chain_once(monkeypatch):

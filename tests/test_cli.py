@@ -87,6 +87,12 @@ def test_unknown_config_key_exits_2(tmap_file, tmp_path, capsys):
         assert captured.out == ""
         assert "unknown config keys" in captured.err
     assert not (tmp_path / "report.json").exists()
+    # a known key with a value its int field cannot hold is no better
+    for bad in ({"restarts": 2.7}, {"seed": True}):
+        cfg.write_text(json.dumps(bad))
+        assert cli.main(["classify", tmap_file, "--no-dec",
+                         "--config", str(cfg)]) == cli.PARSE_ERROR
+        assert capsys.readouterr().out == ""
 
 
 def test_scan_csv_stdout(capsys):
@@ -134,7 +140,7 @@ def test_fuzz_failure_exit_code(monkeypatch, capsys):
     assert summary["failures"][0]["detail"] == "boom"
 
 
-def test_parse_errors_exit_2(tmp_path, capsys):
+def test_parse_errors_exit_2(tmap_file, tmp_path, capsys):
     assert cli.main(["classify", str(tmp_path / "missing.json")]) == cli.PARSE_ERROR
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -150,6 +156,11 @@ def test_parse_errors_exit_2(tmp_path, capsys):
                      "--grid", "0-1-3"]) == cli.PARSE_ERROR
     assert cli.main(["nonsense"]) == cli.PARSE_ERROR
     capsys.readouterr()
+    # a negative margin reverses every sign decision, a NaN one disables it
+    for tol in ("-1", "nan"):
+        assert cli.main(["classify", tmap_file, "--no-dec",
+                         "--tol", tol]) == cli.PARSE_ERROR
+        assert capsys.readouterr().out == ""
 
 
 def test_zero_restarts_rejected(tmap_file, capsys):

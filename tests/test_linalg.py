@@ -194,8 +194,10 @@ def test_hermitian_eig_ascending_and_consistent():
 
 
 def test_hermitian_eig_rejects_non_hermitian():
-    with pytest.raises(NotHermitian):
-        hermitian_eig(MatrixOp(np.array([[0.0, 1.0], [0.0, 0.0]])))
+    """The gate is relative to max|X|, so it rejects at every scale."""
+    for s in 10.0 ** np.arange(-12, 13, 2):
+        with pytest.raises(NotHermitian):
+            hermitian_eig(MatrixOp(s * np.array([[0.0, 1.0], [0.0, 0.0]])))
 
 
 def test_hs_inner_symmetric_real():

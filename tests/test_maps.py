@@ -88,8 +88,9 @@ def test_maps_and_kraus_sets_reject_non_finite(bad):
 def test_maprep_rejects_non_hermiticity_preserving():
     rng = np.random.default_rng(0)
     s = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    with pytest.raises(NotHermiticityPreserving):
-        MapRep(2, s)
+    for scale in 10.0 ** np.arange(-12, 13, 2):
+        with pytest.raises(NotHermiticityPreserving):
+            MapRep(2, s * scale)
 
 
 def test_apply_identity_and_transpose():
@@ -269,8 +270,11 @@ def test_kraus_round_trip_on_cp_map():
 
 
 def test_kraus_decompose_rejects_non_cp():
-    with pytest.raises(NotCompletelyPositive):
-        kraus_decompose(transpose_map(2))
+    """The CP floor is relative to max|C|: the transpose map is refuted at
+    every scale, not decomposed into a set that misses half of it."""
+    for s in 10.0 ** np.arange(-12, 13, 2):
+        with pytest.raises(NotCompletelyPositive):
+            kraus_decompose(MapRep(2, transpose_map(2).super_mat * s))
 
 
 def test_from_kraus_input_validation():
@@ -392,11 +396,17 @@ def test_compose_certified_rejects_rank_above_k():
 
 def test_compose_certified_rejects_insufficient_positivity():
     """The transpose map is not 2-positive, so its block matrix on a rank-2
-    frame fails PSD and no factorization exists."""
+    frame fails PSD and no factorization exists. Nor is reduction(3, 0.9)
+    (c > 1/2); its block floor is relative to the block, so it is refuted
+    at every scale."""
     rng = np.random.default_rng(15)
     a = _rand_mat(rng, 3, rank=2)
     with pytest.raises(BlockNotPSD):
         compose_certified(a, transpose_map(3), 2)
+    red = reduction_family(3, 0.9).super_mat
+    for s in 10.0 ** np.arange(-12, 13, 2):
+        with pytest.raises(BlockNotPSD):
+            compose_certified(a, MapRep(3, red * s), 2)
 
 
 def test_compose_certified_bad_order_flag():
