@@ -26,22 +26,32 @@ eigenvector as witness, never an extrapolation.
 
 All restarts advance together: on each iteration the restarts in the see-saw
 take one sweep and those in the phase one evaluation of f, each group
-through stacked `svd`/`eigh` calls and a `tensordot` of C (viewed as a
+through stacked `eigh`/`qr` calls and a `tensordot` of C (viewed as a
 dA x dB x dA x dB tensor) with the fixed frames followed by a two-operand
-`einsum`. A restart stops when a sweep moves its value by less than the stop
-threshold, or after max_iters iterations (sweeps and evaluations together).
-tests/_seesaw_oracle.py keeps the one-restart-at-a-time scalar see-saw loop
-as the reference the tests compare against.
+`einsum`. The kernel keeps each restart's right frame (k orthonormal rows)
+and takes every frame from a factor it already holds, since the minimum
+over a frame depends only on the frame's span: the left frame U is the Q of
+`qr(P)` for the bottom eigenvector P (dA x k) of the left half-step, the
+next right frame the Q of `qr(B^H)` for the bottom eigenvector B (k x dB)
+of the right half-step, as the iterate is U B; a quasi-Newton step hands
+over its frame V directly. The starts and their first frames come from a
+small memo, so a repeated configuration (the rows of a threshold scan, the
+levels of two chains) runs no `svd` at all. A restart stops when a sweep
+moves its value by less than the stop threshold, or after max_iters
+iterations (sweeps and evaluations together). tests/_seesaw_oracle.py keeps
+the one-restart-at-a-time scalar see-saw loop as the reference the tests
+compare against.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from .errors import BadParam
-from .linalg import _margin
+from .linalg import _check_eps, _margin
 
 # Always False: no compiled kernel exists; perfbench's environment header reads it.
 NUMBA_ACTIVE = False
@@ -69,33 +79,55 @@ def _bottom_left(c4, v, da, k):
     return w[:, 0], vec[:, :, 0].reshape(r, da, k)
 
 
+def _bottom_right(c4, u, db, k):
+    # Exact minimum over the second factor for left frames u (r, da, k):
+    # beff[r, i, b, l, e] = sum_{a, c} conj(u[r, a, i]) C[a, b, c, e] u[r, c, l];
+    # returns its bottom eigenvalues (r,) and eigenvectors as (r, k, db).
+    r = u.shape[0]
+    cu = np.tensordot(c4, u, axes=([2], [1]))  # (a, b, e, r, l)
+    beff = np.einsum("rai,aberl->rible", u.conj(), cu).reshape(r, k * db, k * db)
+    beff = 0.5 * (beff + beff.conj().swapaxes(1, 2))
+    w, vec = np.linalg.eigh(beff)
+    return w[:, 0], vec[:, :, 0].reshape(r, k, db)
+
+
+def _row_frame(b, mode="reduced"):
+    # Q^H for the Q of qr(b^H): k orthonormal rows spanning the row space of
+    # each b (r, k, db), padded where b is rank deficient; mode="complete"
+    # extends them to a unitary (r, db, db), the frame of a chart.
+    return np.linalg.qr(b.conj().swapaxes(1, 2), mode=mode)[0].conj().swapaxes(1, 2)
+
+
 def _reduced(C, c4, frame, x, da, k):
     # f(V) = lmin(aeff(V)) at W = [1 X] frame, V = S W with S = (W W^H)^(-1/2);
     # the complex k x (db - k) chart coordinate X is stored as the float64
-    # view x of its entries. Returns f, the witness m = P V and the gradient
-    # of f in x (Hellmann-Feynman: df/dconj(W) = (P S)^H (G - f m), where
-    # G = mat(C vec m), and df/dx is the float view of 2 df/dconj(X)).
+    # view x of its entries. Returns f, the witness m = P V, the frame V and
+    # the gradient of f in x (Hellmann-Feynman: df/dconj(W) = (P S)^H (G - f m),
+    # where G = mat(C vec m), and df/dx is the float view of 2 df/dconj(X)).
     r, db = frame.shape[0], frame.shape[1]
     perp = frame[:, k:]
     w = frame[:, :k] + x.view(np.complex128).reshape(r, k, db - k) @ perp
     lam, e = np.linalg.eigh(w @ w.conj().swapaxes(1, 2))  # W W^H = 1 + X X^H
     s = (e * lam[:, None, :] ** -0.5) @ e.conj().swapaxes(1, 2)
-    f, p = _bottom_left(c4, s @ w, da, k)
+    v = s @ w
+    f, p = _bottom_left(c4, v, da, k)
     ps = p @ s
     m = ps @ w
     g = (m.reshape(r, -1) @ C.T).reshape(r, da, db) - f[:, None, None] * m
     gx = ps.conj().swapaxes(1, 2) @ g @ perp.conj().swapaxes(1, 2)
-    return f, m, 2.0 * gx.reshape(r, -1).view(np.float64)
+    return f, m, v, 2.0 * gx.reshape(r, -1).view(np.float64)
 
 
-def _seesaw_kernel(C, da, db, k, starts, max_iters, eps_conv):
+def _seesaw_kernel(C, da, db, k, starts, frames, max_iters, eps_conv):
     # C: (da*db, da*db) complex128 Hermitian.
-    # starts: (restarts, da, db) complex128.
+    # starts: (restarts, da, db) complex128, unit Frobenius norm.
+    # frames: (restarts, k, db) complex128, orthonormal rows spanning each
+    # start's row space (padded to k rows where its rank is below k).
     # Returns (best value, best coefficient matrix, total iterations).
     c4 = C.reshape(da, db, da, db)
     n_restarts = starts.shape[0]
-    norms = np.sqrt(np.sum(np.abs(starts.reshape(n_restarts, -1)) ** 2, axis=1))
-    m = starts / norms[:, None, None]
+    m = starts.copy()
+    vr = frames.copy()  # each restart's right frame: rows span the row space of m
     q = np.full(n_restarts, np.inf)  # each restart's value at m
     live = np.ones(n_restarts, dtype=bool)
     # see-saw state: sweeps since the start or the last phase, last two decreases
@@ -124,18 +156,13 @@ def _seesaw_kernel(C, da, db, k, starts, max_iters, eps_conv):
         if sw.size:
             r = sw.size
             i = sw if r < n_restarts else slice(None)
-            # Fix the right frames V (rows span the row space of m, padded to k).
-            v = np.linalg.svd(m[i])[2][:, :k, :]
-            p = _bottom_left(c4, v, da, k)[1]
-            # Fix the left frames U (columns span the column space of m):
-            # beff[r, i, b, l, e] = sum_{a, c} conj(u[r, a, i]) C[a, b, c, e] u[r, c, l].
-            u = np.linalg.svd(p @ v)[0][:, :, :k]
-            cu = np.tensordot(c4, u, axes=([2], [1]))  # (a, b, e, r, l)
-            beff = np.einsum("rai,aberl->rible", u.conj(), cu).reshape(r, k * db, k * db)
-            beff = 0.5 * (beff + beff.conj().swapaxes(1, 2))
-            w_b, vec_b = np.linalg.eigh(beff)
-            m[i] = u @ vec_b[:, :, 0].reshape(r, k, db)
-            q_new = w_b[:, 0]
+            # With the right frames V fixed, the bottom P gives m = P V, whose
+            # column space is that of P: its Q is the left frame U. With U
+            # fixed, the bottom B gives m = U B, whose row space is that of B.
+            p = _bottom_left(c4, vr[i], da, k)[1]
+            u = np.linalg.qr(p)[0]
+            q_new, b = _bottom_right(c4, u, db, k)
+            m[i] = u @ b
             dec = q[i] - q_new
             converged = np.abs(dec) < eps_conv
             q[i] = q_new
@@ -146,9 +173,12 @@ def _seesaw_kernel(C, da, db, k, starts, max_iters, eps_conv):
             dec2[i] = dec1[i]
             dec1[i] = dec
             live[sw[converged]] = False
+            if not converged.all():
+                # only restarts that sweep on (or enter the phase) need a frame
+                vr[sw[~converged]] = _row_frame(b[~converged])
             if slow.any():
                 enter = sw[slow]
-                frame[enter] = np.linalg.svd(m[enter])[2]
+                frame[enter] = _row_frame(vr[enter], "complete")
                 x[enter] = 0.0
                 step[enter] = 0.0
                 slope[enter] = 0.0
@@ -160,7 +190,7 @@ def _seesaw_kernel(C, da, db, k, starts, max_iters, eps_conv):
             tq, st, x0 = t[i], stage[i], x[i]
             s = tq[:, None] * step[i]
             trial = x0 + s
-            f, m_new, g = _reduced(C, c4, frame[i], trial, da, k)
+            f, m_new, v_new, g = _reduced(C, c4, frame[i], trial, da, k)
             gain = q[i] - f
             origin = st == 2
             # Armijo's sufficient decrease; a chart's origin is always taken
@@ -196,11 +226,13 @@ def _seesaw_kernel(C, da, db, k, starts, max_iters, eps_conv):
             sl = (g0 * sp).sum(1)
             tq = np.where(ok, 1.0, 0.5 * tq)
             q[i] = np.where(ok, f, q[i])
-            m[i] = np.where(ok[:, None, None], m_new, m[i])
+            ok3 = ok[:, None, None]
+            m[i] = np.where(ok3, m_new, m[i])
+            vr[i] = np.where(ok3, v_new, vr[i])
             # far from its frame the chart distorts: start a new one at the point
             far = ok & ((x0 * x0).sum(1) > _CHART_R2)
             if far.any():
-                frame[qn[far]] = np.linalg.svd(m_new[far])[2]
+                frame[qn[far]] = _row_frame(v_new[far], "complete")
                 x0[far] = 0.0
                 sp[far] = 0.0
                 sl[far] = 0.0
@@ -237,6 +269,25 @@ def random_starts(da: int, db: int, k: int, restarts: int, seed: int) -> np.ndar
     return starts
 
 
+@functools.lru_cache(maxsize=8)
+def _starts(da: int, db: int, k: int, restarts: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """random_starts scaled to unit Frobenius norm, and their right k-frames
+    (orthonormal rows spanning each start's row space), both read-only.
+
+    Memoized: one `svd` per configuration, not one per call. The memo keeps
+    the 8 configurations used last, restarts * (da + k) * db complex entries
+    each (9 KB at 20 restarts, d = 4 and k = 3), so it holds a few calls'
+    starts and never grows beyond them.
+    """
+    starts = random_starts(da, db, k, restarts, seed)
+    norms = np.sqrt(np.sum(np.abs(starts.reshape(restarts, -1)) ** 2, axis=1))
+    starts /= norms[:, None, None]
+    frames = np.linalg.svd(starts)[2][:, :k, :].copy()
+    starts.setflags(write=False)
+    frames.setflags(write=False)
+    return starts, frames
+
+
 def seesaw_minimize(c_mat: np.ndarray, dims: tuple[int, int], k: int,
                     restarts: int = 20, max_iters: int = 500,
                     eps_conv: float = 1e-10,
@@ -249,22 +300,24 @@ def seesaw_minimize(c_mat: np.ndarray, dims: tuple[int, int], k: int,
     eps_conv * max|C|, so the stop rule scales with C at every size (C = 0
     stops on its second sweep), or after max_iters iterations.
 
-    Raises BadParam unless restarts >= 1 and max_iters >= 1: a search that
-    never runs has no value to report.
+    Raises BadParam unless restarts >= 1 and max_iters >= 1 (a search that
+    never runs has no value to report) and eps_conv is finite and >= 0 (a
+    negative threshold stops every restart at once, a NaN one none).
     """
     if restarts < 1:
         raise BadParam(f"need restarts >= 1, got {restarts}")
     if max_iters < 1:
         raise BadParam(f"need max_iters >= 1, got {max_iters}")
+    _check_eps("eps_conv", eps_conv)
     da, db = dims
     c = np.asarray(c_mat, dtype=np.complex128)
-    starts = random_starts(da, db, k, restarts, seed)
+    starts, frames = _starts(da, db, k, restarts, seed)
     # The kernel runs on C / 2^e with max|C / 2^e| in [1/2, 1): dividing by a
     # power of two is exact, so the search is the same at every scale of C,
     # and no squared gradient of the quasi-Newton phase under- or overflows.
     top = float(np.abs(c).max())
     scale = math.ldexp(1.0, math.frexp(top)[1]) if 0.0 < top < math.inf else 1.0
     c = c / scale
-    best_q, best_m, iters = _seesaw_kernel(c, da, db, k, starts, int(max_iters),
+    best_q, best_m, iters = _seesaw_kernel(c, da, db, k, starts, frames, int(max_iters),
                                            _margin(c, float(eps_conv)))
     return float(best_q) * scale, best_m, int(iters)

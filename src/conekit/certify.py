@@ -14,11 +14,12 @@ from enum import Enum
 import numpy as np
 
 from ._seesaw import seesaw_minimize
-from .errors import BadK, BadParam, ConekitError, DimMismatch, MissingDims, NotPSD
+from .errors import BadK, ConekitError, DimMismatch, MissingDims, NotPSD
 from .linalg import (
     PSD_TOL,
     BipartiteVector,
     MatrixOp,
+    _check_eps,
     _margin,
     _pt_array,
     _rank,
@@ -54,11 +55,8 @@ class SeesawOpts:
     seed: int = 42
 
     def __post_init__(self) -> None:
-        # a negative margin reverses every sign decision, a NaN one disables it
         for name in ("eps_conv", "eps_neg"):
-            val = getattr(self, name)
-            if not 0.0 <= val < np.inf:
-                raise BadParam(f"{name} must be finite and >= 0, got {val}")
+            _check_eps(name, getattr(self, name))
 
 
 DEFAULT_OPTS = SeesawOpts()

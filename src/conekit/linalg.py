@@ -19,7 +19,6 @@ HERM_TOL = 1e-10
 # and compose_certified: an eigenvalue counts as negative below
 # -PSD_TOL * max|M| of the matrix M it belongs to.
 PSD_TOL = 1e-9
-ZERO_TOL = 1e-14
 SCHMIDT_RANK_TOL = 1e-8
 
 
@@ -28,6 +27,13 @@ def _margin(m: np.ndarray, eps: float) -> float:
     scaling M by any positive factor leaves the decision unchanged. M = 0 gets
     the least positive scale, so exact zeros still pass."""
     return eps * max(float(np.abs(m).max()), np.finfo(float).tiny)
+
+
+def _check_eps(name: str, eps: float) -> None:
+    """Raise BadParam unless the margin factor eps is finite and >= 0: a
+    negative margin reverses every sign decision, a NaN one disables it."""
+    if not 0.0 <= eps < np.inf:
+        raise BadParam(f"{name} must be finite and >= 0, got {eps}")
 
 
 def _rank(values: np.ndarray, tol: float) -> int:
@@ -116,9 +122,13 @@ class SchmidtDecomposition:
 
 def schmidt_decompose(v: BipartiteVector, tol: float = SCHMIDT_RANK_TOL) -> SchmidtDecomposition:
     """SVD of the coefficient matrix M = U diag(c) Vh, so that
-    sum_l c_l kron(u_l, w_l) with w_l = Vh[l, :] reconstructs the input."""
-    if v.norm < ZERO_TOL:
-        raise ZeroVector("cannot decompose a (numerically) zero vector")
+    sum_l c_l kron(u_l, w_l) with w_l = Vh[l, :] reconstructs the input.
+    Raises BadParam on a NaN or infinite amplitude and ZeroVector on the zero
+    vector; any other vector, however small, has a rank (it is relative)."""
+    if not np.isfinite(v.amp).all():
+        raise BadParam("vector has a NaN or infinite amplitude")
+    if not v.amp.any():
+        raise ZeroVector("cannot decompose the zero vector")
     m = v.matrix()
     u, s, vh = np.linalg.svd(m)
     r = min(v.d_a, v.d_b)

@@ -83,16 +83,22 @@ def test_schmidt_rank_two_term():
 
 
 def test_schmidt_rank_scale_invariant():
-    """Rank thresholding is relative, so scaling never changes the rank."""
+    """Rank thresholding is relative, so scaling never changes the rank, and
+    only the zero vector itself is too small to have one."""
     rng = np.random.default_rng(7)
     v = _rand_vec(rng, 3, 3)
-    scaled = BipartiteVector(3, 3, 1e6 * v.amp)
-    assert schmidt_rank(v) == schmidt_rank(scaled)
+    bell = np.array([1.0, 0.0, 0.0, 1.0])
+    for s in (1e6, 1e-13, 1e-15, 1e-100):
+        assert schmidt_rank(BipartiteVector(3, 3, s * v.amp)) == schmidt_rank(v)
+        assert schmidt_rank(BipartiteVector(2, 2, s * bell)) == 2
 
 
 def test_schmidt_zero_vector_raises():
     with pytest.raises(ZeroVector):
         schmidt_decompose(BipartiteVector(2, 2, np.zeros(4)))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(BadParam):
+            schmidt_decompose(BipartiteVector(2, 2, [1.0, 0.0, 0.0, bad]))
 
 
 def test_bipartite_vector_dim_mismatch():

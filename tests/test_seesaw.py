@@ -280,6 +280,104 @@ def test_search_that_never_runs_is_rejected():
         seesaw_minimize(c, (3, 3), 2, max_iters=0)
 
 
+def test_stop_threshold_must_be_finite_and_nonnegative():
+    """The rule of SeesawOpts: a negative eps_conv stops every restart on its
+    first sweep, a NaN one lets none converge, an infinite one stops all on
+    the second."""
+    for eps in (-1.0, np.nan, np.inf):
+        with pytest.raises(BadParam):
+            seesaw_minimize(np.eye(4), (2, 2), 1, restarts=1, eps_conv=eps)
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Counts calls of np.linalg.svd."""
+    calls = [0]
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+def test_repeated_configuration_runs_no_svd(svd_calls, phase_evaluations):
+    """Frames come from the factors the kernel holds (QR, also on entering
+    and restarting a quasi-Newton chart); the only svd is the one of the
+    memoized starts, so a second call with the same dims, k, restarts and
+    seed runs none, and returns the same result."""
+    _seesaw._starts.cache_clear()
+    c = choi(random_k_positive_map(4, 2, 1)).mat
+    first = seesaw_minimize(c, (4, 4), 2, restarts=4, seed=5)
+    assert svd_calls[0] == 1
+    assert phase_evaluations[0] > 0
+    second = seesaw_minimize(c, (4, 4), 2, restarts=4, seed=5)
+    assert svd_calls[0] == 1
+    assert first[0] == second[0] and first[2] == second[2]
+    assert np.array_equal(first[1], second[1])
+
+
+def test_memoized_starts_are_read_only_random_starts():
+    """The memo holds random_starts at unit norm and a k-frame of each, both
+    read-only; random_starts still returns a fresh writable array."""
+    starts, frames = _seesaw._starts(3, 4, 2, 5, 7)
+    assert not starts.flags.writeable and not frames.flags.writeable
+    with pytest.raises(ValueError):
+        starts[0, 0, 0] = 0.0
+    raw = random_starts(3, 4, 2, 5, 7)
+    assert raw.flags.writeable
+    norms = np.linalg.norm(raw, axis=(1, 2))[:, None, None]
+    assert np.abs(starts - raw / norms).max() <= 1e-15
+    eye = np.eye(2)
+    assert np.abs(frames @ frames.conj().swapaxes(1, 2) - eye).max() <= 1e-14
+    # each start lies in the row space of its frame
+    assert np.abs(starts - starts @ frames.conj().swapaxes(1, 2) @ frames).max() <= 1e-14
+    raw[:] = 0.0
+    again = _seesaw._starts(3, 4, 2, 5, 7)
+    assert again[0] is starts and again[1] is frames
+    assert np.abs(starts - random_starts(3, 4, 2, 5, 7) / norms).max() <= 1e-15
+
+
+def test_kernel_from_rank_deficient_starts(monkeypatch, phase_evaluations):
+    """At k = 2 from rank-1 starts the first right frame is padded to k rows
+    and the left frame comes from qr of a rank-2 factor: on a rotated
+    Kronecker form the kernel matches the loop oracle's value and sweep
+    count, and every frame it fixes has orthonormal rows (right) or columns
+    (left)."""
+    rng = np.random.default_rng(21)
+    dims, k = (3, 4), 2
+    c = _kron_form(rng, dims)
+    a = rng.normal(size=(3, dims[0], 1)) + 1j * rng.normal(size=(3, dims[0], 1))
+    b = rng.normal(size=(3, 1, dims[1])) + 1j * rng.normal(size=(3, 1, dims[1]))
+    starts = a @ b
+    starts /= np.linalg.norm(starts, axis=(1, 2))[:, None, None]
+    frames = np.linalg.svd(starts)[2][:, :k, :]
+    eye = np.eye(k)
+    seen = []
+
+    def checked(helper, frame_of):
+        def run(c4, f, d, kk):
+            g = frame_of(f)
+            assert np.abs(g @ g.conj().swapaxes(1, 2) - eye).max() <= 1e-12
+            seen.append(helper.__name__)
+            return helper(c4, f, d, kk)
+        return run
+
+    monkeypatch.setattr(_seesaw, "_bottom_left", checked(_seesaw._bottom_left, lambda v: v))
+    monkeypatch.setattr(_seesaw, "_bottom_right",
+                        checked(_seesaw._bottom_right, lambda u: u.conj().swapaxes(1, 2)))
+    eps = 1e-10 * np.abs(c).max()
+    q, m, sweeps = _seesaw._seesaw_kernel(c, *dims, k, starts, frames, 500, eps)
+    q_ref, _, sweeps_ref = loop_kernel(c, *dims, k, starts, 500, eps)
+    assert phase_evaluations[0] == 0
+    assert {"_bottom_left", "_bottom_right"} <= set(seen)
+    assert abs(q - q_ref) <= 1e-12 * np.abs(c).max()
+    assert sweeps == sweeps_ref
+    _assert_witness(c, dims, k, q, m)
+
+
 def test_entangled_projector_rank_gap():
     """On P itself the rank-k minimum is 0 while the global minimum stays 0;
     on -P the rank-k minimum is -k/d against the global -1 at rank d."""
