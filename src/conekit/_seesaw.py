@@ -301,8 +301,9 @@ def seesaw_minimize(c_mat: np.ndarray, dims: tuple[int, int], k: int,
     stops on its second sweep), or after max_iters iterations.
 
     Raises BadParam unless restarts >= 1 and max_iters >= 1 (a search that
-    never runs has no value to report) and eps_conv is finite and >= 0 (a
-    negative threshold stops every restart at once, a NaN one none).
+    never runs has no value to report), eps_conv is finite and >= 0 (a
+    negative threshold stops every restart at once, a NaN one none) and
+    every entry of C is finite (a NaN or inf one makes every value inf).
     """
     if restarts < 1:
         raise BadParam(f"need restarts >= 1, got {restarts}")
@@ -311,12 +312,14 @@ def seesaw_minimize(c_mat: np.ndarray, dims: tuple[int, int], k: int,
     _check_eps("eps_conv", eps_conv)
     da, db = dims
     c = np.asarray(c_mat, dtype=np.complex128)
+    top = float(np.abs(c).max())
+    if not top < math.inf:
+        raise BadParam("C has a NaN or infinite entry")
     starts, frames = _starts(da, db, k, restarts, seed)
     # The kernel runs on C / 2^e with max|C / 2^e| in [1/2, 1): dividing by a
     # power of two is exact, so the search is the same at every scale of C,
     # and no squared gradient of the quasi-Newton phase under- or overflows.
-    top = float(np.abs(c).max())
-    scale = math.ldexp(1.0, math.frexp(top)[1]) if 0.0 < top < math.inf else 1.0
+    scale = math.ldexp(1.0, math.frexp(top)[1]) if top > 0.0 else 1.0
     c = c / scale
     best_q, best_m, iters = _seesaw_kernel(c, da, db, k, starts, frames, int(max_iters),
                                            _margin(c, float(eps_conv)))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -40,7 +41,10 @@ _PARSE_EXC = (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError,
               BadFamily, BadParam, BadK, BadRank, EmptyList)
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process: parse_args keeps no state
+    between calls (each returns a fresh Namespace)."""
     ap = argparse.ArgumentParser(prog="conekit",
                                  description="cone membership tools for maps on M_d")
     sub = ap.add_subparsers(dest="command", required=True)

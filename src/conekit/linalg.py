@@ -180,7 +180,13 @@ def unreshuffle(choi: np.ndarray, d: int) -> np.ndarray:
 def check_hermitian(m: np.ndarray) -> None:
     """The Hermiticity gate: raise NotHermitian when max |X - X^dag| exceeds
     HERM_TOL * max |X|, so the gate is the same at every scale of X."""
-    dev = float(np.abs(m - m.conj().T).max())
+    _check_hermitian_pair(m, m.conj().T)
+
+
+def _check_hermitian_pair(m: np.ndarray, m_dag: np.ndarray) -> None:
+    """check_hermitian for X held in any layout, given X^dag in the same
+    layout: the decision and the message depend only on the entries."""
+    dev = float(np.abs(m - m_dag).max())
     if dev > _margin(m, HERM_TOL):
         raise NotHermitian(f"max |X - X^dag| = {dev:.3e} exceeds tolerance")
 

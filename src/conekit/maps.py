@@ -27,6 +27,7 @@ from .errors import (
 from .linalg import (
     PSD_TOL,
     MatrixOp,
+    _check_hermitian_pair,
     _freeze,
     _margin,
     _rank,
@@ -53,8 +54,11 @@ class MapRep:
         n = self.d * self.d
         if s.shape != (n, n):
             raise DimMismatch(f"superoperator shape {s.shape} != ({n}, {n})")
+        # The Choi matrix's gate read on S itself: C[ij, kl] = S4[j, l, i, k],
+        # so C - C^dag holds exactly the entries S4[a, b, c, e] - conj(S4[b, a, e, c]).
+        s4 = s.reshape(self.d, self.d, self.d, self.d)
         try:
-            check_hermitian(reshuffle(s, self.d))
+            _check_hermitian_pair(s4, s4.transpose(1, 0, 3, 2).conj())
         except NotHermitian as exc:
             raise NotHermiticityPreserving(f"Choi matrix: {exc}") from None
         object.__setattr__(self, "super_mat", s)
@@ -167,12 +171,21 @@ def transpose_map(d: int) -> MapRep:
     return MapRep(d, swap_matrix(d))
 
 
+def _kraus_super(ops: np.ndarray) -> np.ndarray:
+    """Superoperator of x -> sum_i a_i^dag x a_i for a stack ops of shape
+    (r, d, d). Its Choi matrix is the Gram matrix V^H V whose V has the
+    row-vectorized a_i as rows, so no Kronecker product is formed."""
+    d = ops.shape[-1]
+    v = ops.reshape(-1, d * d)
+    return unreshuffle(v.conj().T @ v, d)
+
+
 def ad(a) -> MapRep:
     """Conjugation x -> a^dag x a; superoperator kron(a^dag, a^T)."""
     m = _as_matrix(a)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimMismatch(f"expected a square matrix, got shape {m.shape}")
-    return MapRep(m.shape[0], np.kron(m.conj().T, m.T))
+    return MapRep(m.shape[0], _kraus_super(m[None]))
 
 
 def from_kraus(ops: list) -> MapRep:
@@ -181,12 +194,9 @@ def from_kraus(ops: list) -> MapRep:
         raise EmptyList("need at least one Kraus operator")
     mats = [_as_matrix(a) for a in ops]
     d = mats[0].shape[0]
-    s = np.zeros((d * d, d * d), dtype=np.complex128)
-    for a in mats:
-        if a.shape != (d, d):
-            raise DimMismatch("all Kraus operators must share one square shape")
-        s += np.kron(a.conj().T, a.T)
-    return MapRep(d, s)
+    if any(a.shape != (d, d) for a in mats):
+        raise DimMismatch("all Kraus operators must share one square shape")
+    return MapRep(d, _kraus_super(np.stack(mats)))
 
 
 def kraus_decompose(phi: MapRep) -> KrausSet:
@@ -202,12 +212,10 @@ def kraus_decompose(phi: MapRep) -> KrausSet:
     lam_max = max(float(w[-1]), 0.0)
     if float(w[0]) < -_margin(c, KRAUS_DROP_TOL):
         raise NotCompletelyPositive(f"Choi eigenvalue {w[0]:.3e} below the CP floor")
-    ops = []
-    for lam, vec in zip(w, v.T):
-        if lam > KRAUS_DROP_TOL * max(lam_max, 1e-300):
-            ops.append(np.conj((np.sqrt(lam) * vec).reshape(phi.d, phi.d)))
-    if not ops:
-        ops.append(np.zeros((phi.d, phi.d), dtype=np.complex128))
+    keep = w > KRAUS_DROP_TOL * max(lam_max, 1e-300)
+    if not keep.any():
+        return KrausSet((np.zeros((phi.d, phi.d), dtype=np.complex128),))
+    ops = (v[:, keep] * np.sqrt(w[keep])).T.reshape(-1, phi.d, phi.d).conj()
     return KrausSet(tuple(ops))
 
 
@@ -281,12 +289,10 @@ def block_action(phi: MapRep, psis: list) -> MatrixOp:
         if v.shape[0] != d:
             raise DimMismatch(f"vector length {v.shape[0]} != map dimension {d}")
     k = len(vs)
-    out = np.zeros((k * d, k * d), dtype=np.complex128)
-    for i in range(k):
-        for j in range(k):
-            dyad = np.outer(vs[i], vs[j].conj())
-            out[i * d:(i + 1) * d, j * d:(j + 1) * d] = apply(phi, dyad).mat
-    return MatrixOp(out, dims=(k, d))
+    g = np.stack(vs)
+    s4 = phi.super_mat.reshape(d, d, d, d)
+    out = np.einsum("abce,ic,je->iajb", s4, g, g.conj())
+    return MatrixOp(out.reshape(k * d, k * d), dims=(k, d))
 
 
 def compose_certified(a, phi: MapRep, k: int,
@@ -305,7 +311,8 @@ def compose_certified(a, phi: MapRep, k: int,
     """
     if order == "ad_after_map":
         inner = compose_certified(_as_matrix(a).conj().T, adjoint(phi), k)
-        return KrausSet(tuple(b.conj().T for b in inner.operators), rank_bound=k)
+        ops = np.stack(inner.operators).conj().swapaxes(1, 2)
+        return KrausSet(tuple(ops), rank_bound=k)
     if order != "map_after_ad":
         raise BadParam(f"unknown order {order!r}")
 
@@ -323,8 +330,8 @@ def compose_certified(a, phi: MapRep, k: int,
     if r == 0:
         return KrausSet((np.zeros((d, d), dtype=np.complex128),), rank_bound=k)
 
-    lefts = [s[i] * u[:, i] for i in range(r)]          # |f_i>, singular values absorbed
-    rights = [vh[i, :].conj() for i in range(r)]        # |g_i>, orthonormal
+    lefts = u[:, :r] * s[:r]    # columns |f_i>, singular values absorbed
+    rights = vh[:r].conj()      # rows |g_i>, orthonormal
 
     block = block_action(phi, rights).mat
     w, vecs = np.linalg.eigh(0.5 * (block + block.conj().T))
@@ -333,22 +340,17 @@ def compose_certified(a, phi: MapRep, k: int,
         raise BlockNotPSD(
             f"block eigenvalue {w[0]:.3e} < 0: the map is not {r}-positive")
 
-    ops = []
-    for lam, vec in zip(w, vecs.T):
-        if lam <= 1e-14 * max(lam_max, 1e-300):
-            continue
-        xi = (np.sqrt(lam) * vec).reshape(r, d)
-        op = np.zeros((d, d), dtype=np.complex128)
-        for j in range(r):
-            op += np.outer(lefts[j], xi[j].conj())
-        ops.append(op)
-    if not ops:
-        ops.append(np.zeros((d, d), dtype=np.complex128))
+    # Each kept eigenvector, scaled, is a stack xi of r second legs; its
+    # Kraus operator is sum_j |f_j><xi_j|.
+    keep = w > 1e-14 * max(lam_max, 1e-300)
+    if keep.any():
+        xi = (vecs[:, keep] * np.sqrt(w[keep])).T.reshape(-1, r, d)
+        ops = lefts @ xi.conj()
+    else:
+        ops = np.zeros((1, d, d), dtype=np.complex128)
 
-    target = phi.super_mat @ ad(m).super_mat
-    recon = np.zeros_like(target)
-    for op in ops:
-        recon += np.kron(op.conj().T, op.T)
+    target = phi.super_mat @ _kraus_super(m[None])
+    recon = _kraus_super(ops)
     err = float(np.abs(recon - target).max())
     if err > _margin(target, PSD_TOL):
         raise BlockNotPSD(f"reconstruction residual {err:.3e} exceeds tolerance")

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface, driven through main()."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -138,6 +139,46 @@ def test_fuzz_failure_exit_code(monkeypatch, capsys):
     assert cli.main(["fuzz", "duality", "--n", "3"]) == cli.FUZZ_FAILURE
     summary = json.loads(capsys.readouterr().out)
     assert summary["failures"][0]["detail"] == "boom"
+
+
+def test_parser_built_once_per_process(monkeypatch, capsys):
+    """Two main() calls construct the argparse tree once."""
+    cli._build_parser.cache_clear()
+    built = [0]
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert cli.main(["fuzz", "bijection", "--n", "2"]) == 0
+    first = built[0]
+    assert first > 0
+    assert cli.main(["fuzz", "adjoint", "--n", "2"]) == 0
+    assert built[0] == first
+    capsys.readouterr()
+
+
+def test_parser_reuse_leaks_nothing(tmp_path, capsys):
+    """A parse error, a run with --out and the same run without it, in one
+    process: the last run writes to stdout the bytes the --out run wrote,
+    and neither --out nor any other value carries over between calls."""
+    assert cli.main(["fuzz", "nosuch"]) == cli.PARSE_ERROR
+    capsys.readouterr()
+    out = tmp_path / "summary.json"
+    argv = ["fuzz", "composition", "--n", "3", "--seed", "4", "--d", "4"]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+    summary = json.loads(out.read_text())
+    assert summary["n"] == 3 and summary["seed"] == 4
+    # defaults come back when the flags are dropped
+    assert cli.main(["fuzz", "composition"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["n"] == 100 and summary["seed"] == cli.DEFAULT_OPTS.seed
+    assert summary["params"]["d"] == 3
 
 
 def test_parse_errors_exit_2(tmap_file, tmp_path, capsys):

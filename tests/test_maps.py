@@ -35,7 +35,8 @@ from conekit import (
     schmidt_rank,
     transpose_map,
 )
-from conekit.linalg import BipartiteVector, hermitian_eig
+import conekit.maps as maps_mod
+from conekit.linalg import HERM_TOL, BipartiteVector, check_hermitian, hermitian_eig, reshuffle
 from conekit.errors import (
     BadParam,
     BadRank,
@@ -43,6 +44,7 @@ from conekit.errors import (
     DimMismatch,
     EmptyList,
     NotCompletelyPositive,
+    NotHermitian,
     NotHermiticityPreserving,
     RankTooHigh,
 )
@@ -91,6 +93,51 @@ def test_maprep_rejects_non_hermiticity_preserving():
     for scale in 10.0 ** np.arange(-12, 13, 2):
         with pytest.raises(NotHermiticityPreserving):
             MapRep(2, s * scale)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_maprep_gate_agrees_with_choi_gate(d):
+    """MapRep reads the Choi matrix's Hermiticity on the superoperator; it
+    raises exactly when check_hermitian(reshuffle(S, d)) does, with the same
+    message, on HP maps perturbed to either side of HERM_TOL * max|S| at
+    every scale."""
+    rng = np.random.default_rng(30 + d)
+    raised = set()
+    for scale in 10.0 ** np.arange(-12, 13, 3):
+        s_hp = random_hp_map(d, d).super_mat * scale
+        e = _rand_mat(rng, d * d)
+        e_choi = reshuffle(e, d)
+        e = e / np.abs(e_choi - e_choi.conj().T).max()
+        for factor in (0.0, 0.5, 0.999, 1.001, 2.0):
+            s = s_hp + factor * HERM_TOL * np.abs(s_hp).max() * e
+            try:
+                check_hermitian(reshuffle(s, d))
+                expected = None
+            except NotHermitian as exc:
+                expected = f"Choi matrix: {exc}"
+            if expected is None:
+                MapRep(d, s)
+            else:
+                with pytest.raises(NotHermiticityPreserving) as got:
+                    MapRep(d, s)
+                assert str(got.value) == expected
+            raised.add((factor, expected is not None))
+    assert raised == {(0.0, False), (0.5, False), (0.999, False),
+                      (1.001, True), (2.0, True)}
+
+
+def test_maprep_runs_no_reshuffle(monkeypatch):
+    """The Hermiticity gate reads the superoperator in place."""
+    calls = [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return reshuffle(*args, **kwargs)
+
+    monkeypatch.setattr(maps_mod, "reshuffle", counting)
+    MapRep(3, random_hp_map(3, 1).super_mat)
+    from_kraus([np.eye(3), np.diag([1.0, 2.0, 3.0])])
+    assert calls[0] == 0
 
 
 def test_apply_identity_and_transpose():
@@ -251,6 +298,52 @@ def test_theta_pairing_identity():
 # Kraus forms
 
 
+def _kron_super(ops):
+    """Reference superoperator of x -> sum_i a_i^dag x a_i: the sum of
+    kron(a_i^dag, a_i^T)."""
+    return sum(np.kron(a.conj().T, a.T) for a in ops)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("r", [1, 2, 5])
+def test_kraus_superoperator_matches_kron_sum(r, d):
+    rng = np.random.default_rng(10 * r + d)
+    ops = [_rand_mat(rng, d) for _ in range(r)]
+    target = _kron_super(ops)
+    margin = 1e-14 * np.abs(target).max()
+    assert np.abs(from_kraus(ops).super_mat - target).max() <= margin
+    a_target = _kron_super(ops[:1])
+    assert np.abs(ad(ops[0]).super_mat - a_target).max() <= 1e-14 * np.abs(a_target).max()
+
+
+@pytest.fixture
+def kron_calls(monkeypatch):
+    """Counts calls of np.kron."""
+    calls = [0]
+    kron = np.kron
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return kron(*args, **kwargs)
+
+    monkeypatch.setattr(np, "kron", counting)
+    return calls
+
+
+def test_kraus_paths_run_no_kron(kron_calls):
+    """Kraus superoperators are one Gram product; no Kronecker product is
+    formed by from_kraus, ad, kraus_decompose or compose_certified (either
+    order)."""
+    rng = np.random.default_rng(31)
+    a = _rand_mat(rng, 3, rank=2)
+    from_kraus([a, np.eye(3)])
+    ad(a)
+    kraus_decompose(random_cp_map(3, 2, 4, 0))
+    compose_certified(a, reduction_family(3, 0.5), 2)
+    compose_certified(a, reduction_family(3, 0.5), 2, order="ad_after_map")
+    assert kron_calls[0] == 0
+
+
 def test_from_kraus_matches_conjugation_sum():
     rng = np.random.default_rng(8)
     ops = [_rand_mat(rng, 3) for _ in range(4)]
@@ -260,6 +353,15 @@ def test_from_kraus_matches_conjugation_sum():
     assert np.allclose(apply(phi, x).mat, direct, atol=1e-10)
 
 
+def _kraus_decompose_loop(phi):
+    """Reference: kraus_decompose's operators built one eigenpair at a time."""
+    c = choi(phi).mat
+    w, v = np.linalg.eigh(0.5 * (c + c.conj().T))
+    floor = maps_mod.KRAUS_DROP_TOL * max(float(w[-1]), 1e-300)
+    return [np.conj((np.sqrt(lam) * vec).reshape(phi.d, phi.d))
+            for lam, vec in zip(w, v.T) if lam > floor]
+
+
 def test_kraus_round_trip_on_cp_map():
     for seed in range(20):
         phi = random_cp_map(3, 2, 4, seed)
@@ -267,6 +369,9 @@ def test_kraus_round_trip_on_cp_map():
         back = ks.to_map()
         assert np.abs(back.super_mat - phi.super_mat).max() <= 1e-11
         assert len(ks.operators) <= 9
+        ref = _kraus_decompose_loop(phi)
+        assert len(ks.operators) == len(ref)
+        assert all(np.array_equal(op, r) for op, r in zip(ks.operators, ref))
 
 
 def test_kraus_decompose_rejects_non_cp():
@@ -351,6 +456,35 @@ def test_block_action_shape_and_psd_for_cp():
     assert blk.dims == (2, 3)
     w, _ = hermitian_eig(blk)
     assert w[0] >= -1e-10
+
+
+def _block_action_loop(phi, vs):
+    """Reference block matrix: phi applied to each dyad |v_i><v_j|."""
+    d, k = phi.d, len(vs)
+    out = np.zeros((k * d, k * d), dtype=complex)
+    for i in range(k):
+        for j in range(k):
+            dyad = np.outer(vs[i], vs[j].conj())
+            out[i * d:(i + 1) * d, j * d:(j + 1) * d] = apply(phi, dyad).mat
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_block_action_matches_dyad_loop(k):
+    rng = np.random.default_rng(40 + k)
+    for phi in (random_cp_map(3, 2, 3, k), transpose_map(3)):
+        vs = [rng.normal(size=3) + 1j * rng.normal(size=3) for _ in range(k)]
+        target = _block_action_loop(phi, vs)
+        got = block_action(phi, vs)
+        assert got.dims == (k, 3)
+        assert np.abs(got.mat - target).max() <= 1e-14 * np.abs(target).max()
+
+
+def test_block_action_input_validation():
+    with pytest.raises(EmptyList):
+        block_action(identity_map(3), [])
+    with pytest.raises(DimMismatch):
+        block_action(identity_map(3), [np.ones(3), np.ones(2)])
 
 
 def test_compose_certified_identity_recovers_conjugation():

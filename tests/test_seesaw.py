@@ -289,6 +289,16 @@ def test_stop_threshold_must_be_finite_and_nonnegative():
             seesaw_minimize(np.eye(4), (2, 2), 1, restarts=1, eps_conv=eps)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.nan, 1.0)])
+def test_non_finite_c_is_rejected(bad):
+    """A NaN or infinite entry makes every value inf; such a search would run
+    each restart to the cap and report (inf, zero matrix) as a result."""
+    c = np.eye(4, dtype=complex)
+    c[0, 0] = bad
+    with pytest.raises(BadParam):
+        seesaw_minimize(c, (2, 2), 1, restarts=2)
+
+
 @pytest.fixture
 def svd_calls(monkeypatch):
     """Counts calls of np.linalg.svd."""
