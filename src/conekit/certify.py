@@ -17,6 +17,7 @@ from ._seesaw import seesaw_minimize
 from .errors import BadK, ConekitError, DimMismatch, MissingDims, NotPSD
 from .linalg import (
     PSD_TOL,
+    RANK_TOL,
     BipartiteVector,
     MatrixOp,
     _check_eps,
@@ -26,7 +27,6 @@ from .linalg import (
     check_hermitian,
     hermitian_eig,
     hs_inner,
-    numerical_rank,
     partial_transpose,
     schmidt_decompose,
 )
@@ -198,10 +198,18 @@ def schmidt_number_bounds(c: MatrixOp, detectors: list[Detector] | None = None,
     and a detector as fired, against the margin PSD_TOL * max|M| of the
     matrix M tested, so the bounds are the same at every scale of C.
     """
+    eig = hermitian_eig(c)
+    if float(eig[0][0]) < -_margin(c.mat, PSD_TOL):
+        raise NotPSD(f"matrix has eigenvalue {eig[0][0]:.3e}; Schmidt number undefined")
+    return _schmidt_bounds(c, eig, detectors, construction)
+
+
+def _schmidt_bounds(c: MatrixOp, eig: tuple[np.ndarray, np.ndarray],
+                    detectors: list[Detector] | None = None,
+                    construction: KrausSet | None = None) -> tuple[int, int]:
+    """schmidt_number_bounds of a C already known PSD, from its eig."""
     da, db = _bipartite_dims(c)
-    w, v = hermitian_eig(c)
-    if float(w[0]) < -_margin(c.mat, PSD_TOL):
-        raise NotPSD(f"matrix has eigenvalue {w[0]:.3e}; Schmidt number undefined")
+    w, v = eig
     if detectors is None:
         detectors = reduction_detectors(db)
     cm = MatrixOp(c.mat, dims=(da, db))
@@ -213,11 +221,8 @@ def schmidt_number_bounds(c: MatrixOp, detectors: list[Detector] | None = None,
             lower = max(lower, det.k_level + 1)
     kmax = min(da, db)
     if construction is not None:
-        upper = 0
-        for op in construction.operators:
-            upper = max(upper, numerical_rank(op))
-        upper = max(1, min(upper, kmax))
-    elif _rank(np.abs(w), 1e-8) == 1:
+        upper = max(1, min(construction.rank, kmax))
+    elif _rank(np.abs(w), RANK_TOL) == 1:
         upper = schmidt_decompose(BipartiteVector(da, db, v[:, -1])).rank
     else:
         upper = kmax
@@ -267,7 +272,7 @@ def classify(phi: MapRep, opts: SeesawOpts = DEFAULT_OPTS,
     if km_pairs is None:
         km_pairs = [(k, m) for k in range(1, d + 1) for m in range(1, d + 1)]
 
-    def chain(target_choi: MatrixOp) -> dict:
+    def chain(target_choi: MatrixOp) -> tuple[dict, tuple[int, int] | None]:
         certs: dict[int, Certificate] = {}
         best_viol: Certificate | None = None
         eig = hermitian_eig(target_choi)
@@ -286,18 +291,16 @@ def classify(phi: MapRep, opts: SeesawOpts = DEFAULT_OPTS,
                 if best_viol is None or cert.value < best_viol.value:
                     best_viol = cert
             certs[k] = cert
-        return certs
+        # Schmidt bounds stand on this chain's own proof that the matrix is PSD
+        psd = certs[d].verdict is Verdict.MEMBERSHIP
+        return certs, _schmidt_bounds(target_choi, eig) if psd else None
 
     # choi(co(phi)) = PT_B(choi(phi)): the co-chain reads the same Choi matrix
     c = choi(phi)
     co_c = partial_transpose(c)
-    p = chain(c)
-    co_p = chain(co_c)
+    p, bounds = chain(c)
+    co_p, co_bounds = chain(co_c)
     cp = p[d].verdict is Verdict.MEMBERSHIP
-    ccp = co_p[d].verdict is Verdict.MEMBERSHIP
-
-    bounds = schmidt_number_bounds(c) if cp else None
-    co_bounds = schmidt_number_bounds(co_c) if ccp else None
 
     km_positive = {}
     km_superpositive = {}

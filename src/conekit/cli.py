@@ -28,7 +28,6 @@ from .errors import (
     ConekitError,
     EmptyList,
 )
-from .linalg import MatrixOp
 from .maps import KrausSet, MapRep, map_from_choi
 from .serialize import dumps, load_operator, report_to_json, scan_rows_to_csv
 from .witness import threshold_scan
@@ -146,14 +145,9 @@ def _cmd_classify(args) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     op = load_operator(payload)
-    if isinstance(op, MapRep):
-        phi = op
-    elif isinstance(op, KrausSet):
-        phi = op.to_map()
-    elif isinstance(op, MatrixOp):
-        phi = map_from_choi(op)
-    else:  # pragma: no cover - load_operator only returns the above
-        raise ValueError("unsupported operator payload")
+    if isinstance(op, KrausSet):
+        op = op.to_map()
+    phi = op if isinstance(op, MapRep) else map_from_choi(op)  # a Choi matrix
     report = classify(phi, opts=opts, include_dec=not args.no_dec)
     _emit(dumps(report_to_json(report)), args.out)
     return 0

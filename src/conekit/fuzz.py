@@ -7,9 +7,10 @@ from __future__ import annotations
 import numpy as np
 
 from .certify import dual_pairing
-from .errors import BadFamily
-from .linalg import hs_inner, numerical_rank, unreshuffle, reshuffle
+from .errors import BadFamily, BadK, BadParam
+from .linalg import hs_inner, unreshuffle, reshuffle
 from .maps import (
+    _random_kraus,
     ad,
     adjoint,
     apply,
@@ -22,7 +23,6 @@ from .maps import (
     random_k_positive_map,
     reduction_family,
     apply_on_right_factor,
-    MatrixOp,
 )
 
 SUITES = ("duality", "composition", "bijection", "adjoint")
@@ -33,7 +33,16 @@ def _sub_seeds(seed: int, n: int) -> list[int]:
     return [int(x) for x in rng.integers(0, 2**63 - 1, size=n)]
 
 
-def _run(n: int, seed: int, one):
+def _check_levels(d: int, ks) -> None:
+    if not ks or not all(1 <= k <= d for k in ks):
+        raise BadK(f"levels {list(ks)} must be a non-empty choice from 1..{d}")
+
+
+def _run(suite: str, n: int, seed: int, params: dict, one) -> dict:
+    """The summary of instances seed .. seed + n - 1; one(inst_seed) returns
+    a failure detail or None. A run of no instance is refused."""
+    if n < 1:
+        raise BadParam(f"need n >= 1 instances, got {n}")
     failures = []
     for i in range(n):
         inst_seed = seed + i
@@ -41,6 +50,8 @@ def _run(n: int, seed: int, one):
         if detail is not None:
             failures.append({"index": i, "seed": inst_seed, "detail": detail})
     return {
+        "suite": suite,
+        "params": params,
         "n": n,
         "passed": n - len(failures),
         "failed": len(failures),
@@ -48,9 +59,11 @@ def _run(n: int, seed: int, one):
     }
 
 
-def fuzz_duality(n: int, d: int = 3, ks=(1, 2), seed: int = 0, tol: float = 1e-9) -> dict:
+def fuzz_duality(n: int, d: int = 3, ks=(1, 2), seed: int = 0) -> dict:
     """Pairing of a random Schmidt-rank-k CP map against a random k-positive
-    map is nonnegative for each level k."""
+    map is nonnegative (>= -1e-9) for each level k."""
+    _check_levels(d, ks)
+    tol = 1e-9
 
     def one(inst_seed: int):
         s_phi, s_psi = _sub_seeds(inst_seed, 2)
@@ -62,30 +75,23 @@ def fuzz_duality(n: int, d: int = 3, ks=(1, 2), seed: int = 0, tol: float = 1e-9
                 return f"pairing {val:.3e} < -{tol} at k={k}"
         return None
 
-    out = _run(n, seed, one)
-    out["suite"] = "duality"
-    out["params"] = {"d": d, "ks": list(ks), "tol": tol}
-    return out
+    return _run("duality", n, seed, {"d": d, "ks": list(ks), "tol": tol}, one)
 
 
-def fuzz_composition(n: int, d: int = 3, k: int = 2, seed: int = 0,
-                     tol: float = 1e-9) -> dict:
+def fuzz_composition(n: int, d: int = 3, k: int = 2, seed: int = 0) -> dict:
     """compose(psi, ad(a)) with rank(a) <= k and psi k-positive factors into
     rank <= k Kraus terms; the level-k reduction detector never fires on the
-    composite's Choi matrix."""
+    composite's Choi matrix. Residuals count up to 1e-9."""
+    _check_levels(d, (k,))
+    tol = 1e-9
 
     def one(inst_seed: int):
         s_a, s_psi = _sub_seeds(inst_seed, 2)
-        rng = np.random.default_rng(s_a)
-        g1 = rng.normal(size=(d, k)) + 1j * rng.normal(size=(d, k))
-        g2 = rng.normal(size=(k, d)) + 1j * rng.normal(size=(k, d))
-        a = g1 @ g2
-        a = a / np.linalg.norm(a)
+        a = _random_kraus(d, k, 1, s_a)[0]
         psi = random_k_positive_map(d, k, s_psi)
         ks_set = compose_certified(a, psi, k)
-        for op in ks_set.operators:
-            if numerical_rank(op) > k:
-                return f"factor rank {numerical_rank(op)} > {k}"
+        if ks_set.rank > k:
+            return f"factor rank {ks_set.rank} > {k}"
         target = compose(psi, ad(a))
         recon = ks_set.to_map()
         err = float(np.abs(recon.super_mat - target.super_mat).max())
@@ -98,14 +104,13 @@ def fuzz_composition(n: int, d: int = 3, k: int = 2, seed: int = 0,
             return f"level-{k} detector fired at {w[0]:.3e} on the composite"
         return None
 
-    out = _run(n, seed, one)
-    out["suite"] = "composition"
-    out["params"] = {"d": d, "k": k, "tol": tol}
-    return out
+    return _run("composition", n, seed, {"d": d, "k": k, "tol": tol}, one)
 
 
-def fuzz_bijection(n: int, dims=(2, 3, 4), seed: int = 0, tol: float = 1e-13) -> dict:
-    """map_from_choi inverts choi, and the reshuffling round-trip is exact."""
+def fuzz_bijection(n: int, dims=(2, 3, 4), seed: int = 0) -> dict:
+    """map_from_choi inverts choi within 1e-13, and the reshuffling
+    round-trip is exact."""
+    tol = 1e-13
 
     def one(inst_seed: int):
         d = dims[inst_seed % len(dims)]
@@ -120,14 +125,12 @@ def fuzz_bijection(n: int, dims=(2, 3, 4), seed: int = 0, tol: float = 1e-13) ->
             return f"reshuffle round-trip not exact at d={d}"
         return None
 
-    out = _run(n, seed, one)
-    out["suite"] = "bijection"
-    out["params"] = {"dims": list(dims), "tol": tol}
-    return out
+    return _run("bijection", n, seed, {"dims": list(dims), "tol": tol}, one)
 
 
-def fuzz_adjoint(n: int, d: int = 3, seed: int = 0, tol: float = 1e-10) -> dict:
-    """<phi(x), y> = <x, phi^dag(y)> on random Hermitian pairs."""
+def fuzz_adjoint(n: int, d: int = 3, seed: int = 0) -> dict:
+    """<phi(x), y> = <x, phi^dag(y)> within 1e-10 on random Hermitian pairs."""
+    tol = 1e-10
 
     def one(inst_seed: int):
         phi = random_hp_map(d, inst_seed)
@@ -144,10 +147,7 @@ def fuzz_adjoint(n: int, d: int = 3, seed: int = 0, tol: float = 1e-10) -> dict:
             return f"pairing mismatch {abs(lhs - rhs):.3e}"
         return None
 
-    out = _run(n, seed, one)
-    out["suite"] = "adjoint"
-    out["params"] = {"d": d, "tol": tol}
-    return out
+    return _run("adjoint", n, seed, {"d": d, "tol": tol}, one)
 
 
 def run_suite(suite: str, n: int, seed: int, d: int | None = None,

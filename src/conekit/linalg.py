@@ -8,7 +8,7 @@ slow, so e_i (x) e_j sits at flat index i*d_B + j and np.kron matches it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,8 @@ HERM_TOL = 1e-10
 # and compose_certified: an eigenvalue counts as negative below
 # -PSD_TOL * max|M| of the matrix M it belongs to.
 PSD_TOL = 1e-9
-SCHMIDT_RANK_TOL = 1e-8
+# Relative cutoff of every numerical rank (Schmidt, operator, Choi matrix).
+RANK_TOL = 1e-8
 
 
 def _margin(m: np.ndarray, eps: float) -> float:
@@ -113,14 +114,13 @@ class SchmidtDecomposition:
     coefficients: np.ndarray          # nonnegative, descending
     left_vectors: np.ndarray          # rows u_l, orthonormal
     right_vectors: np.ndarray         # rows w_l, orthonormal
-    tol: float = field(default=SCHMIDT_RANK_TOL)
 
     @property
     def rank(self) -> int:
-        return _rank(self.coefficients, self.tol)
+        return _rank(self.coefficients, RANK_TOL)
 
 
-def schmidt_decompose(v: BipartiteVector, tol: float = SCHMIDT_RANK_TOL) -> SchmidtDecomposition:
+def schmidt_decompose(v: BipartiteVector) -> SchmidtDecomposition:
     """SVD of the coefficient matrix M = U diag(c) Vh, so that
     sum_l c_l kron(u_l, w_l) with w_l = Vh[l, :] reconstructs the input.
     Raises BadParam on a NaN or infinite amplitude and ZeroVector on the zero
@@ -136,12 +136,11 @@ def schmidt_decompose(v: BipartiteVector, tol: float = SCHMIDT_RANK_TOL) -> Schm
         coefficients=s[:r].copy(),
         left_vectors=u[:, :r].T.copy(),
         right_vectors=vh[:r, :].copy(),
-        tol=tol,
     )
 
 
-def schmidt_rank(v: BipartiteVector, tol: float = SCHMIDT_RANK_TOL) -> int:
-    return schmidt_decompose(v, tol=tol).rank
+def schmidt_rank(v: BipartiteVector) -> int:
+    return schmidt_decompose(v).rank
 
 
 def _pt_array(m: np.ndarray, da: int, db: int, subsystem: str = "B") -> np.ndarray:
@@ -227,5 +226,5 @@ def swap_matrix(d: int) -> np.ndarray:
     return s
 
 
-def numerical_rank(m: np.ndarray, tol: float = 1e-8) -> int:
-    return _rank(np.linalg.svd(np.asarray(m), compute_uv=False), tol)
+def numerical_rank(m: np.ndarray) -> int:
+    return _rank(np.linalg.svd(np.asarray(m), compute_uv=False), RANK_TOL)

@@ -26,6 +26,7 @@ from .errors import (
 )
 from .linalg import (
     PSD_TOL,
+    RANK_TOL,
     MatrixOp,
     _check_hermitian_pair,
     _freeze,
@@ -39,7 +40,6 @@ from .linalg import (
 )
 
 KRAUS_DROP_TOL = 1e-9
-RANK_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,27 +72,37 @@ class MapRep:
 
 @dataclass(frozen=True, eq=False)
 class KrausSet:
-    """Kraus operators of a CP map (or a certified CP factor)."""
+    """Kraus operators of a CP map (or a certified CP factor) as one read-only
+    (r, d, d) stack, built from any non-empty sequence of d x d matrices."""
 
-    operators: tuple
+    operators: np.ndarray
     rank_bound: int | None = None
 
     def __post_init__(self) -> None:
-        if len(self.operators) == 0:
+        ops = self.operators
+        if len(ops) == 0:
             raise EmptyList("a Kraus set needs at least one operator")
-        ops = tuple(_freeze(a) for a in self.operators)
-        d = ops[0].shape[0]
-        for a in ops:
-            if a.shape != (d, d):
+        if not isinstance(ops, np.ndarray):
+            mats = [_as_matrix(a) for a in ops]
+            if any(a.shape != mats[0].shape for a in mats):
                 raise DimMismatch("all Kraus operators must share one square shape")
-        object.__setattr__(self, "operators", ops)
+            ops = np.stack(mats)
+        if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
+            raise DimMismatch(f"Kraus operators must form an (r, d, d) stack, got {ops.shape}")
+        object.__setattr__(self, "operators", _freeze(ops))
 
     @property
     def d(self) -> int:
-        return self.operators[0].shape[0]
+        return self.operators.shape[1]
+
+    @property
+    def rank(self) -> int:
+        """The largest numerical rank among the operators, from one batched SVD."""
+        s = np.linalg.svd(self.operators, compute_uv=False)
+        return int(np.count_nonzero(s > RANK_TOL * s[:, :1], axis=1).max())
 
     def to_map(self) -> MapRep:
-        return from_kraus(list(self.operators))
+        return MapRep(self.d, _kraus_super(self.operators))
 
 
 @dataclass(frozen=True)
@@ -182,21 +192,12 @@ def _kraus_super(ops: np.ndarray) -> np.ndarray:
 
 def ad(a) -> MapRep:
     """Conjugation x -> a^dag x a; superoperator kron(a^dag, a^T)."""
-    m = _as_matrix(a)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimMismatch(f"expected a square matrix, got shape {m.shape}")
-    return MapRep(m.shape[0], _kraus_super(m[None]))
+    return from_kraus([a])
 
 
-def from_kraus(ops: list) -> MapRep:
+def from_kraus(ops) -> MapRep:
     """Map x -> sum_i a_i^dag x a_i."""
-    if len(ops) == 0:
-        raise EmptyList("need at least one Kraus operator")
-    mats = [_as_matrix(a) for a in ops]
-    d = mats[0].shape[0]
-    if any(a.shape != (d, d) for a in mats):
-        raise DimMismatch("all Kraus operators must share one square shape")
-    return MapRep(d, _kraus_super(np.stack(mats)))
+    return KrausSet(ops).to_map()
 
 
 def kraus_decompose(phi: MapRep) -> KrausSet:
@@ -214,9 +215,13 @@ def kraus_decompose(phi: MapRep) -> KrausSet:
         raise NotCompletelyPositive(f"Choi eigenvalue {w[0]:.3e} below the CP floor")
     keep = w > KRAUS_DROP_TOL * max(lam_max, 1e-300)
     if not keep.any():
-        return KrausSet((np.zeros((phi.d, phi.d), dtype=np.complex128),))
-    ops = (v[:, keep] * np.sqrt(w[keep])).T.reshape(-1, phi.d, phi.d).conj()
-    return KrausSet(tuple(ops))
+        return KrausSet(np.zeros((1, phi.d, phi.d), dtype=np.complex128))
+    return KrausSet((v[:, keep] * np.sqrt(w[keep])).T.reshape(-1, phi.d, phi.d).conj())
+
+
+def _reduction_super(d: int, c: float) -> np.ndarray:
+    v = np.eye(d, dtype=np.complex128).reshape(-1)
+    return np.outer(v, v.conj()) - c * np.eye(d * d, dtype=np.complex128)
 
 
 def reduction_family(d: int, c: float) -> MapRep:
@@ -226,8 +231,7 @@ def reduction_family(d: int, c: float) -> MapRep:
         raise BadParam(f"dimension must be >= 1, got {d}")
     if not np.isfinite(c):
         raise BadParam("family parameter must be finite")
-    v = np.eye(d, dtype=np.complex128).reshape(-1)
-    return MapRep(d, np.outer(v, v.conj()) - c * np.eye(d * d, dtype=np.complex128))
+    return MapRep(d, _reduction_super(d, c))
 
 
 def depolarizing(d: int, p: float) -> MapRep:
@@ -238,6 +242,16 @@ def depolarizing(d: int, p: float) -> MapRep:
     return MapRep(d, (1.0 - p) * np.eye(d * d, dtype=np.complex128) + (p / d) * np.outer(v, v.conj()))
 
 
+def _random_kraus(d: int, k: int, n_ops: int, seed: int) -> np.ndarray:
+    """The Kraus stack of random_cp_map: unit-norm products g1 @ g2 of d x k
+    and k x d complex Gaussians, from one draw of g1.re, g1.im, g2.re, g2.im
+    per operator in that order."""
+    z = np.random.default_rng(seed).normal(size=(n_ops, 4, d * k))
+    g1 = (z[:, 0] + 1j * z[:, 1]).reshape(n_ops, d, k)
+    ops = g1 @ (z[:, 2] + 1j * z[:, 3]).reshape(n_ops, k, d)
+    return ops / np.array([np.linalg.norm(a) for a in ops])[:, None, None]
+
+
 def random_cp_map(d: int, k: int, n_ops: int, seed: int) -> MapRep:
     """CP map built from n_ops random Kraus operators of exact rank <= k,
     each a product of d x k and k x d complex Gaussian factors."""
@@ -245,14 +259,7 @@ def random_cp_map(d: int, k: int, n_ops: int, seed: int) -> MapRep:
         raise BadRank(f"rank level k={k} outside 1..{d}")
     if n_ops < 1:
         raise BadParam("need n_ops >= 1")
-    rng = np.random.default_rng(seed)
-    ops = []
-    for _ in range(n_ops):
-        g1 = rng.normal(size=(d, k)) + 1j * rng.normal(size=(d, k))
-        g2 = rng.normal(size=(k, d)) + 1j * rng.normal(size=(k, d))
-        a = g1 @ g2
-        ops.append(a / np.linalg.norm(a))
-    return from_kraus(ops)
+    return MapRep(d, _kraus_super(_random_kraus(d, k, n_ops, seed)))
 
 
 def random_hp_map(d: int, seed: int) -> MapRep:
@@ -270,9 +277,8 @@ def random_k_positive_map(d: int, k: int, seed: int) -> MapRep:
     rng = np.random.default_rng(seed)
     lam = float(rng.uniform(0.0, 1.0))
     cp_seed = int(rng.integers(0, 2**63 - 1))
-    cp_part = random_cp_map(d, d, 2, cp_seed)
-    red = reduction_family(d, 1.0 / k)
-    return MapRep(d, lam * cp_part.super_mat + (1.0 - lam) * red.super_mat)
+    return MapRep(d, lam * _kraus_super(_random_kraus(d, d, 2, cp_seed))
+                  + (1.0 - lam) * _reduction_super(d, 1.0 / k))
 
 
 def block_action(phi: MapRep, psis: list) -> MatrixOp:
@@ -283,13 +289,10 @@ def block_action(phi: MapRep, psis: list) -> MatrixOp:
     """
     if len(psis) == 0:
         raise EmptyList("need at least one vector")
-    vs = [np.asarray(p, dtype=np.complex128).reshape(-1) for p in psis]
-    d = phi.d
-    for v in vs:
-        if v.shape[0] != d:
-            raise DimMismatch(f"vector length {v.shape[0]} != map dimension {d}")
-    k = len(vs)
-    g = np.stack(vs)
+    d, k = phi.d, len(psis)
+    if any(np.size(p) != d for p in psis):
+        raise DimMismatch(f"every vector must have the map dimension {d}")
+    g = np.array([np.ravel(p) for p in psis], dtype=np.complex128)
     s4 = phi.super_mat.reshape(d, d, d, d)
     out = np.einsum("abce,ic,je->iajb", s4, g, g.conj())
     return MatrixOp(out.reshape(k * d, k * d), dims=(k, d))
@@ -311,8 +314,7 @@ def compose_certified(a, phi: MapRep, k: int,
     """
     if order == "ad_after_map":
         inner = compose_certified(_as_matrix(a).conj().T, adjoint(phi), k)
-        ops = np.stack(inner.operators).conj().swapaxes(1, 2)
-        return KrausSet(tuple(ops), rank_bound=k)
+        return KrausSet(inner.operators.conj().swapaxes(1, 2), rank_bound=k)
     if order != "map_after_ad":
         raise BadParam(f"unknown order {order!r}")
 
@@ -328,7 +330,7 @@ def compose_certified(a, phi: MapRep, k: int,
     if r > k:
         raise RankTooHigh(f"rank(a) = {r} exceeds the certified level k = {k}")
     if r == 0:
-        return KrausSet((np.zeros((d, d), dtype=np.complex128),), rank_bound=k)
+        return KrausSet(np.zeros((1, d, d), dtype=np.complex128), rank_bound=k)
 
     lefts = u[:, :r] * s[:r]    # columns |f_i>, singular values absorbed
     rights = vh[:r].conj()      # rows |g_i>, orthonormal
@@ -354,7 +356,7 @@ def compose_certified(a, phi: MapRep, k: int,
     err = float(np.abs(recon - target).max())
     if err > _margin(target, PSD_TOL):
         raise BlockNotPSD(f"reconstruction residual {err:.3e} exceeds tolerance")
-    return KrausSet(tuple(ops), rank_bound=k)
+    return KrausSet(ops, rank_bound=k)
 
 
 def reduction_detectors(d: int) -> list[Detector]:

@@ -87,7 +87,7 @@ def kraus_to_json(ks: KrausSet) -> dict:
 
 
 def kraus_from_json(obj: dict) -> KrausSet:
-    ops = tuple(matrix_from_json(m).mat for m in obj["kraus"])
+    ops = [matrix_from_json(m) for m in obj["kraus"]]
     rb = obj.get("rank_bound")
     return KrausSet(ops, rank_bound=int(rb) if rb is not None else None)
 

@@ -115,7 +115,7 @@ def test_criterion_03_conjugation_choi_rank_structure():
                     assert w[-1] > 0
                     assert abs(w[-2]) <= 1e-10 * w[-1]
                     vec = BipartiteVector(d, d, v[:, -1])
-                    assert schmidt_rank(vec, tol=1e-8) == r
+                    assert schmidt_rank(vec) == r
 
 
 def test_criterion_04_co_map_partial_transpose():
@@ -132,7 +132,7 @@ def test_criterion_05_duality_fuzz_500():
     """Pairing of rank-k CP against k-positive maps stays >= -1e-9 for both
     k = 1 and k = 2 at d = 3, 500 instances."""
     with _criterion(5, "duality fuzz 500/500 at d = 3, k = 1, 2"):
-        out = fuzz_duality(500, d=3, ks=(1, 2), seed=20260814, tol=1e-9)
+        out = fuzz_duality(500, d=3, ks=(1, 2), seed=20260814)
         assert out["failed"] == 0, out["failures"][:3]
         assert out["passed"] == 500
 
@@ -141,7 +141,7 @@ def test_criterion_06_composition_fuzz_100():
     """Certified composition at d = 3, k = 2: factor ranks <= 2,
     reconstruction <= 1e-9, level-2 detector quiet on the composite."""
     with _criterion(6, "constructive composition fuzz 100/100 at d = 3, k = 2"):
-        out = fuzz_composition(100, d=3, k=2, seed=31, tol=1e-9)
+        out = fuzz_composition(100, d=3, k=2, seed=31)
         assert out["failed"] == 0, out["failures"][:3]
         assert out["passed"] == 100
 

@@ -383,6 +383,47 @@ def test_classify_builds_one_choi_matrix(monkeypatch):
     assert rep.co_p[3].verdict is Verdict.MEMBERSHIP
 
 
+def _barely_psd_choi():
+    """C = 1_9 with C[0, 0] = -1e-8: PSD within eps_neg = 1e-6, not within
+    PSD_TOL = 1e-9."""
+    c = np.eye(9, dtype=complex)
+    c[0, 0] = -1e-8
+    return MatrixOp(c, dims=(3, 3))
+
+
+def test_classify_bounds_follow_the_chain_verdict():
+    """The Schmidt bounds stand on the chain's own proof that C is PSD: a C
+    proven PSD within eps_neg is not re-judged against PSD_TOL. The
+    standalone schmidt_number_bounds keeps its own PSD gate."""
+    c = _barely_psd_choi()
+    rep = classify(map_from_choi(c), SeesawOpts(eps_neg=1e-6, restarts=1))
+    assert rep.p[3].detail == "choi-psd"
+    assert rep.cp
+    assert rep.schmidt_number == (1, 3)
+    with pytest.raises(NotPSD):
+        schmidt_number_bounds(c)
+
+
+def test_classify_decomposes_a_psd_choi_once(monkeypatch):
+    """The Schmidt bounds reuse the chains' eigendecompositions: C and PT(C)
+    are each decomposed once; the other calls are the detectors' moved
+    matrices."""
+    import conekit.certify as certify_mod
+    eigs = []
+
+    def counting_eig(x, *args):
+        eigs.append(x)
+        return hermitian_eig(x, *args)
+
+    monkeypatch.setattr(certify_mod, "hermitian_eig", counting_eig)
+    rep = classify(identity_map(3), opts=SeesawOpts(restarts=1), include_dec=False)
+    assert rep.schmidt_number == (3, 3)
+    c = choi(identity_map(3)).mat
+    assert sum(np.array_equal(getattr(x, "mat", x), c) for x in eigs) == 1
+    co_c = partial_transpose(choi(identity_map(3))).mat
+    assert sum(np.array_equal(getattr(x, "mat", x), co_c) for x in eigs) == 1
+
+
 def test_classify_km_pairs_subset():
     rep = classify(transpose_map(2), km_pairs=[(1, 2)], include_dec=False)
     assert set(rep.km_positive) == {(1, 2)}

@@ -141,6 +141,35 @@ def test_fuzz_failure_exit_code(monkeypatch, capsys):
     assert summary["failures"][0]["detail"] == "boom"
 
 
+@pytest.mark.parametrize("argv", [
+    ["fuzz", "duality", "--n", "-3"],
+    ["fuzz", "duality", "--n", "0"],
+    ["fuzz", "adjoint", "--n", "0"],
+    ["fuzz", "bijection", "--n", "-1"],
+    ["fuzz", "duality", "--d", "1"],
+    ["fuzz", "composition", "--k", "0"],
+], ids=lambda argv: "_".join(argv[1:]))
+def test_fuzz_run_that_checks_nothing_exits_2(argv, capsys):
+    """No instance, no level, or a level outside 1..d: a parse error with
+    empty stdout, never a green summary (nor a warning before the error)."""
+    assert cli.main(argv) == cli.PARSE_ERROR
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ")
+
+
+def test_classify_trusts_its_own_psd_proof(tmp_path, capsys):
+    """A Choi matrix PSD within --tol 1e-6 but not within PSD_TOL is CP in
+    the report, with Schmidt bounds, not an invariant error."""
+    c = np.eye(9, dtype=complex)
+    c[0, 0] = -1e-8
+    path = _write(tmp_path / "barely.json", matrix_to_json(MatrixOp(c, dims=(3, 3))))
+    assert cli.main(["classify", path, "--tol", "1e-6", "--restarts", "1"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["cp"] is True
+    assert rep["schmidt_number"] == {"lower": 1, "upper": 3}
+
+
 def test_parser_built_once_per_process(monkeypatch, capsys):
     """Two main() calls construct the argparse tree once."""
     cli._build_parser.cache_clear()

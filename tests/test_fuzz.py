@@ -1,8 +1,9 @@
 """Seeded fuzz suite behavior: green runs, determinism and replayability."""
 
+import numpy as np
 import pytest
 
-from conekit.errors import BadFamily
+from conekit.errors import BadFamily, BadK, BadParam
 from conekit.fuzz import (
     SUITES,
     fuzz_adjoint,
@@ -59,3 +60,32 @@ def test_run_suite_dispatch_and_overrides():
 
 def test_suite_names_exported():
     assert SUITES == ("duality", "composition", "bijection", "adjoint")
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda: fuzz_duality(0), BadParam, id="duality-n0"),
+    pytest.param(lambda: fuzz_duality(-3), BadParam, id="duality-n-3"),
+    pytest.param(lambda: fuzz_adjoint(0), BadParam, id="adjoint-n0"),
+    pytest.param(lambda: fuzz_bijection(-1), BadParam, id="bijection-n-1"),
+    pytest.param(lambda: fuzz_composition(0), BadParam, id="composition-n0"),
+    pytest.param(lambda: fuzz_duality(5, d=1, ks=()), BadK, id="duality-no-level"),
+    pytest.param(lambda: run_suite("duality", 5, seed=0, d=1), BadK, id="run-suite-d1"),
+    pytest.param(lambda: fuzz_duality(5, d=3, ks=(1, 4)), BadK, id="duality-k-above-d"),
+    pytest.param(lambda: fuzz_duality(5, d=3, ks=(0,)), BadK, id="duality-k0"),
+    pytest.param(lambda: fuzz_composition(5, d=3, k=0), BadK, id="composition-k0"),
+    pytest.param(lambda: fuzz_composition(5, d=2, k=3), BadK, id="composition-k-above-d"),
+])
+def test_runs_that_check_nothing_are_rejected_before_drawing(call, error, monkeypatch):
+    """No instance, no level, or a level outside 1..d is refused before any
+    random generator is built: a run that checks nothing never passes."""
+    drawn = [0]
+    default_rng = np.random.default_rng
+
+    def counting(*args, **kwargs):
+        drawn[0] += 1
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    with pytest.raises(error):
+        call()
+    assert drawn[0] == 0

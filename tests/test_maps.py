@@ -1,8 +1,11 @@
 """Tests for map representations: superoperator/Choi/Kraus conversions, the
 adjoint, co-maps, the builder families and certified composition."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conekit import (
     KrausSet,
@@ -32,10 +35,13 @@ from conekit import (
     random_k_positive_map,
     reduction_detectors,
     reduction_family,
+    schmidt_number_bounds,
     schmidt_rank,
     transpose_map,
 )
 import conekit.maps as maps_mod
+from conekit.fuzz import fuzz_composition
+from conekit.serialize import dumps, kraus_from_json, kraus_to_json
 from conekit.linalg import HERM_TOL, BipartiteVector, check_hermitian, hermitian_eig, reshuffle
 from conekit.errors import (
     BadParam,
@@ -394,6 +400,214 @@ def test_random_cp_map_rejects_rank_outside_range():
         random_cp_map(3, 4, 2, 0)
     with pytest.raises(BadParam):
         random_cp_map(3, 2, 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# The Kraus stack
+
+
+def _kraus_ops(r, d, seed, exponent):
+    """r random d x d operators of random ranks 0..d (rank 0 is the zero
+    matrix), scaled by 10**exponent."""
+    rng = np.random.default_rng(seed)
+    return [_rand_mat(rng, d, rank=int(rng.integers(0, d + 1))) * 10.0 ** exponent
+            for _ in range(r)]
+
+
+def _as_container(ops, kind):
+    if kind == "stack":
+        return np.stack(ops)
+    if kind == "matrixop":
+        return [MatrixOp(a) for a in ops]
+    return tuple(ops) if kind == "tuple" else list(ops)
+
+
+_kraus_sets = st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1),
+                        st.floats(-150.0, 150.0),
+                        st.sampled_from(["list", "tuple", "stack", "matrixop"]))
+# the same examples on every run, so a tier-1 result does not vary
+_stack_settings = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@_stack_settings
+@given(_kraus_sets)
+def test_kraus_stack_superoperator_matches_kron_sum(case):
+    r, d, seed, exponent, kind = case
+    ops = _kraus_ops(r, d, seed, exponent)
+    target = _kron_super(ops)
+    got = KrausSet(_as_container(ops, kind)).to_map().super_mat
+    assert np.abs(got - target).max() <= 1e-14 * np.abs(target).max()
+
+
+@_stack_settings
+@given(_kraus_sets)
+def test_kraus_stack_rank_is_largest_operator_rank(case):
+    r, d, seed, exponent, kind = case
+    ops = _kraus_ops(r, d, seed, exponent)
+    assert KrausSet(_as_container(ops, kind)).rank == max(numerical_rank(a) for a in ops)
+
+
+@_stack_settings
+@given(_kraus_sets, st.one_of(st.none(), st.integers(1, 4)))
+def test_kraus_stack_json_round_trip_is_lossless(case, rank_bound):
+    r, d, seed, exponent, kind = case
+    ks = KrausSet(_as_container(_kraus_ops(r, d, seed, exponent), kind), rank_bound=rank_bound)
+    back = kraus_from_json(json.loads(dumps(kraus_to_json(ks))))
+    assert np.array_equal(back.operators, ks.operators)
+    assert back.rank_bound == rank_bound
+
+
+@_stack_settings
+@given(_kraus_sets)
+def test_kraus_stack_is_one_read_only_array(case):
+    """operators is one (r, d, d) complex array, independent of the input
+    and read-only; it still iterates, indexes and has a len."""
+    r, d, seed, exponent, kind = case
+    ops = _kraus_ops(r, d, seed, exponent)
+    given_ops = _as_container(ops, kind)
+    ks = KrausSet(given_ops)
+    assert ks.operators.shape == (r, d, d) and ks.operators.dtype == np.complex128
+    assert ks.d == d and len(ks.operators) == r
+    assert all(np.array_equal(a, b) for a, b in zip(ks.operators, ops))
+    assert np.array_equal(ks.operators[-1], ops[-1])
+    assert not ks.operators.flags.writeable
+    with pytest.raises(ValueError):
+        ks.operators[0, 0, 0] = 1.0
+    if kind == "stack":
+        given_ops[0, 0, 0] += 1.0
+        assert np.array_equal(ks.operators[0], ops[0])
+
+
+@pytest.mark.parametrize("ops, error", [
+    pytest.param([], EmptyList, id="empty-list"),
+    pytest.param(np.zeros((0, 2, 2)), EmptyList, id="empty-stack"),
+    pytest.param([np.eye(2), np.eye(3)], DimMismatch, id="ragged"),
+    pytest.param([np.ones((2, 3))], DimMismatch, id="non-square"),
+    pytest.param(np.ones((2, 2, 3)), DimMismatch, id="non-square-stack"),
+    pytest.param([np.ones(3)], DimMismatch, id="vector"),
+    pytest.param(np.eye(3), DimMismatch, id="single-matrix-not-a-stack"),
+    pytest.param([np.ones((1, 2, 2))], DimMismatch, id="three-dim-item"),
+    pytest.param([np.full((2, 2), np.nan)], BadParam, id="nan"),
+    pytest.param(np.full((1, 2, 2), np.inf), BadParam, id="inf-stack"),
+])
+def test_kraus_set_validation(ops, error):
+    """One validation path behind KrausSet, from_kraus and ad, with the
+    error types of the former per-operator checks."""
+    with pytest.raises(error):
+        KrausSet(ops)
+    with pytest.raises(error):
+        from_kraus(ops)
+    if isinstance(ops, list) and len(ops) == 1:
+        with pytest.raises(error):
+            ad(ops[0])
+
+
+def _random_cp_map_loop(d, k, n_ops, seed):
+    """Reference: random_cp_map as the former per-operator loop of draws."""
+    rng = np.random.default_rng(seed)
+    ops = []
+    for _ in range(n_ops):
+        g1 = rng.normal(size=(d, k)) + 1j * rng.normal(size=(d, k))
+        g2 = rng.normal(size=(k, d)) + 1j * rng.normal(size=(k, d))
+        a = g1 @ g2
+        ops.append(a / np.linalg.norm(a))
+    return from_kraus(ops)
+
+
+def _random_k_positive_map_loop(d, k, seed):
+    """Reference: random_k_positive_map as the former mix of two MapReps."""
+    rng = np.random.default_rng(seed)
+    lam = float(rng.uniform(0.0, 1.0))
+    cp_seed = int(rng.integers(0, 2**63 - 1))
+    cp_part = _random_cp_map_loop(d, d, 2, cp_seed)
+    red = reduction_family(d, 1.0 / k)
+    return MapRep(d, lam * cp_part.super_mat + (1.0 - lam) * red.super_mat)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_random_maps_are_bit_identical_to_the_loop(d):
+    """One batched draw keeps the RNG stream: every seed gives the map of
+    the former loop, bit for bit."""
+    for seed in range(20):
+        for k in range(1, d + 1):
+            for n_ops in (1, 2, 3):
+                assert np.array_equal(random_cp_map(d, k, n_ops, seed).super_mat,
+                                      _random_cp_map_loop(d, k, n_ops, seed).super_mat)
+            assert np.array_equal(random_k_positive_map(d, k, seed).super_mat,
+                                  _random_k_positive_map_loop(d, k, seed).super_mat)
+
+
+@pytest.fixture
+def maprep_count(monkeypatch):
+    """Counts MapRep constructions."""
+    calls = [0]
+    post_init = MapRep.__post_init__
+
+    def counting(self):
+        calls[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(MapRep, "__post_init__", counting)
+    return calls
+
+
+def test_random_maps_build_one_maprep(maprep_count):
+    random_k_positive_map(4, 2, 1)
+    assert maprep_count[0] == 1
+    random_cp_map(4, 2, 3, 1)
+    assert maprep_count[0] == 2
+
+
+def test_kraus_set_freezes_once(monkeypatch):
+    """The stack is copied and finite-checked once per KrausSet, whatever
+    built it."""
+    calls = [0]
+    freeze = maps_mod._freeze
+
+    def counting(a):
+        calls[0] += 1
+        return freeze(a)
+
+    rng = np.random.default_rng(50)
+    ops = [_rand_mat(rng, 3, rank=2) for _ in range(4)]
+    phi = random_cp_map(3, 2, 4, 0)
+    psi = reduction_family(3, 0.5)
+    monkeypatch.setattr(maps_mod, "_freeze", counting)
+    for build in (lambda: KrausSet(ops), lambda: KrausSet(np.stack(ops)),
+                  lambda: KrausSet([MatrixOp(a) for a in ops]),
+                  lambda: kraus_decompose(phi), lambda: compose_certified(ops[0], psi, 2)):
+        calls[0] = 0
+        build()
+        assert calls[0] == 1
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Records the shape of every np.linalg.svd argument."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return shapes
+
+
+def test_rank_reads_run_one_batched_svd(svd_calls):
+    """schmidt_number_bounds(construction=) and fuzz_composition read the
+    operator ranks from one batched SVD, not one SVD per operator."""
+    rng = np.random.default_rng(51)
+    ops = [_rand_mat(rng, 3, rank=1) for _ in range(5)]
+    c = choi(from_kraus(ops))
+    assert schmidt_number_bounds(c, construction=KrausSet(ops)) == (1, 1)
+    assert svd_calls == [(5, 3, 3)]
+    svd_calls.clear()
+    assert fuzz_composition(3, d=3, k=2, seed=4)["failed"] == 0
+    # per instance: the SVD of a in compose_certified and one batched rank read
+    assert len(svd_calls) == 6
+    assert sum(len(shape) == 3 for shape in svd_calls) == 3
 
 
 # ---------------------------------------------------------------------------
