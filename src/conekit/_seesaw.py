@@ -26,21 +26,25 @@ eigenvector as witness, never an extrapolation.
 
 All restarts advance together: on each iteration the restarts in the see-saw
 take one sweep and those in the phase one evaluation of f, each group
-through stacked `eigh`/`qr` calls and a `tensordot` of C (viewed as a
-dA x dB x dA x dB tensor) with the fixed frames followed by a two-operand
-`einsum`. The kernel keeps each restart's right frame (k orthonormal rows)
-and takes every frame from a factor it already holds, since the minimum
-over a frame depends only on the frame's span: the left frame U is the Q of
-`qr(P)` for the bottom eigenvector P (dA x k) of the left half-step, the
-next right frame the Q of `qr(B^H)` for the bottom eigenvector B (k x dB)
-of the right half-step, as the iterate is U B; a quasi-Newton step hands
-over its frame V directly. The starts and their first frames come from a
-small memo, so a repeated configuration (the rows of a threshold scan, the
-levels of two chains) runs no `svd` at all. A restart stops when a sweep
-moves its value by less than the stop threshold, or after max_iters
-iterations (sweeps and evaluations together). tests/_seesaw_oracle.py keeps
-the one-restart-at-a-time scalar see-saw loop as the reference the tests
-compare against.
+through stacked `eigh`/`qr` calls. An effective matrix is one gemm of C
+(viewed as a dA x dB x dA x dB tensor with the summed axis last; the right
+half-step's layout is formed once per search) with the stacked fixed
+frames, then a two-operand `einsum`. The groups are recomputed only when a
+restart converges, enters the phase or leaves it, and a phase evaluation
+whose steps are all accepted skips the masked selects; both save numpy
+calls, not arithmetic. The kernel keeps each restart's right frame (k
+orthonormal rows) and takes every frame from a factor it already holds,
+since the minimum over a frame depends only on the frame's span: the left
+frame U is the Q of `qr(P)` for the bottom eigenvector P (dA x k) of the
+left half-step, the next right frame the Q of `qr(B^H)` for the bottom
+eigenvector B (k x dB) of the right half-step, as the iterate is U B; a
+quasi-Newton step hands over its frame V directly. The starts and their
+first frames come from a small memo, so a repeated configuration (the rows
+of a threshold scan, the levels of two chains) runs no `svd` at all. A
+restart stops when a sweep moves its value by less than the stop threshold,
+or after max_iters iterations (sweeps and evaluations together).
+tests/_seesaw_oracle.py keeps the one-restart-at-a-time scalar see-saw loop
+as the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -71,20 +75,24 @@ def _bottom_left(c4, v, da, k):
     # Exact minimum over the first factor for right frames v (r, k, db):
     # aeff[r, a, i, c, l] = sum_{b, e} conj(v[r, i, b]) C[a, b, c, e] v[r, l, e];
     # returns its bottom eigenvalues (r,) and eigenvectors as (r, da, k).
-    r = v.shape[0]
-    cv = np.tensordot(c4, v, axes=([3], [2]))  # (a, b, c, r, l)
+    # cv[a, b, c, r, l] = sum_e C[a, b, c, e] v[r, l, e] is one gemm, the one
+    # np.tensordot(c4, v, ([3], [2])) would run, without its wrapper.
+    r, db = v.shape[0], v.shape[2]
+    cv = (c4.reshape(-1, db) @ v.transpose(2, 0, 1).reshape(db, -1)).reshape(da, db, da, r, k)
     aeff = np.einsum("rib,abcrl->raicl", v.conj(), cv).reshape(r, da * k, da * k)
     aeff = 0.5 * (aeff + aeff.conj().swapaxes(1, 2))
     w, vec = np.linalg.eigh(aeff)
     return w[:, 0], vec[:, :, 0].reshape(r, da, k)
 
 
-def _bottom_right(c4, u, db, k):
+def _bottom_right(c4t, u, db, k):
     # Exact minimum over the second factor for left frames u (r, da, k):
     # beff[r, i, b, l, e] = sum_{a, c} conj(u[r, a, i]) C[a, b, c, e] u[r, c, l];
     # returns its bottom eigenvalues (r,) and eigenvectors as (r, k, db).
-    r = u.shape[0]
-    cu = np.tensordot(c4, u, axes=([2], [1]))  # (a, b, e, r, l)
+    # c4t is C as the contiguous (a, b, e, c) array, formed once per search,
+    # so cu[a, b, e, r, l] = sum_c C[a, b, c, e] u[r, c, l] is one gemm.
+    r, da = u.shape[0], u.shape[1]
+    cu = (c4t.reshape(-1, da) @ u.transpose(1, 0, 2).reshape(da, -1)).reshape(da, db, db, r, k)
     beff = np.einsum("rai,aberl->rible", u.conj(), cu).reshape(r, k * db, k * db)
     beff = 0.5 * (beff + beff.conj().swapaxes(1, 2))
     w, vec = np.linalg.eigh(beff)
@@ -125,6 +133,7 @@ def _seesaw_kernel(C, da, db, k, starts, frames, max_iters, eps_conv):
     # start's row space (padded to k rows where its rank is below k).
     # Returns (best value, best coefficient matrix, total iterations).
     c4 = C.reshape(da, db, da, db)
+    c4t = np.ascontiguousarray(c4.transpose(0, 1, 3, 2))  # _bottom_right's gemm operand
     n_restarts = starts.shape[0]
     m = starts.copy()
     vr = frames.copy()  # each restart's right frame: rows span the row space of m
@@ -149,34 +158,43 @@ def _seesaw_kernel(C, da, db, k, starts, frames, max_iters, eps_conv):
     t = np.zeros(n_restarts)
     eye = np.eye(nx)
     iters = 0
+    # the restarts in the see-saw (sw) and in the phase (qn), and the index
+    # of each group (a slice when it holds every restart, so that its
+    # gathers are views); regrouped only after a restart converges, enters
+    # the phase or leaves it
+    sw, qn = np.arange(n_restarts), np.arange(0)
+    isw, iqn = slice(None), qn
+    regroup = False
     for _ in range(max_iters):
-        sw = np.flatnonzero(live & ~phase)
-        qn = np.flatnonzero(phase)
         iters += sw.size + qn.size
         if sw.size:
-            r = sw.size
-            i = sw if r < n_restarts else slice(None)
             # With the right frames V fixed, the bottom P gives m = P V, whose
             # column space is that of P: its Q is the left frame U. With U
             # fixed, the bottom B gives m = U B, whose row space is that of B.
-            p = _bottom_left(c4, vr[i], da, k)[1]
+            p = _bottom_left(c4, vr[isw], da, k)[1]
             u = np.linalg.qr(p)[0]
-            q_new, b = _bottom_right(c4, u, db, k)
-            m[i] = u @ b
-            dec = q[i] - q_new
+            q_new, b = _bottom_right(c4t, u, db, k)
+            m[isw] = u @ b
+            dec = q[isw] - q_new
             converged = np.abs(dec) < eps_conv
-            q[i] = q_new
-            run[i] += 1
-            slow = ~converged & (run[i] >= _QN_AFTER)
+            q[isw] = q_new
+            run[isw] += 1
+            slow = ~converged & (run[isw] >= _QN_AFTER)
+            d1 = dec1[isw]
             if slow.any():
-                slow &= (dec > _QN_SLOW * dec1[i]) & (dec1[i] > _QN_SLOW * dec2[i])
-            dec2[i] = dec1[i]
-            dec1[i] = dec
-            live[sw[converged]] = False
-            if not converged.all():
-                # only restarts that sweep on (or enter the phase) need a frame
-                vr[sw[~converged]] = _row_frame(b[~converged])
+                slow &= (dec > _QN_SLOW * d1) & (d1 > _QN_SLOW * dec2[isw])
+            dec2[isw] = d1
+            dec1[isw] = dec
+            if not converged.any():
+                vr[isw] = _row_frame(b)
+            else:
+                regroup = True
+                live[sw[converged]] = False
+                if not converged.all():
+                    # only restarts that sweep on (or enter the phase) need a frame
+                    vr[sw[~converged]] = _row_frame(b[~converged])
             if slow.any():
+                regroup = True
                 enter = sw[slow]
                 frame[enter] = _row_frame(vr[enter], "complete")
                 x[enter] = 0.0
@@ -186,19 +204,20 @@ def _seesaw_kernel(C, da, db, k, starts, frames, max_iters, eps_conv):
                 stage[enter] = 2
         if qn.size:
             r = qn.size
-            i = qn if r < n_restarts else slice(None)
-            tq, st, x0 = t[i], stage[i], x[i]
-            s = tq[:, None] * step[i]
+            # each state array gathered once (views when iqn is a slice)
+            tq, st, x0, q_old = t[iqn], stage[iqn], x[iqn], q[iqn]
+            g_old, sp_old = grad[iqn], step[iqn]
+            s = tq[:, None] * sp_old
             trial = x0 + s
-            f, m_new, v_new, g = _reduced(C, c4, frame[i], trial, da, k)
-            gain = q[i] - f
+            f, m_new, v_new, g = _reduced(C, c4, frame[iqn], trial, da, k)
+            gain = q_old - f
             origin = st == 2
             # Armijo's sufficient decrease; a chart's origin is always taken
-            ok = origin | (gain >= -_ARMIJO * tq * slope[i])
-            y = g - grad[i]
+            ok = origin | (gain >= -_ARMIJO * tq * slope[iqn])
+            y = g - g_old
             sy = (s * y).sum(1)
             upd = ok & (sy > 0.0)  # s = 0 at an origin: no update there
-            h = hinv[i]
+            h = hinv[iqn]
             if upd.any():
                 # BFGS update of the inverse Hessian; the first one in a chart
                 # starts from (s.y / y.y) 1 (Nocedal & Wright, eq. 6.20)
@@ -216,41 +235,58 @@ def _seesaw_kernel(C, da, db, k, starts, frames, max_iters, eps_conv):
             if origin.any():
                 # a chart's first step predicts the last sweep's decrease
                 gg = (g * g).sum(1)
-                h0 = np.divide(dec1[i], gg, out=np.zeros(r), where=origin & (gg > 0.0))
+                h0 = np.divide(dec1[iqn], gg, out=np.zeros(r), where=origin & (gg > 0.0))
                 h = np.where(origin[:, None, None], h0[:, None, None] * eye, h)
                 st = np.where(origin, 1, st)
-            okc = ok[:, None]
-            x0 = np.where(okc, trial, x0)
-            g0 = np.where(okc, g, grad[i])
-            sp = np.where(okc, -(h @ g0[:, :, None])[:, :, 0], step[i])
-            sl = (g0 * sp).sum(1)
-            tq = np.where(ok, 1.0, 0.5 * tq)
-            q[i] = np.where(ok, f, q[i])
-            ok3 = ok[:, None, None]
-            m[i] = np.where(ok3, m_new, m[i])
-            vr[i] = np.where(ok3, v_new, vr[i])
+            # the phase ends at an accepted step that gained less than the
+            # stop threshold, or once a rejected step's predicted gain falls
+            # below it; see-saw sweeps resume there
+            if ok.all():
+                x0, g0 = trial, g
+                sp = -(h @ g[:, :, None])[:, :, 0]
+                sl = (g * sp).sum(1)
+                tq = np.ones(r)
+                q[iqn], m[iqn], vr[iqn] = f, m_new, v_new
+                far = (x0 * x0).sum(1) > _CHART_R2
+                stay = (origin | (gain >= eps_conv)) & (sl < 0.0)
+            else:
+                okc = ok[:, None]
+                x0 = np.where(okc, trial, x0)
+                g0 = np.where(okc, g, g_old)
+                sp = np.where(okc, -(h @ g0[:, :, None])[:, :, 0], sp_old)
+                sl = (g0 * sp).sum(1)
+                tq = np.where(ok, 1.0, 0.5 * tq)
+                q[iqn] = np.where(ok, f, q_old)
+                ok3 = ok[:, None, None]
+                m[iqn] = np.where(ok3, m_new, m[iqn])
+                vr[iqn] = np.where(ok3, v_new, vr[iqn])
+                far = ok & ((x0 * x0).sum(1) > _CHART_R2)
+                stay = np.where(ok, (origin | (gain >= eps_conv)) & (sl < 0.0),
+                                -tq * sl >= eps_conv)
             # far from its frame the chart distorts: start a new one at the point
-            far = ok & ((x0 * x0).sum(1) > _CHART_R2)
             if far.any():
                 frame[qn[far]] = _row_frame(v_new[far], "complete")
                 x0[far] = 0.0
                 sp[far] = 0.0
                 sl[far] = 0.0
                 st = np.where(far, 2, st)
-            x[i], grad[i], step[i], slope[i], hinv[i], t[i], stage[i] = x0, g0, sp, sl, h, tq, st
-            # the phase ends at an accepted step that gained less than the
-            # stop threshold, or once a rejected step's predicted gain falls
-            # below it; see-saw sweeps resume there
-            stay = far | np.where(ok, (origin | (gain >= eps_conv)) & (sl < 0.0),
-                                  -tq * sl >= eps_conv)
+                stay |= far
+            x[iqn], grad[iqn], step[iqn], slope[iqn], hinv[iqn], t[iqn], stage[iqn] = (
+                x0, g0, sp, sl, h, tq, st)
             if not stay.all():
+                regroup = True
                 out = qn[~stay]
                 phase[out] = False
                 run[out] = 0
                 dec1[out] = np.inf
                 dec2[out] = np.inf
-        if not live.any():
-            break
+        if regroup:
+            if not live.any():
+                break
+            regroup = False
+            sw, qn = np.flatnonzero(live & ~phase), np.flatnonzero(phase)
+            isw = sw if sw.size < n_restarts else slice(None)
+            iqn = qn if qn.size < n_restarts else slice(None)
     # Strictly smaller wins, so the first restart wins a tie; NaN never wins.
     best = int(np.argmin(np.where(q < np.inf, q, np.inf)))
     if not q[best] < np.inf:

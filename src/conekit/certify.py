@@ -257,10 +257,15 @@ def _bound_flag(bounds: tuple[int, int] | None, psd_cert: Certificate, k: int) -
 
 def classify(phi: MapRep, opts: SeesawOpts = DEFAULT_OPTS,
              km_pairs: list[tuple[int, int]] | None = None,
-             include_dec: bool = True) -> ConeReport:
+             include_dec: bool = True,
+             construction: KrausSet | None = None) -> ConeReport:
     """Certificates for every level of the positivity / copositivity chains,
     Schmidt-number evidence for the Choi matrix when it is PSD, and combined
     flags for the two-index cones.
+
+    construction, when given, is a Kraus set of phi: its largest operator
+    rank bounds the Schmidt number of phi's Choi matrix from above (the
+    co-chain's matrix, the partial transpose, has no Kraus form of its own).
 
     A violation witness found at level k is inherited upward (it is a valid
     witness at every k' > k), so reports never claim membership above a
@@ -269,10 +274,13 @@ def classify(phi: MapRep, opts: SeesawOpts = DEFAULT_OPTS,
     not turn on last-bit differences at any scale of C.
     """
     d = phi.d
+    if construction is not None and construction.d != d:
+        raise DimMismatch(f"Kraus operators act on M_{construction.d}, the map on M_{d}")
     if km_pairs is None:
         km_pairs = [(k, m) for k in range(1, d + 1) for m in range(1, d + 1)]
 
-    def chain(target_choi: MatrixOp) -> tuple[dict, tuple[int, int] | None]:
+    def chain(target_choi: MatrixOp, kraus: KrausSet | None = None
+              ) -> tuple[dict, tuple[int, int] | None]:
         certs: dict[int, Certificate] = {}
         best_viol: Certificate | None = None
         eig = hermitian_eig(target_choi)
@@ -293,12 +301,12 @@ def classify(phi: MapRep, opts: SeesawOpts = DEFAULT_OPTS,
             certs[k] = cert
         # Schmidt bounds stand on this chain's own proof that the matrix is PSD
         psd = certs[d].verdict is Verdict.MEMBERSHIP
-        return certs, _schmidt_bounds(target_choi, eig) if psd else None
+        return certs, _schmidt_bounds(target_choi, eig, construction=kraus) if psd else None
 
     # choi(co(phi)) = PT_B(choi(phi)): the co-chain reads the same Choi matrix
     c = choi(phi)
     co_c = partial_transpose(c)
-    p, bounds = chain(c)
+    p, bounds = chain(c, construction)
     co_p, co_bounds = chain(co_c)
     cp = p[d].verdict is Verdict.MEMBERSHIP
 

@@ -145,10 +145,11 @@ def _cmd_classify(args) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     op = load_operator(payload)
-    if isinstance(op, KrausSet):
-        op = op.to_map()
+    construction = None
+    if isinstance(op, KrausSet):  # kept: its operator ranks bound the Schmidt number
+        construction, op = op, op.to_map()
     phi = op if isinstance(op, MapRep) else map_from_choi(op)  # a Choi matrix
-    report = classify(phi, opts=opts, include_dec=not args.no_dec)
+    report = classify(phi, opts=opts, include_dec=not args.no_dec, construction=construction)
     _emit(dumps(report_to_json(report)), args.out)
     return 0
 

@@ -41,7 +41,7 @@ from conekit import (
     swap_matrix,
     transpose_map,
 )
-from conekit.errors import BadK, BadParam, ConekitError, NotHermitian, NotPSD
+from conekit.errors import BadK, BadParam, ConekitError, DimMismatch, NotHermitian, NotPSD
 
 from _decompose_oracle import decomposable_certify as decomposable_oracle
 
@@ -402,6 +402,25 @@ def test_classify_bounds_follow_the_chain_verdict():
     assert rep.schmidt_number == (1, 3)
     with pytest.raises(NotPSD):
         schmidt_number_bounds(c)
+
+
+def test_classify_construction_bounds_the_p_chain_only():
+    """A Kraus construction tightens the Schmidt upper bound of phi's Choi
+    matrix only (its partial transpose has no Kraus form), and one on
+    another M_d is rejected."""
+    ks = KrausSet([np.outer(a, b) for a, b in np.random.default_rng(4).normal(size=(3, 2, 3))])
+    phi = ks.to_map()
+    plain = classify(phi, SeesawOpts(restarts=1), include_dec=False)
+    rep = classify(phi, SeesawOpts(restarts=1), include_dec=False, construction=ks)
+    assert plain.schmidt_number == (1, 3) and rep.schmidt_number == (1, 1)
+    assert [(c.verdict, c.value) for c in rep.co_p.values()] == [
+        (c.verdict, c.value) for c in plain.co_p.values()]
+    # proven at co-level 3 only: the co-chain's bounds stay (1, 3)
+    assert rep.km_superpositive[(1, 3)] == "proven"
+    assert rep.km_superpositive[(1, 2)] == "inconclusive"
+    assert plain.km_superpositive[(1, 3)] == "inconclusive"
+    with pytest.raises(DimMismatch):
+        classify(phi, SeesawOpts(restarts=1), construction=KrausSet([np.eye(2)]))
 
 
 def test_classify_decomposes_a_psd_choi_once(monkeypatch):

@@ -53,6 +53,25 @@ def test_classify_kraus_payload(tmp_path, capsys):
     assert rep["cp"] is True
 
 
+@pytest.mark.parametrize("rank,n_ops,upper", [(1, 4, 1), (2, 2, 2)])
+def test_classify_kraus_payload_bounds_schmidt_number(tmp_path, capsys, rank, n_ops, upper):
+    """The Kraus operators of a payload reach classify: their largest rank
+    bounds the Schmidt number of the Choi matrix, whose own rank (4 for four
+    rank-1 operators at d = 3) would only give min(dims) = 3."""
+    rng = np.random.default_rng(rank)
+    ops = [(rng.normal(size=(3, rank)) + 1j * rng.normal(size=(3, rank)))
+           @ (rng.normal(size=(rank, 3)) + 1j * rng.normal(size=(rank, 3))) for _ in range(n_ops)]
+    path = _write(tmp_path / "kraus.json",
+                  {"kraus": [matrix_to_json(MatrixOp(a)) for a in ops], "rank_bound": None})
+    assert cli.main(["classify", path, "--no-dec", "--restarts", "2"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["schmidt_number"]["upper"] == upper
+    assert rep["schmidt_number"]["lower"] <= upper
+    if upper == 1:  # a separable Choi matrix: the map is superpositive
+        assert rep["schmidt_number"]["lower"] == 1
+        assert rep["km_superpositive"]["1,3"] == "proven"
+
+
 def test_classify_out_file_and_determinism(tmap_file, tmp_path):
     out1 = tmp_path / "rep1.json"
     out2 = tmp_path / "rep2.json"

@@ -204,6 +204,69 @@ def test_batched_kernel_matches_loop_oracle_at_iteration_cap(phase_evaluations):
     assert mixed
 
 
+@pytest.mark.parametrize("dims,k,kpos", [((3, 3), 1, False), ((3, 3), 2, False), ((4, 4), 2, False),
+                                         ((3, 4), 2, False), ((4, 4), 2, True)])
+def test_batched_restarts_equal_single_restarts(phase_evaluations, dims, k, kpos):
+    """Restarts advance together but independently: uncapped, the best of
+    restarts=6 at seed s is the best of six restarts=1 calls at seeds
+    s..s+5 (to the rounding of the batched gemm) and the iteration total is
+    their sum, also where the restarts pass through the quasi-Newton phase
+    together, some accepting a step while others backtrack."""
+    if kpos:
+        forms = [choi(random_k_positive_map(4, 2, 1)).mat]
+    else:
+        rng = np.random.default_rng(10 * dims[0] + dims[1] + 100 * k)
+        forms = [_rand_herm(rng, dims[0] * dims[1]) for _ in range(4)]
+    batched_phase = 0
+    for seed, c in enumerate(forms):
+        singles = [seesaw_minimize(c, dims, k, restarts=1, seed=seed + r) for r in range(6)]
+        phase_evaluations[0] = 0
+        q, m, iters = seesaw_minimize(c, dims, k, restarts=6, seed=seed)
+        batched_phase += phase_evaluations[0]
+        assert abs(q - min(out[0] for out in singles)) <= 1e-12 * np.abs(c).max()
+        assert iters == sum(out[2] for out in singles)
+        _assert_witness(c, dims, k, q, m)
+    assert batched_phase > 0
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Counts calls of np.tensordot and np.linalg.eigh."""
+    calls = {"tensordot": 0, "eigh": 0}
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def run(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, run)
+
+    counting(np, "tensordot")
+    counting(np.linalg, "eigh")
+    return calls
+
+
+def test_kernel_eigh_count_per_iteration(linalg_calls, phase_evaluations):
+    """At one restart an iteration costs two eigh calls and no tensordot:
+    a sweep's two half-steps, or a quasi-Newton evaluation's chart
+    normalization and effective matrix. Holds on seeded random forms and on
+    k-positive maps whose searches enter the phase."""
+    rng = np.random.default_rng(12)
+    inputs = [(choi(phi).mat, (3, 3), k) for phi in _kpos_family()[:6] for k in (1, 2)]
+    inputs += [(_rand_herm(rng, 12), (3, 4), k) for k in (1, 2, 3)]
+    inputs += [(_rand_herm(rng, 16), (4, 4), k) for k in (1, 2, 3)]
+    inputs += [(choi(random_k_positive_map(4, 2, 1)).mat, (4, 4), 2),
+               (np.zeros((9, 9)), (3, 3), 2)]
+    for c, dims, k in inputs:
+        linalg_calls["eigh"] = 0
+        _, _, iters = seesaw_minimize(c, dims, k, restarts=1, seed=3)
+        assert linalg_calls["eigh"] == 2 * iters
+    assert linalg_calls["tensordot"] == 0
+    assert phase_evaluations[0] > 0
+
+
 def _kpos_family(seed=1):
     """The benchmark's k-positive classify maps: reduction(3, 1/2), whose
     level-2 minimum is 0, mixed with a normalized two-Kraus CP map at weight
