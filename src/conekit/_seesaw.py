@@ -30,9 +30,12 @@ through stacked `eigh`/`qr` calls. An effective matrix is one gemm of C
 (viewed as a dA x dB x dA x dB tensor with the summed axis last; the right
 half-step's layout is formed once per search) with the stacked fixed
 frames, then a two-operand `einsum`. The groups are recomputed only when a
-restart converges, enters the phase or leaves it, and a phase evaluation
-whose steps are all accepted skips the masked selects; both save numpy
-calls, not arithmetic. The kernel keeps each restart's right frame (k
+restart converges, enters the phase or leaves it, which saves numpy calls,
+not arithmetic. A phase evaluation has one step update: it builds the
+accepted step's state for its whole group, then patches the rows whose step
+was rejected. Charts open in one place, after the phase's evaluation, for
+the restarts that entered the phase and those whose chart went far, in one
+stacked `qr`. The kernel keeps each restart's right frame (k
 orthonormal rows) and takes every frame from a factor it already holds,
 since the minimum over a frame depends only on the frame's span: the left
 frame U is the Q of `qr(P)` for the bottom eigenvector P (dA x k) of the
@@ -167,6 +170,7 @@ def _seesaw_kernel(C, da, db, k, starts, frames, max_iters, eps_conv):
     regroup = False
     for _ in range(max_iters):
         iters += sw.size + qn.size
+        opening = []  # the restarts whose chart opens on this iteration
         if sw.size:
             # With the right frames V fixed, the bottom P gives m = P V, whose
             # column space is that of P: its Q is the left frame U. With U
@@ -196,24 +200,20 @@ def _seesaw_kernel(C, da, db, k, starts, frames, max_iters, eps_conv):
             if slow.any():
                 regroup = True
                 enter = sw[slow]
-                frame[enter] = _row_frame(vr[enter], "complete")
-                x[enter] = 0.0
-                step[enter] = 0.0
-                slope[enter] = 0.0
                 phase[enter] = True
-                stage[enter] = 2
+                opening.append(enter)
         if qn.size:
             r = qn.size
             # each state array gathered once (views when iqn is a slice)
             tq, st, x0, q_old = t[iqn], stage[iqn], x[iqn], q[iqn]
-            g_old, sp_old = grad[iqn], step[iqn]
+            g_old, sp_old, sl_old = grad[iqn], step[iqn], slope[iqn]
             s = tq[:, None] * sp_old
             trial = x0 + s
             f, m_new, v_new, g = _reduced(C, c4, frame[iqn], trial, da, k)
             gain = q_old - f
             origin = st == 2
             # Armijo's sufficient decrease; a chart's origin is always taken
-            ok = origin | (gain >= -_ARMIJO * tq * slope[iqn])
+            ok = origin | (gain >= -_ARMIJO * tq * sl_old)
             y = g - g_old
             sy = (s * y).sum(1)
             upd = ok & (sy > 0.0)  # s = 0 at an origin: no update there
@@ -238,41 +238,33 @@ def _seesaw_kernel(C, da, db, k, starts, frames, max_iters, eps_conv):
                 h0 = np.divide(dec1[iqn], gg, out=np.zeros(r), where=origin & (gg > 0.0))
                 h = np.where(origin[:, None, None], h0[:, None, None] * eye, h)
                 st = np.where(origin, 1, st)
-            # the phase ends at an accepted step that gained less than the
-            # stop threshold, or once a rejected step's predicted gain falls
-            # below it; see-saw sweeps resume there
-            if ok.all():
-                x0, g0 = trial, g
-                sp = -(h @ g[:, :, None])[:, :, 0]
-                sl = (g * sp).sum(1)
-                tq = np.ones(r)
-                q[iqn], m[iqn], vr[iqn] = f, m_new, v_new
-                far = (x0 * x0).sum(1) > _CHART_R2
-                stay = (origin | (gain >= eps_conv)) & (sl < 0.0)
-            else:
-                okc = ok[:, None]
-                x0 = np.where(okc, trial, x0)
-                g0 = np.where(okc, g, g_old)
-                sp = np.where(okc, -(h @ g0[:, :, None])[:, :, 0], sp_old)
-                sl = (g0 * sp).sum(1)
-                tq = np.where(ok, 1.0, 0.5 * tq)
-                q[iqn] = np.where(ok, f, q_old)
-                ok3 = ok[:, None, None]
-                m[iqn] = np.where(ok3, m_new, m[iqn])
-                vr[iqn] = np.where(ok3, v_new, vr[iqn])
-                far = ok & ((x0 * x0).sum(1) > _CHART_R2)
-                stay = np.where(ok, (origin | (gain >= eps_conv)) & (sl < 0.0),
-                                -tq * sl >= eps_conv)
-            # far from its frame the chart distorts: start a new one at the point
-            if far.any():
-                frame[qn[far]] = _row_frame(v_new[far], "complete")
-                x0[far] = 0.0
-                sp[far] = 0.0
-                sl[far] = 0.0
-                st = np.where(far, 2, st)
-                stay |= far
+            # the accepted step's state for the whole group: the trial point
+            # and its gradient, the new direction at t = 1, the value, witness
+            # and frame found there; the phase ends at an accepted step that
+            # gained less than the stop threshold
+            sp = -(h @ g[:, :, None])[:, :, 0]
+            sl = (g * sp).sum(1)
+            tn = np.ones(r)
+            far = (trial * trial).sum(1) > _CHART_R2
+            stay = (origin | (gain >= eps_conv)) & (sl < 0.0)
+            if not ok.all():
+                # a rejected step keeps its point, gradient, direction, value,
+                # witness and frame and is halved; the phase ends once its
+                # predicted gain falls below the stop threshold
+                rej = ~ok
+                back = qn[rej]
+                trial[rej], g[rej] = x0[rej], g_old[rej]
+                sp[rej], sl[rej], tn[rej] = sp_old[rej], sl_old[rej], 0.5 * tq[rej]
+                f[rej], m_new[rej], v_new[rej] = q_old[rej], m[back], vr[back]
+                far[rej] = False
+                stay[rej] = -tn[rej] * sl[rej] >= eps_conv
+            q[iqn], m[iqn], vr[iqn] = f, m_new, v_new
             x[iqn], grad[iqn], step[iqn], slope[iqn], hinv[iqn], t[iqn], stage[iqn] = (
-                x0, g0, sp, sl, h, tq, st)
+                trial, g, sp, sl, h, tn, st)
+            if far.any():
+                # far from its frame the chart distorts: a new one opens at the point
+                opening.append(qn[far])
+                stay |= far
             if not stay.all():
                 regroup = True
                 out = qn[~stay]
@@ -280,6 +272,12 @@ def _seesaw_kernel(C, da, db, k, starts, frames, max_iters, eps_conv):
                 run[out] = 0
                 dec1[out] = np.inf
                 dec2[out] = np.inf
+        if opening:
+            # a new chart's frame extends the point's frame to a unitary, and
+            # its origin is evaluated next
+            new = np.concatenate(opening)
+            frame[new] = _row_frame(vr[new], "complete")
+            x[new], step[new], slope[new], stage[new] = 0.0, 0.0, 0.0, 2
         if regroup:
             if not live.any():
                 break

@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from ._seesaw import seesaw_minimize
-from .errors import BadK, ConekitError, DimMismatch, MissingDims, NotPSD
+from .errors import BadK, BadParam, ConekitError, DimMismatch, NotPSD
 from .linalg import (
     PSD_TOL,
     RANK_TOL,
@@ -31,7 +31,6 @@ from .linalg import (
     schmidt_decompose,
 )
 from .maps import (
-    Detector,
     KrausSet,
     MapRep,
     apply_on_right_factor,
@@ -55,6 +54,10 @@ class SeesawOpts:
     seed: int = 42
 
     def __post_init__(self) -> None:
+        # a search that never runs has no value to report, whatever the input
+        for name in ("restarts", "max_iters"):
+            if getattr(self, name) < 1:
+                raise BadParam(f"need {name} >= 1, got {getattr(self, name)}")
         for name in ("eps_conv", "eps_neg"):
             _check_eps(name, getattr(self, name))
 
@@ -84,15 +87,6 @@ class ConeReport:
     decomposable: Certificate | None
 
 
-def _bipartite_dims(c: MatrixOp) -> tuple[int, int]:
-    if c.dims is not None:
-        return c.dims
-    d = int(round(np.sqrt(c.dim)))
-    if d * d != c.dim:
-        raise MissingDims("matrix size is not a perfect square and no dims declared")
-    return (d, d)
-
-
 def _witness_quadratic_form(c: np.ndarray, w: BipartiteVector) -> float:
     val = complex(w.amp.conj() @ (c @ w.amp))
     return float(val.real)
@@ -110,7 +104,7 @@ def _eigen_cert(c: MatrixOp, eig: tuple[np.ndarray, np.ndarray], tol: float,
     lam_min = float(w[0])
     if lam_min >= -tol:
         return Certificate(Verdict.MEMBERSHIP, lam_min, detail=prefix + "choi-psd")
-    da, db = _bipartite_dims(c)
+    da, db = c.require_dims()
     wit = BipartiteVector(da, db, v[:, 0])
     val = _witness_quadratic_form(c.mat, wit)
     if val < -tol:
@@ -132,9 +126,9 @@ def k_block_positive_certify(c: MatrixOp, k: int, opts: SeesawOpts = DEFAULT_OPT
 
     eig is C's eigendecomposition as `hermitian_eig` returns it, for a
     caller that certifies several levels of one C (as `classify` does);
-    without it C is decomposed here.
+    without it C is decomposed here. C must carry its bipartite dims.
     """
-    da, db = _bipartite_dims(c)
+    da, db = c.require_dims()
     kmax = min(da, db)
     if not 1 <= k <= kmax:
         raise BadK(f"k={k} outside 1..{kmax}")
@@ -186,36 +180,30 @@ def dual_pairing(phi: MapRep, psi: MapRep) -> float:
     return hs_inner(choi(phi).mat, choi(psi).mat)
 
 
-def schmidt_number_bounds(c: MatrixOp, detectors: list[Detector] | None = None,
-                          construction: KrausSet | None = None) -> tuple[int, int]:
-    """(lower, upper) bounds on the Schmidt number of a PSD bipartite matrix.
+def schmidt_number_bounds(c: MatrixOp, *, construction: KrausSet | None = None,
+                          eig: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[int, int]:
+    """(lower, upper) bounds on the Schmidt number of a PSD bipartite matrix
+    C with declared dims.
 
-    Lower bound: 1 + the largest k among detectors that fire (a k-positive
-    map sends Schmidt-number <= k states to PSD, so a negative eigenvalue of
-    (1 (x) psi)(C) proves Schmidt number >= k+1). Upper bound: the largest
-    operator rank when a Kraus construction is supplied, the Schmidt rank of
-    the range vector when C has rank one, else min(dims). C counts as PSD,
-    and a detector as fired, against the margin PSD_TOL * max|M| of the
-    matrix M tested, so the bounds are the same at every scale of C.
+    Lower bound: 1 + the largest k among the reduction detectors that fire
+    (a k-positive map sends Schmidt-number <= k states to PSD, so a negative
+    eigenvalue of (1 (x) psi)(C) proves Schmidt number >= k+1). Upper bound:
+    the largest operator rank when a Kraus construction is supplied, the
+    Schmidt rank of the range vector when C has rank one, else min(dims). C
+    counts as PSD, and a detector as fired, against the margin
+    PSD_TOL * max|M| of the matrix M tested, so the bounds are the same at
+    every scale of C. A caller that has already proven C PSD (as `classify`'s
+    chains do) passes C's `hermitian_eig` as eig, and C is not judged again.
     """
-    eig = hermitian_eig(c)
-    if float(eig[0][0]) < -_margin(c.mat, PSD_TOL):
-        raise NotPSD(f"matrix has eigenvalue {eig[0][0]:.3e}; Schmidt number undefined")
-    return _schmidt_bounds(c, eig, detectors, construction)
-
-
-def _schmidt_bounds(c: MatrixOp, eig: tuple[np.ndarray, np.ndarray],
-                    detectors: list[Detector] | None = None,
-                    construction: KrausSet | None = None) -> tuple[int, int]:
-    """schmidt_number_bounds of a C already known PSD, from its eig."""
-    da, db = _bipartite_dims(c)
+    da, db = c.require_dims()
+    if eig is None:
+        eig = hermitian_eig(c)
+        if float(eig[0][0]) < -_margin(c.mat, PSD_TOL):
+            raise NotPSD(f"matrix has eigenvalue {eig[0][0]:.3e}; Schmidt number undefined")
     w, v = eig
-    if detectors is None:
-        detectors = reduction_detectors(db)
-    cm = MatrixOp(c.mat, dims=(da, db))
     lower = 1
-    for det in detectors:
-        moved = apply_on_right_factor(det.map, cm)
+    for det in reduction_detectors(db):
+        moved = apply_on_right_factor(det.map, c)
         w_det, _ = hermitian_eig(moved)
         if float(w_det[0]) < -_margin(moved.mat, PSD_TOL):
             lower = max(lower, det.k_level + 1)
@@ -232,27 +220,28 @@ def _schmidt_bounds(c: MatrixOp, eig: tuple[np.ndarray, np.ndarray],
     return lower, upper
 
 
-def _flag(*certs) -> str:
-    if any(cc.verdict is Verdict.VIOLATION for cc in certs):
+_FLAGS = {Verdict.VIOLATION: "violated", Verdict.MEMBERSHIP: "proven",
+          Verdict.INCONCLUSIVE: "inconclusive"}
+
+
+def _flag(a: str, b: str) -> str:
+    """The two-index cone's flag from the flags of its two conditions."""
+    if "violated" in (a, b):
         return "violated"
-    if all(cc.verdict is Verdict.MEMBERSHIP for cc in certs):
+    if a == b == "proven":
         return "proven"
     return "inconclusive"
 
 
-def _bound_flag(bounds: tuple[int, int] | None, psd_cert: Certificate, k: int) -> Certificate:
-    """Schmidt-number evidence for membership in S_k, shaped as a certificate
-    so it can feed _flag."""
-    if psd_cert.verdict is Verdict.VIOLATION:
-        return Certificate(Verdict.VIOLATION, psd_cert.value, detail="not-cp")
+def _bound_flag(bounds: tuple[int, int] | None, psd_cert: Certificate, k: int) -> str:
+    """Schmidt-number evidence for membership in S_k. Without bounds (C not
+    proven PSD) it is the flag of the PSD decision itself."""
     if bounds is None:
-        return Certificate(Verdict.INCONCLUSIVE, 0.0, detail="no-bounds")
+        return _FLAGS[psd_cert.verdict]
     lower, upper = bounds
     if lower > k:
-        return Certificate(Verdict.VIOLATION, float(k - lower), detail="detector-fired")
-    if upper <= k:
-        return Certificate(Verdict.MEMBERSHIP, 0.0, detail="rank-bound")
-    return Certificate(Verdict.INCONCLUSIVE, 0.0, detail="bounds-straddle")
+        return "violated"
+    return "proven" if upper <= k else "inconclusive"
 
 
 def classify(phi: MapRep, opts: SeesawOpts = DEFAULT_OPTS,
@@ -301,7 +290,8 @@ def classify(phi: MapRep, opts: SeesawOpts = DEFAULT_OPTS,
             certs[k] = cert
         # Schmidt bounds stand on this chain's own proof that the matrix is PSD
         psd = certs[d].verdict is Verdict.MEMBERSHIP
-        return certs, _schmidt_bounds(target_choi, eig, construction=kraus) if psd else None
+        return certs, (schmidt_number_bounds(target_choi, construction=kraus, eig=eig)
+                       if psd else None)
 
     # choi(co(phi)) = PT_B(choi(phi)): the co-chain reads the same Choi matrix
     c = choi(phi)
@@ -313,7 +303,7 @@ def classify(phi: MapRep, opts: SeesawOpts = DEFAULT_OPTS,
     km_positive = {}
     km_superpositive = {}
     for k, m in km_pairs:
-        km_positive[(k, m)] = _flag(p[k], co_p[m])
+        km_positive[(k, m)] = _flag(_FLAGS[p[k].verdict], _FLAGS[co_p[m].verdict])
         km_superpositive[(k, m)] = _flag(_bound_flag(bounds, p[d], k),
                                          _bound_flag(co_bounds, co_p[d], m))
 

@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -126,6 +127,9 @@ def _parse_grid(spec: str) -> np.ndarray:
     if len(parts) != 3:
         raise ValueError(f"grid must be lo:hi:steps, got {spec!r}")
     lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
+    # a NaN or inf bound, or a span that overflows, yields no finite grid point
+    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(hi - lo)):
+        raise ValueError(f"grid bounds must be finite with a finite span, got {spec!r}")
     if steps < 1:
         raise ValueError("grid needs at least one step")
     return np.linspace(lo, hi, steps)

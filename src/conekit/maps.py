@@ -63,12 +63,6 @@ class MapRep:
             raise NotHermiticityPreserving(f"Choi matrix: {exc}") from None
         object.__setattr__(self, "super_mat", s)
 
-    @classmethod
-    def of_matrix(cls, s: np.ndarray) -> "MapRep":
-        s = np.asarray(s)
-        d = int(round(np.sqrt(s.shape[0])))
-        return cls(d, s)
-
 
 @dataclass(frozen=True, eq=False)
 class KrausSet:

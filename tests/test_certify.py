@@ -18,6 +18,7 @@ from conekit import (
     co,
     compose,
     decomposable_certify,
+    depolarizing,
     dual_pairing,
     from_kraus,
     hermitian_eig,
@@ -41,7 +42,15 @@ from conekit import (
     swap_matrix,
     transpose_map,
 )
-from conekit.errors import BadK, BadParam, ConekitError, DimMismatch, NotHermitian, NotPSD
+from conekit.errors import (
+    BadK,
+    BadParam,
+    ConekitError,
+    DimMismatch,
+    MissingDims,
+    NotHermitian,
+    NotPSD,
+)
 
 from _decompose_oracle import decomposable_certify as decomposable_oracle
 
@@ -294,6 +303,15 @@ def test_bounds_separable_state():
     assert bounds[0] == 1
 
 
+def test_certifiers_need_bipartite_dims():
+    """A matrix without declared dims is refused, even when its size is a
+    perfect square: the split of C^n into C^dA (x) C^dB is not guessed."""
+    with pytest.raises(MissingDims):
+        k_block_positive_certify(MatrixOp(np.diag([1.0, -1.0, -1.0, 1.0])), 1)
+    with pytest.raises(MissingDims):
+        schmidt_number_bounds(MatrixOp(np.eye(4)))
+
+
 # ---------------------------------------------------------------------------
 # Classification
 
@@ -441,6 +459,61 @@ def test_classify_decomposes_a_psd_choi_once(monkeypatch):
     assert sum(np.array_equal(getattr(x, "mat", x), c) for x in eigs) == 1
     co_c = partial_transpose(choi(identity_map(3))).mat
     assert sum(np.array_equal(getattr(x, "mat", x), co_c) for x in eigs) == 1
+
+
+def test_classify_bounds_come_from_the_public_function(monkeypatch):
+    """Each chain that proves its matrix PSD calls schmidt_number_bounds once,
+    handing over its eigendecomposition, so C is not decomposed again."""
+    import conekit.certify as certify_mod
+    bounds_calls, eigs = [], []
+    snb = certify_mod.schmidt_number_bounds
+
+    def counting_bounds(c, **kwargs):
+        bounds_calls.append(kwargs.get("eig") is not None)
+        return snb(c, **kwargs)
+
+    def counting_eig(x, *args):
+        eigs.append(x)
+        return hermitian_eig(x, *args)
+
+    monkeypatch.setattr(certify_mod, "schmidt_number_bounds", counting_bounds)
+    monkeypatch.setattr(certify_mod, "hermitian_eig", counting_eig)
+    # the identity map: C is PSD, PT(C) (the swap) is not
+    rep = classify(identity_map(3), opts=SeesawOpts(restarts=1), include_dec=False)
+    assert rep.schmidt_number == (3, 3) and bounds_calls == [True]
+    c = choi(identity_map(3)).mat
+    assert sum(np.array_equal(getattr(x, "mat", x), c) for x in eigs) == 1
+    # completely depolarizing: both chains prove PSD, one call each
+    bounds_calls.clear()
+    rep = classify(depolarizing(3, 1.0), opts=SeesawOpts(restarts=1), include_dec=False)
+    assert rep.cp and bounds_calls == [True, True]
+    # no chain proves PSD: no call
+    bounds_calls.clear()
+    classify(reduction_family(3, 1.02), opts=SeesawOpts(restarts=1), include_dec=False)
+    assert bounds_calls == []
+
+
+def test_classify_inherits_a_stronger_violation_upward():
+    """C = 1 - 1.5 |e0 e0><e0 e0| - 1.2 |psi><psi| with psi = (e1 e1 + e2 e2)/sqrt(2):
+    the product vector e0 e0 gives -0.5 at every level, while level 2's own
+    search (restarts=1, seed=18) settles on psi at -0.2. The chain keeps the
+    stronger level-1 witness at level 2."""
+    e = np.eye(3)
+    v0 = np.kron(e[0], e[0])
+    psi = (np.kron(e[1], e[1]) + np.kron(e[2], e[2])) / np.sqrt(2)
+    c = MatrixOp(np.eye(9) - 1.5 * np.outer(v0, v0) - 1.2 * np.outer(psi, psi), dims=(3, 3))
+    opts = SeesawOpts(restarts=1, seed=18)
+    own = k_block_positive_certify(c, 2, opts)
+    assert (own.verdict, own.detail) == (Verdict.VIOLATION, "seesaw")
+    assert abs(own.value + 0.2) <= 1e-12
+    rep = classify(map_from_choi(c), opts, include_dec=False)
+    assert (rep.p[1].verdict, rep.p[1].detail) == (Verdict.VIOLATION, "seesaw")
+    assert abs(rep.p[1].value + 0.5) <= 1e-12
+    assert schmidt_rank(rep.p[1].witness) == 1
+    assert (rep.p[2].verdict, rep.p[2].detail) == (Verdict.VIOLATION, "seesaw+inherited")
+    assert rep.p[2].value == rep.p[1].value
+    assert rep.p[2].witness is rep.p[1].witness
+    assert rep.p[2].restarts_used == 1
 
 
 def test_classify_km_pairs_subset():

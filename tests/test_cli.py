@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import conekit.cli as cli
-from conekit import MatrixOp, choi, reduction_family, transpose_map
+from conekit import MatrixOp, choi, depolarizing, reduction_family, transpose_map
 from conekit.serialize import dumps, map_to_json, matrix_to_json
 
 
@@ -252,16 +252,31 @@ def test_parse_errors_exit_2(tmap_file, tmp_path, capsys):
         assert capsys.readouterr().out == ""
 
 
-def test_zero_restarts_rejected(tmap_file, capsys):
+def test_zero_restarts_rejected(tmap_file, tmp_path, capsys):
     """A search that never runs is a bad parameter, not an Inconclusive
-    verdict or an inf scan row."""
-    assert cli.main(["scan", "--family", "reduction:3", "--k", "2",
-                     "--grid", "0.4:0.6:3", "--restarts", "0"]) == cli.PARSE_ERROR
-    assert cli.main(["classify", tmap_file, "--no-dec",
-                     "--restarts", "0"]) == cli.PARSE_ERROR
+    verdict or an inf scan row, whatever the input: a CP map (every level
+    proven by its Choi spectrum) and an eigenvalue-only scan are refused
+    too."""
+    dep_file = _write(tmp_path / "dep.json", map_to_json(depolarizing(3, 1.0)))
+    for argv in (["scan", "--family", "reduction:3", "--k", "2", "--grid", "0.4:0.6:3"],
+                 ["classify", tmap_file, "--no-dec"],
+                 ["classify", dep_file, "--no-dec"],
+                 ["scan", "--family", "isotropic:3", "--k", "1", "--grid", "0.2:0.5:3"]):
+        assert cli.main(argv + ["--restarts", "0"]) == cli.PARSE_ERROR
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "restarts" in out.err
+
+
+@pytest.mark.parametrize("grid", ["nan:nan:2", "0:inf:3", "-inf:1:2", "-1e308:1e308:3"])
+def test_scan_rejects_non_finite_grid(grid, capsys):
+    """A NaN or inf grid bound (or a span that overflows) is an input error
+    that names the grid, raised before any family is built."""
+    assert cli.main(["scan", "--family", "reduction:3", "--k", "3",
+                     f"--grid={grid}"]) == cli.PARSE_ERROR
     out = capsys.readouterr()
     assert out.out == ""
-    assert "restarts" in out.err
+    assert grid in out.err and "finite" in out.err
 
 
 def test_invariant_error_exit_3(tmp_path, capsys):

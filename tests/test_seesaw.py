@@ -9,6 +9,7 @@ from _seesaw_oracle import _seesaw_kernel as loop_kernel
 from conekit import (
     BadParam,
     MapRep,
+    SeesawOpts,
     choi,
     from_kraus,
     max_entangled,
@@ -336,11 +337,16 @@ def test_stop_rule_scales_with_c():
 
 
 def test_search_that_never_runs_is_rejected():
+    """Both at the raw entry point and in SeesawOpts, before any input is
+    seen."""
     c = choi(reduction_family(3, 0.7)).mat
     with pytest.raises(BadParam):
         seesaw_minimize(c, (3, 3), 2, restarts=0)
     with pytest.raises(BadParam):
         seesaw_minimize(c, (3, 3), 2, max_iters=0)
+    for bad in ({"restarts": 0}, {"max_iters": 0}, {"restarts": -3}):
+        with pytest.raises(BadParam):
+            SeesawOpts(**bad)
 
 
 def test_stop_threshold_must_be_finite_and_nonnegative():
