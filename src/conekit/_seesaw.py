@@ -353,8 +353,14 @@ def seesaw_minimize(c_mat: np.ndarray, dims: tuple[int, int], k: int,
     # The kernel runs on C / 2^e with max|C / 2^e| in [1/2, 1): dividing by a
     # power of two is exact, so the search is the same at every scale of C,
     # and no squared gradient of the quasi-Newton phase under- or overflows.
-    scale = math.ldexp(1.0, math.frexp(top)[1]) if top > 0.0 else 1.0
-    c = c / scale
+    # 2^1024 is not a double, so at max|C| >= 2^1023 one factor 2 is divided
+    # out first and multiplied back last; the value then overflows to inf
+    # only when it is not a double itself.
+    e = math.frexp(top)[1] if top > 0.0 else 0
+    halved = e > 1023
+    scale = math.ldexp(1.0, e - 1 if halved else e)
+    c = (c / 2.0 if halved else c) / scale
     best_q, best_m, iters = _seesaw_kernel(c, da, db, k, starts, frames, int(max_iters),
                                            _margin(c, float(eps_conv)))
-    return float(best_q) * scale, best_m, int(iters)
+    value = float(best_q) * 2.0 if halved else float(best_q)
+    return value * scale, best_m, int(iters)

@@ -21,6 +21,7 @@ from .linalg import (
     BipartiteVector,
     MatrixOp,
     _check_eps,
+    _hermitian_part,
     _margin,
     _pt_array,
     _rank,
@@ -320,14 +321,12 @@ _GAP_EVERY = 10
 _WITNESS_SHIFT = 1e-9
 
 
-def _herm(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.conj().swapaxes(-1, -2))
-
-
 def _clip_psd(m: np.ndarray) -> np.ndarray:
-    """Nearest PSD matrix to the Hermitian part, over the last two axes."""
-    w, v = np.linalg.eigh(_herm(m))
-    w = np.clip(w, 0.0, None)
+    """Nearest PSD matrix, over the last two axes, to the Hermitian matrix
+    whose lower triangle m holds: `eigh` reads only that triangle and the
+    real part of the diagonal, so m is passed to it as it is."""
+    w, v = np.linalg.eigh(m)
+    w = np.maximum(w, 0.0)
     return (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
@@ -351,7 +350,7 @@ def _ppt_witness(gap: np.ndarray, target: np.ndarray, da: int, db: int,
     refuted.
     """
     n = target.shape[0]
-    g = _herm(gap)
+    g = _hermitian_part(gap)
     norm = float(np.linalg.norm(g))
     if not norm > 0.0:
         return None
@@ -377,12 +376,15 @@ def decomposable_certify(c: MatrixOp, opts: SeesawOpts = DEFAULT_OPTS,
     2a - z, z += x - a. DR looks for any point of the intersection, not the
     nearest split, so on inputs that split it stops after a few sweeps
     (finite convergence under Slater's condition is known for some set
-    pairs: Bauschke, Dao, Noll & Phan 2016). Each sweep stacks the reflected
-    projection and the residual's projection into one `eigh` call; the split
-    is A = a and B = clip(PT(C - a)).
+    pairs: Bauschke, Dao, Noll & Phan 2016). A sweep makes two `eigh`
+    calls: one for a, and one stacked call for the reflected step's
+    projection and the residual's B = clip(PT(C - a)). The split is the
+    best sweep's own pair (a, B), kept as the loop computed it: no
+    projection runs after the loop, and "residual" is
+    max|C - A - PT(B)| on the A and B returned.
 
     - MembershipProven: a split with max-abs residual < eps_neg*max|C|;
-      extras hold the re-verified A and B.
+      extras hold A and B.
     - ViolationFound (detail "ppt-witness"): decomposable maps are exactly
       those whose Choi matrix pairs nonnegatively with every PPT operator, so
       a PPT state rho with Tr(rho C) < 0 refutes decomposability. On an
@@ -398,34 +400,38 @@ def decomposable_certify(c: MatrixOp, opts: SeesawOpts = DEFAULT_OPTS,
     - Inconclusive: neither within max_sweeps.
 
     extras always carry "A", "B", "residual" (the best split found) and
-    "sweeps".
+    "sweeps". Raises BadParam unless max_sweeps >= 1: a search that never
+    runs has no split to report.
     """
+    if max_sweeps < 1:
+        raise BadParam(f"need max_sweeps >= 1, got {max_sweeps}")
     da, db = c.require_dims()
     check_hermitian(c.mat)
-    target = 0.5 * (c.mat + c.mat.conj().T)
+    target = _hermitian_part(c.mat)
     tol = _margin(target, opts.eps_neg)
 
     def pt(m: np.ndarray) -> np.ndarray:
         return _pt_array(m, da, db)
 
     z = target.copy()
-    a_best = None
-    res_best = np.inf
+    best = None  # (A, B, residual) of the best sweep so far
     sweeps_done = 0
     witness = None
     for sweep in range(max_sweeps):
         a = _clip_psd(z)
+        t_a = target - a
         # clip(pt(target - (2a - z))) is the reflected step's projection,
         # clip(pt(target - a)) the residual's B: both are known once a is,
-        # so one stacked eigh serves both
-        b_r, b = _clip_psd(pt(np.stack((target - (2.0 * a - z), target - a))))
-        x = target - pt(b_r)
+        # so one stacked eigh serves both, and one partial transpose maps
+        # both back
+        b_pair = _clip_psd(pt(np.array((t_a - a + z, t_a))))
+        pt_r, pt_b = pt(b_pair)
+        x = target - pt_r
         sweeps_done = sweep + 1
-        res = float(np.abs(target - a - pt(b)).max())
-        if res < res_best:
-            res_best = res
-            a_best = a
-        if res_best < tol:
+        res = float(np.abs(t_a - pt_b).max())
+        if best is None or res < best[2]:
+            best = (a, b_pair[1], res)
+        if best[2] < tol:
             break
         if sweeps_done % _GAP_EVERY == 0:
             witness = _ppt_witness(a - x, target, da, db, tol)
@@ -433,9 +439,7 @@ def decomposable_certify(c: MatrixOp, opts: SeesawOpts = DEFAULT_OPTS,
                 break
         z += x - a
 
-    a = _clip_psd(a_best)
-    b = _clip_psd(pt(target - a))
-    residual = float(np.abs(target - a - pt(b)).max())
+    a, b, residual = best
     extras = {"A": a, "B": b, "residual": residual, "sweeps": sweeps_done}
     if witness is not None:
         rho, value = witness

@@ -190,11 +190,19 @@ def _check_hermitian_pair(m: np.ndarray, m_dag: np.ndarray) -> None:
         raise NotHermitian(f"max |X - X^dag| = {dev:.3e} exceeds tolerance")
 
 
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(M + M^dag) / 2 over the last two axes, formed as M/2 + M^dag/2 so that
+    it does not overflow for finite M; halving is exact outside the
+    subnormal range, so it equals 0.5 * (M + M^dag) wherever that is finite
+    and normal."""
+    return 0.5 * m + 0.5 * m.conj().swapaxes(-1, -2)
+
+
 def hermitian_eig(x: MatrixOp | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigen-decomposition with a Hermiticity gate. Ascending eigenvalues."""
     m = x.mat if isinstance(x, MatrixOp) else np.asarray(x, dtype=np.complex128)
     check_hermitian(m)
-    w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
+    w, v = np.linalg.eigh(_hermitian_part(m))
     return w, v
 
 

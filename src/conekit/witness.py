@@ -3,6 +3,7 @@ of k-positive maps, detector sweeps and threshold scans over named families."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,6 +140,15 @@ def random_schmidt_bounded_state(d: int, k: int, n_terms: int, seed: int) -> Mat
     return MatrixOp(rho, dims=(d, d))
 
 
+def _scan_point(param: float, value: float, tol: float) -> ScanPoint:
+    """One scan row, fired when value < -tol. A value that is not a finite
+    double (the family's minimum overflows at this parameter) raises
+    BadParam naming the parameter."""
+    if not math.isfinite(value):
+        raise BadParam(f"the value at grid point {param!r} is {value}, not a finite double")
+    return ScanPoint(param, value, value < -tol)
+
+
 def threshold_scan(family: str, d: int, k: int, grid,
                    opts: SeesawOpts = DEFAULT_OPTS) -> list[ScanPoint]:
     """Sweep a one-parameter family and record where the detector fires
@@ -147,7 +157,9 @@ def threshold_scan(family: str, d: int, k: int, grid,
     isotropic: bottom eigenvalue of (1 (x) reduction[1/k]) rho_F; the flip
     sits at F = k/d. werner (d=2): bottom eigenvalue of the partial
     transpose; flip at p = 1/3. reduction: see-saw best value of the family's
-    Choi matrix at level k (closed form 1 - ck); flip at c = 1/k.
+    Choi matrix at level k (closed form 1 - ck); flip at c = 1/k. Raises
+    BadParam when a row's value is not a finite double (1 - ck overflows
+    near the top of the float range).
     """
     tol = opts.eps_neg
     rows: list[ScanPoint] = []
@@ -158,14 +170,14 @@ def threshold_scan(family: str, d: int, k: int, grid,
         for f in grid:
             rho = isotropic_state(d, float(f))
             w, _ = hermitian_eig(apply_on_right_factor(det, rho))
-            rows.append(ScanPoint(float(f), float(w[0]), bool(w[0] < -tol)))
+            rows.append(_scan_point(float(f), float(w[0]), tol))
     elif family == "werner":
         if d != 2:
             raise BadParam("werner scans are defined for d=2 only")
         for p in grid:
             rho = werner_state(float(p))
             w, _ = hermitian_eig(partial_transpose(rho))
-            rows.append(ScanPoint(float(p), float(w[0]), bool(w[0] < -tol)))
+            rows.append(_scan_point(float(p), float(w[0]), tol))
     elif family == "reduction":
         if not 1 <= k <= d:
             raise BadK(f"k={k} outside 1..{d}")
@@ -180,7 +192,7 @@ def threshold_scan(family: str, d: int, k: int, grid,
                 val, _, _ = seesaw_minimize(cm, (d, d), k, restarts=opts.restarts,
                                             max_iters=opts.max_iters,
                                             eps_conv=opts.eps_conv, seed=opts.seed)
-            rows.append(ScanPoint(float(c), val, bool(val < -tol)))
+            rows.append(_scan_point(float(c), val, tol))
     else:
         raise BadFamily(f"unknown family {family!r}")
     return rows

@@ -138,19 +138,34 @@ def test_violation_witness_stays_rank_bounded():
     assert hits > 0
 
 
-def test_min_eigenvector_verdict_matches_its_value():
-    """An overflowing eigensolve returns a bottom eigenvector whose re-verified
-    value is positive; that is no violation."""
+def test_min_eigenvector_verdict_matches_its_value(monkeypatch):
+    """The bottom eigenvector is a violation only when its re-verified value
+    is below -tol. At 1e308 the Hermitian part M/2 + M^dag/2 no longer
+    overflows, so the reduction map's Choi matrix is refuted with its true
+    bottom eigenvalue (1 - 1.4) * 1e308. An eigensolve whose vector does not
+    violate (here the top eigenvector under the bottom eigenvalue, as an
+    overflowing one returned) gives no violation."""
+    import conekit.certify as certify_mod
     c = MatrixOp(choi(reduction_family(2, 0.7)).mat * 1e308, dims=(2, 2))
-    with np.errstate(over="ignore", invalid="ignore"):
-        cert = k_block_positive_certify(c, 2)
+    cert = k_block_positive_certify(c, 2)
+    assert (cert.verdict, cert.detail) == (Verdict.VIOLATION, "min-eigenvector")
+    assert abs(cert.value + 0.4e308) <= 1e-12 * 1e308
+    assert abs(float(np.vdot(cert.witness.amp, c.mat @ cert.witness.amp).real)
+               - cert.value) <= 1e-12 * 1e308
+    phi = map_from_choi(c)
+    assert is_cp(phi).verdict is Verdict.VIOLATION
+
+    def reversed_vectors(x):
+        w, v = hermitian_eig(x)
+        return w, v[:, ::-1]
+
+    monkeypatch.setattr(certify_mod, "hermitian_eig", reversed_vectors)
+    cert = k_block_positive_certify(c, 2)
     assert cert.verdict is Verdict.INCONCLUSIVE
     assert cert.witness is None
-    with np.errstate(over="ignore", invalid="ignore"):
-        phi = map_from_choi(c)
-        for cert, prefix in ((is_cp(phi), ""), (is_ccp(phi), "pt-")):
-            assert cert.verdict is Verdict.INCONCLUSIVE
-            assert cert.detail == prefix + "min-eigenvector-unverified"
+    for cert, prefix in ((is_cp(phi), ""), (is_ccp(co(phi)), "pt-")):
+        assert cert.verdict is Verdict.INCONCLUSIVE
+        assert cert.detail == prefix + "min-eigenvector-unverified"
 
 
 # ---------------------------------------------------------------------------
@@ -688,6 +703,60 @@ def test_decomposable_sweep_counts():
         cert = decomposable_certify(MatrixOp(_hermitian(rng, 9), dims=(3, 3)))
         assert cert.verdict is Verdict.VIOLATION
         assert cert.extras["sweeps"] == 10
+
+
+def test_decomposable_makes_two_eigh_calls_per_sweep(monkeypatch):
+    """Each sweep makes two `eigh` calls (a = clip(z), then one stacked call
+    for the reflected step and the residual's B) and none runs after the
+    loop: the split returned is the best sweep's own (A, B), and its residual
+    recomputed as max|target - A - PT(B)| equals extras["residual"] bit for
+    bit. Checked on a split, a refutation and a PSD input."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(m, *args, **kwargs):
+        calls.append(m.shape)
+        return eigh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    rng = np.random.default_rng(42)
+    b = MatrixOp(_unit_trace_psd(rng, 9), dims=(3, 3))
+    split = MatrixOp(0.5 * _unit_trace_psd(rng, 9) + partial_transpose(b).mat, dims=(3, 3))
+    refuted = MatrixOp(_generalized_choi(2.0, 0.0, 1.0), dims=(3, 3))
+    psd = MatrixOp(_unit_trace_psd(rng, 9), dims=(3, 3))
+    for c, verdict in ((split, Verdict.MEMBERSHIP), (refuted, Verdict.VIOLATION),
+                       (psd, Verdict.MEMBERSHIP)):
+        calls.clear()
+        cert = decomposable_certify(c)
+        ex = cert.extras
+        assert cert.verdict is verdict
+        assert len(calls) == 2 * ex["sweeps"]
+        target = 0.5 * c.mat + 0.5 * c.mat.conj().T
+        pt_b = ex["B"].reshape(3, 3, 3, 3).transpose(0, 3, 2, 1).reshape(9, 9)
+        assert float(np.abs(target - ex["A"] - pt_b).max()) == ex["residual"]
+    assert decomposable_certify(psd).extras["sweeps"] == 1
+
+
+@pytest.mark.parametrize("max_sweeps", [0, -1])
+def test_decomposable_search_that_never_runs_is_rejected(max_sweeps):
+    """A search with no sweep has no split to report: BadParam before any
+    work, so even a matrix without bipartite dims gets it."""
+    with pytest.raises(BadParam):
+        decomposable_certify(MatrixOp(np.eye(4), dims=(2, 2)), max_sweeps=max_sweeps)
+    with pytest.raises(BadParam):
+        decomposable_certify(MatrixOp(np.eye(4)), max_sweeps=max_sweeps)
+
+
+def test_decomposable_at_the_top_of_the_float_range():
+    """The Hermitian part C/2 + C^dag/2 does not overflow: the reduction
+    map's Choi matrix at 1e308 splits as it does at unit scale."""
+    c = choi(reduction_family(2, 0.7)).mat
+    ref = decomposable_certify(MatrixOp(c, dims=(2, 2)))
+    big = MatrixOp(c * 1e308, dims=(2, 2))
+    cert = decomposable_certify(big)
+    assert (cert.verdict, cert.extras["sweeps"]) == (ref.verdict, ref.extras["sweeps"])
+    assert cert.verdict is Verdict.MEMBERSHIP
+    _assert_split_holds(cert, big)
 
 
 def test_decomposable_rejects_non_hermitian():

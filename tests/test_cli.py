@@ -279,6 +279,30 @@ def test_scan_rejects_non_finite_grid(grid, capsys):
     assert grid in out.err and "finite" in out.err
 
 
+def test_scan_at_the_top_of_the_float_range(capsys):
+    """reduction:3 at c = 1e308: level 1's minimum 1 - c is a double and is
+    printed; at levels 2 and 3, 1 - kc overflows, so the scan exits 2 naming
+    the grid value, with no numpy warning and no failed eigensolve. Just
+    below, at 5e307, every level still prints its value."""
+    assert cli.main(["scan", "--family", "reduction:3", "--k", "1",
+                     "--grid", "1e308:1e308:1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    param, value, fired = lines[1].split(",")
+    assert float(param) == 1e308 and fired == "1"
+    assert abs(float(value) + 1e308) <= 1e-15 * 1e308
+    for k in ("2", "3"):
+        assert cli.main(["scan", "--family", "reduction:3", "--k", k,
+                         "--grid", "1e308:1e308:1"]) == cli.PARSE_ERROR
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "1e+308" in out.err and "finite" in out.err
+        assert "Warning" not in out.err and "converge" not in out.err
+    for k, value in (("2", "-1.0000000000000004e+308"), ("3", "-1.5e+308")):
+        assert cli.main(["scan", "--family", "reduction:3", "--k", k,
+                         "--grid", "5e307:5e307:1"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split(",")[1] == value
+
+
 def test_invariant_error_exit_3(tmp_path, capsys):
     """A non-Hermitian matrix parses fine but fails the Choi invariant."""
     m = np.zeros((4, 4), dtype=complex)

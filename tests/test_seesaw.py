@@ -2,6 +2,8 @@
 loop kept in tests/_seesaw_oracle.py where the quasi-Newton phase never
 runs, and values never worse than the loop's where it does."""
 
+import math
+
 import numpy as np
 import pytest
 from _seesaw_oracle import _seesaw_kernel as loop_kernel
@@ -334,6 +336,28 @@ def test_stop_rule_scales_with_c():
     q0, m0, sweeps0 = seesaw_minimize(np.zeros((9, 9)), (3, 3), 2, restarts=3)
     assert (q0, sweeps0) == (0.0, 6)
     assert abs(np.linalg.norm(m0) - 1.0) <= 1e-12
+
+
+def test_top_of_the_float_range():
+    """max|C| >= 2^1023 has no power-of-two scale 2^1024; the search still
+    runs on C / 2^1024 and returns a minimum that is a double, and just below
+    2^1023 the value is the unit-scale value times the scale, bit for bit."""
+    c = np.diag([1e308, -1e308, 1.0, 1.0]).astype(complex)
+    q, m, _ = seesaw_minimize(c, (2, 2), 1)
+    assert q == -1e308
+    assert abs(abs(m[0, 1]) - 1.0) <= 1e-12
+    c = choi(random_k_positive_map(4, 2, 1)).mat
+    top = float(np.abs(c).max())
+    e = 1023 - math.frexp(top)[1]
+    q1, m1, iters1 = seesaw_minimize(c, (4, 4), 2, restarts=4)
+    q, m, iters = seesaw_minimize(c * 2.0 ** e, (4, 4), 2, restarts=4)
+    assert np.abs(c * 2.0 ** e).max() < 2.0 ** 1023
+    assert (q, iters) == (q1 * 2.0 ** e, iters1)
+    assert np.array_equal(m, m1)
+    q, m, iters = seesaw_minimize(c * 2.0 ** e * 2.0, (4, 4), 2, restarts=4)
+    assert np.abs(c * 2.0 ** e * 2.0).max() >= 2.0 ** 1023
+    assert (q, iters) == (q1 * 2.0 ** e * 2.0, iters1)
+    assert np.array_equal(m, m1)
 
 
 def test_search_that_never_runs_is_rejected():
