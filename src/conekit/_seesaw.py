@@ -41,9 +41,9 @@ since the minimum over a frame depends only on the frame's span: the left
 frame U is the Q of `qr(P)` for the bottom eigenvector P (dA x k) of the
 left half-step, the next right frame the Q of `qr(B^H)` for the bottom
 eigenvector B (k x dB) of the right half-step, as the iterate is U B; a
-quasi-Newton step hands over its frame V directly. The starts and their
-first frames come from a small memo, so a repeated configuration (the rows
-of a threshold scan, the levels of two chains) runs no `svd` at all. A
+quasi-Newton step hands over its frame V directly. The first frames of the
+starts (the first sweep reads nothing else) come from a memo, so a repeated
+configuration (a scan's rows, two chains' levels) runs no `svd` at all. A
 restart stops when a sweep moves its value by less than the stop threshold,
 or after max_iters iterations (sweeps and evaluations together).
 tests/_seesaw_oracle.py keeps the one-restart-at-a-time scalar see-saw loop
@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 
 import numpy as np
 
@@ -129,16 +130,16 @@ def _reduced(C, c4, frame, x, da, k):
     return f, m, v, 2.0 * gx.reshape(r, -1).view(np.float64)
 
 
-def _seesaw_kernel(C, da, db, k, starts, frames, max_iters, eps_conv):
+def _seesaw_kernel(C, da, db, k, frames, max_iters, eps_conv):
     # C: (da*db, da*db) complex128 Hermitian.
-    # starts: (restarts, da, db) complex128, unit Frobenius norm.
     # frames: (restarts, k, db) complex128, orthonormal rows spanning each
-    # start's row space (padded to k rows where its rank is below k).
+    # start's row space (padded to k rows where its rank is below k); the
+    # first sweep sets every iterate m from them.
     # Returns (best value, best coefficient matrix, total iterations).
     c4 = C.reshape(da, db, da, db)
     c4t = np.ascontiguousarray(c4.transpose(0, 1, 3, 2))  # _bottom_right's gemm operand
-    n_restarts = starts.shape[0]
-    m = starts.copy()
+    n_restarts = frames.shape[0]
+    m = np.empty((n_restarts, da, db), dtype=np.complex128)
     vr = frames.copy()  # each restart's right frame: rows span the row space of m
     q = np.full(n_restarts, np.inf)  # each restart's value at m
     live = np.ones(n_restarts, dtype=bool)
@@ -304,22 +305,33 @@ def random_starts(da: int, db: int, k: int, restarts: int, seed: int) -> np.ndar
 
 
 @functools.lru_cache(maxsize=8)
-def _starts(da: int, db: int, k: int, restarts: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """random_starts scaled to unit Frobenius norm, and their right k-frames
-    (orthonormal rows spanning each start's row space), both read-only.
+def _start_frames(da: int, db: int, k: int, restarts: int, seed: int) -> np.ndarray:
+    """The right k-frames of random_starts scaled to unit Frobenius norm
+    (orthonormal rows spanning each start's row space), read-only.
 
     Memoized: one `svd` per configuration, not one per call. The memo keeps
-    the 8 configurations used last, restarts * (da + k) * db complex entries
-    each (9 KB at 20 restarts, d = 4 and k = 3), so it holds a few calls'
-    starts and never grows beyond them.
+    the 8 configurations used last, restarts * k * db complex entries each
+    (4 KB at 20 restarts, d = 4 and k = 3), so it holds a few calls' frames
+    and never grows beyond them.
     """
     starts = random_starts(da, db, k, restarts, seed)
     norms = np.sqrt(np.sum(np.abs(starts.reshape(restarts, -1)) ** 2, axis=1))
     starts /= norms[:, None, None]
     frames = np.linalg.svd(starts)[2][:, :k, :].copy()
-    starts.setflags(write=False)
     frames.setflags(write=False)
-    return starts, frames
+    return frames
+
+
+def _check_search(restarts, max_iters, eps_conv, seed) -> None:
+    """Raise BadParam unless restarts, max_iters and seed are integers (numpy
+    ones pass, bool does not), the two counts are >= 1 (a search that never
+    runs has no value to report) and eps_conv passes _check_eps."""
+    for name, val in (("restarts", restarts), ("max_iters", max_iters), ("seed", seed)):
+        if isinstance(val, bool) or not isinstance(val, numbers.Integral):
+            raise BadParam(f"{name} must be an integer, got {val!r}")
+        if name != "seed" and val < 1:
+            raise BadParam(f"need {name} >= 1, got {val}")
+    _check_eps("eps_conv", eps_conv)
 
 
 def seesaw_minimize(c_mat: np.ndarray, dims: tuple[int, int], k: int,
@@ -334,22 +346,18 @@ def seesaw_minimize(c_mat: np.ndarray, dims: tuple[int, int], k: int,
     eps_conv * max|C|, so the stop rule scales with C at every size (C = 0
     stops on its second sweep), or after max_iters iterations.
 
-    Raises BadParam unless restarts >= 1 and max_iters >= 1 (a search that
-    never runs has no value to report), eps_conv is finite and >= 0 (a
-    negative threshold stops every restart at once, a NaN one none) and
-    every entry of C is finite (a NaN or inf one makes every value inf).
+    Raises BadParam unless restarts, max_iters and seed are integers (numpy
+    ones pass, bool does not) with both counts >= 1 and eps_conv is a finite
+    real >= 0, and when an entry of C is not finite (a NaN or inf one makes
+    every value inf).
     """
-    if restarts < 1:
-        raise BadParam(f"need restarts >= 1, got {restarts}")
-    if max_iters < 1:
-        raise BadParam(f"need max_iters >= 1, got {max_iters}")
-    _check_eps("eps_conv", eps_conv)
+    _check_search(restarts, max_iters, eps_conv, seed)
     da, db = dims
     c = np.asarray(c_mat, dtype=np.complex128)
     top = float(np.abs(c).max())
     if not top < math.inf:
         raise BadParam("C has a NaN or infinite entry")
-    starts, frames = _starts(da, db, k, restarts, seed)
+    frames = _start_frames(da, db, k, restarts, seed)
     # The kernel runs on C / 2^e with max|C / 2^e| in [1/2, 1): dividing by a
     # power of two is exact, so the search is the same at every scale of C,
     # and no squared gradient of the quasi-Newton phase under- or overflows.
@@ -360,7 +368,7 @@ def seesaw_minimize(c_mat: np.ndarray, dims: tuple[int, int], k: int,
     halved = e > 1023
     scale = math.ldexp(1.0, e - 1 if halved else e)
     c = (c / 2.0 if halved else c) / scale
-    best_q, best_m, iters = _seesaw_kernel(c, da, db, k, starts, frames, int(max_iters),
+    best_q, best_m, iters = _seesaw_kernel(c, da, db, k, frames, int(max_iters),
                                            _margin(c, float(eps_conv)))
     value = float(best_q) * 2.0 if halved else float(best_q)
     return value * scale, best_m, int(iters)

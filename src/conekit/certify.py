@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._seesaw import seesaw_minimize
+from ._seesaw import _check_search, seesaw_minimize
 from .errors import BadK, BadParam, ConekitError, DimMismatch, NotPSD
 from .linalg import (
     PSD_TOL,
@@ -55,12 +55,9 @@ class SeesawOpts:
     seed: int = 42
 
     def __post_init__(self) -> None:
-        # a search that never runs has no value to report, whatever the input
-        for name in ("restarts", "max_iters"):
-            if getattr(self, name) < 1:
-                raise BadParam(f"need {name} >= 1, got {getattr(self, name)}")
-        for name in ("eps_conv", "eps_neg"):
-            _check_eps(name, getattr(self, name))
+        # the see-saw's own rule, applied whatever the input
+        _check_search(self.restarts, self.max_iters, self.eps_conv, self.seed)
+        _check_eps("eps_neg", self.eps_neg)
 
 
 DEFAULT_OPTS = SeesawOpts()
@@ -246,12 +243,11 @@ def _bound_flag(bounds: tuple[int, int] | None, psd_cert: Certificate, k: int) -
 
 
 def classify(phi: MapRep, opts: SeesawOpts = DEFAULT_OPTS,
-             km_pairs: list[tuple[int, int]] | None = None,
              include_dec: bool = True,
              construction: KrausSet | None = None) -> ConeReport:
     """Certificates for every level of the positivity / copositivity chains,
     Schmidt-number evidence for the Choi matrix when it is PSD, and combined
-    flags for the two-index cones.
+    flags for the two-index cones, one for each of the d^2 pairs (k, m).
 
     construction, when given, is a Kraus set of phi: its largest operator
     rank bounds the Schmidt number of phi's Choi matrix from above (the
@@ -266,8 +262,6 @@ def classify(phi: MapRep, opts: SeesawOpts = DEFAULT_OPTS,
     d = phi.d
     if construction is not None and construction.d != d:
         raise DimMismatch(f"Kraus operators act on M_{construction.d}, the map on M_{d}")
-    if km_pairs is None:
-        km_pairs = [(k, m) for k in range(1, d + 1) for m in range(1, d + 1)]
 
     def chain(target_choi: MatrixOp, kraus: KrausSet | None = None
               ) -> tuple[dict, tuple[int, int] | None]:
@@ -303,10 +297,11 @@ def classify(phi: MapRep, opts: SeesawOpts = DEFAULT_OPTS,
 
     km_positive = {}
     km_superpositive = {}
-    for k, m in km_pairs:
-        km_positive[(k, m)] = _flag(_FLAGS[p[k].verdict], _FLAGS[co_p[m].verdict])
-        km_superpositive[(k, m)] = _flag(_bound_flag(bounds, p[d], k),
-                                         _bound_flag(co_bounds, co_p[d], m))
+    for k in range(1, d + 1):
+        for m in range(1, d + 1):
+            km_positive[(k, m)] = _flag(_FLAGS[p[k].verdict], _FLAGS[co_p[m].verdict])
+            km_superpositive[(k, m)] = _flag(_bound_flag(bounds, p[d], k),
+                                             _bound_flag(co_bounds, co_p[d], m))
 
     dec = decomposable_certify(c, opts=opts) if include_dec else None
     return ConeReport(d=d, p=p, co_p=co_p, cp=cp, schmidt_number=bounds,

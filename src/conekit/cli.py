@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import fuzz as fuzz_mod
-from .certify import DEFAULT_OPTS, SeesawOpts, classify
+from .certify import SeesawOpts, classify
 from .errors import (
     BadFamily,
     BadK,
@@ -91,18 +91,9 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _opt_value(key: str, val):
-    """val as the type of SeesawOpts's field key. A boolean, or a number
-    with a fractional part for an int field, is an input error rather than
-    a silent truncation."""
-    kind = type(getattr(DEFAULT_OPTS, key))
-    if isinstance(val, bool) or (kind is int and not float(val).is_integer()):
-        raise ValueError(f"{key} must be {kind.__name__}, got {val!r}")
-    return kind(val)
-
-
 def _opts_from(args) -> SeesawOpts:
-    """Config keys are SeesawOpts's field names; --restarts, --tol and --seed
+    """Config keys are SeesawOpts's field names, and their JSON values go to
+    SeesawOpts as they are, which checks them; --restarts, --tol and --seed
     win over them, and every other field keeps its default."""
     cfg = _load_config(args.config)
     names = [f.name for f in dataclasses.fields(SeesawOpts)]
@@ -111,7 +102,7 @@ def _opts_from(args) -> SeesawOpts:
         raise ValueError(f"unknown config keys {unknown}; allowed: {names}")
     flags = {"restarts": args.restarts, "eps_neg": args.tol, "seed": args.seed}
     merged = {**cfg, **{key: val for key, val in flags.items() if val is not None}}
-    return SeesawOpts(**{key: _opt_value(key, val) for key, val in merged.items()})
+    return SeesawOpts(**merged)
 
 
 def _emit(text: str, out_path: str | None) -> None:

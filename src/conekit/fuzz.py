@@ -8,7 +8,7 @@ import numpy as np
 
 from .certify import dual_pairing
 from .errors import BadFamily, BadK, BadParam
-from .linalg import hs_inner, unreshuffle, reshuffle
+from .linalg import _hermitian_part, hs_inner, unreshuffle, reshuffle
 from .maps import (
     _random_kraus,
     ad,
@@ -138,7 +138,7 @@ def fuzz_adjoint(n: int, d: int = 3, seed: int = 0) -> dict:
         mats = []
         for _ in range(2):
             g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            h = 0.5 * (g + g.conj().T)
+            h = _hermitian_part(g)
             mats.append(h / np.linalg.norm(h))
         x, y = mats
         lhs = hs_inner(apply(phi, x).mat, y)

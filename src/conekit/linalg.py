@@ -8,6 +8,8 @@ slow, so e_i (x) e_j sits at flat index i*d_B + j and np.kron matches it.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,9 +17,9 @@ import numpy as np
 from .errors import BadParam, DimMismatch, MissingDims, NotHermitian, ZeroVector
 
 HERM_TOL = 1e-10
-# Relative floor of the PSD decisions in is_cp, is_ccp, schmidt_number_bounds
-# and compose_certified: an eigenvalue counts as negative below
-# -PSD_TOL * max|M| of the matrix M it belongs to.
+# Relative floor of the PSD decisions in is_cp, is_ccp, schmidt_number_bounds,
+# kraus_decompose (also its drop cutoff) and compose_certified: an eigenvalue
+# counts as negative below -PSD_TOL * max|M| of the matrix M it belongs to.
 PSD_TOL = 1e-9
 # Relative cutoff of every numerical rank (Schmidt, operator, Choi matrix).
 RANK_TOL = 1e-8
@@ -31,10 +33,10 @@ def _margin(m: np.ndarray, eps: float) -> float:
 
 
 def _check_eps(name: str, eps: float) -> None:
-    """Raise BadParam unless the margin factor eps is finite and >= 0: a
-    negative margin reverses every sign decision, a NaN one disables it."""
-    if not 0.0 <= eps < np.inf:
-        raise BadParam(f"{name} must be finite and >= 0, got {eps}")
+    """Raise BadParam unless the margin factor eps is a finite real >= 0, not
+    a bool: a negative margin reverses every sign decision, a NaN one disables it."""
+    if isinstance(eps, bool) or not isinstance(eps, numbers.Real) or not 0.0 <= eps < np.inf:
+        raise BadParam(f"{name} must be a finite real number >= 0, got {eps!r}")
 
 
 def _rank(values: np.ndarray, tol: float) -> int:
@@ -199,10 +201,13 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
 
 
 def hermitian_eig(x: MatrixOp | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition with a Hermiticity gate. Ascending eigenvalues."""
+    """Eigen-decomposition with a Hermiticity gate. Ascending eigenvalues.
+    A spectrum beyond the float range (of a finite matrix) raises BadParam."""
     m = x.mat if isinstance(x, MatrixOp) else np.asarray(x, dtype=np.complex128)
     check_hermitian(m)
     w, v = np.linalg.eigh(_hermitian_part(m))
+    if not (math.isfinite(w[0]) and math.isfinite(w[-1])):
+        raise BadParam(f"the spectrum is not finite (eigenvalues from {w[0]} to {w[-1]})")
     return w, v
 
 

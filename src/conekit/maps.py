@@ -30,6 +30,7 @@ from .linalg import (
     MatrixOp,
     _check_hermitian_pair,
     _freeze,
+    _hermitian_part,
     _margin,
     _rank,
     check_hermitian,
@@ -38,8 +39,6 @@ from .linalg import (
     swap_matrix,
     unreshuffle,
 )
-
-KRAUS_DROP_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,16 +197,15 @@ def kraus_decompose(phi: MapRep) -> KrausSet:
     """Eigen-decompose the Choi matrix C into Kraus operators.
 
     Raises NotCompletelyPositive if C has an eigenvalue below
-    -KRAUS_DROP_TOL * max|C|, so the CP floor is the same at every scale of
-    phi. Eigenvalues under KRAUS_DROP_TOL * lambda_max are dropped as
+    -PSD_TOL * max|C|, so the CP floor is the same at every scale of
+    phi. Eigenvalues under PSD_TOL * lambda_max are dropped as
     numerical noise.
     """
     c = choi(phi).mat
-    w, v = np.linalg.eigh(0.5 * (c + c.conj().T))
-    lam_max = max(float(w[-1]), 0.0)
-    if float(w[0]) < -_margin(c, KRAUS_DROP_TOL):
+    w, v = np.linalg.eigh(_hermitian_part(c))
+    if float(w[0]) < -_margin(c, PSD_TOL):
         raise NotCompletelyPositive(f"Choi eigenvalue {w[0]:.3e} below the CP floor")
-    keep = w > KRAUS_DROP_TOL * max(lam_max, 1e-300)
+    keep = w > PSD_TOL * max(float(w[-1]), 1e-300)
     if not keep.any():
         return KrausSet(np.zeros((1, phi.d, phi.d), dtype=np.complex128))
     return KrausSet((v[:, keep] * np.sqrt(w[keep])).T.reshape(-1, phi.d, phi.d).conj())
@@ -260,7 +258,7 @@ def random_hp_map(d: int, seed: int) -> MapRep:
     """Hermiticity-preserving map with a GUE-like random Hermitian Choi matrix."""
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
-    return map_from_choi(0.5 * (g + g.conj().T))
+    return map_from_choi(_hermitian_part(g))
 
 
 def random_k_positive_map(d: int, k: int, seed: int) -> MapRep:
@@ -330,15 +328,14 @@ def compose_certified(a, phi: MapRep, k: int,
     rights = vh[:r].conj()      # rows |g_i>, orthonormal
 
     block = block_action(phi, rights).mat
-    w, vecs = np.linalg.eigh(0.5 * (block + block.conj().T))
-    lam_max = max(float(w[-1]), 0.0)
+    w, vecs = np.linalg.eigh(_hermitian_part(block))
     if float(w[0]) < -_margin(block, PSD_TOL):
         raise BlockNotPSD(
             f"block eigenvalue {w[0]:.3e} < 0: the map is not {r}-positive")
 
     # Each kept eigenvector, scaled, is a stack xi of r second legs; its
     # Kraus operator is sum_j |f_j><xi_j|.
-    keep = w > 1e-14 * max(lam_max, 1e-300)
+    keep = w > 1e-14 * max(float(w[-1]), 1e-300)
     if keep.any():
         xi = (vecs[:, keep] * np.sqrt(w[keep])).T.reshape(-1, r, d)
         ops = lefts @ xi.conj()

@@ -30,7 +30,6 @@ class Witness:
 
     operator: MatrixOp
     k_level: int
-    provenance: str = ""
 
 
 @dataclass(frozen=True)
@@ -48,13 +47,13 @@ class ScanPoint:
     fired: bool
 
 
-def _validate_state(rho: MatrixOp, tol: float = STATE_TOL) -> np.ndarray:
+def _validate_state(rho: MatrixOp) -> np.ndarray:
     m = rho.mat
     tr = complex(np.trace(m))
-    if abs(tr - 1.0) > tol:
-        raise NotAState(f"trace {tr:.12g} is not 1 within {tol}")
+    if abs(tr - 1.0) > STATE_TOL:
+        raise NotAState(f"trace {tr:.12g} is not 1 within {STATE_TOL}")
     w, v = hermitian_eig(m)
-    if float(w[0]) < -tol:
+    if float(w[0]) < -STATE_TOL:
         raise NotAState(f"eigenvalue {w[0]:.3e} below the positivity floor")
     w = np.clip(w, 0.0, None)
     return (v * w) @ v.conj().T
@@ -69,16 +68,15 @@ def expectation(w: Witness, rho: MatrixOp) -> float:
     return float(np.einsum("ij,ji->", w.operator.mat, rho.mat).real)
 
 
-def detect_schmidt_number(rho: MatrixOp, detector: Detector,
-                          tol: float = STATE_TOL) -> DetectionResult:
-    """Apply 1 (x) detector to the state; a negative eigenvalue proves the
-    Schmidt number exceeds the detector's level."""
-    clipped = _validate_state(rho, tol)
+def detect_schmidt_number(rho: MatrixOp, detector: Detector) -> DetectionResult:
+    """Apply 1 (x) detector to the state; an eigenvalue below -STATE_TOL
+    proves the Schmidt number exceeds the detector's level."""
+    clipped = _validate_state(rho)
     da, db = rho.require_dims()
     moved = apply_on_right_factor(detector.map, MatrixOp(clipped, dims=(da, db)))
     w, _ = hermitian_eig(moved)
     min_eig = float(w[0])
-    fired = min_eig < -tol
+    fired = min_eig < -STATE_TOL
     return DetectionResult(
         min_eigenvalue=min_eig,
         fired=fired,
@@ -114,11 +112,11 @@ def werner_state(p: float, d: int = 2) -> MatrixOp:
     return MatrixOp(rho, dims=(2, 2))
 
 
-def witness_from_map(phi: MapRep, k_level: int, provenance: str = "choi-of-map") -> Witness:
+def witness_from_map(phi: MapRep, k_level: int) -> Witness:
     """Choi matrix of a k-positive map, packaged as a Schmidt-number witness."""
     if not 1 <= k_level <= phi.d:
         raise BadK(f"k={k_level} outside 1..{phi.d}")
-    return Witness(operator=choi(phi), k_level=k_level, provenance=provenance)
+    return Witness(operator=choi(phi), k_level=k_level)
 
 
 def random_schmidt_bounded_state(d: int, k: int, n_terms: int, seed: int) -> MatrixOp:
@@ -186,8 +184,10 @@ def threshold_scan(family: str, d: int, k: int, grid,
         for c in grid:
             cm = eye - float(c) * np.outer(psi_plus, psi_plus.conj())
             if k == d:
-                w, _ = hermitian_eig(cm)
-                val = float(w[0])
+                try:
+                    val = float(hermitian_eig(cm)[0][0])
+                except BadParam as exc:  # 1 - cd is not a double
+                    raise BadParam(f"at grid point {float(c)!r}: {exc}") from None
             else:
                 val, _, _ = seesaw_minimize(cm, (d, d), k, restarts=opts.restarts,
                                             max_iters=opts.max_iters,

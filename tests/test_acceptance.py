@@ -196,7 +196,7 @@ def test_criterion_09_detector_soundness_200():
             for seed in range(100):
                 rho = random_schmidt_bounded_state(3, k, 4, 4000 * k + seed)
                 for det in sound:
-                    res = detect_schmidt_number(rho, det, tol=1e-9)
+                    res = detect_schmidt_number(rho, det)
                     assert not res.fired, (k, seed, det.label, res.min_eigenvalue)
 
 

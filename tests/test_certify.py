@@ -532,8 +532,10 @@ def test_classify_inherits_a_stronger_violation_upward():
 
 
 def test_classify_km_pairs_subset():
-    rep = classify(transpose_map(2), km_pairs=[(1, 2)], include_dec=False)
-    assert set(rep.km_positive) == {(1, 2)}
+    """Both two-index flag dicts hold exactly the d^2 pairs (k, m)."""
+    rep = classify(transpose_map(2), include_dec=False)
+    pairs = {(k, m) for k in (1, 2) for m in (1, 2)}
+    assert set(rep.km_positive) == set(rep.km_superpositive) == pairs
     assert rep.km_positive[(1, 2)] == "inconclusive"
 
 
@@ -757,6 +759,17 @@ def test_decomposable_at_the_top_of_the_float_range():
     assert (cert.verdict, cert.extras["sweeps"]) == (ref.verdict, ref.extras["sweeps"])
     assert cert.verdict is Verdict.MEMBERSHIP
     _assert_split_holds(cert, big)
+
+
+def test_spectrum_beyond_the_float_range_is_refused():
+    """A finite C whose bottom eigenvalue (-6.8e308) is not a double is
+    refused with BadParam at the eigensolve; past it, the eigen-decision
+    would re-verify an overflowing witness and report value NaN."""
+    c = MatrixOp(-1.7e308 * np.ones((4, 4)), dims=(2, 2))
+    with pytest.raises(BadParam, match="spectrum is not finite"):
+        k_block_positive_certify(c, 2)
+    with pytest.raises(BadParam, match="spectrum is not finite"):
+        hermitian_eig(c)
 
 
 def test_decomposable_rejects_non_hermitian():

@@ -11,6 +11,7 @@ import pytest
 
 import conekit.cli as cli
 from conekit import MatrixOp, choi, depolarizing, reduction_family, transpose_map
+from conekit.certify import DEFAULT_OPTS
 from conekit.serialize import dumps, map_to_json, matrix_to_json
 
 
@@ -113,6 +114,34 @@ def test_unknown_config_key_exits_2(tmap_file, tmp_path, capsys):
         assert cli.main(["classify", tmap_file, "--no-dec",
                          "--config", str(cfg)]) == cli.PARSE_ERROR
         assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("bad", [{"restarts": "3"}, {"restarts": 2.0}, {"eps_neg": "1e-9"}])
+def test_config_values_are_not_coerced(bad, tmp_path, capsys):
+    """Config values go to SeesawOpts as JSON gave them: a string, or a
+    float for an integer field (even an integral one), is an input error."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(bad))
+    assert cli.main(["scan", "--family", "werner", "--grid", "0:1:3",
+                     "--config", str(cfg)]) == cli.PARSE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert next(iter(bad)) in captured.err
+
+
+@pytest.mark.parametrize("extra", [["--no-dec"], []])
+def test_classify_spectrum_beyond_the_float_range_exits_2(extra, tmp_path, capsys):
+    """-1.7e308 * ones(4) has eigenvalue -6.8e308, not a double: with or
+    without the decomposability search the command exits 2 saying the
+    spectrum is not finite, prints no report (so no NaN value) and no numpy
+    warning, and never reaches a failed eigensolve."""
+    path = _write(tmp_path / "c.json",
+                  matrix_to_json(MatrixOp(-1.7e308 * np.ones((4, 4)), dims=(2, 2))))
+    assert cli.main(["classify", path, "--restarts", "1", *extra]) == cli.PARSE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "spectrum is not finite" in captured.err
+    assert "Warning" not in captured.err and "converge" not in captured.err
 
 
 def test_scan_csv_stdout(capsys):
@@ -225,7 +254,7 @@ def test_parser_reuse_leaks_nothing(tmp_path, capsys):
     # defaults come back when the flags are dropped
     assert cli.main(["fuzz", "composition"]) == 0
     summary = json.loads(capsys.readouterr().out)
-    assert summary["n"] == 100 and summary["seed"] == cli.DEFAULT_OPTS.seed
+    assert summary["n"] == 100 and summary["seed"] == DEFAULT_OPTS.seed
     assert summary["params"]["d"] == 3
 
 

@@ -11,6 +11,7 @@ from conekit import (
     KrausSet,
     MapRep,
     MatrixOp,
+    Verdict,
     ad,
     adjoint,
     apply,
@@ -24,6 +25,7 @@ from conekit import (
     from_kraus,
     hs_inner,
     identity_map,
+    is_cp,
     kraus_decompose,
     map_from_choi,
     max_entangled,
@@ -42,7 +44,14 @@ from conekit import (
 import conekit.maps as maps_mod
 from conekit.fuzz import fuzz_composition
 from conekit.serialize import dumps, kraus_from_json, kraus_to_json
-from conekit.linalg import HERM_TOL, BipartiteVector, check_hermitian, hermitian_eig, reshuffle
+from conekit.linalg import (
+    HERM_TOL,
+    PSD_TOL,
+    BipartiteVector,
+    check_hermitian,
+    hermitian_eig,
+    reshuffle,
+)
 from conekit.errors import (
     BadParam,
     BadRank,
@@ -363,7 +372,7 @@ def _kraus_decompose_loop(phi):
     """Reference: kraus_decompose's operators built one eigenpair at a time."""
     c = choi(phi).mat
     w, v = np.linalg.eigh(0.5 * (c + c.conj().T))
-    floor = maps_mod.KRAUS_DROP_TOL * max(float(w[-1]), 1e-300)
+    floor = PSD_TOL * max(float(w[-1]), 1e-300)
     return [np.conj((np.sqrt(lam) * vec).reshape(phi.d, phi.d))
             for lam, vec in zip(w, v.T) if lam > floor]
 
@@ -762,3 +771,95 @@ def test_compose_certified_bad_order_flag():
     a = _rand_mat(rng, 3, rank=1)
     with pytest.raises(BadParam):
         compose_certified(a, identity_map(3), 1, order="sideways")
+
+
+# ---------------------------------------------------------------------------
+# One Hermitian-part rule (M/2 + M^dag/2) in the map layer
+
+
+def _kraus_decompose_former(phi):
+    """Reference: kraus_decompose with its former 0.5 * (C + C^dag)."""
+    c = choi(phi).mat
+    w, v = np.linalg.eigh(0.5 * (c + c.conj().T))
+    lam_max = max(float(w[-1]), 0.0)
+    if float(w[0]) < -maps_mod._margin(c, 1e-9):
+        raise NotCompletelyPositive("below the CP floor")
+    keep = w > 1e-9 * max(lam_max, 1e-300)
+    if not keep.any():
+        return np.zeros((1, phi.d, phi.d), dtype=np.complex128)
+    return (v[:, keep] * np.sqrt(w[keep])).T.reshape(-1, phi.d, phi.d).conj()
+
+
+def _compose_certified_former(a, phi, k):
+    """Reference: compose_certified's map_after_ad route with its former
+    0.5 * (B + B^dag) on the block matrix B."""
+    d = phi.d
+    u, s, vh = np.linalg.svd(a)
+    r = maps_mod._rank(s, 1e-8)
+    assert 1 <= r <= k
+    lefts = u[:, :r] * s[:r]
+    block = block_action(phi, vh[:r].conj()).mat
+    w, vecs = np.linalg.eigh(0.5 * (block + block.conj().T))
+    lam_max = max(float(w[-1]), 0.0)
+    if float(w[0]) < -maps_mod._margin(block, PSD_TOL):
+        raise BlockNotPSD("block not PSD")
+    keep = w > 1e-14 * max(lam_max, 1e-300)
+    if not keep.any():
+        return np.zeros((1, d, d), dtype=np.complex128)
+    ops = lefts @ (vecs[:, keep] * np.sqrt(w[keep])).T.reshape(-1, r, d).conj()
+    target = phi.super_mat @ maps_mod._kraus_super(a[None])
+    err = float(np.abs(maps_mod._kraus_super(ops) - target).max())
+    if err > maps_mod._margin(target, PSD_TOL):
+        raise BlockNotPSD("reconstruction residual")
+    return ops
+
+
+def _random_hp_map_former(d, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+    return map_from_choi(0.5 * (g + g.conj().T))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_hermitian_part_rule_is_bit_identical_to_the_former_sites(d):
+    """kraus_decompose, compose_certified (both orders) and random_hp_map
+    give the operators and maps of the former 0.5 * (X + X^dag), bit for
+    bit, on every seed and level."""
+    for seed in range(60):
+        assert np.array_equal(random_hp_map(d, seed).super_mat,
+                              _random_hp_map_former(d, seed).super_mat)
+        for k in range(1, d + 1):
+            phi = random_cp_map(d, k, 3, seed)
+            assert np.array_equal(kraus_decompose(phi).operators,
+                                  _kraus_decompose_former(phi))
+            a = maps_mod._random_kraus(d, k, 1, seed)[0]
+            psi = random_k_positive_map(d, k, seed)
+            assert np.array_equal(compose_certified(a, psi, k).operators,
+                                  _compose_certified_former(a, psi, k))
+            other = compose_certified(a, psi, k, order="ad_after_map").operators
+            inner = _compose_certified_former(a.conj().T, adjoint(psi), k)
+            assert np.array_equal(other, inner.conj().swapaxes(1, 2))
+
+
+def test_kraus_decompose_near_the_top_of_the_float_range():
+    """ad(sqrt(9e307) e_11) has Choi entry 9e307, where 0.5 * (C + C^dag)
+    overflows to inf (and gave one zero operator); is_cp proves the map CP,
+    and kraus_decompose returns its one operator, |a|^2 = 9e307."""
+    a = np.zeros((2, 2))
+    a[0, 0] = np.sqrt(9e307)
+    phi = from_kraus([a])
+    assert is_cp(phi).verdict is Verdict.MEMBERSHIP
+    ops = kraus_decompose(phi).operators
+    assert ops.shape == (1, 2, 2)
+    assert abs(float(np.abs(ops[0, 0, 0]) ** 2) - 9e307) <= 1e-12 * 9e307
+    assert np.abs(ops[0]).max() == np.abs(ops[0, 0, 0])
+
+
+def test_compose_certified_near_the_top_of_the_float_range():
+    """reduction(3, 1/2) is 2-positive at every scale; at 1.7e308 the block
+    matrix's 0.5 * (B + B^dag) overflows (and the reconstruction check then
+    refuted 2-positivity). The certified rank-2 factorization comes back."""
+    phi = MapRep(3, reduction_family(3, 0.5).super_mat * 1.7e308)
+    ks = compose_certified(np.diag([1.0, 1.0, 0.0]), phi, 2)
+    assert ks.rank <= 2
+    assert np.isfinite(ks.operators).all()

@@ -373,6 +373,35 @@ def test_search_that_never_runs_is_rejected():
             SeesawOpts(**bad)
 
 
+@pytest.mark.parametrize("bad", [{"restarts": 2.5}, {"restarts": True}, {"seed": 1.5},
+                                 {"max_iters": 7.5}, {"max_iters": np.float64(7.0)},
+                                 {"eps_conv": True}, {"eps_conv": "1e-10"}])
+def test_search_options_have_one_type_rule(bad):
+    """SeesawOpts and seesaw_minimize share one check: counts and the seed
+    are integers (not bool, not a float, even an integral one) and eps_conv
+    a real number, or BadParam is raised before numpy sees them; a
+    fractional max_iters is refused, not truncated."""
+    with pytest.raises(BadParam):
+        SeesawOpts(**bad)
+    with pytest.raises(BadParam):
+        seesaw_minimize(np.eye(4), (2, 2), 1, **bad)
+
+
+def test_search_options_accept_numpy_integers():
+    """numpy integers pass the check and run the search of the equal int;
+    eps_neg goes through the same margin check as eps_conv."""
+    with pytest.raises(BadParam):
+        SeesawOpts(eps_neg=True)
+    c = choi(reduction_family(3, 0.7)).mat
+    opts = SeesawOpts(restarts=np.int64(2), max_iters=np.int32(40), seed=np.int64(3))
+    assert opts.restarts == 2
+    out = seesaw_minimize(c, (3, 3), 1, restarts=np.int64(2), max_iters=np.int32(40),
+                          seed=np.int64(3))
+    ref = seesaw_minimize(c, (3, 3), 1, restarts=2, max_iters=40, seed=3)
+    assert out[0] == ref[0] and out[2] == ref[2]
+    assert np.array_equal(out[1], ref[1])
+
+
 def test_stop_threshold_must_be_finite_and_nonnegative():
     """The rule of SeesawOpts: a negative eps_conv stops every restart on its
     first sweep, a NaN one lets none converge, an infinite one stops all on
@@ -411,7 +440,7 @@ def test_repeated_configuration_runs_no_svd(svd_calls, phase_evaluations):
     and restarting a quasi-Newton chart); the only svd is the one of the
     memoized starts, so a second call with the same dims, k, restarts and
     seed runs none, and returns the same result."""
-    _seesaw._starts.cache_clear()
+    _seesaw._start_frames.cache_clear()
     c = choi(random_k_positive_map(4, 2, 1)).mat
     first = seesaw_minimize(c, (4, 4), 2, restarts=4, seed=5)
     assert svd_calls[0] == 1
@@ -423,24 +452,24 @@ def test_repeated_configuration_runs_no_svd(svd_calls, phase_evaluations):
 
 
 def test_memoized_starts_are_read_only_random_starts():
-    """The memo holds random_starts at unit norm and a k-frame of each, both
-    read-only; random_starts still returns a fresh writable array."""
-    starts, frames = _seesaw._starts(3, 4, 2, 5, 7)
-    assert not starts.flags.writeable and not frames.flags.writeable
+    """The memo holds a read-only k-frame of each of random_starts at unit
+    norm, bit for bit the frames of an svd of those starts; random_starts
+    still returns a fresh writable array."""
+    frames = _seesaw._start_frames(3, 4, 2, 5, 7)
+    assert not frames.flags.writeable
     with pytest.raises(ValueError):
-        starts[0, 0, 0] = 0.0
+        frames[0, 0, 0] = 0.0
     raw = random_starts(3, 4, 2, 5, 7)
     assert raw.flags.writeable
-    norms = np.linalg.norm(raw, axis=(1, 2))[:, None, None]
-    assert np.abs(starts - raw / norms).max() <= 1e-15
+    norms = np.sqrt(np.sum(np.abs(raw.reshape(5, -1)) ** 2, axis=1))[:, None, None]
+    starts = raw / norms
+    assert np.array_equal(frames, np.linalg.svd(starts)[2][:, :2, :])
     eye = np.eye(2)
     assert np.abs(frames @ frames.conj().swapaxes(1, 2) - eye).max() <= 1e-14
     # each start lies in the row space of its frame
     assert np.abs(starts - starts @ frames.conj().swapaxes(1, 2) @ frames).max() <= 1e-14
     raw[:] = 0.0
-    again = _seesaw._starts(3, 4, 2, 5, 7)
-    assert again[0] is starts and again[1] is frames
-    assert np.abs(starts - random_starts(3, 4, 2, 5, 7) / norms).max() <= 1e-15
+    assert _seesaw._start_frames(3, 4, 2, 5, 7) is frames
 
 
 def test_kernel_from_rank_deficient_starts(monkeypatch, phase_evaluations):
@@ -472,7 +501,7 @@ def test_kernel_from_rank_deficient_starts(monkeypatch, phase_evaluations):
     monkeypatch.setattr(_seesaw, "_bottom_right",
                         checked(_seesaw._bottom_right, lambda u: u.conj().swapaxes(1, 2)))
     eps = 1e-10 * np.abs(c).max()
-    q, m, sweeps = _seesaw._seesaw_kernel(c, *dims, k, starts, frames, 500, eps)
+    q, m, sweeps = _seesaw._seesaw_kernel(c, *dims, k, frames, 500, eps)
     q_ref, _, sweeps_ref = loop_kernel(c, *dims, k, starts, 500, eps)
     assert phase_evaluations[0] == 0
     assert {"_bottom_left", "_bottom_right"} <= set(seen)

@@ -1,0 +1,82 @@
+"""Structural guards over the source of conekit: each spectral decision has
+one home, so a second copy of it fails here rather than in review."""
+
+import ast
+from pathlib import Path
+
+import conekit
+
+SOURCES = sorted(Path(conekit.__file__).parent.glob("*.py"))
+
+# Where a Hermitian part may be written as 0.5 * (X + X^dag): the see-saw's
+# half-steps, on C scaled below 1, where one fewer numpy call per half-step
+# counts and the sum cannot overflow. Everywhere else, linalg._hermitian_part.
+HERMITIAN_PART_SITES = {"_seesaw._bottom_left", "_seesaw._bottom_right"}
+
+# The functions that may call np.linalg.eigh or eigvalsh: the gated
+# hermitian_eig, the see-saw kernel's helpers, the Douglas-Rachford
+# projections, and the map-layer factorizations of a MapRep that already
+# passed its Hermiticity gate (and the fuzz check of one).
+EIGEN_SITES = {
+    "linalg.hermitian_eig",
+    "_seesaw._bottom_left", "_seesaw._bottom_right", "_seesaw._reduced",
+    "certify._clip_psd", "certify._ppt_witness",
+    "maps.kraus_decompose", "maps.compose_certified",
+    "fuzz.fuzz_composition",
+}
+
+
+def _top_level_functions(path):
+    """(qualified name, node) of each module-level function, class bodies
+    included, so that nested helpers count toward the function around them."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in tree.body:
+        defs = node.body if isinstance(node, ast.ClassDef) else [node]
+        for fn in defs:
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield f"{path.stem}.{fn.name}", fn
+
+
+def _sites(is_match):
+    found = set()
+    for path in SOURCES:
+        for name, fn in _top_level_functions(path):
+            if any(is_match(node) for node in ast.walk(fn)):
+                found.add(name)
+    return found
+
+
+def _mentions_conj(node):
+    return any(isinstance(n, ast.Attribute) and n.attr == "conj" for n in ast.walk(node))
+
+
+def _is_hand_rolled_hermitian_part(node):
+    """0.5 * (X + <expression with .conj()>), in either factor order."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)):
+        return False
+    for half, other in ((node.left, node.right), (node.right, node.left)):
+        if (isinstance(half, ast.Constant) and half.value == 0.5
+                and isinstance(other, ast.BinOp) and isinstance(other.op, ast.Add)
+                and _mentions_conj(other)):
+            return True
+    return False
+
+
+def _is_eigen_call(node):
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    return name in ("eigh", "eigvalsh")
+
+
+def test_the_guard_reads_every_module():
+    assert {p.stem for p in SOURCES} >= {"linalg", "maps", "_seesaw", "certify", "fuzz"}
+
+
+def test_hermitian_part_is_hand_rolled_only_in_the_seesaw_half_steps():
+    assert _sites(_is_hand_rolled_hermitian_part) == HERMITIAN_PART_SITES
+
+
+def test_eigensolves_sit_in_allow_listed_functions():
+    assert _sites(_is_eigen_call) == EIGEN_SITES
