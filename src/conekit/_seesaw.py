@@ -59,7 +59,7 @@ import numbers
 import numpy as np
 
 from .errors import BadParam
-from .linalg import _check_eps, _margin
+from .linalg import _check_eps, _margin, _pow2_scaled
 
 # Always False: no compiled kernel exists; perfbench's environment header reads it.
 NUMBA_ACTIVE = False
@@ -325,12 +325,14 @@ def _start_frames(da: int, db: int, k: int, restarts: int, seed: int) -> np.ndar
 def _check_search(restarts, max_iters, eps_conv, seed) -> None:
     """Raise BadParam unless restarts, max_iters and seed are integers (numpy
     ones pass, bool does not), the two counts are >= 1 (a search that never
-    runs has no value to report) and eps_conv passes _check_eps."""
-    for name, val in (("restarts", restarts), ("max_iters", max_iters), ("seed", seed)):
+    runs has no value to report), seed is >= 0 (numpy's generators take no
+    negative seed) and eps_conv passes _check_eps."""
+    for name, val, low in (("restarts", restarts, 1), ("max_iters", max_iters, 1),
+                           ("seed", seed, 0)):
         if isinstance(val, bool) or not isinstance(val, numbers.Integral):
             raise BadParam(f"{name} must be an integer, got {val!r}")
-        if name != "seed" and val < 1:
-            raise BadParam(f"need {name} >= 1, got {val}")
+        if val < low:
+            raise BadParam(f"need {name} >= {low}, got {val}")
     _check_eps("eps_conv", eps_conv)
 
 
@@ -347,9 +349,9 @@ def seesaw_minimize(c_mat: np.ndarray, dims: tuple[int, int], k: int,
     stops on its second sweep), or after max_iters iterations.
 
     Raises BadParam unless restarts, max_iters and seed are integers (numpy
-    ones pass, bool does not) with both counts >= 1 and eps_conv is a finite
-    real >= 0, and when an entry of C is not finite (a NaN or inf one makes
-    every value inf).
+    ones pass, bool does not) with both counts >= 1 and seed >= 0 and
+    eps_conv is a finite real >= 0, and when an entry of C is not finite (a
+    NaN or inf one makes every value inf).
     """
     _check_search(restarts, max_iters, eps_conv, seed)
     da, db = dims
@@ -358,17 +360,11 @@ def seesaw_minimize(c_mat: np.ndarray, dims: tuple[int, int], k: int,
     if not top < math.inf:
         raise BadParam("C has a NaN or infinite entry")
     frames = _start_frames(da, db, k, restarts, seed)
-    # The kernel runs on C / 2^e with max|C / 2^e| in [1/2, 1): dividing by a
-    # power of two is exact, so the search is the same at every scale of C,
-    # and no squared gradient of the quasi-Newton phase under- or overflows.
-    # 2^1024 is not a double, so at max|C| >= 2^1023 one factor 2 is divided
-    # out first and multiplied back last; the value then overflows to inf
+    # The kernel runs on C / 2^e with max|C / 2^e| in [1/2, 1), so the search
+    # is the same at every scale of C and no squared gradient of the
+    # quasi-Newton phase under- or overflows; the value overflows to inf
     # only when it is not a double itself.
-    e = math.frexp(top)[1] if top > 0.0 else 0
-    halved = e > 1023
-    scale = math.ldexp(1.0, e - 1 if halved else e)
-    c = (c / 2.0 if halved else c) / scale
+    c, unscale = _pow2_scaled(c, top)
     best_q, best_m, iters = _seesaw_kernel(c, da, db, k, frames, int(max_iters),
                                            _margin(c, float(eps_conv)))
-    value = float(best_q) * 2.0 if halved else float(best_q)
-    return value * scale, best_m, int(iters)
+    return unscale(float(best_q)), best_m, int(iters)

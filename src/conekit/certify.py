@@ -8,6 +8,7 @@ Inconclusive with the best value found.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -23,6 +24,7 @@ from .linalg import (
     _check_eps,
     _hermitian_part,
     _margin,
+    _pow2_scaled,
     _pt_array,
     _rank,
     check_hermitian,
@@ -34,9 +36,8 @@ from .linalg import (
 from .maps import (
     KrausSet,
     MapRep,
-    apply_on_right_factor,
+    _detector_bank,
     choi,
-    reduction_detectors,
 )
 
 
@@ -200,11 +201,19 @@ def schmidt_number_bounds(c: MatrixOp, *, construction: KrausSet | None = None,
             raise NotPSD(f"matrix has eigenvalue {eig[0][0]:.3e}; Schmidt number undefined")
     w, v = eig
     lower = 1
-    for det in reduction_detectors(db):
-        moved = apply_on_right_factor(det.map, c)
-        w_det, _ = hermitian_eig(moved)
-        if float(w_det[0]) < -_margin(moved.mat, PSD_TOL):
-            lower = max(lower, det.k_level + 1)
+    # (1 (x) psi)(C) for every detector psi of the bank in one product, the
+    # one `apply_on_right_factor` forms for each; each image is judged on
+    # its own, with its own margin
+    levels, bank = _detector_bank(db)
+    n = da * db
+    images = np.einsum("rjltu,itku->rijkl", bank,
+                       c.mat.reshape(da, db, da, db)).reshape(-1, n, n)
+    if not np.isfinite(images).all():
+        raise BadParam("matrix has a NaN or infinite entry")
+    for k, image in zip(levels, images):
+        w_det, _ = hermitian_eig(image)
+        if float(w_det[0]) < -_margin(image, PSD_TOL):
+            lower = max(lower, k + 1)
     kmax = min(da, db)
     if construction is not None:
         upper = max(1, min(construction.rank, kmax))
@@ -309,6 +318,12 @@ def classify(phi: MapRep, opts: SeesawOpts = DEFAULT_OPTS,
                       decomposable=dec)
 
 
+# decomposable_certify searches on C / 2^e (the power-of-two rule of
+# seesaw_minimize) once max|C| >= _SCALE_FROM, where a sweep's sums could
+# overflow; below it C is searched as given, since `eigh` is not exactly
+# scale-equivariant and scaling would move the last bits of a split.
+_SCALE_FROM = 2.0 ** 960
+
 # Dual early exit of decomposable_certify: the gap vector is tested every
 # _GAP_EVERY sweeps, and a candidate PPT state is shifted _WITNESS_SHIFT into
 # the interior of both cones before it is re-checked.
@@ -394,16 +409,27 @@ def decomposable_certify(c: MatrixOp, opts: SeesawOpts = DEFAULT_OPTS,
       and extras["W"] is rho.
     - Inconclusive: neither within max_sweeps.
 
-    extras always carry "A", "B", "residual" (the best split found) and
-    "sweeps". Raises BadParam unless max_sweeps >= 1: a search that never
-    runs has no split to report.
+    Near the top of the float range (max|C| >= 2^960) the search runs on
+    C / 2^e with max|C / 2^e| in [1/2, 1), the power-of-two rule of
+    `seesaw_minimize`, so that no sum of a sweep overflows; A, B, the
+    residual and the value are scaled back. extras always carry "A", "B",
+    "residual" (the best split found) and "sweeps". Raises BadParam unless
+    max_sweeps >= 1 (a search that never runs has no split to report), and
+    when a number scaled back is not a double, the rule of `hermitian_eig`.
     """
     if max_sweeps < 1:
         raise BadParam(f"need max_sweeps >= 1, got {max_sweeps}")
     da, db = c.require_dims()
     check_hermitian(c.mat)
     target = _hermitian_part(c.mat)
-    tol = _margin(target, opts.eps_neg)
+    # max|C| (floored as every margin is) serves both the scaling test and
+    # the margin, so the common, unscaled case reads C once
+    top = _margin(target, 1.0)
+    unscale = None
+    if top >= _SCALE_FROM:
+        target, unscale = _pow2_scaled(target, top)
+        top = _margin(target, 1.0)
+    tol = opts.eps_neg * top
 
     def pt(m: np.ndarray) -> np.ndarray:
         return _pt_array(m, da, db)
@@ -435,13 +461,19 @@ def decomposable_certify(c: MatrixOp, opts: SeesawOpts = DEFAULT_OPTS,
         z += x - a
 
     a, b, residual = best
+    proven = residual < tol
+    value = residual if witness is None else witness[1]
+    if unscale is not None:
+        a, b, residual, value = unscale(a), unscale(b), unscale(residual), unscale(value)
+        if not (math.isfinite(value) and math.isfinite(residual)
+                and np.isfinite(a).all() and np.isfinite(b).all()):
+            raise BadParam("the split or its value is not a double (C is beyond the float range)")
     extras = {"A": a, "B": b, "residual": residual, "sweeps": sweeps_done}
     if witness is not None:
-        rho, value = witness
-        extras["W"] = rho
+        extras["W"] = witness[0]
         return Certificate(Verdict.VIOLATION, value, detail="ppt-witness", extras=extras)
-    if residual < tol:
-        return Certificate(Verdict.MEMBERSHIP, residual, detail="psd+pt-psd-split",
+    if proven:
+        return Certificate(Verdict.MEMBERSHIP, value, detail="psd+pt-psd-split",
                            extras=extras)
-    return Certificate(Verdict.INCONCLUSIVE, residual, detail="no-split-found",
+    return Certificate(Verdict.INCONCLUSIVE, value, detail="no-split-found",
                        extras=extras)

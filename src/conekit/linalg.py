@@ -32,6 +32,24 @@ def _margin(m: np.ndarray, eps: float) -> float:
     return eps * max(float(np.abs(m).max()), np.finfo(float).tiny)
 
 
+def _pow2_scaled(m: np.ndarray, top: float):
+    """M / 2^e with max|M / 2^e| in [1/2, 1) (M = 0 is kept), for top =
+    max|M|, and the function x -> x * 2^e that scales a result back.
+    Dividing by a power of two is exact, so M and 2^j M give the same scaled
+    matrix, and so the same search, and no sum over its entries overflows.
+    2^1024 is not a double, so at max|M| >= 2^1023 one factor 2 is divided
+    out first and multiplied back last; a number scaled back then overflows
+    to inf only when it is not a double itself."""
+    e = math.frexp(top)[1] if top > 0.0 else 0
+    halved = e > 1023
+    scale = math.ldexp(1.0, e - 1 if halved else e)
+
+    def unscale(x):
+        return (x * 2.0 if halved else x) * scale
+
+    return (m / 2.0 if halved else m) / scale, unscale
+
+
 def _check_eps(name: str, eps: float) -> None:
     """Raise BadParam unless the margin factor eps is a finite real >= 0, not
     a bool: a negative margin reverses every sign decision, a NaN one disables it."""

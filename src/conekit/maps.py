@@ -8,6 +8,7 @@ with S[(i*d+j), (k*d+l)] = (phi(e_kl))[i, j].
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -356,6 +357,24 @@ def reduction_detectors(d: int) -> list[Detector]:
     each can fire on an entangled state."""
     return [Detector(reduction_family(d, 1.0 / k), k, f"reduction[c=1/{k}]")
             for k in range(1, d)]
+
+
+@functools.lru_cache(maxsize=8)
+def _detector_bank(d: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """reduction_detectors(d) as its k levels and one read-only stack of its
+    superoperators, shape (d-1, d, d, d, d), so that one einsum applies the
+    whole bank on the right factor (the product apply_on_right_factor forms
+    for each detector).
+
+    Memoized: the bank's MapReps are built and gated once per d, not once
+    per call. The memo keeps the 8 dimensions used last, (d-1) * d^4
+    complex entries each (60 KB at d = 6), and never grows beyond them.
+    """
+    bank = reduction_detectors(d)
+    stack = np.array([det.map.super_mat for det in bank],
+                     dtype=np.complex128).reshape(-1, d, d, d, d)
+    stack.setflags(write=False)
+    return tuple(det.k_level for det in bank), stack
 
 
 def max_entangled_projector(d: int) -> MatrixOp:

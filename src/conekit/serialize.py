@@ -7,11 +7,20 @@ Kraus:  {"kraus": [matrix, ...], "rank_bound": k | null}
 Floats print via repr (shortest round-trip); CSV uses 17 significant digits.
 Everything is emitted with sorted keys so identical configs give identical
 bytes.
+
+`dumps` writes exactly the bytes of json.dumps(obj, sort_keys=True,
+indent=2) + "\n". With an indent, CPython's json runs its pure-Python
+encoder, a generator frame per container; `dumps` walks the containers
+itself instead, writes a list of floats as one join over float.__repr__, and
+hands any value it does not write directly (a tuple, a dict with a non-str
+key, an int subclass or a float subclass such as np.float64 outside a list
+of floats) to that reference encoder, re-indented.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -180,5 +189,55 @@ def scan_rows_to_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+# json's spellings of the floats that are not finite
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _encode(o, nl: str) -> str:
+    """o as json.dumps(o, sort_keys=True, indent=2) writes it at the
+    indentation nl ("\n" plus the current indent)."""
+    t = type(o)
+    if t is str:
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if t is int:
+        return int.__repr__(o)
+    if t is float:
+        r = float.__repr__(o)
+        return _NON_FINITE.get(r, r)
+    if t is list and o:
+        inner = nl + "  "
+        sep = "," + inner
+        try:
+            # float.__repr__ refuses every item that is not a float, and
+            # json writes a float subclass through float.__repr__ too
+            body = sep.join(map(float.__repr__, o))
+        except TypeError:
+            body = sep.join([_encode(v, inner) for v in o])
+        else:
+            if "n" in body:  # only "nan" and "inf" spell an n
+                body = sep.join([_encode(v, inner) for v in o])
+        return "[" + inner + body + nl + "]"
+    if t is dict and o and all(type(key) is str for key in o):
+        inner = nl + "  "
+        return "{" + inner + ("," + inner).join(
+            [encode_basestring_ascii(key) + ": " + _encode(val, inner)
+             for key, val in sorted(o.items())]) + nl + "}"
+    # the reference encoder; a JSON string holds no raw newline, so shifting
+    # every line break re-indents its output exactly
+    return json.dumps(o, sort_keys=True, indent=2).replace("\n", nl)
+
+
 def dumps(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """json.dumps(obj, sort_keys=True, indent=2) + "\n", byte for byte. A
+    structure nested too deeply for this writer's recursion (or a circular
+    one) goes to the reference encoder whole, which writes it or raises."""
+    try:
+        return _encode(obj, "\n") + "\n"
+    except RecursionError:
+        return json.dumps(obj, sort_keys=True, indent=2) + "\n"

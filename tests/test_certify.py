@@ -2,6 +2,8 @@
 Schmidt-number bounds, duality pairing, classification and the
 decomposability heuristic."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,7 @@ from conekit import (
     partial_transpose,
     random_cp_map,
     random_k_positive_map,
+    reduction_detectors,
     reduction_family,
     schmidt_decompose,
     schmidt_number_bounds,
@@ -51,6 +54,9 @@ from conekit.errors import (
     NotHermitian,
     NotPSD,
 )
+
+from conekit.linalg import PSD_TOL, _margin
+from conekit.maps import MapRep, _detector_bank
 
 from _decompose_oracle import decomposable_certify as decomposable_oracle
 
@@ -316,6 +322,83 @@ def test_bounds_separable_state():
         rho += np.outer(v, v.conj())
     bounds = schmidt_number_bounds(MatrixOp(rho, dims=(3, 3)))
     assert bounds[0] == 1
+
+
+def _loop_lower_bound(c):
+    """The Schmidt lower bound one detector at a time: 1 (x) psi applied by
+    apply_on_right_factor, each image judged by hermitian_eig against
+    PSD_TOL * max|image|."""
+    lower = 1
+    for det in reduction_detectors(c.dims[1]):
+        moved = apply_on_right_factor(det.map, c)
+        w, _ = hermitian_eig(moved)
+        if float(w[0]) < -_margin(moved.mat, PSD_TOL):
+            lower = max(lower, det.k_level + 1)
+    return lower
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_stacked_detector_bank_matches_the_loop(d):
+    """The bank applied in one product gives the lower bound of the loop
+    over its detectors, on seeded PSD matrices of rank 1, 2 and d at scales
+    1e-12..1e12, and on isotropic states at F = k/d +- 1e-3, where level k
+    fires just above its threshold and not just below it."""
+    rng = np.random.default_rng(100 + d)
+    n = d * d
+    for rank in (1, 2, d):
+        for _ in range(3):
+            g = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+            for s in 10.0 ** np.arange(-12, 13, 6):
+                c = MatrixOp(s * (g @ g.conj().T), dims=(d, d))
+                assert schmidt_number_bounds(c)[0] == _loop_lower_bound(c)
+    for k in range(1, d):
+        for step, lower in ((1e-3, k + 1), (-1e-3, k)):
+            rho = isotropic_state(d, k / d + step)
+            assert schmidt_number_bounds(rho)[0] == _loop_lower_bound(rho) == lower
+
+
+def test_detector_image_beyond_the_float_range_is_refused():
+    """An image of 1.7e308 * 1_9 holds 1.7e308 + 1.7e308, not a double: the
+    bounds raise BadParam, as they did when each image was a MatrixOp."""
+    with pytest.raises(BadParam, match="NaN or infinite"):
+        schmidt_number_bounds(MatrixOp(1.7e308 * np.eye(9), dims=(3, 3)))
+
+
+def test_detector_bank_is_built_once_per_dimension(monkeypatch):
+    """A second schmidt_number_bounds call at the same d builds no MapRep:
+    the bank's maps are built and gated once per d."""
+    built = []
+    post_init = MapRep.__post_init__
+
+    def counting(self):
+        built.append(self.d)
+        post_init(self)
+
+    monkeypatch.setattr(MapRep, "__post_init__", counting)
+    reduction_detectors(4)
+    assert built == [4, 4, 4]
+    rho = isotropic_state(4, 0.9)
+    schmidt_number_bounds(rho)
+    built.clear()
+    assert schmidt_number_bounds(rho) == (4, 4)
+    assert built == []
+
+
+def test_detector_bank_memo_is_read_only():
+    """The memo holds the k levels and a read-only stack of the detectors'
+    superoperators; reduction_detectors still returns a fresh list."""
+    levels, bank = _detector_bank(3)
+    assert levels == (1, 2)
+    assert bank.shape == (2, 3, 3, 3, 3) and not bank.flags.writeable
+    with pytest.raises(ValueError):
+        bank[0, 0, 0, 0, 0] = 1.0
+    dets = reduction_detectors(3)
+    for det, superop in zip(dets, bank):
+        assert np.array_equal(det.map.super_mat.reshape(3, 3, 3, 3), superop)
+    assert dets is not reduction_detectors(3)
+    dets.clear()
+    assert len(reduction_detectors(3)) == 2
+    assert _detector_bank(1)[0] == ()
 
 
 def test_certifiers_need_bipartite_dims():
@@ -759,6 +842,41 @@ def test_decomposable_at_the_top_of_the_float_range():
     assert (cert.verdict, cert.extras["sweeps"]) == (ref.verdict, ref.extras["sweeps"])
     assert cert.verdict is Verdict.MEMBERSHIP
     _assert_split_holds(cert, big)
+
+
+def test_decomposable_scales_near_the_top_of_the_float_range():
+    """From max|C| >= 2^960 the search runs on C / 2^e, so C * 2^j at any
+    such j gives the split, residual and value of C * 2^960 times 2^(j-960)
+    exactly, the ppt-witness state unchanged."""
+    base = 2.0 ** 960
+    for c in (choi(reduction_family(2, 0.7)).mat, _generalized_choi(2.0, 0.0, 1.0)):
+        dims = (int(round(np.sqrt(c.shape[0]))),) * 2
+        ref = decomposable_certify(MatrixOp(c * base, dims=dims))
+        for j in (961, 1000, 1023):
+            s = 2.0 ** (j - 960)
+            cert = decomposable_certify(MatrixOp(c * base * s, dims=dims))
+            assert (cert.verdict, cert.detail) == (ref.verdict, ref.detail)
+            assert cert.extras["sweeps"] == ref.extras["sweeps"]
+            assert cert.value == ref.value * s
+            assert cert.extras["residual"] == ref.extras["residual"] * s
+            assert np.array_equal(cert.extras["A"], ref.extras["A"] * s)
+            assert np.array_equal(cert.extras["B"], ref.extras["B"] * s)
+            if "W" in ref.extras:
+                assert np.array_equal(cert.extras["W"], ref.extras["W"])
+
+
+def test_decomposable_refuses_a_value_beyond_the_float_range():
+    """A finite C whose PPT-witness value (-6.4e308) is not a double: the
+    search runs on C / 2^1024 without a warning, and the value scaled back
+    is refused with BadParam, the rule of hermitian_eig."""
+    c = MatrixOp(-1.7e308 * np.ones((4, 4)), dims=(2, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BadParam, match="not a double"):
+            decomposable_certify(c)
+        cert = decomposable_certify(MatrixOp(-1e306 * np.ones((4, 4)), dims=(2, 2)))
+    assert (cert.verdict, cert.detail) == (Verdict.VIOLATION, "ppt-witness")
+    assert -4e306 <= cert.value < 0.0
 
 
 def test_spectrum_beyond_the_float_range_is_refused():

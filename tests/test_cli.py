@@ -116,6 +116,18 @@ def test_unknown_config_key_exits_2(tmap_file, tmp_path, capsys):
         assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("phi", [depolarizing(3, 1.0), reduction_family(3, 0.6)],
+                         ids=["no-search", "search"])
+def test_negative_seed_exits_2(phi, tmp_path, capsys):
+    """--seed -1 is an input error whether or not a search would run: the
+    depolarizing map's chains are both PSD, the reduction map's are not."""
+    path = _write(tmp_path / "phi.json", map_to_json(phi))
+    assert cli.main(["classify", path, "--no-dec", "--seed", "-1"]) == cli.PARSE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "seed >= 0" in captured.err
+
+
 @pytest.mark.parametrize("bad", [{"restarts": "3"}, {"restarts": 2.0}, {"eps_neg": "1e-9"}])
 def test_config_values_are_not_coerced(bad, tmp_path, capsys):
     """Config values go to SeesawOpts as JSON gave them: a string, or a

@@ -373,6 +373,20 @@ def test_search_that_never_runs_is_rejected():
             SeesawOpts(**bad)
 
 
+@pytest.mark.parametrize("seed", [-1, np.int64(-7)])
+def test_negative_seed_is_rejected(seed):
+    """numpy's generators take no negative seed: SeesawOpts and
+    seesaw_minimize refuse one with BadParam before a search runs, and
+    seed 0 is accepted."""
+    with pytest.raises(BadParam, match="seed >= 0"):
+        SeesawOpts(seed=seed)
+    with pytest.raises(BadParam, match="seed >= 0"):
+        seesaw_minimize(np.diag([1.0, -1.0, 1.0, 1.0]), (2, 2), 1, seed=seed, restarts=1)
+    assert SeesawOpts(seed=0).seed == 0
+    assert seesaw_minimize(np.diag([1.0, -1.0, 1.0, 1.0]), (2, 2), 1, seed=0,
+                           restarts=1)[0] < 0.0
+
+
 @pytest.mark.parametrize("bad", [{"restarts": 2.5}, {"restarts": True}, {"seed": 1.5},
                                  {"max_iters": 7.5}, {"max_iters": np.float64(7.0)},
                                  {"eps_conv": True}, {"eps_conv": "1e-10"}])

@@ -1,9 +1,13 @@
 """JSON and CSV serialization round trips."""
 
 import json
+import json.encoder
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import conekit.cli as cli
 
 from conekit import (
     BipartiteVector,
@@ -127,13 +131,19 @@ def test_certificate_round_trip_keeps_split():
     assert np.abs(a + pt_b - swap_matrix(2)).max() <= 1e-8
 
 
-def test_certificate_round_trip_keeps_ppt_witness():
-    # Choi matrix of the Choi map Phi[2,0,1] on M_3: positive, not decomposable
+def _choi_map_phi201() -> np.ndarray:
+    """Choi matrix of the Choi map Phi[2,0,1] on M_3: positive, not
+    decomposable."""
     c = np.zeros((9, 9), dtype=complex)
     for i in range(3):
         c[3 * i:3 * i + 3, 3 * i:3 * i + 3] = np.diag(np.roll([2.0, 1.0, 0.0], i))
         for j in range(3):
             c[3 * i + i, 3 * j + j] -= 1.0
+    return c
+
+
+def test_certificate_round_trip_keeps_ppt_witness():
+    c = _choi_map_phi201()
     cert = decomposable_certify(MatrixOp(c, dims=(3, 3)))
     assert cert.detail == "ppt-witness"
     back = _assert_extras_round_trip(cert)
@@ -211,3 +221,95 @@ def test_dumps_sorted_and_stable():
     b = dumps({"a": [2, 3], "b": 1})
     assert a == b
     assert a.index('"a"') < a.index('"b"')
+
+
+# ---------------------------------------------------------------------------
+# dumps writes the reference encoder's bytes
+
+
+def _reference(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+_floats = st.one_of(st.floats(), st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, float("nan"),
+     float("inf"), float("-inf"), 0.1, 1e16, 1e-7]))
+_atoms = st.one_of(
+    st.none(), st.booleans(), _floats, st.integers(), st.just(2**70),
+    st.text(), st.sampled_from(["", "\n", "\"\\", "\u00e9\u20ac", "\U0001f600", "\x00\t"]),
+    _floats.map(np.float64))
+_values = st.recursive(
+    _atoms,
+    lambda kids: st.one_of(
+        st.lists(_floats),  # a row of floats, as the matrix grids are
+        st.lists(kids),
+        st.lists(kids).map(tuple),
+        st.dictionaries(st.text(), kids),
+        st.dictionaries(st.integers(), kids),
+        st.dictionaries(st.floats(allow_nan=False), kids)),
+    max_leaves=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_values)
+def test_dumps_is_the_reference_encoder(obj):
+    """The same bytes as json.dumps(sort_keys=True, indent=2) plus a line
+    break: NaN and infinities, -0.0, subnormals, big ints, escapes and
+    non-ASCII text, empty containers, np.float64, tuples and non-str keys."""
+    assert dumps(obj) == _reference(obj)
+
+
+def _report_payloads():
+    """Operator files whose reports hold a split (d = 2), a PPT witness
+    (d = 3) and a Kraus payload's bounds (d = 4)."""
+    ops = np.random.default_rng(7).normal(size=(2, 4, 4, 2)) @ np.array([1.0, 1j])
+    return {
+        "split-d2": map_to_json(reduction_family(2, 0.8)),
+        "ppt-witness-d3": matrix_to_json(MatrixOp(_choi_map_phi201(), dims=(3, 3))),
+        "kraus-d4": kraus_to_json(KrausSet(ops)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_report_payloads()))
+def test_cli_reports_are_the_reference_encoders_bytes(name, tmp_path, monkeypatch, capsys):
+    """classify's stdout is the reference encoding of the very report object
+    it printed."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(dumps(_report_payloads()[name]))
+    printed = []
+
+    def recording_dumps(obj):
+        printed.append(obj)
+        return dumps(obj)
+
+    monkeypatch.setattr(cli, "dumps", recording_dumps)
+    assert cli.main(["classify", str(path), "--restarts", "2"]) == 0
+    out = capsys.readouterr().out
+    assert len(printed) == 1 and out == _reference(printed[0])
+    dec = json.loads(out)["decomposable"]
+    expected = {"split-d2": "psd+pt-psd-split", "ppt-witness-d3": "ppt-witness",
+                "kraus-d4": "psd+pt-psd-split"}[name]
+    assert dec["detail"] == expected
+
+
+def test_reports_skip_the_pure_python_encoder(tmp_path, monkeypatch, capsys):
+    """A classify report is written without json's interpreted encoder
+    (json.dumps with an indent runs json.encoder._make_iterencode); the
+    counter is checked on a direct json.dumps call first."""
+    calls = []
+    make = json.encoder._make_iterencode
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", counting)
+    json.dumps({"a": [1.0]}, indent=2)
+    assert calls
+    calls.clear()
+    for name, payload in _report_payloads().items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(dumps(payload))
+        assert cli.main(["classify", str(path), "--restarts", "2"]) == 0
+        assert capsys.readouterr().out
+    assert calls == []

@@ -70,6 +70,26 @@ def _is_eigen_call(node):
     return name in ("eigh", "eigvalsh")
 
 
+def _json_writer_calls(path):
+    """The calls in one module to json.dump or json.dumps, also through a
+    name imported from json."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "json"
+                for alias in node.names if alias.name in ("dump", "dumps")}
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (isinstance(func, ast.Attribute) and func.attr in ("dump", "dumps")
+                and isinstance(func.value, ast.Name) and func.value.id == "json"):
+            calls.append(node)
+        elif isinstance(func, ast.Name) and func.id in imported:
+            calls.append(node)
+    return calls
+
+
 def test_the_guard_reads_every_module():
     assert {p.stem for p in SOURCES} >= {"linalg", "maps", "_seesaw", "certify", "fuzz"}
 
@@ -80,3 +100,10 @@ def test_hermitian_part_is_hand_rolled_only_in_the_seesaw_half_steps():
 
 def test_eigensolves_sit_in_allow_listed_functions():
     assert _sites(_is_eigen_call) == EIGEN_SITES
+
+
+def test_json_is_written_only_in_serialize():
+    """One JSON writer: json.dump and json.dumps are called only in the
+    serialize module, whose dumps every command prints through."""
+    writers = {path.stem for path in SOURCES if _json_writer_calls(path)}
+    assert writers == {"serialize"}
