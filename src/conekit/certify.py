@@ -36,7 +36,7 @@ from .linalg import (
 from .maps import (
     KrausSet,
     MapRep,
-    _detector_bank,
+    _reduction_images,
     choi,
 )
 
@@ -184,9 +184,11 @@ def schmidt_number_bounds(c: MatrixOp, *, construction: KrausSet | None = None,
     """(lower, upper) bounds on the Schmidt number of a PSD bipartite matrix
     C with declared dims.
 
-    Lower bound: 1 + the largest k among the reduction detectors that fire
-    (a k-positive map sends Schmidt-number <= k states to PSD, so a negative
-    eigenvalue of (1 (x) psi)(C) proves Schmidt number >= k+1). Upper bound:
+    Lower bound: 1 + the largest k among the reduction detectors
+    R_{1/k}: a -> tr(a) 1 - a/k, k = 1..d_B-1, that fire (a k-positive map
+    sends Schmidt-number <= k states to PSD, so a negative eigenvalue of
+    (1 (x) R_{1/k})(C) = tr_B(C) (x) 1 - C/k proves Schmidt number >= k+1:
+    the k-reduction criterion, formed in closed form). Upper bound:
     the largest operator rank when a Kraus construction is supplied, the
     Schmidt rank of the range vector when C has rank one, else min(dims). C
     counts as PSD, and a detector as fired, against the margin
@@ -201,13 +203,9 @@ def schmidt_number_bounds(c: MatrixOp, *, construction: KrausSet | None = None,
             raise NotPSD(f"matrix has eigenvalue {eig[0][0]:.3e}; Schmidt number undefined")
     w, v = eig
     lower = 1
-    # (1 (x) psi)(C) for every detector psi of the bank in one product, the
-    # one `apply_on_right_factor` forms for each; each image is judged on
-    # its own, with its own margin
-    levels, bank = _detector_bank(db)
-    n = da * db
-    images = np.einsum("rjltu,itku->rijkl", bank,
-                       c.mat.reshape(da, db, da, db)).reshape(-1, n, n)
+    # each image is judged on its own, with its own margin
+    levels = range(1, db)
+    images = _reduction_images(c.mat, da, db, levels)
     if not np.isfinite(images).all():
         raise BadParam("matrix has a NaN or infinite entry")
     for k, image in zip(levels, images):
@@ -318,12 +316,6 @@ def classify(phi: MapRep, opts: SeesawOpts = DEFAULT_OPTS,
                       decomposable=dec)
 
 
-# decomposable_certify searches on C / 2^e (the power-of-two rule of
-# seesaw_minimize) once max|C| >= _SCALE_FROM, where a sweep's sums could
-# overflow; below it C is searched as given, since `eigh` is not exactly
-# scale-equivariant and scaling would move the last bits of a split.
-_SCALE_FROM = 2.0 ** 960
-
 # Dual early exit of decomposable_certify: the gap vector is tested every
 # _GAP_EVERY sweeps, and a candidate PPT state is shifted _WITNESS_SHIFT into
 # the interior of both cones before it is re-checked.
@@ -409,10 +401,10 @@ def decomposable_certify(c: MatrixOp, opts: SeesawOpts = DEFAULT_OPTS,
       and extras["W"] is rho.
     - Inconclusive: neither within max_sweeps.
 
-    Near the top of the float range (max|C| >= 2^960) the search runs on
-    C / 2^e with max|C / 2^e| in [1/2, 1), the power-of-two rule of
-    `seesaw_minimize`, so that no sum of a sweep overflows; A, B, the
-    residual and the value are scaled back. extras always carry "A", "B",
+    The search runs on C / 2^e with max|C / 2^e| in [1/2, 1), the
+    power-of-two rule of `seesaw_minimize`, so C and 2^j C make the same
+    sweeps and no sum or squared norm of a sweep over- or underflows; A, B,
+    the residual and the value are scaled back. extras always carry "A", "B",
     "residual" (the best split found) and "sweeps". Raises BadParam unless
     max_sweeps >= 1 (a search that never runs has no split to report), and
     when a number scaled back is not a double, the rule of `hermitian_eig`.
@@ -421,15 +413,12 @@ def decomposable_certify(c: MatrixOp, opts: SeesawOpts = DEFAULT_OPTS,
         raise BadParam(f"need max_sweeps >= 1, got {max_sweeps}")
     da, db = c.require_dims()
     check_hermitian(c.mat)
+    # max|C| is read once: max|C / 2^e| is its frexp mantissa, floored as
+    # every margin is
     target = _hermitian_part(c.mat)
-    # max|C| (floored as every margin is) serves both the scaling test and
-    # the margin, so the common, unscaled case reads C once
-    top = _margin(target, 1.0)
-    unscale = None
-    if top >= _SCALE_FROM:
-        target, unscale = _pow2_scaled(target, top)
-        top = _margin(target, 1.0)
-    tol = opts.eps_neg * top
+    top = float(np.abs(target).max())
+    target, unscale = _pow2_scaled(target, top)
+    tol = opts.eps_neg * max(math.frexp(top)[0], np.finfo(float).tiny)
 
     def pt(m: np.ndarray) -> np.ndarray:
         return _pt_array(m, da, db)
@@ -463,11 +452,10 @@ def decomposable_certify(c: MatrixOp, opts: SeesawOpts = DEFAULT_OPTS,
     a, b, residual = best
     proven = residual < tol
     value = residual if witness is None else witness[1]
-    if unscale is not None:
-        a, b, residual, value = unscale(a), unscale(b), unscale(residual), unscale(value)
-        if not (math.isfinite(value) and math.isfinite(residual)
-                and np.isfinite(a).all() and np.isfinite(b).all()):
-            raise BadParam("the split or its value is not a double (C is beyond the float range)")
+    a, b, residual, value = unscale(a), unscale(b), unscale(residual), unscale(value)
+    if not (math.isfinite(value) and math.isfinite(residual)
+            and np.isfinite(a).all() and np.isfinite(b).all()):
+        raise BadParam("the split or its value is not a double (C is beyond the float range)")
     extras = {"A": a, "B": b, "residual": residual, "sweeps": sweeps_done}
     if witness is not None:
         extras["W"] = witness[0]

@@ -11,6 +11,7 @@ from .errors import BadFamily, BadK, BadParam
 from .linalg import _hermitian_part, hs_inner, unreshuffle, reshuffle
 from .maps import (
     _random_kraus,
+    _reduction_images,
     ad,
     adjoint,
     apply,
@@ -21,8 +22,6 @@ from .maps import (
     random_cp_map,
     random_hp_map,
     random_k_positive_map,
-    reduction_family,
-    apply_on_right_factor,
 )
 
 SUITES = ("duality", "composition", "bijection", "adjoint")
@@ -97,9 +96,7 @@ def fuzz_composition(n: int, d: int = 3, k: int = 2, seed: int = 0) -> dict:
         err = float(np.abs(recon.super_mat - target.super_mat).max())
         if err > tol:
             return f"reconstruction error {err:.3e}"
-        det = reduction_family(d, 1.0 / k)
-        comp_choi = choi(target)
-        w = np.linalg.eigvalsh(apply_on_right_factor(det, comp_choi).mat)
+        w = np.linalg.eigvalsh(_reduction_images(choi(target).mat, d, d, (k,))[0])
         if float(w[0]) < -tol:
             return f"level-{k} detector fired at {w[0]:.3e} on the composite"
         return None

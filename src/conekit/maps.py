@@ -8,7 +8,7 @@ with S[(i*d+j), (k*d+l)] = (phi(e_kl))[i, j].
 
 from __future__ import annotations
 
-import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,14 +42,23 @@ from .linalg import (
 )
 
 
+def _check_dim(d) -> None:
+    """Raise BadParam unless the dimension d is an integer >= 1 (numpy ones
+    pass, bool does not)."""
+    if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 1:
+        raise BadParam(f"dimension must be an integer >= 1, got {d!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class MapRep:
-    """Hermiticity-preserving linear map on M_d, stored as its superoperator."""
+    """Hermiticity-preserving linear map on M_d, stored as its superoperator.
+    d must be an integer >= 1 (BadParam otherwise)."""
 
     d: int
     super_mat: np.ndarray
 
     def __post_init__(self) -> None:
+        _check_dim(self.d)
         s = _freeze(self.super_mat)
         n = self.d * self.d
         if s.shape != (n, n):
@@ -220,8 +229,7 @@ def _reduction_super(d: int, c: float) -> np.ndarray:
 def reduction_family(d: int, c: float) -> MapRep:
     """a -> tr(a) 1 - c a. Choi matrix 1_{d^2} - c |psi+><psi+| (psi+ unnormalized);
     k-positive exactly when c <= 1/k, completely positive when c <= 1/d."""
-    if d < 1:
-        raise BadParam(f"dimension must be >= 1, got {d}")
+    _check_dim(d)
     if not np.isfinite(c):
         raise BadParam("family parameter must be finite")
     return MapRep(d, _reduction_super(d, c))
@@ -229,6 +237,7 @@ def reduction_family(d: int, c: float) -> MapRep:
 
 def depolarizing(d: int, p: float) -> MapRep:
     """a -> (1-p) a + p tr(a) 1/d."""
+    _check_dim(d)
     if not 0.0 <= p <= 1.0:
         raise BadParam(f"depolarizing strength must lie in [0, 1], got {p}")
     v = np.eye(d, dtype=np.complex128).reshape(-1)
@@ -257,6 +266,7 @@ def random_cp_map(d: int, k: int, n_ops: int, seed: int) -> MapRep:
 
 def random_hp_map(d: int, seed: int) -> MapRep:
     """Hermiticity-preserving map with a GUE-like random Hermitian Choi matrix."""
+    _check_dim(d)
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
     return map_from_choi(_hermitian_part(g))
@@ -354,27 +364,27 @@ def compose_certified(a, phi: MapRep, k: int,
 def reduction_detectors(d: int) -> list[Detector]:
     """Default detector bank: reduction maps at c = 1/k for k = 1..d-1, each
     k-positive by the closed-form threshold and not completely positive, so
-    each can fire on an entangled state."""
+    each can fire on an entangled state. A fresh list on every call, for
+    detect_schmidt_number and any caller that applies the maps themselves;
+    schmidt_number_bounds forms the same images in closed form
+    (_reduction_images) and builds none of them."""
     return [Detector(reduction_family(d, 1.0 / k), k, f"reduction[c=1/{k}]")
             for k in range(1, d)]
 
 
-@functools.lru_cache(maxsize=8)
-def _detector_bank(d: int) -> tuple[tuple[int, ...], np.ndarray]:
-    """reduction_detectors(d) as its k levels and one read-only stack of its
-    superoperators, shape (d-1, d, d, d, d), so that one einsum applies the
-    whole bank on the right factor (the product apply_on_right_factor forms
-    for each detector).
-
-    Memoized: the bank's MapReps are built and gated once per d, not once
-    per call. The memo keeps the 8 dimensions used last, (d-1) * d^4
-    complex entries each (60 KB at d = 6), and never grows beyond them.
-    """
-    bank = reduction_detectors(d)
-    stack = np.array([det.map.super_mat for det in bank],
-                     dtype=np.complex128).reshape(-1, d, d, d, d)
-    stack.setflags(write=False)
-    return tuple(det.k_level for det in bank), stack
+def _reduction_images(x: np.ndarray, da: int, db: int, levels) -> np.ndarray:
+    """(1_da (x) R_{1/k})(X) = tr_B(X) (x) 1 - X/k for each k in levels, as
+    one (len(levels), n, n) stack, n = da*db: the images apply_on_right_factor
+    forms with reduction_family(db, 1/k), in closed form (the k-reduction
+    criterion of Terhal & Horodecki). An image beyond the float range holds
+    inf or NaN and raises no numpy warning; the caller judges it."""
+    n = da * db
+    x4 = x.reshape(da, db, da, db)
+    c = 1.0 / np.asarray(levels, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tr_b = np.trace(x4, axis1=1, axis2=3)
+        out = (tr_b[:, None, :, None] * np.eye(db)[:, None, :]).reshape(n, n)
+        return out - c[:, None, None] * x4.reshape(n, n)
 
 
 def max_entangled_projector(d: int) -> MatrixOp:

@@ -15,10 +15,10 @@ from .linalg import MatrixOp, hermitian_eig, max_entangled, partial_transpose
 from .maps import (
     Detector,
     MapRep,
+    _reduction_images,
     apply_on_right_factor,
     choi,
     max_entangled_projector,
-    reduction_family,
 )
 
 STATE_TOL = 1e-9
@@ -152,9 +152,10 @@ def threshold_scan(family: str, d: int, k: int, grid,
     """Sweep a one-parameter family and record where the detector fires
     (value below -opts.eps_neg).
 
-    isotropic: bottom eigenvalue of (1 (x) reduction[1/k]) rho_F; the flip
-    sits at F = k/d. werner (d=2): bottom eigenvalue of the partial
-    transpose; flip at p = 1/3. reduction: see-saw best value of the family's
+    isotropic: bottom eigenvalue of (1 (x) reduction[1/k]) rho_F =
+    tr_B(rho_F) (x) 1 - rho_F/k, which is min(1/d - F/k,
+    1/d - (1-F)/((d^2-1)k)); the flip sits at F = k/d. werner (d=2): bottom
+    eigenvalue of the partial transpose; flip at p = 1/3. reduction: see-saw best value of the family's
     Choi matrix at level k (closed form 1 - ck); flip at c = 1/k. Raises
     BadParam when a row's value is not a finite double (1 - ck overflows
     near the top of the float range).
@@ -164,10 +165,9 @@ def threshold_scan(family: str, d: int, k: int, grid,
     if family == "isotropic":
         if not 1 <= k <= d:
             raise BadK(f"k={k} outside 1..{d}")
-        det = reduction_family(d, 1.0 / k)
         for f in grid:
             rho = isotropic_state(d, float(f))
-            w, _ = hermitian_eig(apply_on_right_factor(det, rho))
+            w, _ = hermitian_eig(_reduction_images(rho.mat, d, d, (k,))[0])
             rows.append(_scan_point(float(f), float(w[0]), tol))
     elif family == "werner":
         if d != 2:

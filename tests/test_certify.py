@@ -35,6 +35,7 @@ from conekit import (
     max_entangled_projector,
     partial_transpose,
     random_cp_map,
+    random_hp_map,
     random_k_positive_map,
     reduction_detectors,
     reduction_family,
@@ -56,7 +57,7 @@ from conekit.errors import (
 )
 
 from conekit.linalg import PSD_TOL, _margin
-from conekit.maps import MapRep, _detector_bank
+from conekit.maps import MapRep
 
 from _decompose_oracle import decomposable_certify as decomposable_oracle
 
@@ -339,8 +340,9 @@ def _loop_lower_bound(c):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_stacked_detector_bank_matches_the_loop(d):
-    """The bank applied in one product gives the lower bound of the loop
-    over its detectors, on seeded PSD matrices of rank 1, 2 and d at scales
+    """The detectors' images formed as one closed-form stack
+    tr_B(C) (x) 1 - C/k give the lower bound of the loop over the detector
+    maps, on seeded PSD matrices of rank 1, 2 and d at scales
     1e-12..1e12, and on isotropic states at F = k/d +- 1e-3, where level k
     fires just above its threshold and not just below it."""
     rng = np.random.default_rng(100 + d)
@@ -358,15 +360,17 @@ def test_stacked_detector_bank_matches_the_loop(d):
 
 
 def test_detector_image_beyond_the_float_range_is_refused():
-    """An image of 1.7e308 * 1_9 holds 1.7e308 + 1.7e308, not a double: the
-    bounds raise BadParam, as they did when each image was a MatrixOp."""
+    """An image of 1.7e308 * 1_9 holds tr_B = 3 * 1.7e308, not a double: the
+    bounds raise BadParam, as they did when each image was a MatrixOp, and
+    the overflow raises no numpy warning (pytest turns one into an error)."""
     with pytest.raises(BadParam, match="NaN or infinite"):
         schmidt_number_bounds(MatrixOp(1.7e308 * np.eye(9), dims=(3, 3)))
 
 
 def test_detector_bank_is_built_once_per_dimension(monkeypatch):
-    """A second schmidt_number_bounds call at the same d builds no MapRep:
-    the bank's maps are built and gated once per d."""
+    """schmidt_number_bounds builds no MapRep, on its first call at a
+    dimension as on every later one: the detectors' images are formed in
+    closed form, not from their maps."""
     built = []
     post_init = MapRep.__post_init__
 
@@ -377,28 +381,13 @@ def test_detector_bank_is_built_once_per_dimension(monkeypatch):
     monkeypatch.setattr(MapRep, "__post_init__", counting)
     reduction_detectors(4)
     assert built == [4, 4, 4]
-    rho = isotropic_state(4, 0.9)
-    schmidt_number_bounds(rho)
     built.clear()
-    assert schmidt_number_bounds(rho) == (4, 4)
-    assert built == []
-
-
-def test_detector_bank_memo_is_read_only():
-    """The memo holds the k levels and a read-only stack of the detectors'
-    superoperators; reduction_detectors still returns a fresh list."""
-    levels, bank = _detector_bank(3)
-    assert levels == (1, 2)
-    assert bank.shape == (2, 3, 3, 3, 3) and not bank.flags.writeable
-    with pytest.raises(ValueError):
-        bank[0, 0, 0, 0, 0] = 1.0
-    dets = reduction_detectors(3)
-    for det, superop in zip(dets, bank):
-        assert np.array_equal(det.map.super_mat.reshape(3, 3, 3, 3), superop)
-    assert dets is not reduction_detectors(3)
-    dets.clear()
-    assert len(reduction_detectors(3)) == 2
-    assert _detector_bank(1)[0] == ()
+    for d in (4, 5):
+        rho = isotropic_state(d, 0.95)
+        assert schmidt_number_bounds(rho) == (d, d)
+        assert built == []
+        assert schmidt_number_bounds(rho) == (d, d)
+        assert built == []
 
 
 def test_certifiers_need_bipartite_dims():
@@ -845,9 +834,9 @@ def test_decomposable_at_the_top_of_the_float_range():
 
 
 def test_decomposable_scales_near_the_top_of_the_float_range():
-    """From max|C| >= 2^960 the search runs on C / 2^e, so C * 2^j at any
-    such j gives the split, residual and value of C * 2^960 times 2^(j-960)
-    exactly, the ppt-witness state unchanged."""
+    """The search runs on C / 2^e, so C * 2^j for j from 960 up to the top
+    of the float range gives the split, residual and value of C * 2^960
+    times 2^(j-960) exactly, the ppt-witness state unchanged."""
     base = 2.0 ** 960
     for c in (choi(reduction_family(2, 0.7)).mat, _generalized_choi(2.0, 0.0, 1.0)):
         dims = (int(round(np.sqrt(c.shape[0]))),) * 2
@@ -863,6 +852,43 @@ def test_decomposable_scales_near_the_top_of_the_float_range():
             assert np.array_equal(cert.extras["B"], ref.extras["B"] * s)
             if "W" in ref.extras:
                 assert np.array_equal(cert.extras["W"], ref.extras["W"])
+
+
+def test_decomposable_is_one_search_at_every_power_of_two_scale():
+    """C * 2^j for j from -1000 to 1000 makes the sweeps of C itself: the
+    verdict, detail and sweep count are those of unit scale, and A, B, the
+    residual and the value are the unit-scale ones times 2^j bit for bit, on
+    a decomposable C and on one refuted by a PPT witness (the same state at
+    every scale)."""
+    for c, verdict in ((choi(reduction_family(2, 0.7)).mat, Verdict.MEMBERSHIP),
+                       (_generalized_choi(2.0, 0.0, 1.0), Verdict.VIOLATION)):
+        dims = (int(round(np.sqrt(c.shape[0]))),) * 2
+        ref = decomposable_certify(MatrixOp(c, dims=dims))
+        assert ref.verdict is verdict
+        for j in (-1000, -600, -200, 0, 200, 600, 1000):
+            s = 2.0 ** j
+            cert = decomposable_certify(MatrixOp(c * s, dims=dims))
+            assert (cert.verdict, cert.detail) == (ref.verdict, ref.detail), j
+            assert cert.extras["sweeps"] == ref.extras["sweeps"], j
+            assert cert.value == ref.value * s, j
+            assert cert.extras["residual"] == ref.extras["residual"] * s, j
+            assert np.array_equal(cert.extras["A"], ref.extras["A"] * s), j
+            assert np.array_equal(cert.extras["B"], ref.extras["B"] * s), j
+            if "W" in ref.extras:
+                assert np.array_equal(cert.extras["W"], ref.extras["W"]), j
+
+
+def test_decomposable_finds_the_witness_of_a_tiny_c():
+    """At max|C| ~ 1e-200 the squared entries of the gap vector underflow;
+    searched as given, its norm came out 0 and no PPT witness was ever
+    formed (Inconclusive after 2000 sweeps). On C / 2^e the witness is
+    found at sweep 10, as at unit scale."""
+    c = choi(random_hp_map(3, 1)).mat
+    ref = decomposable_certify(MatrixOp(c, dims=(3, 3)))
+    cert = decomposable_certify(MatrixOp(1e-200 * c, dims=(3, 3)))
+    assert (cert.verdict, cert.detail) == (Verdict.VIOLATION, "ppt-witness")
+    assert cert.extras["sweeps"] == ref.extras["sweeps"] == 10
+    assert cert.value < 0.0
 
 
 def test_decomposable_refuses_a_value_beyond_the_float_range():

@@ -218,6 +218,14 @@ def test_fuzz_run_that_checks_nothing_exits_2(argv, capsys):
     assert out.err.startswith("error: ")
 
 
+def test_fuzz_at_dimension_zero_exits_2(capsys):
+    """--d 0 is refused by the map layer's dimension rule, not by numpy."""
+    assert cli.main(["fuzz", "bijection", "--d", "0", "--n", "2"]) == cli.PARSE_ERROR
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: dimension must be an integer >= 1, got 0\n"
+
+
 def test_classify_trusts_its_own_psd_proof(tmp_path, capsys):
     """A Choi matrix PSD within --tol 1e-6 but not within PSD_TOL is CP in
     the report, with Schmidt bounds, not an invariant error."""

@@ -666,6 +666,60 @@ def test_reduction_detectors_bank():
         assert np.linalg.eigvalsh(choi(det.map).mat)[0] < -1e-9
 
 
+def test_reduction_detectors_is_a_fresh_list():
+    """Each call builds its own list, levels (1, 2) at d = 3: clearing one
+    leaves the next call whole."""
+    dets = reduction_detectors(3)
+    assert tuple(det.k_level for det in dets) == (1, 2)
+    assert dets is not reduction_detectors(3)
+    dets.clear()
+    assert len(reduction_detectors(3)) == 2
+    assert reduction_detectors(1) == []
+
+
+def test_reduction_images_are_the_detector_maps_images():
+    """The closed form tr_B(X) (x) 1 - X/k is (1 (x) R_{1/k})(X) as
+    apply_on_right_factor forms it from reduction_family(db, 1/k), within
+    8 eps max|X|, on seeded Hermitian X at dims (1..5, 2..5)."""
+    rng = np.random.default_rng(17)
+    eps = np.finfo(float).eps
+    for da in range(1, 6):
+        for db in range(2, 6):
+            n = da * db
+            g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            x = MatrixOp(g + g.conj().T, dims=(da, db))
+            levels = range(1, db)
+            images = maps_mod._reduction_images(x.mat, da, db, levels)
+            assert images.shape == (db - 1, n, n)
+            for k, image in zip(levels, images):
+                ref = apply_on_right_factor(reduction_family(db, 1.0 / k), x).mat
+                assert np.abs(image - ref).max() <= 8 * eps * np.abs(x.mat).max()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: random_hp_map(-1, 0),
+    lambda: depolarizing(0, 0.5),
+    lambda: identity_map(0),
+    lambda: transpose_map(0),
+    lambda: MapRep(0, np.zeros((0, 0))),
+    lambda: reduction_family(0, 0.5),
+    lambda: MapRep(2.0, np.eye(4)),
+    lambda: MapRep(True, np.eye(1)),
+], ids=["random_hp_map-1", "depolarizing0", "identity_map0", "transpose_map0",
+        "MapRep0", "reduction_family0", "MapRep-float", "MapRep-bool"])
+def test_dimension_below_one_or_not_an_integer_is_refused(build):
+    """One dimension rule for maps: an integer >= 1, else BadParam, before
+    any arithmetic (random_hp_map(-1, 0) was a map on M_1, depolarizing(0, p)
+    a ZeroDivisionError, and a 0 x 0 superoperator numpy's zero-size
+    reduction error)."""
+    with pytest.raises(BadParam, match="dimension must be an integer >= 1"):
+        build()
+
+
+def test_numpy_integer_dimension_is_accepted():
+    assert MapRep(np.int64(2), np.eye(4)).d == 2
+
+
 # ---------------------------------------------------------------------------
 # Certified composition
 

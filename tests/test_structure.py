@@ -25,6 +25,12 @@ EIGEN_SITES = {
     "fuzz.fuzz_composition",
 }
 
+# The functions a functools memo may decorate: the see-saw's start frames
+# (one svd per configuration) and the CLI's parser. Everything else is
+# computed per call; in particular the reduction detectors' images have a
+# closed form and need no memoized bank.
+MEMO_SITES = {"_seesaw._start_frames", "cli._build_parser"}
+
 
 def _top_level_functions(path):
     """(qualified name, node) of each module-level function, class bodies
@@ -70,6 +76,14 @@ def _is_eigen_call(node):
     return name in ("eigh", "eigvalsh")
 
 
+def _is_memo(decorator):
+    """functools.lru_cache or functools.cache, called or not, also through a
+    name imported from functools."""
+    node = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    return name in ("lru_cache", "cache")
+
+
 def _json_writer_calls(path):
     """The calls in one module to json.dump or json.dumps, also through a
     name imported from json."""
@@ -100,6 +114,12 @@ def test_hermitian_part_is_hand_rolled_only_in_the_seesaw_half_steps():
 
 def test_eigensolves_sit_in_allow_listed_functions():
     assert _sites(_is_eigen_call) == EIGEN_SITES
+
+
+def test_memos_sit_in_allow_listed_functions():
+    memoized = {name for path in SOURCES for name, fn in _top_level_functions(path)
+                if any(_is_memo(dec) for dec in fn.decorator_list)}
+    assert memoized == MEMO_SITES
 
 
 def test_json_is_written_only_in_serialize():

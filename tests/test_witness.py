@@ -143,6 +143,19 @@ def test_scan_isotropic_flips_once_near_k_over_d():
         assert abs(rows[flips[0]].param - k / d) <= 0.011
 
 
+def test_scan_isotropic_rows_are_the_closed_form():
+    """The image tr_B(rho_F) (x) 1 - rho_F/k = 1/d - rho_F/k has eigenvalues
+    1/d - F/k and 1/d - (1-F)/((d^2-1)k): each row is their minimum within
+    1e-15."""
+    grid = np.linspace(0.0, 1.0, 41)
+    for d in (2, 3, 4, 5):
+        for k in range(1, d + 1):
+            rows = threshold_scan("isotropic", d, k, grid)
+            for row, f in zip(rows, grid):
+                closed = min(1 / d - f / k, 1 / d - (1 - f) / ((d * d - 1) * k))
+                assert abs(row.min_eig - closed) <= 1e-15, (d, k, f)
+
+
 def test_scan_werner_flips_at_one_third():
     rows = threshold_scan("werner", 2, 1, np.linspace(0.2, 0.5, 31))
     flips = [i for i in range(1, len(rows)) if rows[i].fired != rows[i - 1].fired]
