@@ -45,7 +45,13 @@ quasi-Newton step hands over its frame V directly. The first frames of the
 starts (the first sweep reads nothing else) come from a memo, so a repeated
 configuration (a scan's rows, two chains' levels) runs no `svd` at all. A
 restart stops when a sweep moves its value by less than the stop threshold,
-or after max_iters iterations (sweeps and evaluations together).
+or after max_iters iterations (sweeps and evaluations together). It stops
+earlier in the same sweep, skipping the right half-step with its `eigh` and
+its two `qr` calls, when the left half-step gains less than the threshold
+and the restart has a full sweep behind it since its start or its last
+phase: a sweep's decrease is the sum of its half-steps' decreases, both
+>= 0. The value and witness P V kept are that half-step's, and the cut
+sweep counts as one iteration.
 tests/_seesaw_oracle.py keeps the one-restart-at-a-time scalar see-saw loop
 as the reference the tests compare against.
 """
@@ -59,7 +65,7 @@ import numbers
 import numpy as np
 
 from .errors import BadParam
-from .linalg import _check_eps, _margin, _pow2_scaled
+from .linalg import _TINY, _check_eps, _margin, _pow2_scaled
 
 # Always False: no compiled kernel exists; perfbench's environment header reads it.
 NUMBA_ACTIVE = False
@@ -172,35 +178,54 @@ def _seesaw_kernel(C, da, db, k, frames, max_iters, eps_conv):
     for _ in range(max_iters):
         iters += sw.size + qn.size
         opening = []  # the restarts whose chart opens on this iteration
+        rows, irows = sw, isw  # the restarts that take the right half-step
         if sw.size:
             # With the right frames V fixed, the bottom P gives m = P V, whose
-            # column space is that of P: its Q is the left frame U. With U
-            # fixed, the bottom B gives m = U B, whose row space is that of B.
-            p = _bottom_left(c4, vr[isw], da, k)[1]
+            # column space is that of P: its Q is the left frame U. A restart
+            # with a full sweep behind it since its start or its last phase
+            # stops here, keeping P V, when this half-step gains less than the
+            # stop threshold: a sweep's gain is its two half-steps' gains,
+            # both >= 0, so the full-sweep test would stop in this sweep too.
+            # The first sweep after a phase starts at the phase's own
+            # minimum over its frame; only its right half-step can leave a
+            # saddle of f, so it always runs.
+            vs = vr[isw]
+            q_half, p = _bottom_left(c4, vs, da, k)
+            half = (run[isw] > 0) & (np.abs(q[isw] - q_half) < eps_conv)
+            if half.any():
+                regroup = True
+                done = sw[half]
+                live[done] = False
+                q[done], m[done] = q_half[half], p[half] @ vs[half]
+                rows = irows = sw[~half]
+                p = p[~half]
+        if rows.size:
+            # With U fixed, the bottom B gives m = U B, whose row space is
+            # that of B.
             u = np.linalg.qr(p)[0]
             q_new, b = _bottom_right(c4t, u, db, k)
-            m[isw] = u @ b
-            dec = q[isw] - q_new
+            m[irows] = u @ b
+            dec = q[irows] - q_new
             converged = np.abs(dec) < eps_conv
-            q[isw] = q_new
-            run[isw] += 1
-            slow = ~converged & (run[isw] >= _QN_AFTER)
-            d1 = dec1[isw]
+            q[irows] = q_new
+            run[irows] += 1
+            slow = ~converged & (run[irows] >= _QN_AFTER)
+            d1 = dec1[irows]
             if slow.any():
-                slow &= (dec > _QN_SLOW * d1) & (d1 > _QN_SLOW * dec2[isw])
-            dec2[isw] = d1
-            dec1[isw] = dec
+                slow &= (dec > _QN_SLOW * d1) & (d1 > _QN_SLOW * dec2[irows])
+            dec2[irows] = d1
+            dec1[irows] = dec
             if not converged.any():
-                vr[isw] = _row_frame(b)
+                vr[irows] = _row_frame(b)
             else:
                 regroup = True
-                live[sw[converged]] = False
+                live[rows[converged]] = False
                 if not converged.all():
                     # only restarts that sweep on (or enter the phase) need a frame
-                    vr[sw[~converged]] = _row_frame(b[~converged])
+                    vr[rows[~converged]] = _row_frame(b[~converged])
             if slow.any():
                 regroup = True
-                enter = sw[slow]
+                enter = rows[slow]
                 phase[enter] = True
                 opening.append(enter)
         if qn.size:
@@ -224,7 +249,7 @@ def _seesaw_kernel(C, da, db, k, frames, max_iters, eps_conv):
                 # starts from (s.y / y.y) 1 (Nocedal & Wright, eq. 6.20)
                 first = upd & (st == 1)
                 if first.any():
-                    h0 = sy / np.maximum((y * y).sum(1), np.finfo(float).tiny)
+                    h0 = sy / np.maximum((y * y).sum(1), _TINY)
                     h = np.where(first[:, None, None], h0[:, None, None] * eye, h)
                     st = np.where(first, 0, st)
                 rho = np.divide(1.0, sy, out=np.zeros(r), where=upd)
@@ -346,7 +371,11 @@ def seesaw_minimize(c_mat: np.ndarray, dims: tuple[int, int], k: int,
 
     A restart stops when a sweep moves its value by less than
     eps_conv * max|C|, so the stop rule scales with C at every size (C = 0
-    stops on its second sweep), or after max_iters iterations.
+    stops on its second sweep), or after max_iters iterations. Once it has
+    a full sweep behind it since its start or since it left the
+    quasi-Newton phase, it stops already when a sweep's first half-step
+    gains less than that, keeping the half-step's value and witness; the
+    sweep still counts as one iteration.
 
     Raises BadParam unless restarts, max_iters and seed are integers (numpy
     ones pass, bool does not) with both counts >= 1 and seed >= 0 and

@@ -19,6 +19,7 @@ from .errors import BadK, BadParam, ConekitError, DimMismatch, NotPSD
 from .linalg import (
     PSD_TOL,
     RANK_TOL,
+    _TINY,
     BipartiteVector,
     MatrixOp,
     _check_eps,
@@ -418,7 +419,7 @@ def decomposable_certify(c: MatrixOp, opts: SeesawOpts = DEFAULT_OPTS,
     target = _hermitian_part(c.mat)
     top = float(np.abs(target).max())
     target, unscale = _pow2_scaled(target, top)
-    tol = opts.eps_neg * max(math.frexp(top)[0], np.finfo(float).tiny)
+    tol = opts.eps_neg * max(math.frexp(top)[0], _TINY)
 
     def pt(m: np.ndarray) -> np.ndarray:
         return _pt_array(m, da, db)

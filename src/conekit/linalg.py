@@ -23,13 +23,15 @@ HERM_TOL = 1e-10
 PSD_TOL = 1e-9
 # Relative cutoff of every numerical rank (Schmidt, operator, Choi matrix).
 RANK_TOL = 1e-8
+# The smallest normal double, read once: each np.finfo lookup costs about 1 us.
+_TINY = float(np.finfo(float).tiny)
 
 
 def _margin(m: np.ndarray, eps: float) -> float:
     """The margin eps * max|M| of a sign or Hermiticity decision on M, so that
     scaling M by any positive factor leaves the decision unchanged. M = 0 gets
     the least positive scale, so exact zeros still pass."""
-    return eps * max(float(np.abs(m).max()), np.finfo(float).tiny)
+    return eps * max(float(np.abs(m).max()), _TINY)
 
 
 def _pow2_scaled(m: np.ndarray, top: float):

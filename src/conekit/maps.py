@@ -257,6 +257,7 @@ def _random_kraus(d: int, k: int, n_ops: int, seed: int) -> np.ndarray:
 def random_cp_map(d: int, k: int, n_ops: int, seed: int) -> MapRep:
     """CP map built from n_ops random Kraus operators of exact rank <= k,
     each a product of d x k and k x d complex Gaussian factors."""
+    _check_dim(d)
     if not 1 <= k <= d:
         raise BadRank(f"rank level k={k} outside 1..{d}")
     if n_ops < 1:
@@ -275,6 +276,7 @@ def random_hp_map(d: int, seed: int) -> MapRep:
 def random_k_positive_map(d: int, k: int, seed: int) -> MapRep:
     """Random member of a provably k-positive family: a convex mix of a CP map
     and the reduction-family map at its k-positivity boundary c = 1/k."""
+    _check_dim(d)
     if not 1 <= k <= d:
         raise BadK(f"k={k} outside 1..{d}")
     rng = np.random.default_rng(seed)
@@ -368,6 +370,7 @@ def reduction_detectors(d: int) -> list[Detector]:
     detect_schmidt_number and any caller that applies the maps themselves;
     schmidt_number_bounds forms the same images in closed form
     (_reduction_images) and builds none of them."""
+    _check_dim(d)
     return [Detector(reduction_family(d, 1.0 / k), k, f"reduction[c=1/{k}]")
             for k in range(1, d)]
 

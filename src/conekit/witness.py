@@ -15,6 +15,7 @@ from .linalg import MatrixOp, hermitian_eig, max_entangled, partial_transpose
 from .maps import (
     Detector,
     MapRep,
+    _check_dim,
     _reduction_images,
     apply_on_right_factor,
     choi,
@@ -122,6 +123,7 @@ def witness_from_map(phi: MapRep, k_level: int) -> Witness:
 def random_schmidt_bounded_state(d: int, k: int, n_terms: int, seed: int) -> MatrixOp:
     """Random state of Schmidt number <= k: a convex mix of pure states whose
     coefficient matrices factor through rank k."""
+    _check_dim(d)
     if not 1 <= k <= d:
         raise BadK(f"k={k} outside 1..{d}")
     if n_terms < 1:

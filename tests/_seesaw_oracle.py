@@ -9,6 +9,12 @@ in two ways: where no restart enters the kernel's quasi-Newton phase
 its values, sweep counts and (for a unique minimiser) witnesses; where the
 phase runs, the kernel's value must never be above the loop's, also with the
 loop run to 20 000 sweeps on the maps near the k-positivity boundary.
+
+The loop keeps the full-sweep stop rule: a restart ends after the sweep
+that moves its value by less than eps_conv. The kernel stops within that
+same sweep, after its left half-step (whose gain is then below eps_conv
+too), so the sweep counts agree and the values differ by at most the
+skipped right half-step's gain.
 """
 
 import numpy as np

@@ -35,6 +35,7 @@ from conekit import (
     random_cp_map,
     random_hp_map,
     random_k_positive_map,
+    random_schmidt_bounded_state,
     reduction_detectors,
     reduction_family,
     schmidt_number_bounds,
@@ -714,6 +715,22 @@ def test_dimension_below_one_or_not_an_integer_is_refused(build):
     reduction error)."""
     with pytest.raises(BadParam, match="dimension must be an integer >= 1"):
         build()
+
+
+@pytest.mark.parametrize("d", [2.5, 0, -1, True])
+@pytest.mark.parametrize("build", [
+    lambda d: random_cp_map(d, 1, 1, 0),
+    lambda d: random_k_positive_map(d, 1, 0),
+    lambda d: random_schmidt_bounded_state(d, 1, 1, 0),
+    lambda d: reduction_detectors(d),
+], ids=["random_cp_map", "random_k_positive_map", "random_schmidt_bounded_state",
+        "reduction_detectors"])
+def test_generators_apply_the_dimension_rule(build, d):
+    """The generators check the dimension first, as the maps do: a float
+    dimension was numpy's TypeError, and random_cp_map(0, 1, 1, 0) and
+    random_k_positive_map(0, 1, 0) were refused as a bad rank or level."""
+    with pytest.raises(BadParam, match="dimension must be an integer >= 1"):
+        build(d)
 
 
 def test_numpy_integer_dimension_is_accepted():

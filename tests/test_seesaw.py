@@ -251,23 +251,108 @@ def linalg_calls(monkeypatch):
     return calls
 
 
-def test_kernel_eigh_count_per_iteration(linalg_calls, phase_evaluations):
-    """At one restart an iteration costs two eigh calls and no tensordot:
-    a sweep's two half-steps, or a quasi-Newton evaluation's chart
-    normalization and effective matrix. Holds on seeded random forms and on
-    k-positive maps whose searches enter the phase."""
+@pytest.fixture
+def kernel_steps(monkeypatch):
+    """The steps of a one-restart search, one letter each: S a full sweep, H
+    a sweep that stopped after its left half-step, E a quasi-Newton
+    evaluation. Logs the kernel's half-step and evaluation helpers; an
+    evaluation's own left half-step is logged before it."""
+    log = []
+
+    def logging(name, letter):
+        fn = getattr(_seesaw, name)
+
+        def run(*args):
+            out = fn(*args)
+            log.append(letter)
+            return out
+
+        monkeypatch.setattr(_seesaw, name, run)
+
+    logging("_bottom_left", "L")
+    logging("_bottom_right", "R")
+    logging("_reduced", "F")
+
+    def steps():
+        out = "".join(log).replace("LF", "E").replace("LR", "S")
+        log.clear()
+        return out[:-1] + "H" if out.endswith("L") else out
+
+    return steps
+
+
+def _eigh_inputs():
     rng = np.random.default_rng(12)
     inputs = [(choi(phi).mat, (3, 3), k) for phi in _kpos_family()[:6] for k in (1, 2)]
     inputs += [(_rand_herm(rng, 12), (3, 4), k) for k in (1, 2, 3)]
     inputs += [(_rand_herm(rng, 16), (4, 4), k) for k in (1, 2, 3)]
     inputs += [(choi(random_k_positive_map(4, 2, 1)).mat, (4, 4), 2),
                (np.zeros((9, 9)), (3, 3), 2)]
-    for c, dims, k in inputs:
+    return inputs
+
+
+def test_kernel_eigh_count_per_iteration(linalg_calls, phase_evaluations, kernel_steps):
+    """At one restart an iteration costs two eigh calls and no tensordot (a
+    sweep's two half-steps, or a quasi-Newton evaluation's chart
+    normalization and effective matrix), except a sweep that stops after its
+    left half-step, which costs one. Holds on seeded random forms and on
+    k-positive maps whose searches enter the phase; searches end both ways."""
+    endings = set()
+    for c, dims, k in _eigh_inputs():
         linalg_calls["eigh"] = 0
         _, _, iters = seesaw_minimize(c, dims, k, restarts=1, seed=3)
-        assert linalg_calls["eigh"] == 2 * iters
+        steps = kernel_steps()
+        assert len(steps) == iters
+        assert linalg_calls["eigh"] == 2 * iters - steps.endswith("H")
+        endings.add(steps[-1])
     assert linalg_calls["tensordot"] == 0
     assert phase_evaluations[0] > 0
+    assert endings == {"S", "H"}
+
+
+def test_no_half_step_stop_right_after_the_phase(kernel_steps):
+    """The first sweep after a quasi-Newton phase starts at the phase's own
+    minimum over its frame, so its left half-step gains nothing; it always
+    takes its right half-step, which can leave a saddle of the reduced
+    objective. Only a later sweep may stop after its left half-step."""
+    left_phase = 0
+    for c, dims, k in _eigh_inputs():
+        for seed in (3, 4):
+            seesaw_minimize(c, dims, k, restarts=1, seed=seed)
+            steps = kernel_steps()
+            assert "EH" not in steps
+            assert set(steps[:-1]) <= {"S", "E"}
+            left_phase += "ES" in steps
+    assert left_phase
+
+
+@pytest.fixture
+def eigh_matrices(monkeypatch):
+    """Counts the matrices passed to np.linalg.eigh, each of a stack too."""
+    count = [0]
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        count[0] += a.shape[0] if a.ndim == 3 else 1
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return count
+
+
+@pytest.mark.parametrize("c,dims,k,unique", list(_off_phase_inputs()))
+def test_off_phase_restarts_stop_on_a_half_step(eigh_matrices, phase_evaluations,
+                                                c, dims, k, unique):
+    """Where no restart enters the quasi-Newton phase, every restart stops
+    after the left half-step of the sweep at which the loop's full-sweep
+    test stops it: the iteration count is still the loop's sweep count, and
+    the stacked eigh calls solve 2 effective matrices per sweep, less one
+    per restart."""
+    _, _, sweeps = seesaw_minimize(c, dims, k, restarts=6, seed=3)
+    matrices = eigh_matrices[0]
+    assert phase_evaluations[0] == 0
+    assert sweeps == _oracle(c, dims, k, 6, 3)[2]
+    assert matrices == 2 * sweeps - 6
 
 
 def _kpos_family(seed=1):
