@@ -26,21 +26,26 @@ eigenvector as witness, never an extrapolation.
 
 All restarts advance together: on each iteration the restarts in the see-saw
 take one sweep and those in the phase one evaluation of f, each group
-through stacked `eigh`/`qr` calls. An effective matrix is one gemm of C
-(viewed as a dA x dB x dA x dB tensor with the summed axis last; the right
-half-step's layout is formed once per search) with the stacked fixed
-frames, then a two-operand `einsum`. The groups are recomputed only when a
+through stacked `eigh`/`qr` calls. The Schmidt-rank <= k vectors are the
+same with the two factors swapped, so the minimum over the second factor is
+the minimum over the first of S C S (S the swap): one helper is the only
+half-step, given C's tensor (dA x dB x dA x dB, summed axis last) on the
+left and that of S C S, formed once per search, on the right. Its effective
+matrix is one gemm of the tensor with the stacked fixed frames, then a
+two-operand `einsum`; `eigh` reads one triangle of it, so no Hermitian part
+is formed. The groups are recomputed only when a
 restart converges, enters the phase or leaves it, which saves numpy calls,
 not arithmetic. A phase evaluation has one step update: it builds the
 accepted step's state for its whole group, then patches the rows whose step
 was rejected. Charts open in one place, after the phase's evaluation, for
 the restarts that entered the phase and those whose chart went far, in one
 stacked `qr`. The kernel keeps each restart's right frame (k
-orthonormal rows) and takes every frame from a factor it already holds,
-since the minimum over a frame depends only on the frame's span: the left
-frame U is the Q of `qr(P)` for the bottom eigenvector P (dA x k) of the
-left half-step, the next right frame the Q of `qr(B^H)` for the bottom
-eigenvector B (k x dB) of the right half-step, as the iterate is U B; a
+orthonormal rows) and takes every frame by one rule, the rows of Q^T for
+the Q of `qr(X)`, from a factor X (n x k) it already holds, since the
+minimum over a frame depends only on the frame's span: the left frame U^T
+is that of the bottom eigenvector P (dA x k) of the left half-step, the
+next right frame that of the bottom eigenvector B (dB x k) of the right
+half-step, as the iterate is (B U^T)^T; a
 quasi-Newton step hands over its frame V directly. The first frames of the
 starts (the first sweep reads nothing else) come from a memo, so a repeated
 configuration (a scan's rows, two chains' levels) runs no `svd` at all. A
@@ -60,12 +65,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 
 import numpy as np
 
-from .errors import BadParam
-from .linalg import _TINY, _check_eps, _margin, _pow2_scaled
+from .errors import BadParam, DimMismatch
+from .linalg import (_TINY, _check_count, _check_eps, _check_level, _is_int, _margin,
+                     _pow2_scaled)
 
 # Always False: no compiled kernel exists; perfbench's environment header reads it.
 NUMBA_ACTIVE = False
@@ -81,39 +86,28 @@ _ARMIJO = 1e-4
 _CHART_R2 = 1.0
 
 
-def _bottom_left(c4, v, da, k):
-    # Exact minimum over the first factor for right frames v (r, k, db):
-    # aeff[r, a, i, c, l] = sum_{b, e} conj(v[r, i, b]) C[a, b, c, e] v[r, l, e];
-    # returns its bottom eigenvalues (r,) and eigenvectors as (r, da, k).
-    # cv[a, b, c, r, l] = sum_e C[a, b, c, e] v[r, l, e] is one gemm, the one
-    # np.tensordot(c4, v, ([3], [2])) would run, without its wrapper.
-    r, db = v.shape[0], v.shape[2]
-    cv = (c4.reshape(-1, db) @ v.transpose(2, 0, 1).reshape(db, -1)).reshape(da, db, da, r, k)
-    aeff = np.einsum("rib,abcrl->raicl", v.conj(), cv).reshape(r, da * k, da * k)
-    aeff = 0.5 * (aeff + aeff.conj().swapaxes(1, 2))
-    w, vec = np.linalg.eigh(aeff)
-    return w[:, 0], vec[:, :, 0].reshape(r, da, k)
+def _bottom(cx, v, n, k):
+    # Exact minimum over the first factor of the (n, m, n, m) tensor cx for
+    # frames v (r, k, m) of the second: the bottom eigenpairs (r,), (r, n, k) of
+    # eff[r, a, i, c, l] = sum_{b, e} conj(v[r, i, b]) cx[a, b, c, e] v[r, l, e].
+    # cv[a, b, c, r, l] = sum_e cx[a, b, c, e] v[r, l, e] is one gemm; eigh
+    # reads one triangle of eff, so no Hermitian part is formed.
+    r, m = v.shape[0], v.shape[2]
+    cv = (cx.reshape(-1, m) @ v.transpose(2, 0, 1).reshape(m, -1)).reshape(n, m, n, r, k)
+    eff = np.einsum("rib,abcrl->raicl", v.conj(), cv).reshape(r, n * k, n * k)
+    w, vec = np.linalg.eigh(eff)
+    return w[:, 0], vec[:, :, 0].reshape(r, n, k)
 
 
-def _bottom_right(c4t, u, db, k):
-    # Exact minimum over the second factor for left frames u (r, da, k):
-    # beff[r, i, b, l, e] = sum_{a, c} conj(u[r, a, i]) C[a, b, c, e] u[r, c, l];
-    # returns its bottom eigenvalues (r,) and eigenvectors as (r, k, db).
-    # c4t is C as the contiguous (a, b, e, c) array, formed once per search,
-    # so cu[a, b, e, r, l] = sum_c C[a, b, c, e] u[r, c, l] is one gemm.
-    r, da = u.shape[0], u.shape[1]
-    cu = (c4t.reshape(-1, da) @ u.transpose(1, 0, 2).reshape(da, -1)).reshape(da, db, db, r, k)
-    beff = np.einsum("rai,aberl->rible", u.conj(), cu).reshape(r, k * db, k * db)
-    beff = 0.5 * (beff + beff.conj().swapaxes(1, 2))
-    w, vec = np.linalg.eigh(beff)
-    return w[:, 0], vec[:, :, 0].reshape(r, k, db)
+def _frame(p):
+    # Q^T for the Q of qr(p): k orthonormal rows spanning the column space of
+    # each p (r, n, k), padded where p is rank deficient.
+    return np.linalg.qr(p)[0].swapaxes(1, 2)
 
 
-def _row_frame(b, mode="reduced"):
-    # Q^H for the Q of qr(b^H): k orthonormal rows spanning the row space of
-    # each b (r, k, db), padded where b is rank deficient; mode="complete"
-    # extends them to a unitary (r, db, db), the frame of a chart.
-    return np.linalg.qr(b.conj().swapaxes(1, 2), mode=mode)[0].conj().swapaxes(1, 2)
+def _chart_frame(v):
+    # A unitary (r, db, db) whose first k rows span the rows of each v (r, k, db).
+    return np.linalg.qr(v.swapaxes(1, 2), mode="complete")[0].swapaxes(1, 2)
 
 
 def _reduced(C, c4, frame, x, da, k):
@@ -128,7 +122,7 @@ def _reduced(C, c4, frame, x, da, k):
     lam, e = np.linalg.eigh(w @ w.conj().swapaxes(1, 2))  # W W^H = 1 + X X^H
     s = (e * lam[:, None, :] ** -0.5) @ e.conj().swapaxes(1, 2)
     v = s @ w
-    f, p = _bottom_left(c4, v, da, k)
+    f, p = _bottom(c4, v, da, k)
     ps = p @ s
     m = ps @ w
     g = (m.reshape(r, -1) @ C.T).reshape(r, da, db) - f[:, None, None] * m
@@ -143,7 +137,8 @@ def _seesaw_kernel(C, da, db, k, frames, max_iters, eps_conv):
     # first sweep sets every iterate m from them.
     # Returns (best value, best coefficient matrix, total iterations).
     c4 = C.reshape(da, db, da, db)
-    c4t = np.ascontiguousarray(c4.transpose(0, 1, 3, 2))  # _bottom_right's gemm operand
+    # S C S for the swap S of the factors: the right half-step's tensor
+    c4s = np.ascontiguousarray(c4.transpose(1, 0, 3, 2))
     n_restarts = frames.shape[0]
     m = np.empty((n_restarts, da, db), dtype=np.complex128)
     vr = frames.copy()  # each restart's right frame: rows span the row space of m
@@ -181,7 +176,7 @@ def _seesaw_kernel(C, da, db, k, frames, max_iters, eps_conv):
         rows, irows = sw, isw  # the restarts that take the right half-step
         if sw.size:
             # With the right frames V fixed, the bottom P gives m = P V, whose
-            # column space is that of P: its Q is the left frame U. A restart
+            # column space is that of P: _frame(P) is the left frame. A restart
             # with a full sweep behind it since its start or its last phase
             # stops here, keeping P V, when this half-step gains less than the
             # stop threshold: a sweep's gain is its two half-steps' gains,
@@ -190,7 +185,7 @@ def _seesaw_kernel(C, da, db, k, frames, max_iters, eps_conv):
             # minimum over its frame; only its right half-step can leave a
             # saddle of f, so it always runs.
             vs = vr[isw]
-            q_half, p = _bottom_left(c4, vs, da, k)
+            q_half, p = _bottom(c4, vs, da, k)
             half = (run[isw] > 0) & (np.abs(q[isw] - q_half) < eps_conv)
             if half.any():
                 regroup = True
@@ -200,11 +195,12 @@ def _seesaw_kernel(C, da, db, k, frames, max_iters, eps_conv):
                 rows = irows = sw[~half]
                 p = p[~half]
         if rows.size:
-            # With U fixed, the bottom B gives m = U B, whose row space is
-            # that of B.
-            u = np.linalg.qr(p)[0]
-            q_new, b = _bottom_right(c4t, u, db, k)
-            m[irows] = u @ b
+            # With U fixed, the left half-step of S C S gives the bottom B
+            # (dB x k) and m = (B U^T)^T, whose row space is the column
+            # space of B: _frame(B) is the next right frame.
+            u = _frame(p)
+            q_new, b = _bottom(c4s, u, db, k)
+            m[irows] = (b @ u).swapaxes(1, 2)
             dec = q[irows] - q_new
             converged = np.abs(dec) < eps_conv
             q[irows] = q_new
@@ -216,13 +212,13 @@ def _seesaw_kernel(C, da, db, k, frames, max_iters, eps_conv):
             dec2[irows] = d1
             dec1[irows] = dec
             if not converged.any():
-                vr[irows] = _row_frame(b)
+                vr[irows] = _frame(b)
             else:
                 regroup = True
                 live[rows[converged]] = False
                 if not converged.all():
                     # only restarts that sweep on (or enter the phase) need a frame
-                    vr[rows[~converged]] = _row_frame(b[~converged])
+                    vr[rows[~converged]] = _frame(b[~converged])
             if slow.any():
                 regroup = True
                 enter = rows[slow]
@@ -302,7 +298,7 @@ def _seesaw_kernel(C, da, db, k, frames, max_iters, eps_conv):
             # a new chart's frame extends the point's frame to a unitary, and
             # its origin is evaluated next
             new = np.concatenate(opening)
-            frame[new] = _row_frame(vr[new], "complete")
+            frame[new] = _chart_frame(vr[new])
             x[new], step[new], slope[new], stage[new] = 0.0, 0.0, 0.0, 2
         if regroup:
             if not live.any():
@@ -352,12 +348,9 @@ def _check_search(restarts, max_iters, eps_conv, seed) -> None:
     ones pass, bool does not), the two counts are >= 1 (a search that never
     runs has no value to report), seed is >= 0 (numpy's generators take no
     negative seed) and eps_conv passes _check_eps."""
-    for name, val, low in (("restarts", restarts, 1), ("max_iters", max_iters, 1),
-                           ("seed", seed, 0)):
-        if isinstance(val, bool) or not isinstance(val, numbers.Integral):
-            raise BadParam(f"{name} must be an integer, got {val!r}")
-        if val < low:
-            raise BadParam(f"need {name} >= {low}, got {val}")
+    _check_count("restarts", restarts, 1)
+    _check_count("max_iters", max_iters, 1)
+    _check_count("seed", seed, 0)
     _check_eps("eps_conv", eps_conv)
 
 
@@ -380,11 +373,16 @@ def seesaw_minimize(c_mat: np.ndarray, dims: tuple[int, int], k: int,
     Raises BadParam unless restarts, max_iters and seed are integers (numpy
     ones pass, bool does not) with both counts >= 1 and seed >= 0 and
     eps_conv is a finite real >= 0, and when an entry of C is not finite (a
-    NaN or inf one makes every value inf).
+    NaN or inf one makes every value inf); DimMismatch unless dims are
+    integers >= 1 and C is (dA dB) x (dA dB); BadK unless k is an integer in
+    1..min(dims).
     """
     _check_search(restarts, max_iters, eps_conv, seed)
     da, db = dims
     c = np.asarray(c_mat, dtype=np.complex128)
+    if not (_is_int(da, 1) and _is_int(db, 1)) or c.shape != (da * db, da * db):
+        raise DimMismatch(f"dims {dims} incompatible with C of shape {c.shape}")
+    _check_level(k, min(da, db))
     top = float(np.abs(c).max())
     if not top < math.inf:
         raise BadParam("C has a NaN or infinite entry")

@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from ._seesaw import _check_search, seesaw_minimize
-from .errors import BadK, BadParam, ConekitError, DimMismatch, NotPSD
+from .errors import BadParam, ConekitError, DimMismatch, NotPSD
 from .linalg import (
     PSD_TOL,
     RANK_TOL,
@@ -23,6 +23,7 @@ from .linalg import (
     BipartiteVector,
     MatrixOp,
     _check_eps,
+    _check_level,
     _hermitian_part,
     _margin,
     _pow2_scaled,
@@ -130,8 +131,7 @@ def k_block_positive_certify(c: MatrixOp, k: int, opts: SeesawOpts = DEFAULT_OPT
     """
     da, db = c.require_dims()
     kmax = min(da, db)
-    if not 1 <= k <= kmax:
-        raise BadK(f"k={k} outside 1..{kmax}")
+    _check_level(k, kmax)
     if eig is None:
         eig = hermitian_eig(c)
     tol = _margin(c.mat, opts.eps_neg)
@@ -186,10 +186,12 @@ def schmidt_number_bounds(c: MatrixOp, *, construction: KrausSet | None = None,
     C with declared dims.
 
     Lower bound: 1 + the largest k among the reduction detectors
-    R_{1/k}: a -> tr(a) 1 - a/k, k = 1..d_B-1, that fire (a k-positive map
-    sends Schmidt-number <= k states to PSD, so a negative eigenvalue of
+    R_{1/k}: a -> tr(a) 1 - a/k, k = 1..min(dims)-1, that fire (a k-positive
+    map sends Schmidt-number <= k states to PSD, so a negative eigenvalue of
     (1 (x) R_{1/k})(C) = tr_B(C) (x) 1 - C/k proves Schmidt number >= k+1:
-    the k-reduction criterion, formed in closed form). Upper bound:
+    the k-reduction criterion, formed in closed form). A level k >=
+    min(dims) cannot fire, as no state has Schmidt number above min(dims),
+    so none is applied. Upper bound:
     the largest operator rank when a Kraus construction is supplied, the
     Schmidt rank of the range vector when C has rank one, else min(dims). C
     counts as PSD, and a detector as fired, against the margin
@@ -205,7 +207,8 @@ def schmidt_number_bounds(c: MatrixOp, *, construction: KrausSet | None = None,
     w, v = eig
     lower = 1
     # each image is judged on its own, with its own margin
-    levels = range(1, db)
+    kmax = min(da, db)
+    levels = range(1, kmax)
     images = _reduction_images(c.mat, da, db, levels)
     if not np.isfinite(images).all():
         raise BadParam("matrix has a NaN or infinite entry")
@@ -213,7 +216,6 @@ def schmidt_number_bounds(c: MatrixOp, *, construction: KrausSet | None = None,
         w_det, _ = hermitian_eig(image)
         if float(w_det[0]) < -_margin(image, PSD_TOL):
             lower = max(lower, k + 1)
-    kmax = min(da, db)
     if construction is not None:
         upper = max(1, min(construction.rank, kmax))
     elif _rank(np.abs(w), RANK_TOL) == 1:

@@ -8,7 +8,7 @@ import numpy as np
 
 from .certify import dual_pairing
 from .errors import BadFamily, BadK, BadParam
-from .linalg import _hermitian_part, hs_inner, unreshuffle, reshuffle
+from .linalg import _hermitian_part, _is_int, hs_inner, unreshuffle, reshuffle
 from .maps import (
     _random_kraus,
     _reduction_images,
@@ -33,7 +33,7 @@ def _sub_seeds(seed: int, n: int) -> list[int]:
 
 
 def _check_levels(d: int, ks) -> None:
-    if not ks or not all(1 <= k <= d for k in ks):
+    if not ks or not all(_is_int(k, 1) and k <= d for k in ks):
         raise BadK(f"levels {list(ks)} must be a non-empty choice from 1..{d}")
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParam, DimMismatch, MissingDims, NotHermitian, ZeroVector
+from .errors import BadK, BadParam, DimMismatch, MissingDims, NotHermitian, ZeroVector
 
 HERM_TOL = 1e-10
 # Relative floor of the PSD decisions in is_cp, is_ccp, schmidt_number_bounds,
@@ -57,6 +57,24 @@ def _check_eps(name: str, eps: float) -> None:
     a bool: a negative margin reverses every sign decision, a NaN one disables it."""
     if isinstance(eps, bool) or not isinstance(eps, numbers.Real) or not 0.0 <= eps < np.inf:
         raise BadParam(f"{name} must be a finite real number >= 0, got {eps!r}")
+
+
+def _is_int(val, low: int) -> bool:
+    """The integer rule of every count, level, seed and dimension: val is a
+    numbers.Integral (numpy integers pass), not a bool, and >= low."""
+    return not isinstance(val, bool) and isinstance(val, numbers.Integral) and val >= low
+
+
+def _check_count(name: str, val, low: int) -> None:
+    """Raise BadParam unless val passes _is_int(val, low)."""
+    if not _is_int(val, low):
+        raise BadParam(f"need an integer {name} >= {low}, got {val!r}")
+
+
+def _check_level(k, top: int) -> None:
+    """Raise BadK unless the Schmidt level k passes _is_int(k, 1) and k <= top."""
+    if not _is_int(k, 1) or k > top:
+        raise BadK(f"k={k} outside 1..{top}")
 
 
 def _rank(values: np.ndarray, tol: float) -> int:
@@ -215,7 +233,7 @@ def _check_hermitian_pair(m: np.ndarray, m_dag: np.ndarray) -> None:
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
     """(M + M^dag) / 2 over the last two axes, formed as M/2 + M^dag/2 so that
     it does not overflow for finite M; halving is exact outside the
-    subnormal range, so it equals 0.5 * (M + M^dag) wherever that is finite
+    subnormal range, so it equals the halved sum wherever that sum is finite
     and normal."""
     return 0.5 * m + 0.5 * m.conj().swapaxes(-1, -2)
 

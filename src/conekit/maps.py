@@ -8,13 +8,11 @@ with S[(i*d+j), (k*d+l)] = (phi(e_kl))[i, j].
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    BadK,
     BadParam,
     BadRank,
     BlockNotPSD,
@@ -29,9 +27,12 @@ from .linalg import (
     PSD_TOL,
     RANK_TOL,
     MatrixOp,
+    _check_count,
     _check_hermitian_pair,
+    _check_level,
     _freeze,
     _hermitian_part,
+    _is_int,
     _margin,
     _rank,
     check_hermitian,
@@ -45,7 +46,7 @@ from .linalg import (
 def _check_dim(d) -> None:
     """Raise BadParam unless the dimension d is an integer >= 1 (numpy ones
     pass, bool does not)."""
-    if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 1:
+    if not _is_int(d, 1):
         raise BadParam(f"dimension must be an integer >= 1, got {d!r}")
 
 
@@ -258,16 +259,17 @@ def random_cp_map(d: int, k: int, n_ops: int, seed: int) -> MapRep:
     """CP map built from n_ops random Kraus operators of exact rank <= k,
     each a product of d x k and k x d complex Gaussian factors."""
     _check_dim(d)
-    if not 1 <= k <= d:
+    if not _is_int(k, 1) or k > d:
         raise BadRank(f"rank level k={k} outside 1..{d}")
-    if n_ops < 1:
-        raise BadParam("need n_ops >= 1")
+    _check_count("n_ops", n_ops, 1)
+    _check_count("seed", seed, 0)
     return MapRep(d, _kraus_super(_random_kraus(d, k, n_ops, seed)))
 
 
 def random_hp_map(d: int, seed: int) -> MapRep:
     """Hermiticity-preserving map with a GUE-like random Hermitian Choi matrix."""
     _check_dim(d)
+    _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
     return map_from_choi(_hermitian_part(g))
@@ -277,8 +279,8 @@ def random_k_positive_map(d: int, k: int, seed: int) -> MapRep:
     """Random member of a provably k-positive family: a convex mix of a CP map
     and the reduction-family map at its k-positivity boundary c = 1/k."""
     _check_dim(d)
-    if not 1 <= k <= d:
-        raise BadK(f"k={k} outside 1..{d}")
+    _check_level(k, d)
+    _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     lam = float(rng.uniform(0.0, 1.0))
     cp_seed = int(rng.integers(0, 2**63 - 1))
@@ -327,8 +329,7 @@ def compose_certified(a, phi: MapRep, k: int,
     d = phi.d
     if m.shape != (d, d):
         raise DimMismatch(f"operator shape {m.shape} != ({d}, {d})")
-    if not 1 <= k <= d:
-        raise BadK(f"k={k} outside 1..{d}")
+    _check_level(k, d)
 
     u, s, vh = np.linalg.svd(m)
     r = _rank(s, RANK_TOL)

@@ -10,8 +10,15 @@ import numpy as np
 
 from ._seesaw import seesaw_minimize
 from .certify import DEFAULT_OPTS, SeesawOpts
-from .errors import BadFamily, BadK, BadParam, DimMismatch, NotAState
-from .linalg import MatrixOp, hermitian_eig, max_entangled, partial_transpose
+from .errors import BadFamily, BadParam, DimMismatch, NotAState
+from .linalg import (
+    MatrixOp,
+    _check_count,
+    _check_level,
+    hermitian_eig,
+    max_entangled,
+    partial_transpose,
+)
 from .maps import (
     Detector,
     MapRep,
@@ -115,8 +122,7 @@ def werner_state(p: float, d: int = 2) -> MatrixOp:
 
 def witness_from_map(phi: MapRep, k_level: int) -> Witness:
     """Choi matrix of a k-positive map, packaged as a Schmidt-number witness."""
-    if not 1 <= k_level <= phi.d:
-        raise BadK(f"k={k_level} outside 1..{phi.d}")
+    _check_level(k_level, phi.d)
     return Witness(operator=choi(phi), k_level=k_level)
 
 
@@ -124,10 +130,9 @@ def random_schmidt_bounded_state(d: int, k: int, n_terms: int, seed: int) -> Mat
     """Random state of Schmidt number <= k: a convex mix of pure states whose
     coefficient matrices factor through rank k."""
     _check_dim(d)
-    if not 1 <= k <= d:
-        raise BadK(f"k={k} outside 1..{d}")
-    if n_terms < 1:
-        raise BadParam("need n_terms >= 1")
+    _check_level(k, d)
+    _check_count("n_terms", n_terms, 1)
+    _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(n_terms))
     rho = np.zeros((d * d, d * d), dtype=np.complex128)
@@ -165,8 +170,7 @@ def threshold_scan(family: str, d: int, k: int, grid,
     tol = opts.eps_neg
     rows: list[ScanPoint] = []
     if family == "isotropic":
-        if not 1 <= k <= d:
-            raise BadK(f"k={k} outside 1..{d}")
+        _check_level(k, d)
         for f in grid:
             rho = isotropic_state(d, float(f))
             w, _ = hermitian_eig(_reduction_images(rho.mat, d, d, (k,))[0])
@@ -179,8 +183,7 @@ def threshold_scan(family: str, d: int, k: int, grid,
             w, _ = hermitian_eig(partial_transpose(rho))
             rows.append(_scan_point(float(p), float(w[0]), tol))
     elif family == "reduction":
-        if not 1 <= k <= d:
-            raise BadK(f"k={k} outside 1..{d}")
+        _check_level(k, d)
         psi_plus = max_entangled(d).amp
         eye = np.eye(d * d, dtype=np.complex128)
         for c in grid:

@@ -129,6 +129,17 @@ def test_bad_k_rejected():
         k_block_positive_certify(c, 4)
 
 
+@pytest.mark.parametrize("k", [1.5, True, np.float64(2.0), "2"])
+def test_level_that_is_not_an_integer_is_rejected(k):
+    """A level is an integer (numpy ones pass, bool does not), checked before
+    any eigensolve; 1.5 was numpy's TypeError inside the see-saw."""
+    c = choi(reduction_family(3, 0.7))
+    with pytest.raises(BadK):
+        k_block_positive_certify(c, k)
+    assert k_block_positive_certify(c, np.int64(2), SeesawOpts(restarts=2)).verdict is (
+        k_block_positive_certify(c, 2, SeesawOpts(restarts=2)).verdict)
+
+
 def test_violation_witness_stays_rank_bounded():
     rng = np.random.default_rng(30)
     hits = 0
@@ -357,6 +368,35 @@ def test_stacked_detector_bank_matches_the_loop(d):
         for step, lower in ((1e-3, k + 1), (-1e-3, k)):
             rho = isotropic_state(d, k / d + step)
             assert schmidt_number_bounds(rho)[0] == _loop_lower_bound(rho) == lower
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (2, 4), (2, 5), (3, 5)])
+def test_rectangular_bounds_apply_only_the_levels_that_can_fire(dims, monkeypatch):
+    """No state has Schmidt number above min(dims), so a detector at a level
+    k >= min(dims) cannot fire: at dA < dB schmidt_number_bounds applies the
+    levels 1..dA-1 only, one hermitian_eig each after C's own, and its lower
+    bound equals the loop's over all dB - 1 detectors, on seeded PSD
+    matrices of rank 1, 2 and dA dB at scales 1e-12..1e12."""
+    import conekit.certify as certify_mod
+    calls = [0]
+
+    def counting_eig(x, *args):
+        calls[0] += 1
+        return hermitian_eig(x, *args)
+
+    rng = np.random.default_rng(sum(dims))
+    n = dims[0] * dims[1]
+    for rank in (1, 2, n):
+        for _ in range(3):
+            g = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+            for s in 10.0 ** np.arange(-12, 13, 12):
+                c = MatrixOp(s * (g @ g.conj().T), dims=dims)
+                monkeypatch.setattr(certify_mod, "hermitian_eig", counting_eig)
+                calls[0] = 0
+                lower = schmidt_number_bounds(c)[0]
+                assert calls[0] == min(dims)
+                monkeypatch.undo()
+                assert lower == _loop_lower_bound(c)
 
 
 def test_detector_image_beyond_the_float_range_is_refused():

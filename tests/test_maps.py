@@ -54,6 +54,7 @@ from conekit.linalg import (
     reshuffle,
 )
 from conekit.errors import (
+    BadK,
     BadParam,
     BadRank,
     BlockNotPSD,
@@ -731,6 +732,51 @@ def test_generators_apply_the_dimension_rule(build, d):
     random_k_positive_map(0, 1, 0) were refused as a bad rank or level."""
     with pytest.raises(BadParam, match="dimension must be an integer >= 1"):
         build(d)
+
+
+_RANK_ONE = np.diag([1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("build,error", [
+    (lambda: random_cp_map(3, True, 1, 0), BadRank),
+    (lambda: random_cp_map(3, 1.5, 1, 0), BadRank),
+    (lambda: random_cp_map(3, 1, 2.5, 0), BadParam),
+    (lambda: random_cp_map(3, 1, True, 0), BadParam),
+    (lambda: random_cp_map(3, 1, 1, -1), BadParam),
+    (lambda: random_cp_map(3, 1, 1, 0.5), BadParam),
+    (lambda: random_hp_map(3, -1), BadParam),
+    (lambda: random_hp_map(3, 1.5), BadParam),
+    (lambda: random_k_positive_map(3, 1.5, 0), BadK),
+    (lambda: random_k_positive_map(3, True, 0), BadK),
+    (lambda: random_k_positive_map(3, 2, -1), BadParam),
+    (lambda: random_schmidt_bounded_state(3, 1.5, 2, 0), BadK),
+    (lambda: random_schmidt_bounded_state(3, 1, 2.5, 0), BadParam),
+    (lambda: random_schmidt_bounded_state(3, 1, 2, -1), BadParam),
+    (lambda: compose_certified(_RANK_ONE, identity_map(3), 1.5), BadK),
+    (lambda: compose_certified(_RANK_ONE, identity_map(3), True), BadK),
+], ids=["cp-k-bool", "cp-k-float", "cp-n_ops-float", "cp-n_ops-bool", "cp-seed-negative",
+        "cp-seed-float", "hp-seed-negative", "hp-seed-float", "kpos-k-float", "kpos-k-bool",
+        "kpos-seed-negative", "state-k-float", "state-n_terms-float", "state-seed-negative",
+        "compose-k-float", "compose-k-bool"])
+def test_generators_apply_the_integer_rule(build, error):
+    """Every level, count and seed of the generators is an integer (not a
+    bool) at or above its floor, or the function's own error is raised
+    before numpy sees it: these were numpy's TypeError or ValueError, or
+    ran silently at a level that is not an integer (random_k_positive_map
+    mixed at c = 1/1.5, compose_certified certified a level 1.5)."""
+    with pytest.raises(error):
+        build()
+
+
+def test_generators_accept_numpy_integers():
+    """numpy integers pass the rule and build the map of the equal int."""
+    i = np.int64
+    assert np.array_equal(random_cp_map(i(3), i(2), i(2), i(5)).super_mat,
+                          random_cp_map(3, 2, 2, 5).super_mat)
+    assert np.array_equal(random_k_positive_map(3, i(2), i(4)).super_mat,
+                          random_k_positive_map(3, 2, 4).super_mat)
+    assert np.array_equal(random_schmidt_bounded_state(3, i(2), i(2), i(1)).mat,
+                          random_schmidt_bounded_state(3, 2, 2, 1).mat)
 
 
 def test_numpy_integer_dimension_is_accepted():

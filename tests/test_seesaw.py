@@ -9,7 +9,9 @@ import pytest
 from _seesaw_oracle import _seesaw_kernel as loop_kernel
 
 from conekit import (
+    BadK,
     BadParam,
+    DimMismatch,
     MapRep,
     SeesawOpts,
     choi,
@@ -255,8 +257,9 @@ def linalg_calls(monkeypatch):
 def kernel_steps(monkeypatch):
     """The steps of a one-restart search, one letter each: S a full sweep, H
     a sweep that stopped after its left half-step, E a quasi-Newton
-    evaluation. Logs the kernel's half-step and evaluation helpers; an
-    evaluation's own left half-step is logged before it."""
+    evaluation. Logs the kernel's one half-step helper (both half-steps of a
+    sweep) and its evaluation helper; an evaluation's own half-step is
+    logged before it."""
     log = []
 
     def logging(name, letter):
@@ -269,12 +272,11 @@ def kernel_steps(monkeypatch):
 
         monkeypatch.setattr(_seesaw, name, run)
 
-    logging("_bottom_left", "L")
-    logging("_bottom_right", "R")
+    logging("_bottom", "L")
     logging("_reduced", "F")
 
     def steps():
-        out = "".join(log).replace("LF", "E").replace("LR", "S")
+        out = "".join(log).replace("LF", "E").replace("LL", "S")
         log.clear()
         return out[:-1] + "H" if out.endswith("L") else out
 
@@ -486,6 +488,28 @@ def test_search_options_have_one_type_rule(bad):
         seesaw_minimize(np.eye(4), (2, 2), 1, **bad)
 
 
+@pytest.mark.parametrize("c,dims,k,error", [
+    (np.eye(9), (3, 3), 0, BadK),
+    (np.eye(9), (3, 3), 4, BadK),
+    (np.eye(9), (3, 3), -1, BadK),
+    (np.eye(9), (3, 3), 1.5, BadK),
+    (np.eye(9), (3, 3), True, BadK),
+    (np.eye(10), (2, 5), 3, BadK),
+    (np.eye(9), (3, 4), 1, DimMismatch),
+    (np.eye(9), (3.0, 3.0), 1, DimMismatch),
+    (np.eye(9)[:, :8], (3, 3), 1, DimMismatch),
+    (np.eye(9), (9, 1), 2, BadK),
+], ids=["k0", "k-above-min", "k-negative", "k-float", "k-bool", "k-above-rectangular",
+        "dims-size", "dims-float", "c-not-square", "k-above-one"])
+def test_level_and_dims_are_checked_at_the_entry_point(c, dims, k, error):
+    """k must be an integer in 1..min(dims) and dA dB the size of the square
+    C, or BadK / DimMismatch is raised before a search runs: k = 0 was a
+    numpy warning and an svd that did not converge, k = 4 at dims (3, 3)
+    numpy's "negative dimensions"."""
+    with pytest.raises(error):
+        seesaw_minimize(c, dims, k, restarts=1)
+
+
 def test_search_options_accept_numpy_integers():
     """numpy integers pass the check and run the search of the equal int;
     eps_neg goes through the same margin check as eps_conv."""
@@ -575,8 +599,8 @@ def test_kernel_from_rank_deficient_starts(monkeypatch, phase_evaluations):
     """At k = 2 from rank-1 starts the first right frame is padded to k rows
     and the left frame comes from qr of a rank-2 factor: on a rotated
     Kronecker form the kernel matches the loop oracle's value and sweep
-    count, and every frame it fixes has orthonormal rows (right) or columns
-    (left)."""
+    count, and every frame it fixes, left (as rows U^T) or right, has
+    orthonormal rows."""
     rng = np.random.default_rng(21)
     dims, k = (3, 4), 2
     c = _kron_form(rng, dims)
@@ -586,24 +610,20 @@ def test_kernel_from_rank_deficient_starts(monkeypatch, phase_evaluations):
     starts /= np.linalg.norm(starts, axis=(1, 2))[:, None, None]
     frames = np.linalg.svd(starts)[2][:, :k, :]
     eye = np.eye(k)
-    seen = []
+    seen = set()
+    bottom = _seesaw._bottom
 
-    def checked(helper, frame_of):
-        def run(c4, f, d, kk):
-            g = frame_of(f)
-            assert np.abs(g @ g.conj().swapaxes(1, 2) - eye).max() <= 1e-12
-            seen.append(helper.__name__)
-            return helper(c4, f, d, kk)
-        return run
+    def checked(cx, f, n, kk):
+        assert np.abs(f @ f.conj().swapaxes(1, 2) - eye).max() <= 1e-12
+        seen.add(n)
+        return bottom(cx, f, n, kk)
 
-    monkeypatch.setattr(_seesaw, "_bottom_left", checked(_seesaw._bottom_left, lambda v: v))
-    monkeypatch.setattr(_seesaw, "_bottom_right",
-                        checked(_seesaw._bottom_right, lambda u: u.conj().swapaxes(1, 2)))
+    monkeypatch.setattr(_seesaw, "_bottom", checked)
     eps = 1e-10 * np.abs(c).max()
     q, m, sweeps = _seesaw._seesaw_kernel(c, *dims, k, frames, 500, eps)
     q_ref, _, sweeps_ref = loop_kernel(c, *dims, k, starts, 500, eps)
     assert phase_evaluations[0] == 0
-    assert {"_bottom_left", "_bottom_right"} <= set(seen)
+    assert seen == set(dims)  # left half-steps solve for dA, right ones for dB
     assert abs(q - q_ref) <= 1e-12 * np.abs(c).max()
     assert sweeps == sweeps_ref
     _assert_witness(c, dims, k, q, m)

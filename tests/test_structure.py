@@ -8,10 +8,10 @@ import conekit
 
 SOURCES = sorted(Path(conekit.__file__).parent.glob("*.py"))
 
-# Where a Hermitian part may be written as 0.5 * (X + X^dag): the see-saw's
-# half-steps, on C scaled below 1, where one fewer numpy call per half-step
-# counts and the sum cannot overflow. Everywhere else, linalg._hermitian_part.
-HERMITIAN_PART_SITES = {"_seesaw._bottom_left", "_seesaw._bottom_right"}
+# Where a Hermitian part may be written as 0.5 * (X + X^dag): nowhere. The
+# see-saw's half-step hands its effective matrix to eigh, which reads one
+# triangle; every other Hermitian part is linalg._hermitian_part.
+HERMITIAN_PART_SITES = set()
 
 # The functions that may call np.linalg.eigh or eigvalsh: the gated
 # hermitian_eig, the see-saw kernel's helpers, the Douglas-Rachford
@@ -19,7 +19,7 @@ HERMITIAN_PART_SITES = {"_seesaw._bottom_left", "_seesaw._bottom_right"}
 # passed its Hermiticity gate (and the fuzz check of one).
 EIGEN_SITES = {
     "linalg.hermitian_eig",
-    "_seesaw._bottom_left", "_seesaw._bottom_right", "_seesaw._reduced",
+    "_seesaw._bottom", "_seesaw._reduced",
     "certify._clip_psd", "certify._ppt_witness",
     "maps.kraus_decompose", "maps.compose_certified",
     "fuzz.fuzz_composition",

@@ -88,6 +88,13 @@ def test_witness_from_map_level_gate():
         witness_from_map(reduction_family(3, 1.0), 4)
 
 
+@pytest.mark.parametrize("k", [1.5, True, np.float64(1.0)])
+def test_witness_from_map_level_is_an_integer(k):
+    """witness_from_map packaged a level 1.5 or True as given."""
+    with pytest.raises(BadK):
+        witness_from_map(reduction_family(3, 1.0), k)
+
+
 def test_detect_fires_on_entangled_isotropic():
     det = Detector(reduction_family(3, 0.5), 2, "red-k2")
     res = detect_schmidt_number(isotropic_state(3, 0.9), det)
@@ -188,3 +195,12 @@ def test_scan_rejects_unknown_family():
 def test_scan_rejects_bad_level():
     with pytest.raises(BadK):
         threshold_scan("isotropic", 3, 5, [0.1])
+
+
+@pytest.mark.parametrize("family", ["isotropic", "reduction"])
+@pytest.mark.parametrize("k", [1.5, True, np.float64(2.0)])
+def test_scan_level_is_an_integer(family, k):
+    """A scan's level is an integer: an isotropic scan at k = 1.5 or True ran
+    its rows at that level."""
+    with pytest.raises(BadK):
+        threshold_scan(family, 3, k, [0.5])
