@@ -64,13 +64,12 @@ as the reference the tests compare against.
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
-from .errors import BadParam, DimMismatch
+from .errors import DimMismatch
 from .linalg import (_TINY, _check_count, _check_eps, _check_level, _is_int, _margin,
-                     _pow2_scaled)
+                     _matrix, _pow2_scaled)
 
 # Always False: no compiled kernel exists; perfbench's environment header reads it.
 NUMBA_ACTIVE = False
@@ -379,13 +378,11 @@ def seesaw_minimize(c_mat: np.ndarray, dims: tuple[int, int], k: int,
     """
     _check_search(restarts, max_iters, eps_conv, seed)
     da, db = dims
-    c = np.asarray(c_mat, dtype=np.complex128)
+    c = _matrix(c_mat)
     if not (_is_int(da, 1) and _is_int(db, 1)) or c.shape != (da * db, da * db):
         raise DimMismatch(f"dims {dims} incompatible with C of shape {c.shape}")
     _check_level(k, min(da, db))
     top = float(np.abs(c).max())
-    if not top < math.inf:
-        raise BadParam("C has a NaN or infinite entry")
     frames = _start_frames(da, db, k, restarts, seed)
     # The kernel runs on C / 2^e with max|C / 2^e| in [1/2, 1), so the search
     # is the same at every scale of C and no squared gradient of the

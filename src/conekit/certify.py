@@ -22,6 +22,7 @@ from .linalg import (
     _TINY,
     BipartiteVector,
     MatrixOp,
+    _check_count,
     _check_eps,
     _check_level,
     _hermitian_part,
@@ -177,7 +178,7 @@ def dual_pairing(phi: MapRep, psi: MapRep) -> float:
     in P_k (the cones are mutually dual under this pairing)."""
     if phi.d != psi.d:
         raise DimMismatch(f"maps act on M_{phi.d} and M_{psi.d}")
-    return hs_inner(choi(phi).mat, choi(psi).mat)
+    return hs_inner(choi(phi), choi(psi))
 
 
 def schmidt_number_bounds(c: MatrixOp, *, construction: KrausSet | None = None,
@@ -206,12 +207,10 @@ def schmidt_number_bounds(c: MatrixOp, *, construction: KrausSet | None = None,
             raise NotPSD(f"matrix has eigenvalue {eig[0][0]:.3e}; Schmidt number undefined")
     w, v = eig
     lower = 1
-    # each image is judged on its own, with its own margin
+    # each image is judged on its own margin; hermitian_eig refuses a non-finite one
     kmax = min(da, db)
     levels = range(1, kmax)
     images = _reduction_images(c.mat, da, db, levels)
-    if not np.isfinite(images).all():
-        raise BadParam("matrix has a NaN or infinite entry")
     for k, image in zip(levels, images):
         w_det, _ = hermitian_eig(image)
         if float(w_det[0]) < -_margin(image, PSD_TOL):
@@ -409,11 +408,10 @@ def decomposable_certify(c: MatrixOp, opts: SeesawOpts = DEFAULT_OPTS,
     sweeps and no sum or squared norm of a sweep over- or underflows; A, B,
     the residual and the value are scaled back. extras always carry "A", "B",
     "residual" (the best split found) and "sweeps". Raises BadParam unless
-    max_sweeps >= 1 (a search that never runs has no split to report), and
-    when a number scaled back is not a double, the rule of `hermitian_eig`.
+    max_sweeps is an integer >= 1 (a search that never runs has no split),
+    and when a number scaled back is not a double, the rule of `hermitian_eig`.
     """
-    if max_sweeps < 1:
-        raise BadParam(f"need max_sweeps >= 1, got {max_sweeps}")
+    _check_count("max_sweeps", max_sweeps, 1)
     da, db = c.require_dims()
     check_hermitian(c.mat)
     # max|C| is read once: max|C / 2^e| is its frexp mantissa, floored as

@@ -7,8 +7,8 @@ from __future__ import annotations
 import numpy as np
 
 from .certify import dual_pairing
-from .errors import BadFamily, BadK, BadParam
-from .linalg import _hermitian_part, _is_int, hs_inner, unreshuffle, reshuffle
+from .errors import BadFamily, BadK
+from .linalg import _check_count, _hermitian_part, _is_int, hs_inner, unreshuffle, reshuffle
 from .maps import (
     _random_kraus,
     _reduction_images,
@@ -39,9 +39,9 @@ def _check_levels(d: int, ks) -> None:
 
 def _run(suite: str, n: int, seed: int, params: dict, one) -> dict:
     """The summary of instances seed .. seed + n - 1; one(inst_seed) returns
-    a failure detail or None. A run of no instance is refused."""
-    if n < 1:
-        raise BadParam(f"need n >= 1 instances, got {n}")
+    a failure detail or None. n >= 1 and seed >= 0 follow the integer rule."""
+    _check_count("n", n, 1)
+    _check_count("seed", seed, 0)
     failures = []
     for i in range(n):
         inst_seed = seed + i
@@ -138,8 +138,8 @@ def fuzz_adjoint(n: int, d: int = 3, seed: int = 0) -> dict:
             h = _hermitian_part(g)
             mats.append(h / np.linalg.norm(h))
         x, y = mats
-        lhs = hs_inner(apply(phi, x).mat, y)
-        rhs = hs_inner(x, apply(adjoint(phi), y).mat)
+        lhs = hs_inner(apply(phi, x), y)
+        rhs = hs_inner(x, apply(adjoint(phi), y))
         if abs(lhs - rhs) > tol:
             return f"pairing mismatch {abs(lhs - rhs):.3e}"
         return None

@@ -41,7 +41,9 @@ def _pow2_scaled(m: np.ndarray, top: float):
     matrix, and so the same search, and no sum over its entries overflows.
     2^1024 is not a double, so at max|M| >= 2^1023 one factor 2 is divided
     out first and multiplied back last; a number scaled back then overflows
-    to inf only when it is not a double itself."""
+    to inf only when it is not a double itself, and top = inf has no 2^e."""
+    if not top < math.inf:
+        raise BadParam("max|M| is beyond the float range (an entry's modulus overflows)")
     e = math.frexp(top)[1] if top > 0.0 else 0
     halved = e > 1023
     scale = math.ldexp(1.0, e - 1 if halved else e)
@@ -86,18 +88,26 @@ def _rank(values: np.ndarray, tol: float) -> int:
     return int(np.count_nonzero(values > tol * top))
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    """Read-only complex copy; NaN or inf entries raise BadParam."""
-    out = np.array(a, dtype=np.complex128, copy=True, order="C")
-    if not np.isfinite(out).all():
+def _matrix(x) -> np.ndarray:
+    """A MatrixOp's matrix, or x as a complex array; a NaN or inf entry raises BadParam."""
+    if isinstance(x, MatrixOp):
+        return x.mat
+    m = np.asarray(x, dtype=np.complex128)
+    if not np.isfinite(m).all():
         raise BadParam("matrix has a NaN or infinite entry")
+    return m
+
+
+def _freeze(a: np.ndarray) -> np.ndarray:
+    """Read-only complex copy that passed _matrix's entry rule."""
+    out = _matrix(np.array(a, dtype=np.complex128, copy=True, order="C"))
     out.setflags(write=False)
     return out
 
 
 @dataclass(frozen=True, eq=False)
 class MatrixOp:
-    """Dense complex square matrix, optionally carrying bipartite dims (d_A, d_B)."""
+    """Dense complex square matrix, optionally with integer bipartite dims (d_A, d_B)."""
 
     mat: np.ndarray
     dims: tuple[int, int] | None = None
@@ -108,7 +118,7 @@ class MatrixOp:
             raise DimMismatch(f"expected a square matrix, got shape {m.shape}")
         if self.dims is not None:
             da, db = self.dims
-            if da < 1 or db < 1 or da * db != m.shape[0]:
+            if not (_is_int(da, 1) and _is_int(db, 1)) or da * db != m.shape[0]:
                 raise DimMismatch(f"dims {self.dims} incompatible with size {m.shape[0]}")
             object.__setattr__(self, "dims", (int(da), int(db)))
         object.__setattr__(self, "mat", m)
@@ -132,10 +142,9 @@ class BipartiteVector:
     amp: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.array(self.amp, dtype=np.complex128, copy=True, order="C").reshape(-1)
+        a = _freeze(self.amp).reshape(-1)
         if a.shape[0] != self.d_a * self.d_b:
             raise DimMismatch(f"length {a.shape[0]} != {self.d_a}*{self.d_b}")
-        a.setflags(write=False)
         object.__setattr__(self, "amp", a)
 
     @property
@@ -163,10 +172,8 @@ class SchmidtDecomposition:
 def schmidt_decompose(v: BipartiteVector) -> SchmidtDecomposition:
     """SVD of the coefficient matrix M = U diag(c) Vh, so that
     sum_l c_l kron(u_l, w_l) with w_l = Vh[l, :] reconstructs the input.
-    Raises BadParam on a NaN or infinite amplitude and ZeroVector on the zero
-    vector; any other vector, however small, has a rank (it is relative)."""
-    if not np.isfinite(v.amp).all():
-        raise BadParam("vector has a NaN or infinite amplitude")
+    Raises ZeroVector on the zero vector (a BipartiteVector is finite); any
+    other vector, however small, has a rank (it is relative)."""
     if not v.amp.any():
         raise ZeroVector("cannot decompose the zero vector")
     m = v.matrix()
@@ -238,21 +245,24 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return 0.5 * m + 0.5 * m.conj().swapaxes(-1, -2)
 
 
-def hermitian_eig(x: MatrixOp | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition with a Hermiticity gate. Ascending eigenvalues.
-    A spectrum beyond the float range (of a finite matrix) raises BadParam."""
-    m = x.mat if isinstance(x, MatrixOp) else np.asarray(x, dtype=np.complex128)
-    check_hermitian(m)
+def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of the Hermitian part of a finite, gated m; BadParam if the spectrum is not."""
     w, v = np.linalg.eigh(_hermitian_part(m))
     if not (math.isfinite(w[0]) and math.isfinite(w[-1])):
         raise BadParam(f"the spectrum is not finite (eigenvalues from {w[0]} to {w[-1]})")
     return w, v
 
 
+def hermitian_eig(x: MatrixOp | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gated eigen-decomposition, ascending: _matrix, check_hermitian, _eigh."""
+    m = _matrix(x)
+    check_hermitian(m)
+    return _eigh(m)
+
+
 def hs_inner(a: MatrixOp | np.ndarray, b: MatrixOp | np.ndarray) -> float:
     """Hilbert-Schmidt pairing Tr(a b) of two Hermitian matrices (real)."""
-    ma = a.mat if isinstance(a, MatrixOp) else np.asarray(a, dtype=np.complex128)
-    mb = b.mat if isinstance(b, MatrixOp) else np.asarray(b, dtype=np.complex128)
+    ma, mb = _matrix(a), _matrix(b)
     if ma.shape != mb.shape:
         raise DimMismatch(f"shape mismatch {ma.shape} vs {mb.shape}")
     check_hermitian(ma)
@@ -278,4 +288,4 @@ def swap_matrix(d: int) -> np.ndarray:
 
 
 def numerical_rank(m: np.ndarray) -> int:
-    return _rank(np.linalg.svd(np.asarray(m), compute_uv=False), RANK_TOL)
+    return _rank(np.linalg.svd(_matrix(m), compute_uv=False), RANK_TOL)

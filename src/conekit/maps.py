@@ -30,10 +30,12 @@ from .linalg import (
     _check_count,
     _check_hermitian_pair,
     _check_level,
+    _eigh,
     _freeze,
     _hermitian_part,
     _is_int,
     _margin,
+    _matrix,
     _rank,
     check_hermitian,
     max_entangled,
@@ -87,7 +89,7 @@ class KrausSet:
         if len(ops) == 0:
             raise EmptyList("a Kraus set needs at least one operator")
         if not isinstance(ops, np.ndarray):
-            mats = [_as_matrix(a) for a in ops]
+            mats = [_matrix(a) for a in ops]
             if any(a.shape != mats[0].shape for a in mats):
                 raise DimMismatch("all Kraus operators must share one square shape")
             ops = np.stack(mats)
@@ -118,15 +120,9 @@ class Detector:
     label: str = ""
 
 
-def _as_matrix(x) -> np.ndarray:
-    if isinstance(x, MatrixOp):
-        return x.mat
-    return np.asarray(x, dtype=np.complex128)
-
-
 def apply(phi: MapRep, x) -> MatrixOp:
-    """phi(x) for a d x d matrix x."""
-    m = _as_matrix(x)
+    """phi(x) for a d x d matrix x (under linalg's entry rule)."""
+    m = _matrix(x)
     if m.shape != (phi.d, phi.d):
         raise DimMismatch(f"argument shape {m.shape} != ({phi.d}, {phi.d})")
     return MatrixOp((phi.super_mat @ m.reshape(-1)).reshape(phi.d, phi.d))
@@ -150,8 +146,8 @@ def choi(phi: MapRep) -> MatrixOp:
 
 
 def map_from_choi(c) -> MapRep:
-    """Inverse of choi(). The input must be Hermitian."""
-    m = _as_matrix(c)
+    """Inverse of choi(). The input must be Hermitian (and finite)."""
+    m = _matrix(c)
     n = m.shape[0]
     d = int(round(np.sqrt(n)))
     if d * d != n:
@@ -210,10 +206,10 @@ def kraus_decompose(phi: MapRep) -> KrausSet:
     Raises NotCompletelyPositive if C has an eigenvalue below
     -PSD_TOL * max|C|, so the CP floor is the same at every scale of
     phi. Eigenvalues under PSD_TOL * lambda_max are dropped as
-    numerical noise.
+    numerical noise; a spectrum beyond the float range raises BadParam.
     """
     c = choi(phi).mat
-    w, v = np.linalg.eigh(_hermitian_part(c))
+    w, v = _eigh(c)
     if float(w[0]) < -_margin(c, PSD_TOL):
         raise NotCompletelyPositive(f"Choi eigenvalue {w[0]:.3e} below the CP floor")
     keep = w > PSD_TOL * max(float(w[-1]), 1e-300)
@@ -317,15 +313,16 @@ def compose_certified(a, phi: MapRep, k: int,
     residual above PSD_TOL * max|target|. The block floor is
     -PSD_TOL * max|block|, so both tests are the same at every scale of phi.
     With order="ad_after_map" the same route applied to (a^dag, phi^dag)
-    certifies compose(ad(a), phi).
+    certifies compose(ad(a), phi). A non-finite a or block spectrum raises
+    BadParam; the block gets no second Hermiticity gate (phi passed one).
     """
     if order == "ad_after_map":
-        inner = compose_certified(_as_matrix(a).conj().T, adjoint(phi), k)
+        inner = compose_certified(_matrix(a).conj().T, adjoint(phi), k)
         return KrausSet(inner.operators.conj().swapaxes(1, 2), rank_bound=k)
     if order != "map_after_ad":
         raise BadParam(f"unknown order {order!r}")
 
-    m = _as_matrix(a)
+    m = _matrix(a)
     d = phi.d
     if m.shape != (d, d):
         raise DimMismatch(f"operator shape {m.shape} != ({d}, {d})")
@@ -342,7 +339,7 @@ def compose_certified(a, phi: MapRep, k: int,
     rights = vh[:r].conj()      # rows |g_i>, orthonormal
 
     block = block_action(phi, rights).mat
-    w, vecs = np.linalg.eigh(_hermitian_part(block))
+    w, vecs = _eigh(block)
     if float(w[0]) < -_margin(block, PSD_TOL):
         raise BlockNotPSD(
             f"block eigenvalue {w[0]:.3e} < 0: the map is not {r}-positive")

@@ -96,8 +96,7 @@ def detect_schmidt_number(rho: MatrixOp, detector: Detector) -> DetectionResult:
 def isotropic_state(d: int, f: float) -> MatrixOp:
     """F-weighted mix of the maximally entangled projector and its complement:
     rho = F P+ + (1-F)(1 - P+)/(d^2 - 1), P+ normalized."""
-    if d < 2:
-        raise BadParam(f"need d >= 2, got {d}")
+    _check_count("d", d, 2)
     if not 0.0 <= f <= 1.0:
         raise BadParam(f"fidelity must lie in [0, 1], got {f}")
     p_plus = max_entangled_projector(d).mat / d
@@ -178,6 +177,7 @@ def threshold_scan(family: str, d: int, k: int, grid,
     elif family == "werner":
         if d != 2:
             raise BadParam("werner scans are defined for d=2 only")
+        _check_level(k, d)
         for p in grid:
             rho = werner_state(float(p))
             w, _ = hermitian_eig(partial_transpose(rho))

@@ -1,0 +1,113 @@
+"""Regression cases for the entry rules: a raw matrix argument with a NaN or
+infinite entry, a spectrum beyond the float range, and a count, level, seed
+or dimension that is not an integer are each refused with a conekit error,
+whichever public function receives them. Every case raises (and no numpy
+warning, which pytest turns into an error) instead of returning a value
+computed from such input."""
+
+import numpy as np
+import pytest
+
+from conekit import (
+    BipartiteVector,
+    MapRep,
+    MatrixOp,
+    compose_certified,
+    from_kraus,
+    hermitian_eig,
+    hs_inner,
+    identity_map,
+    is_cp,
+    kraus_decompose,
+    numerical_rank,
+)
+from conekit._seesaw import seesaw_minimize
+from conekit.certify import decomposable_certify
+from conekit.errors import BadK, BadParam, DimMismatch
+from conekit.fuzz import fuzz_adjoint, fuzz_bijection, fuzz_duality
+from conekit.witness import isotropic_state, threshold_scan
+
+
+def _nan_at(n, i, j=None):
+    a = np.eye(n, dtype=complex)
+    a[i, i if j is None else j] = np.nan
+    return a
+
+
+def _huge_kraus_map():
+    # Choi matrix 1.7e308 * ones(4): finite entries, top eigenvalue 6.8e308
+    return from_kraus([np.sqrt(1.7e308) * np.ones((2, 2))])
+
+
+CASES = {
+    # a spectrum beyond the float range in the map layer's factorizations
+    "kraus-decompose-spectrum": (BadParam, lambda: kraus_decompose(_huge_kraus_map())),
+    "compose-certified-spectrum": (BadParam, lambda: compose_certified(
+        np.diag([1.0, 1.0, 0.0]), MapRep(3, identity_map(3).super_mat * 1.7e308), 2)),
+    # a NaN or infinite entry of a raw array
+    "hermitian-eig-nan": (BadParam, lambda: hermitian_eig(np.diag([1.0, np.nan, 1.0, 1.0]))),
+    "hs-inner-nan": (BadParam, lambda: hs_inner(np.diag([np.nan, 1.0, 1.0, 1.0]), np.eye(4))),
+    "hs-inner-inf": (BadParam, lambda: hs_inner(np.eye(4), np.diag([np.inf, 1.0, 1.0, 1.0]))),
+    "compose-certified-nan": (BadParam, lambda: compose_certified(
+        _nan_at(3, 0, 1), identity_map(3), 2)),
+    "compose-certified-nan-ad-after-map": (BadParam, lambda: compose_certified(
+        _nan_at(3, 0, 1), identity_map(3), 2, order="ad_after_map")),
+    "numerical-rank-nan": (BadParam, lambda: numerical_rank([[np.nan, 0.0], [0.0, 1.0]])),
+    "bipartite-vector-nan": (BadParam, lambda: BipartiteVector(2, 2, [np.nan, 0, 0, 1])),
+    "bipartite-vector-inf": (BadParam, lambda: BipartiteVector(2, 2, [1, 0, 0, -np.inf])),
+    # the integer rule of every count and seed
+    "fuzz-n-float": (BadParam, lambda: fuzz_duality(2.5)),
+    "fuzz-seed-negative": (BadParam, lambda: fuzz_duality(2, seed=-1)),
+    "fuzz-seed-float": (BadParam, lambda: fuzz_bijection(2, seed=1.5)),
+    "fuzz-n-bool": (BadParam, lambda: fuzz_adjoint(True)),
+    "decomposable-max-sweeps-float": (BadParam, lambda: decomposable_certify(
+        MatrixOp(np.eye(4), dims=(2, 2)), max_sweeps=2.5)),
+    "decomposable-max-sweeps-bool": (BadParam, lambda: decomposable_certify(
+        MatrixOp(np.eye(4), dims=(2, 2)), max_sweeps=True)),
+    # ... of every dimension
+    "isotropic-d-float": (BadParam, lambda: isotropic_state(2.5, 0.5)),
+    "matrixop-dims-float": (DimMismatch, lambda: MatrixOp(np.eye(3), dims=(1.5, 2))),
+    "matrixop-dims-bool": (DimMismatch, lambda: MatrixOp(np.eye(4), dims=(True, 4))),
+    # ... and of every Schmidt level
+    "werner-scan-k-float": (BadK, lambda: threshold_scan("werner", 2, 1.5, [0.2])),
+    "werner-scan-k-too-high": (BadK, lambda: threshold_scan("werner", 2, 3, [0.2])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_entry_rule_refuses(case):
+    error, call = CASES[case]
+    with pytest.raises(error):
+        call()
+
+
+def test_kraus_decompose_refuses_what_is_cp_refuses():
+    """One spectrum rule: the map layer's factorization refuses the map
+    whose CP test refuses it, rather than returning a zero Kraus set."""
+    phi = _huge_kraus_map()
+    with pytest.raises(BadParam, match="spectrum is not finite"):
+        is_cp(phi)
+    with pytest.raises(BadParam, match="spectrum is not finite"):
+        kraus_decompose(phi)
+
+
+def test_matrixop_keeps_numpy_integer_dims_as_python_ints():
+    x = MatrixOp(np.eye(4), dims=(np.int64(2), np.uint8(2)))
+    assert x.dims == (2, 2)
+    assert all(type(d) is int for d in x.dims)
+
+
+@pytest.mark.parametrize("search", ["seesaw", "decomposable"])
+def test_entry_modulus_beyond_the_float_range_is_refused(search):
+    """Both parts of an entry near the largest double: the entry is finite
+    but max|C| is not a double, so no power of two scales C. Unscaled, the
+    see-saw reported 1.0 and the Douglas-Rachford eigensolve failed to
+    converge; both searches raise BadParam instead."""
+    c = np.eye(4, dtype=complex)
+    c[0, 1] = 1.7e308 + 1.7e308j
+    c[1, 0] = np.conj(c[0, 1])
+    with pytest.raises(BadParam, match="beyond the float range"):
+        if search == "seesaw":
+            seesaw_minimize(c, (2, 2), 1, restarts=2)
+        else:
+            decomposable_certify(MatrixOp(c, dims=(2, 2)))

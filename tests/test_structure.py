@@ -13,17 +13,20 @@ SOURCES = sorted(Path(conekit.__file__).parent.glob("*.py"))
 # triangle; every other Hermitian part is linalg._hermitian_part.
 HERMITIAN_PART_SITES = set()
 
-# The functions that may call np.linalg.eigh or eigvalsh: the gated
-# hermitian_eig, the see-saw kernel's helpers, the Douglas-Rachford
-# projections, and the map-layer factorizations of a MapRep that already
-# passed its Hermiticity gate (and the fuzz check of one).
+# The functions that may call np.linalg.eigh or eigvalsh: linalg's guarded
+# _eigh (behind hermitian_eig and the map-layer factorizations), the see-saw
+# kernel's helpers, the Douglas-Rachford projections, and the fuzz check of
+# a composite's detector image.
 EIGEN_SITES = {
-    "linalg.hermitian_eig",
+    "linalg._eigh",
     "_seesaw._bottom", "_seesaw._reduced",
     "certify._clip_psd", "certify._ppt_witness",
-    "maps.kraus_decompose", "maps.compose_certified",
     "fuzz.fuzz_composition",
 }
+
+# The one place that tells a MatrixOp from a raw array: linalg._matrix, which
+# also applies the entry rule (no NaN or infinite entry) to the raw array.
+MATRIXOP_TEST_SITES = {"linalg._matrix"}
 
 # The functions a functools memo may decorate: the see-saw's start frames
 # (one svd per configuration) and the CLI's parser. Everything else is
@@ -76,6 +79,16 @@ def _is_eigen_call(node):
     return name in ("eigh", "eigvalsh")
 
 
+def _is_matrixop_test(node):
+    """isinstance(x, MatrixOp), also with MatrixOp inside a tuple of types."""
+    if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+            and len(node.args) == 2):
+        return False
+    return any(isinstance(n, ast.Name) and n.id == "MatrixOp"
+               or isinstance(n, ast.Attribute) and n.attr == "MatrixOp"
+               for n in ast.walk(node.args[1]))
+
+
 def _is_memo(decorator):
     """functools.lru_cache or functools.cache, called or not, also through a
     name imported from functools."""
@@ -114,6 +127,10 @@ def test_hermitian_part_is_hand_rolled_only_in_the_seesaw_half_steps():
 
 def test_eigensolves_sit_in_allow_listed_functions():
     assert _sites(_is_eigen_call) == EIGEN_SITES
+
+
+def test_matrixop_is_unwrapped_only_by_the_entry_rule():
+    assert _sites(_is_matrixop_test) == MATRIXOP_TEST_SITES
 
 
 def test_memos_sit_in_allow_listed_functions():
