@@ -79,7 +79,12 @@ class Certificate:
 
 @dataclass(frozen=True, eq=False)
 class ConeReport:
-    d: int
+    """`classify`'s certificates for one bipartite operator C with dims
+    (dA, dB): both chains and every (k, m) flag run over 1..min(dims). The
+    JSON report writes dims as "dims" and keeps "d" = min(dims), the top
+    level of both chains (the map's d for a Choi matrix on M_d)."""
+
+    dims: tuple[int, int]
     p: dict
     co_p: dict
     cp: bool
@@ -251,16 +256,18 @@ def _bound_flag(bounds: tuple[int, int] | None, psd_cert: Certificate, k: int) -
     return "proven" if upper <= k else "inconclusive"
 
 
-def classify(phi: MapRep, opts: SeesawOpts = DEFAULT_OPTS,
-             include_dec: bool = True,
-             construction: KrausSet | None = None) -> ConeReport:
-    """Certificates for every level of the positivity / copositivity chains,
-    Schmidt-number evidence for the Choi matrix when it is PSD, and combined
-    flags for the two-index cones, one for each of the d^2 pairs (k, m).
+def classify(x: MatrixOp | MapRep | KrausSet, opts: SeesawOpts = DEFAULT_OPTS,
+             include_dec: bool = True) -> ConeReport:
+    """Certificates for every level of the positivity / copositivity chains
+    of a bipartite operator C, Schmidt-number evidence for C when it is PSD,
+    and combined flags for the two-index cones, one for each pair (k, m) in
+    1..min(dims).
 
-    construction, when given, is a Kraus set of phi: its largest operator
-    rank bounds the Schmidt number of phi's Choi matrix from above (the
-    co-chain's matrix, the partial transpose, has no Kraus form of its own).
+    x is C itself (a MatrixOp with dims, MissingDims otherwise), a MapRep,
+    read as its Choi matrix, or a KrausSet, read as the Choi matrix of its
+    map: the largest operator rank of a Kraus set then bounds the Schmidt
+    number of C from above (the co-chain's matrix, the partial transpose,
+    has no Kraus form of its own).
 
     A violation witness found at level k is inherited upward (it is a valid
     witness at every k' > k), so reports never claim membership above a
@@ -268,9 +275,12 @@ def classify(phi: MapRep, opts: SeesawOpts = DEFAULT_OPTS,
     the inherited one by more than eps_neg*max|C|, so ties between levels do
     not turn on last-bit differences at any scale of C.
     """
-    d = phi.d
-    if construction is not None and construction.d != d:
-        raise DimMismatch(f"Kraus operators act on M_{construction.d}, the map on M_{d}")
+    construction = None
+    if isinstance(x, KrausSet):
+        construction, x = x, x.to_map()
+    c = choi(x) if isinstance(x, MapRep) else x
+    dims = c.require_dims()
+    top = min(dims)
 
     def chain(target_choi: MatrixOp, kraus: KrausSet | None = None
               ) -> tuple[dict, tuple[int, int] | None]:
@@ -278,7 +288,7 @@ def classify(phi: MapRep, opts: SeesawOpts = DEFAULT_OPTS,
         best_viol: Certificate | None = None
         eig = hermitian_eig(target_choi)
         tie = _margin(target_choi.mat, opts.eps_neg)
-        for k in range(1, d + 1):
+        for k in range(1, top + 1):
             cert = k_block_positive_certify(target_choi, k, opts, eig)
             if best_viol is not None and (
                     cert.verdict is not Verdict.VIOLATION
@@ -293,27 +303,26 @@ def classify(phi: MapRep, opts: SeesawOpts = DEFAULT_OPTS,
                     best_viol = cert
             certs[k] = cert
         # Schmidt bounds stand on this chain's own proof that the matrix is PSD
-        psd = certs[d].verdict is Verdict.MEMBERSHIP
+        psd = certs[top].verdict is Verdict.MEMBERSHIP
         return certs, (schmidt_number_bounds(target_choi, construction=kraus, eig=eig)
                        if psd else None)
 
-    # choi(co(phi)) = PT_B(choi(phi)): the co-chain reads the same Choi matrix
-    c = choi(phi)
+    # choi(co(phi)) = PT_B(choi(phi)): the co-chain reads the same matrix
     co_c = partial_transpose(c)
     p, bounds = chain(c, construction)
     co_p, co_bounds = chain(co_c)
-    cp = p[d].verdict is Verdict.MEMBERSHIP
+    cp = p[top].verdict is Verdict.MEMBERSHIP
 
     km_positive = {}
     km_superpositive = {}
-    for k in range(1, d + 1):
-        for m in range(1, d + 1):
+    for k in range(1, top + 1):
+        for m in range(1, top + 1):
             km_positive[(k, m)] = _flag(_FLAGS[p[k].verdict], _FLAGS[co_p[m].verdict])
-            km_superpositive[(k, m)] = _flag(_bound_flag(bounds, p[d], k),
-                                             _bound_flag(co_bounds, co_p[d], m))
+            km_superpositive[(k, m)] = _flag(_bound_flag(bounds, p[top], k),
+                                             _bound_flag(co_bounds, co_p[top], m))
 
     dec = decomposable_certify(c, opts=opts) if include_dec else None
-    return ConeReport(d=d, p=p, co_p=co_p, cp=cp, schmidt_number=bounds,
+    return ConeReport(dims=dims, p=p, co_p=co_p, cp=cp, schmidt_number=bounds,
                       km_positive=km_positive, km_superpositive=km_superpositive,
                       decomposable=dec)
 

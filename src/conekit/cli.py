@@ -29,7 +29,6 @@ from .errors import (
     ConekitError,
     EmptyList,
 )
-from .maps import KrausSet, MapRep, map_from_choi
 from .serialize import dumps, load_operator, report_to_json, scan_rows_to_csv
 from .witness import threshold_scan
 
@@ -61,7 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cls = sub.add_parser("classify", parents=[common],
                            help="full cone report for one operator file")
     p_cls.add_argument("input", type=str,
-                       help="JSON operator; files without repr=super are Choi matrices")
+                       help="JSON operator; files that are neither repr=super nor kraus "
+                            "are Choi matrices, split by their dims (null: square)")
     p_cls.add_argument("--no-dec", action="store_true",
                        help="skip the decomposability heuristic")
 
@@ -139,12 +139,7 @@ def _cmd_classify(args) -> int:
     opts = _opts_from(args)
     with open(args.input, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    op = load_operator(payload)
-    construction = None
-    if isinstance(op, KrausSet):  # kept: its operator ranks bound the Schmidt number
-        construction, op = op, op.to_map()
-    phi = op if isinstance(op, MapRep) else map_from_choi(op)  # a Choi matrix
-    report = classify(phi, opts=opts, include_dec=not args.no_dec, construction=construction)
+    report = classify(load_operator(payload), opts=opts, include_dec=not args.no_dec)
     _emit(dumps(report_to_json(report)), args.out)
     return 0
 

@@ -55,13 +55,14 @@ def _check_dim(d) -> None:
 @dataclass(frozen=True, eq=False)
 class MapRep:
     """Hermiticity-preserving linear map on M_d, stored as its superoperator.
-    d must be an integer >= 1 (BadParam otherwise)."""
+    d must be an integer >= 1 (BadParam otherwise) and is kept as an int."""
 
     d: int
     super_mat: np.ndarray
 
     def __post_init__(self) -> None:
         _check_dim(self.d)
+        object.__setattr__(self, "d", int(self.d))
         s = _freeze(self.super_mat)
         n = self.d * self.d
         if s.shape != (n, n):

@@ -20,11 +20,13 @@ of floats) to that reference encoder, re-indented.
 from __future__ import annotations
 
 import json
+import math
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .certify import Certificate, ConeReport, Verdict
+from .errors import DimMismatch
 from .linalg import BipartiteVector, MatrixOp
 from .maps import KrausSet, MapRep
 
@@ -153,7 +155,8 @@ def certificate_from_json(obj: dict) -> Certificate:
 
 def report_to_json(rep: ConeReport) -> dict:
     return {
-        "d": rep.d,
+        "d": min(rep.dims),
+        "dims": list(rep.dims),
         "p": {str(k): certificate_to_json(c) for k, c in rep.p.items()},
         "co_p": {str(k): certificate_to_json(c) for k, c in rep.co_p.items()},
         "cp": rep.cp,
@@ -171,14 +174,21 @@ def report_to_json(rep: ConeReport) -> dict:
 
 def load_operator(obj: dict):
     """Dispatch a JSON payload: a map if tagged repr=super or given as Kraus
-    operators, otherwise a plain matrix (the CLI treats those as Choi
-    matrices)."""
+    operators, otherwise a Choi operator, a MatrixOp that always carries
+    dims. Its declared dims are kept; without them the operator is square,
+    (d, d) with d^2 = dim, and any other size raises DimMismatch."""
     if not isinstance(obj, dict):
         raise ValueError("operator payload must be a JSON object")
     if obj.get("repr") == "super":
         return map_from_json(obj)
     if "kraus" in obj:
         return kraus_from_json(obj)
+    if not obj.get("dims"):
+        n = int(obj["dim"])
+        d = math.isqrt(n)
+        if d * d != n:
+            raise DimMismatch(f"Choi matrix size {n} is not a perfect square")
+        obj = {**obj, "dims": [d, d]}
     return matrix_from_json(obj)
 
 

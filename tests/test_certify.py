@@ -50,7 +50,6 @@ from conekit.errors import (
     BadK,
     BadParam,
     ConekitError,
-    DimMismatch,
     MissingDims,
     NotHermitian,
     NotPSD,
@@ -58,8 +57,10 @@ from conekit.errors import (
 
 from conekit.linalg import PSD_TOL, _margin
 from conekit.maps import MapRep
+from conekit.serialize import report_to_json
 
 from _decompose_oracle import decomposable_certify as decomposable_oracle
+from _report_oracle import check_report
 
 
 def _rank_ops(rng, d, k, n):
@@ -445,7 +446,7 @@ def test_certifiers_need_bipartite_dims():
 
 def test_classify_transpose_qubit():
     rep = classify(transpose_map(2), include_dec=False)
-    assert rep.d == 2
+    assert rep.dims == (2, 2)
     assert rep.p[1].verdict is Verdict.INCONCLUSIVE
     assert rep.p[1].value >= -1e-9
     assert rep.p[2].verdict is Verdict.VIOLATION
@@ -541,7 +542,7 @@ def test_classify_bounds_follow_the_chain_verdict():
     proven PSD within eps_neg is not re-judged against PSD_TOL. The
     standalone schmidt_number_bounds keeps its own PSD gate."""
     c = _barely_psd_choi()
-    rep = classify(map_from_choi(c), SeesawOpts(eps_neg=1e-6, restarts=1))
+    rep = classify(c, SeesawOpts(eps_neg=1e-6, restarts=1))
     assert rep.p[3].detail == "choi-psd"
     assert rep.cp
     assert rep.schmidt_number == (1, 3)
@@ -550,13 +551,11 @@ def test_classify_bounds_follow_the_chain_verdict():
 
 
 def test_classify_construction_bounds_the_p_chain_only():
-    """A Kraus construction tightens the Schmidt upper bound of phi's Choi
-    matrix only (its partial transpose has no Kraus form), and one on
-    another M_d is rejected."""
+    """A Kraus set given to classify tightens the Schmidt upper bound of its
+    map's Choi matrix only (its partial transpose has no Kraus form)."""
     ks = KrausSet([np.outer(a, b) for a, b in np.random.default_rng(4).normal(size=(3, 2, 3))])
-    phi = ks.to_map()
-    plain = classify(phi, SeesawOpts(restarts=1), include_dec=False)
-    rep = classify(phi, SeesawOpts(restarts=1), include_dec=False, construction=ks)
+    plain = classify(ks.to_map(), SeesawOpts(restarts=1), include_dec=False)
+    rep = classify(ks, SeesawOpts(restarts=1), include_dec=False)
     assert plain.schmidt_number == (1, 3) and rep.schmidt_number == (1, 1)
     assert [(c.verdict, c.value) for c in rep.co_p.values()] == [
         (c.verdict, c.value) for c in plain.co_p.values()]
@@ -564,8 +563,6 @@ def test_classify_construction_bounds_the_p_chain_only():
     assert rep.km_superpositive[(1, 3)] == "proven"
     assert rep.km_superpositive[(1, 2)] == "inconclusive"
     assert plain.km_superpositive[(1, 3)] == "inconclusive"
-    with pytest.raises(DimMismatch):
-        classify(phi, SeesawOpts(restarts=1), construction=KrausSet([np.eye(2)]))
 
 
 def test_classify_decomposes_a_psd_choi_once(monkeypatch):
@@ -633,7 +630,7 @@ def test_classify_inherits_a_stronger_violation_upward():
     own = k_block_positive_certify(c, 2, opts)
     assert (own.verdict, own.detail) == (Verdict.VIOLATION, "seesaw")
     assert abs(own.value + 0.2) <= 1e-12
-    rep = classify(map_from_choi(c), opts, include_dec=False)
+    rep = classify(c, opts, include_dec=False)
     assert (rep.p[1].verdict, rep.p[1].detail) == (Verdict.VIOLATION, "seesaw")
     assert abs(rep.p[1].value + 0.5) <= 1e-12
     assert schmidt_rank(rep.p[1].witness) == 1
@@ -641,6 +638,58 @@ def test_classify_inherits_a_stronger_violation_upward():
     assert rep.p[2].value == rep.p[1].value
     assert rep.p[2].witness is rep.p[1].witness
     assert rep.p[2].restarts_used == 1
+
+
+def _random_hermitian(n, seed):
+    g = np.random.default_rng(seed).normal(size=(2, n, n))
+    return (g[0] + 1j * g[1] + (g[0] + 1j * g[1]).conj().T) / 2
+
+
+@pytest.mark.parametrize("dims,seed,psd", [((2, 3), 5, False), ((3, 2), 6, False),
+                                           ((2, 3), 8, True)])
+def test_classify_a_rectangular_operator(dims, seed, psd):
+    """A Hermitian operator on C^dA (x) C^dB is classified as it is: both
+    chains and the (k, m) flags run over 1..min(dims), and every certificate
+    re-checks with numpy alone at (dA, dB). A PSD one gets Schmidt bounds
+    within 1..min(dims)."""
+    c = _random_hermitian(dims[0] * dims[1], seed)
+    if psd:
+        c = c @ c
+    opts = SeesawOpts(restarts=4)
+    rep = classify(MatrixOp(c, dims=dims), opts)
+    assert rep.dims == dims and rep.cp is psd
+    if psd:
+        assert rep.p[2].detail == "choi-psd" and rep.schmidt_number == (1, 2)
+    check_report(report_to_json(rep), c, dims, opts.eps_neg)
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2)])
+def test_classify_splits_a_rectangular_decomposable_operator(dims):
+    """C = A + PT(B) with A, B PSD at (dA, dB): the split is found and holds
+    under the (dA, dB) partial transpose."""
+    n = dims[0] * dims[1]
+    rng = np.random.default_rng(9)
+    g = rng.normal(size=(2, n, n)) + 1j * rng.normal(size=(2, n, n))
+    a, b = g @ g.conj().swapaxes(1, 2)
+    c = a + partial_transpose(MatrixOp(b, dims=dims)).mat
+    rep = classify(MatrixOp(c, dims=dims), SeesawOpts(restarts=2))
+    assert rep.decomposable.verdict is Verdict.MEMBERSHIP
+    check_report(report_to_json(rep), c, dims)
+
+
+def test_classify_honors_declared_dims():
+    """A 9 x 9 operator declared on C^1 (x) C^9 has one level, whatever its
+    size: no 3 x 3 split is guessed."""
+    c = _random_hermitian(9, 7)
+    rep = classify(MatrixOp(c, dims=(1, 9)), SeesawOpts(restarts=2))
+    assert rep.dims == (1, 9) and list(rep.p) == list(rep.co_p) == [1]
+    assert set(rep.km_positive) == set(rep.km_superpositive) == {(1, 1)}
+    check_report(report_to_json(rep), c, (1, 9))
+
+
+def test_classify_needs_dims():
+    with pytest.raises(MissingDims):
+        classify(MatrixOp(np.eye(4)), include_dec=False)
 
 
 def test_classify_km_pairs_subset():
@@ -1009,7 +1058,7 @@ def test_margins_scale_with_c():
     def chains(rep):
         return [(c.verdict, c.detail) for ch in (rep.p, rep.co_p) for c in ch.values()]
 
-    ref = chains(classify(map_from_choi(MatrixOp(gen, dims=(3, 3))), include_dec=False))
+    ref = chains(classify(MatrixOp(gen, dims=(3, 3)), include_dec=False))
     for s in 10.0 ** np.arange(-12, 13, 2):
         cert = decomposable_certify(MatrixOp(gen * s, dims=(3, 3)))
         assert (cert.verdict, cert.detail) == (Verdict.VIOLATION, "ppt-witness")

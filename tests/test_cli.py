@@ -14,6 +14,8 @@ from conekit import MatrixOp, choi, depolarizing, reduction_family, transpose_ma
 from conekit.certify import DEFAULT_OPTS
 from conekit.serialize import dumps, map_to_json, matrix_to_json
 
+from _report_oracle import check_report
+
 
 def _write(path, obj):
     path.write_text(dumps(obj))
@@ -42,7 +44,49 @@ def test_classify_bare_matrix_is_choi(tmp_path, capsys):
     assert cli.main(["classify", path, "--no-dec"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["cp"] is True
-    assert rep["d"] == 2
+    assert rep["d"] == 2 and rep["dims"] == [2, 2]
+
+
+def _hermitian_payload(dims, seed):
+    """A seeded Hermitian operator on C^dA (x) C^dB and its JSON payload."""
+    n = dims[0] * dims[1]
+    g = np.random.default_rng(seed).normal(size=(2, n, n))
+    c = (g[0] + 1j * g[1] + (g[0] + 1j * g[1]).conj().T) / 2
+    return c, matrix_to_json(MatrixOp(c, dims=dims))
+
+
+@pytest.mark.parametrize("dims,seed", [((2, 3), 11), ((3, 2), 12)])
+def test_classify_rectangular_choi_payload(tmp_path, capsys, dims, seed):
+    """A Choi payload on C^dA (x) C^dB is classified at its declared dims:
+    levels 1..2 on both chains, four (k, m) flags, and every certificate
+    re-checks with numpy alone."""
+    c, payload = _hermitian_payload(dims, seed)
+    path = _write(tmp_path / "choi.json", payload)
+    assert cli.main(["classify", path, "--restarts", "4"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    check_report(rep, c, dims, DEFAULT_OPTS.eps_neg)
+
+
+def test_classify_choi_payload_keeps_its_declared_dims(tmp_path, capsys):
+    """A 9 x 9 payload declared on C^1 (x) C^9 has level 1 only; it is not
+    read as 3 x 3."""
+    c, payload = _hermitian_payload((1, 9), 13)
+    path = _write(tmp_path / "choi.json", payload)
+    assert cli.main(["classify", path, "--restarts", "2"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert list(rep["p"]) == list(rep["co_p"]) == ["1"]
+    check_report(rep, c, (1, 9), DEFAULT_OPTS.eps_neg)
+
+
+def test_classify_choi_payload_without_dims_must_be_square(tmp_path, capsys):
+    """"dims": null means square (d, d); a 6 x 6 matrix has no such split."""
+    _, payload = _hermitian_payload((2, 3), 14)
+    payload["dims"] = None
+    path = _write(tmp_path / "choi.json", payload)
+    assert cli.main(["classify", path, "--no-dec"]) == cli.INVARIANT_ERROR
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "Choi matrix size 6 is not a perfect square" in out.err
 
 
 def test_classify_kraus_payload(tmp_path, capsys):

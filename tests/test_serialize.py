@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import conekit.cli as cli
+from conekit.errors import DimMismatch
 
 from conekit import (
     BipartiteVector,
@@ -17,6 +18,7 @@ from conekit import (
     choi,
     classify,
     decomposable_certify,
+    identity_map,
     k_block_positive_certify,
     kraus_decompose,
     random_cp_map,
@@ -69,6 +71,11 @@ def test_map_round_trip_tags_repr():
     assert obj["repr"] == "super"
     back = map_from_json(obj)
     assert np.abs(back.super_mat - phi.super_mat).max() <= 1e-15
+
+
+def test_map_with_a_numpy_dimension_writes_the_same_bytes():
+    """MapRep keeps d as an int, so a numpy integer d serializes as 2 does."""
+    assert dumps(map_to_json(identity_map(np.int64(2)))) == dumps(map_to_json(identity_map(2)))
 
 
 def test_map_from_json_requires_tag():
@@ -170,8 +177,9 @@ def test_certificate_json_is_json_serializable():
 def test_report_json_shape():
     rep = classify(transpose_map(2), include_dec=False)
     obj = report_to_json(rep)
-    assert set(obj) == {"d", "p", "co_p", "cp", "schmidt_number",
+    assert set(obj) == {"d", "dims", "p", "co_p", "cp", "schmidt_number",
                         "km_positive", "km_superpositive", "decomposable"}
+    assert obj["d"] == 2 and obj["dims"] == [2, 2]
     assert obj["cp"] is False
     assert obj["decomposable"] is None
     assert obj["p"]["2"]["verdict"] == "ViolationFound"
@@ -198,6 +206,16 @@ def test_load_operator_dispatch():
     assert isinstance(m, MatrixOp)
     with pytest.raises(ValueError):
         load_operator([1, 2, 3])
+
+
+def test_load_operator_reads_a_bare_matrix_as_a_choi_operator():
+    """Declared dims are kept as given; null dims mean square (d, d), and a
+    size that is not a perfect square has no such split."""
+    assert load_operator(matrix_to_json(MatrixOp(np.eye(6), dims=(2, 3)))).dims == (2, 3)
+    assert load_operator(matrix_to_json(MatrixOp(np.eye(9), dims=(1, 9)))).dims == (1, 9)
+    assert load_operator(matrix_to_json(MatrixOp(np.eye(9)))).dims == (3, 3)
+    with pytest.raises(DimMismatch, match="Choi matrix size 6 is not a perfect square"):
+        load_operator(matrix_to_json(MatrixOp(np.eye(6))))
 
 
 def test_scan_rows_csv_format():
