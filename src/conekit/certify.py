@@ -25,6 +25,7 @@ from .linalg import (
     _check_count,
     _check_eps,
     _check_level,
+    _dims,
     _hermitian_part,
     _margin,
     _pow2_scaled,
@@ -111,7 +112,7 @@ def _eigen_cert(c: MatrixOp, eig: tuple[np.ndarray, np.ndarray], tol: float,
     lam_min = float(w[0])
     if lam_min >= -tol:
         return Certificate(Verdict.MEMBERSHIP, lam_min, detail=prefix + "choi-psd")
-    da, db = c.require_dims()
+    da, db = _dims(c)
     wit = BipartiteVector(da, db, v[:, 0])
     val = _witness_quadratic_form(c.mat, wit)
     if val < -tol:
@@ -135,7 +136,7 @@ def k_block_positive_certify(c: MatrixOp, k: int, opts: SeesawOpts = DEFAULT_OPT
     caller that certifies several levels of one C (as `classify` does);
     without it C is decomposed here. C must carry its bipartite dims.
     """
-    da, db = c.require_dims()
+    da, db = _dims(c)
     kmax = min(da, db)
     _check_level(k, kmax)
     if eig is None:
@@ -205,7 +206,7 @@ def schmidt_number_bounds(c: MatrixOp, *, construction: KrausSet | None = None,
     every scale of C. A caller that has already proven C PSD (as `classify`'s
     chains do) passes C's `hermitian_eig` as eig, and C is not judged again.
     """
-    da, db = c.require_dims()
+    da, db = _dims(c)
     if eig is None:
         eig = hermitian_eig(c)
         if float(eig[0][0]) < -_margin(c.mat, PSD_TOL):
@@ -279,7 +280,7 @@ def classify(x: MatrixOp | MapRep | KrausSet, opts: SeesawOpts = DEFAULT_OPTS,
     if isinstance(x, KrausSet):
         construction, x = x, x.to_map()
     c = choi(x) if isinstance(x, MapRep) else x
-    dims = c.require_dims()
+    dims = _dims(c)
     top = min(dims)
 
     def chain(target_choi: MatrixOp, kraus: KrausSet | None = None
@@ -421,7 +422,7 @@ def decomposable_certify(c: MatrixOp, opts: SeesawOpts = DEFAULT_OPTS,
     and when a number scaled back is not a double, the rule of `hermitian_eig`.
     """
     _check_count("max_sweeps", max_sweeps, 1)
-    da, db = c.require_dims()
+    da, db = _dims(c)
     check_hermitian(c.mat)
     # max|C| is read once: max|C / 2^e| is its frexp mantissa, floored as
     # every margin is

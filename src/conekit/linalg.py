@@ -98,6 +98,14 @@ def _matrix(x) -> np.ndarray:
     return m
 
 
+def _dims(x) -> tuple[int, int]:
+    """The declared bipartite dims (dA, dB) of a MatrixOp; MissingDims for a
+    MatrixOp without dims and for anything else, a raw matrix declaring none."""
+    if not isinstance(x, MatrixOp):
+        raise MissingDims(f"operation needs a MatrixOp with bipartite dims, got {type(x).__name__}")
+    return x.require_dims()
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     """Read-only complex copy that passed _matrix's entry rule."""
     out = _matrix(np.array(a, dtype=np.complex128, copy=True, order="C"))
@@ -206,7 +214,7 @@ def _pt_array(m: np.ndarray, da: int, db: int, subsystem: str = "B") -> np.ndarr
 def partial_transpose(x: MatrixOp, subsystem: str = "B") -> MatrixOp:
     """Transpose one tensor factor. For subsystem B:
     out_{ij,kl} = x_{il,kj}. Involutive and trace preserving."""
-    da, db = x.require_dims()
+    da, db = _dims(x)
     return MatrixOp(_pt_array(x.mat, da, db, subsystem), dims=(da, db))
 
 

@@ -30,6 +30,7 @@ from .linalg import (
     _check_count,
     _check_hermitian_pair,
     _check_level,
+    _dims,
     _eigh,
     _freeze,
     _hermitian_part,
@@ -131,7 +132,7 @@ def apply(phi: MapRep, x) -> MatrixOp:
 
 def apply_on_right_factor(phi: MapRep, x: MatrixOp) -> MatrixOp:
     """(1_m (x) phi)(x) for x on C^m (x) C^d, acting on the second factor."""
-    m_dim, d = x.require_dims()
+    m_dim, d = _dims(x)
     if d != phi.d:
         raise DimMismatch(f"second factor size {d} != map dimension {phi.d}")
     s4 = phi.super_mat.reshape(d, d, d, d)

@@ -16,7 +16,6 @@ from .linalg import (
     _check_count,
     _check_level,
     hermitian_eig,
-    max_entangled,
     partial_transpose,
 )
 from .maps import (
@@ -161,43 +160,59 @@ def threshold_scan(family: str, d: int, k: int, grid,
     isotropic: bottom eigenvalue of (1 (x) reduction[1/k]) rho_F =
     tr_B(rho_F) (x) 1 - rho_F/k, which is min(1/d - F/k,
     1/d - (1-F)/((d^2-1)k)); the flip sits at F = k/d. werner (d=2): bottom
-    eigenvalue of the partial transpose; flip at p = 1/3. reduction: see-saw best value of the family's
-    Choi matrix at level k (closed form 1 - ck); flip at c = 1/k. Raises
-    BadParam when a row's value is not a finite double (1 - ck overflows
-    near the top of the float range).
+    eigenvalue of the partial transpose; flip at p = 1/3.
+
+    reduction: the family's Choi matrix is C(c) = 1 - cP with P =
+    |psi+><psi+|, so its minimum over unit vectors of Schmidt rank <= k is
+    1 - cm, where m is the largest <psi|P|psi> (closed form k, Terhal &
+    Horodecki 2000) for c > 0 and the smallest for c < 0. One search per
+    sign present in the grid finds m for every row: the see-saw on -P or P
+    with the scan's opts (so opts.restarts counts the restarts of that one
+    search, not of each row), or for k = d the extreme eigenvalues of one
+    eigensolve of P. A row at c = 0 has the value 1. Each value is attained
+    by the search's witness, and the flip sits at c = 1/k.
+
+    Raises BadParam naming the grid value when one is NaN or infinite
+    (before any search) and when a row's value is not a finite double
+    (1 - ck overflows near the top of the float range).
     """
     tol = opts.eps_neg
+    params = [float(x) for x in grid]
+    for x in params:
+        if not math.isfinite(x):
+            raise BadParam(f"grid point {x!r} is not a finite double")
     rows: list[ScanPoint] = []
     if family == "isotropic":
         _check_level(k, d)
-        for f in grid:
-            rho = isotropic_state(d, float(f))
+        for f in params:
+            rho = isotropic_state(d, f)
             w, _ = hermitian_eig(_reduction_images(rho.mat, d, d, (k,))[0])
-            rows.append(_scan_point(float(f), float(w[0]), tol))
+            rows.append(_scan_point(f, float(w[0]), tol))
     elif family == "werner":
         if d != 2:
             raise BadParam("werner scans are defined for d=2 only")
         _check_level(k, d)
-        for p in grid:
-            rho = werner_state(float(p))
+        for p in params:
+            rho = werner_state(p)
             w, _ = hermitian_eig(partial_transpose(rho))
-            rows.append(_scan_point(float(p), float(w[0]), tol))
+            rows.append(_scan_point(p, float(w[0]), tol))
     elif family == "reduction":
         _check_level(k, d)
-        psi_plus = max_entangled(d).amp
-        eye = np.eye(d * d, dtype=np.complex128)
-        for c in grid:
-            cm = eye - float(c) * np.outer(psi_plus, psi_plus.conj())
-            if k == d:
-                try:
-                    val = float(hermitian_eig(cm)[0][0])
-                except BadParam as exc:  # 1 - cd is not a double
-                    raise BadParam(f"at grid point {float(c)!r}: {exc}") from None
-            else:
-                val, _, _ = seesaw_minimize(cm, (d, d), k, restarts=opts.restarts,
-                                            max_iters=opts.max_iters,
+        proj = max_entangled_projector(d).mat
+        # m[True] is the largest overlap <psi|P|psi>, m[False] the smallest
+        signs = {c > 0 for c in params if c != 0}
+        m: dict[bool, float] = {}
+        if signs and k == d:
+            w, _ = hermitian_eig(proj)
+            m = {True: float(w[-1]), False: float(w[0])}
+        else:
+            for pos in signs:
+                val, _, _ = seesaw_minimize(-proj if pos else proj, (d, d), k,
+                                            restarts=opts.restarts, max_iters=opts.max_iters,
                                             eps_conv=opts.eps_conv, seed=opts.seed)
-            rows.append(_scan_point(float(c), val, tol))
+                m[pos] = -val if pos else val
+        for c in params:
+            rows.append(_scan_point(c, 1.0 - c * m[c > 0] if c else 1.0, tol))
     else:
         raise BadFamily(f"unknown family {family!r}")
     return rows

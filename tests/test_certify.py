@@ -687,6 +687,19 @@ def test_classify_honors_declared_dims():
     check_report(report_to_json(rep), c, (1, 9))
 
 
+@pytest.mark.parametrize("certifier", [
+    lambda c: classify(c, include_dec=False),
+    lambda c: k_block_positive_certify(c, 1),
+    decomposable_certify,
+    schmidt_number_bounds,
+])
+def test_certifiers_refuse_a_raw_matrix(certifier):
+    """A raw array declares no dims: it raised AttributeError on
+    `require_dims`, not the documented MissingDims."""
+    with pytest.raises(MissingDims, match="ndarray"):
+        certifier(np.eye(4))
+
+
 def test_classify_needs_dims():
     with pytest.raises(MissingDims):
         classify(MatrixOp(np.eye(4)), include_dec=False)

@@ -155,6 +155,8 @@ def test_partial_transpose_both_factors_is_full_transpose():
 def test_partial_transpose_requires_dims():
     with pytest.raises(MissingDims):
         partial_transpose(MatrixOp(np.eye(4)))
+    with pytest.raises(MissingDims):
+        partial_transpose(np.eye(4))
 
 
 # ---------------------------------------------------------------------------

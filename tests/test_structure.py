@@ -24,9 +24,10 @@ EIGEN_SITES = {
     "fuzz.fuzz_composition",
 }
 
-# The one place that tells a MatrixOp from a raw array: linalg._matrix, which
-# also applies the entry rule (no NaN or infinite entry) to the raw array.
-MATRIXOP_TEST_SITES = {"linalg._matrix"}
+# The places that tell a MatrixOp from a raw array: linalg._matrix, which
+# also applies the entry rule (no NaN or infinite entry) to the raw array,
+# and linalg._dims, which refuses a raw array where bipartite dims are needed.
+MATRIXOP_TEST_SITES = {"linalg._matrix", "linalg._dims"}
 
 # The functions a functools memo may decorate: the see-saw's start frames
 # (one svd per configuration) and the CLI's parser. Everything else is

@@ -204,3 +204,82 @@ def test_scan_level_is_an_integer(family, k):
     its rows at that level."""
     with pytest.raises(BadK):
         threshold_scan(family, 3, k, [0.5])
+
+
+def _per_row_reduction_scan(d, k, grid, opts):
+    """The scan as one search per row: the minimum of C(c) = 1 - cP over
+    Schmidt rank <= k, by the see-saw for k < d and by an eigensolve at
+    k = d. Kept as the oracle of the shared search per sign."""
+    from conekit import hermitian_eig, max_entangled_projector
+    from conekit._seesaw import seesaw_minimize
+    proj = max_entangled_projector(d).mat
+    rows = []
+    for c in grid:
+        cm = np.eye(d * d) - c * proj
+        if k == d:
+            val = float(hermitian_eig(cm)[0][0])
+        else:
+            val, _, _ = seesaw_minimize(cm, (d, d), k, restarts=opts.restarts,
+                                        max_iters=opts.max_iters,
+                                        eps_conv=opts.eps_conv, seed=opts.seed)
+        rows.append((val, val < -opts.eps_neg))
+    return rows
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_scan_reduction_matches_the_per_row_search(d):
+    """One search per sign of c gives every row the per-row search's value
+    within 1e-14 * max(1, |v|) and the same fired flag, on grids with
+    negative values, 0, +-1e-300 and the points 1e-3 either side of 1/k."""
+    from conekit.certify import DEFAULT_OPTS
+    for k in range(1, d + 1):
+        grid = [-2.0, -0.5, -1e-300, 0.0, 1e-300, 0.25,
+                1 / k - 1e-3, 1 / k + 1e-3, 1.0, 3.0]
+        rows = threshold_scan("reduction", d, k, grid)
+        for row, c, (val, fired) in zip(rows, grid,
+                                        _per_row_reduction_scan(d, k, grid, DEFAULT_OPTS)):
+            assert row.param == c
+            assert abs(row.min_eig - val) <= 1e-14 * max(1.0, abs(val)), (d, k, c)
+            assert row.fired == fired, (d, k, c)
+
+
+@pytest.mark.parametrize("grid, searches", [
+    ([0.1, 0.5, 0.9], 1),
+    ([-0.4, -0.1], 1),
+    ([-0.4, 0.0, 0.4, 0.6], 2),
+    ([0.0, -0.0], 0),
+    ([], 0),
+])
+def test_scan_reduction_runs_one_search_per_sign(monkeypatch, grid, searches):
+    """The see-saw runs once for each nonzero sign of c in the grid, and not
+    at all at k = d or on an all-zero grid."""
+    import conekit.witness as witness
+    calls = []
+    real = witness.seesaw_minimize
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(witness, "seesaw_minimize", counted)
+    threshold_scan("reduction", 3, 2, grid)
+    assert len(calls) == searches
+    threshold_scan("reduction", 3, 3, grid)
+    assert len(calls) == searches
+
+
+@pytest.mark.parametrize("family, d", [("reduction", 3), ("isotropic", 3), ("werner", 2)])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_scan_rejects_a_non_finite_grid_value(monkeypatch, family, d, bad):
+    """A NaN or infinite grid value raises BadParam naming it before any
+    row is computed: the sign test of the shared search would have sent a
+    NaN row to the value 1."""
+    import conekit.witness as witness
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched before the grid was checked")
+
+    monkeypatch.setattr(witness, "seesaw_minimize", no_search)
+    monkeypatch.setattr(witness, "hermitian_eig", no_search)
+    with pytest.raises(BadParam, match=repr(bad)):
+        threshold_scan(family, d, 1, [0.2, bad])
