@@ -46,9 +46,9 @@ minimum over a frame depends only on the frame's span: the left frame U^T
 is that of the bottom eigenvector P (dA x k) of the left half-step, the
 next right frame that of the bottom eigenvector B (dB x k) of the right
 half-step, as the iterate is (B U^T)^T; a
-quasi-Newton step hands over its frame V directly. The first frames of the
-starts (the first sweep reads nothing else) come from a memo, so a repeated
-configuration (a scan's rows, two chains' levels) runs no `svd` at all. A
+quasi-Newton step hands over its frame V directly. The starts' frames (the
+first sweep reads nothing else) follow the same rule from their first k
+rows and come from a memo, so two chains' levels draw their starts once. A
 restart stops when a sweep moves its value by less than the stop threshold,
 or after max_iters iterations (sweeps and evaluations together). It stops
 earlier in the same sweep, skipping the right half-step with its `eigh` and
@@ -68,8 +68,8 @@ import functools
 import numpy as np
 
 from .errors import DimMismatch
-from .linalg import (_TINY, _check_count, _check_eps, _check_level, _is_int, _margin,
-                     _matrix, _pow2_scaled)
+from .linalg import (_TINY, _check_count, _check_eps, _check_level, _gaussian_products, _is_int,
+                     _margin, _matrix, _pow2_scaled)
 
 # Always False: no compiled kernel exists; perfbench's environment header reads it.
 NUMBA_ACTIVE = False
@@ -314,30 +314,20 @@ def _seesaw_kernel(C, da, db, k, frames, max_iters, eps_conv):
 
 
 def random_starts(da: int, db: int, k: int, restarts: int, seed: int) -> np.ndarray:
-    """Rank <= k complex Gaussian start matrices; restart r uses seed + r."""
-    starts = np.empty((restarts, da, db), dtype=np.complex128)
-    for r in range(restarts):
-        rng = np.random.default_rng(seed + r)
-        g1 = rng.normal(size=(da, k)) + 1j * rng.normal(size=(da, k))
-        g2 = rng.normal(size=(k, db)) + 1j * rng.normal(size=(k, db))
-        starts[r] = g1 @ g2
-    return starts
+    """Rank <= k start matrices: restart r is linalg._gaussian_products's draw at seed + r."""
+    return np.concatenate([_gaussian_products(np.random.default_rng(seed + r), 1, da, k, db)
+                           for r in range(restarts)])
 
 
 @functools.lru_cache(maxsize=8)
 def _start_frames(da: int, db: int, k: int, restarts: int, seed: int) -> np.ndarray:
-    """The right k-frames of random_starts scaled to unit Frobenius norm
-    (orthonormal rows spanning each start's row space), read-only.
+    """The right k-frames of random_starts, read-only: _frame of each start's
+    first k rows, which span its row space almost surely.
 
-    Memoized: one `svd` per configuration, not one per call. The memo keeps
-    the 8 configurations used last, restarts * k * db complex entries each
-    (4 KB at 20 restarts, d = 4 and k = 3), so it holds a few calls' frames
-    and never grows beyond them.
+    Memoized: one draw per configuration, not one per call. The memo keeps
+    the 8 configurations used last, 4 KB each at 20 restarts, d = 4, k = 3.
     """
-    starts = random_starts(da, db, k, restarts, seed)
-    norms = np.sqrt(np.sum(np.abs(starts.reshape(restarts, -1)) ** 2, axis=1))
-    starts /= norms[:, None, None]
-    frames = np.linalg.svd(starts)[2][:, :k, :].copy()
+    frames = _frame(random_starts(da, db, k, restarts, seed)[:, :k, :].swapaxes(1, 2))
     frames.setflags(write=False)
     return frames
 

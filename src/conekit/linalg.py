@@ -88,6 +88,17 @@ def _rank(values: np.ndarray, tol: float) -> int:
     return int(np.count_nonzero(values > tol * top))
 
 
+def _gaussian_products(rng: np.random.Generator, n: int, da: int, k: int, db: int) -> np.ndarray:
+    """n products G1 @ G2 of complex Gaussian da x k and k x db factors, the one
+    draw of every random rank <= k object. Each product reads its normals in
+    one order: G1's real part, its imaginary part, then G2's."""
+    a, b = da * k, k * db
+    z = rng.normal(size=(n, 2 * (a + b)))
+    g1 = (z[:, :a] + 1j * z[:, a:2 * a]).reshape(n, da, k)
+    g2 = (z[:, 2 * a:2 * a + b] + 1j * z[:, 2 * a + b:]).reshape(n, k, db)
+    return g1 @ g2
+
+
 def _matrix(x) -> np.ndarray:
     """A MatrixOp's matrix, or x as a complex array; a NaN or inf entry raises BadParam."""
     if isinstance(x, MatrixOp):
@@ -106,6 +117,12 @@ def _dims(x) -> tuple[int, int]:
     return x.require_dims()
 
 
+def _check_square(m: np.ndarray) -> None:
+    """Raise DimMismatch unless m is a square 2-D array."""
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimMismatch(f"expected a square matrix, got shape {m.shape}")
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     """Read-only complex copy that passed _matrix's entry rule."""
     out = _matrix(np.array(a, dtype=np.complex128, copy=True, order="C"))
@@ -122,8 +139,7 @@ class MatrixOp:
 
     def __post_init__(self) -> None:
         m = _freeze(self.mat)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimMismatch(f"expected a square matrix, got shape {m.shape}")
+        _check_square(m)
         if self.dims is not None:
             da, db = self.dims
             if not (_is_int(da, 1) and _is_int(db, 1)) or da * db != m.shape[0]:
@@ -232,8 +248,9 @@ def unreshuffle(choi: np.ndarray, d: int) -> np.ndarray:
 
 
 def check_hermitian(m: np.ndarray) -> None:
-    """The Hermiticity gate: raise NotHermitian when max |X - X^dag| exceeds
-    HERM_TOL * max |X|, so the gate is the same at every scale of X."""
+    """The Hermiticity gate: DimMismatch unless X is a square matrix, then
+    NotHermitian when max |X - X^dag| > HERM_TOL * max |X|, at every scale."""
+    _check_square(m)
     _check_hermitian_pair(m, m.conj().T)
 
 

@@ -33,6 +33,7 @@ from .linalg import (
     _dims,
     _eigh,
     _freeze,
+    _gaussian_products,
     _hermitian_part,
     _is_int,
     _margin,
@@ -84,7 +85,6 @@ class KrausSet:
     (r, d, d) stack, built from any non-empty sequence of d x d matrices."""
 
     operators: np.ndarray
-    rank_bound: int | None = None
 
     def __post_init__(self) -> None:
         ops = self.operators
@@ -244,12 +244,9 @@ def depolarizing(d: int, p: float) -> MapRep:
 
 
 def _random_kraus(d: int, k: int, n_ops: int, seed: int) -> np.ndarray:
-    """The Kraus stack of random_cp_map: unit-norm products g1 @ g2 of d x k
-    and k x d complex Gaussians, from one draw of g1.re, g1.im, g2.re, g2.im
-    per operator in that order."""
-    z = np.random.default_rng(seed).normal(size=(n_ops, 4, d * k))
-    g1 = (z[:, 0] + 1j * z[:, 1]).reshape(n_ops, d, k)
-    ops = g1 @ (z[:, 2] + 1j * z[:, 3]).reshape(n_ops, k, d)
+    """The Kraus stack of random_cp_map: linalg._gaussian_products's draw
+    from seed, each operator at unit norm."""
+    ops = _gaussian_products(np.random.default_rng(seed), n_ops, d, k, d)
     return ops / np.array([np.linalg.norm(a) for a in ops])[:, None, None]
 
 
@@ -320,7 +317,7 @@ def compose_certified(a, phi: MapRep, k: int,
     """
     if order == "ad_after_map":
         inner = compose_certified(_matrix(a).conj().T, adjoint(phi), k)
-        return KrausSet(inner.operators.conj().swapaxes(1, 2), rank_bound=k)
+        return KrausSet(inner.operators.conj().swapaxes(1, 2))
     if order != "map_after_ad":
         raise BadParam(f"unknown order {order!r}")
 
@@ -335,7 +332,7 @@ def compose_certified(a, phi: MapRep, k: int,
     if r > k:
         raise RankTooHigh(f"rank(a) = {r} exceeds the certified level k = {k}")
     if r == 0:
-        return KrausSet(np.zeros((1, d, d), dtype=np.complex128), rank_bound=k)
+        return KrausSet(np.zeros((1, d, d), dtype=np.complex128))
 
     lefts = u[:, :r] * s[:r]    # columns |f_i>, singular values absorbed
     rights = vh[:r].conj()      # rows |g_i>, orthonormal
@@ -360,7 +357,7 @@ def compose_certified(a, phi: MapRep, k: int,
     err = float(np.abs(recon - target).max())
     if err > _margin(target, PSD_TOL):
         raise BlockNotPSD(f"reconstruction residual {err:.3e} exceeds tolerance")
-    return KrausSet(ops, rank_bound=k)
+    return KrausSet(ops)
 
 
 def reduction_detectors(d: int) -> list[Detector]:

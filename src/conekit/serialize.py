@@ -2,7 +2,7 @@
 
 Matrix: {"dim": n, "dims": [dA, dB] | null, "re": [[..]], "im": [[..]]}
 Map:    the same applied to the superoperator, plus "repr": "super"
-Kraus:  {"kraus": [matrix, ...], "rank_bound": k | null}
+Kraus:  {"kraus": [matrix, ...]}; a reader ignores any other key
 
 Floats print via repr (shortest round-trip); CSV uses 17 significant digits.
 Everything is emitted with sorted keys so identical configs give identical
@@ -91,16 +91,11 @@ def map_from_json(obj: dict) -> MapRep:
 
 
 def kraus_to_json(ks: KrausSet) -> dict:
-    return {
-        "kraus": [matrix_to_json(MatrixOp(a)) for a in ks.operators],
-        "rank_bound": ks.rank_bound,
-    }
+    return {"kraus": [matrix_to_json(MatrixOp(a)) for a in ks.operators]}
 
 
 def kraus_from_json(obj: dict) -> KrausSet:
-    ops = [matrix_from_json(m) for m in obj["kraus"]]
-    rb = obj.get("rank_bound")
-    return KrausSet(ops, rank_bound=int(rb) if rb is not None else None)
+    return KrausSet([matrix_from_json(m) for m in obj["kraus"]])
 
 
 def vector_to_json(v: BipartiteVector) -> dict:

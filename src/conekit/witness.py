@@ -10,12 +10,16 @@ import numpy as np
 
 from ._seesaw import seesaw_minimize
 from .certify import DEFAULT_OPTS, SeesawOpts
-from .errors import BadFamily, BadParam, DimMismatch, NotAState
+from .errors import BadFamily, BadParam, NotAState
 from .linalg import (
     MatrixOp,
     _check_count,
     _check_level,
+    _dims,
+    _gaussian_products,
+    _matrix,
     hermitian_eig,
+    hs_inner,
     partial_transpose,
 )
 from .maps import (
@@ -54,32 +58,31 @@ class ScanPoint:
     fired: bool
 
 
-def _validate_state(rho: MatrixOp) -> np.ndarray:
-    m = rho.mat
+def _validate_state(rho: MatrixOp | np.ndarray) -> np.ndarray:
+    m = _matrix(rho)
+    w, v = hermitian_eig(m)
     tr = complex(np.trace(m))
     if abs(tr - 1.0) > STATE_TOL:
         raise NotAState(f"trace {tr:.12g} is not 1 within {STATE_TOL}")
-    w, v = hermitian_eig(m)
     if float(w[0]) < -STATE_TOL:
         raise NotAState(f"eigenvalue {w[0]:.3e} below the positivity floor")
     w = np.clip(w, 0.0, None)
     return (v * w) @ v.conj().T
 
 
-def expectation(w: Witness, rho: MatrixOp) -> float:
-    """Tr(W rho) for a valid state rho. Nonnegative on every state of Schmidt
-    number <= k when W is the Choi matrix of a k-positive map."""
+def expectation(w: Witness, rho: MatrixOp | np.ndarray) -> float:
+    """Tr(W rho) for a valid state rho, raw or not. Nonnegative on every state
+    of Schmidt number <= k when W is the Choi matrix of a k-positive map."""
     _validate_state(rho)
-    if w.operator.dim != rho.dim:
-        raise DimMismatch(f"witness dim {w.operator.dim} != state dim {rho.dim}")
-    return float(np.einsum("ij,ji->", w.operator.mat, rho.mat).real)
+    return hs_inner(w.operator, rho)
 
 
 def detect_schmidt_number(rho: MatrixOp, detector: Detector) -> DetectionResult:
     """Apply 1 (x) detector to the state; an eigenvalue below -STATE_TOL
-    proves the Schmidt number exceeds the detector's level."""
+    proves the Schmidt number exceeds the detector's level. A state without
+    bipartite dims, a raw matrix included, raises MissingDims."""
+    da, db = _dims(rho)
     clipped = _validate_state(rho)
-    da, db = rho.require_dims()
     moved = apply_on_right_factor(detector.map, MatrixOp(clipped, dims=(da, db)))
     w, _ = hermitian_eig(moved)
     min_eig = float(w[0])
@@ -134,12 +137,9 @@ def random_schmidt_bounded_state(d: int, k: int, n_terms: int, seed: int) -> Mat
     rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(n_terms))
     rho = np.zeros((d * d, d * d), dtype=np.complex128)
-    for i in range(n_terms):
-        g1 = rng.normal(size=(d, k)) + 1j * rng.normal(size=(d, k))
-        g2 = rng.normal(size=(k, d)) + 1j * rng.normal(size=(k, d))
-        v = (g1 @ g2).reshape(-1)
-        v = v / np.linalg.norm(v)
-        rho += weights[i] * np.outer(v, v.conj())
+    for weight, g in zip(weights, _gaussian_products(rng, n_terms, d, k, d)):
+        v = g.reshape(-1) / np.linalg.norm(g)
+        rho += weight * np.outer(v, v.conj())
     return MatrixOp(rho, dims=(d, d))
 
 

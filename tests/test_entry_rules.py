@@ -10,9 +10,12 @@ import pytest
 
 from conekit import (
     BipartiteVector,
+    Detector,
     MapRep,
     MatrixOp,
     compose_certified,
+    detect_schmidt_number,
+    expectation,
     from_kraus,
     hermitian_eig,
     hs_inner,
@@ -20,10 +23,12 @@ from conekit import (
     is_cp,
     kraus_decompose,
     numerical_rank,
+    reduction_family,
+    witness_from_map,
 )
 from conekit._seesaw import seesaw_minimize
 from conekit.certify import decomposable_certify
-from conekit.errors import BadK, BadParam, DimMismatch
+from conekit.errors import BadK, BadParam, DimMismatch, MissingDims
 from conekit.fuzz import fuzz_adjoint, fuzz_bijection, fuzz_duality
 from conekit.witness import isotropic_state, threshold_scan
 
@@ -71,6 +76,19 @@ CASES = {
     # ... and of every Schmidt level
     "werner-scan-k-float": (BadK, lambda: threshold_scan("werner", 2, 1.5, [0.2])),
     "werner-scan-k-too-high": (BadK, lambda: threshold_scan("werner", 2, 3, [0.2])),
+    # a raw array that is not a square matrix at the Hermiticity gate
+    "hermitian-eig-not-square": (DimMismatch, lambda: hermitian_eig(np.ones((2, 3)))),
+    "hermitian-eig-1d": (DimMismatch, lambda: hermitian_eig(np.ones(4))),
+    "hs-inner-not-square": (DimMismatch, lambda: hs_inner(np.ones((2, 3)), np.ones((2, 3)))),
+    # a raw state: read through the entry rule, refused where dims are needed
+    "detect-raw-state": (MissingDims, lambda: detect_schmidt_number(
+        np.eye(4) / 4, Detector(reduction_family(2, 1.0), 1))),
+    "detect-state-without-dims": (MissingDims, lambda: detect_schmidt_number(
+        MatrixOp(np.eye(4) / 4), Detector(reduction_family(2, 1.0), 1))),
+    "expectation-raw-nan": (BadParam, lambda: expectation(
+        witness_from_map(reduction_family(2, 1.0), 1), _nan_at(4, 1) / 4)),
+    "expectation-raw-wrong-shape": (DimMismatch, lambda: expectation(
+        witness_from_map(reduction_family(2, 1.0), 1), np.ones(4) / 4)),
 }
 
 
@@ -89,6 +107,13 @@ def test_kraus_decompose_refuses_what_is_cp_refuses():
         is_cp(phi)
     with pytest.raises(BadParam, match="spectrum is not finite"):
         kraus_decompose(phi)
+
+
+def test_expectation_reads_a_raw_state_as_its_matrixop():
+    w = witness_from_map(reduction_family(2, 1.0), 1)
+    rho = isotropic_state(2, 0.9)
+    assert expectation(w, np.array(rho.mat)) == expectation(w, rho)
+    assert expectation(w, np.eye(4) / 4) == expectation(w, MatrixOp(np.eye(4) / 4))
 
 
 def test_matrixop_keeps_numpy_integer_dims_as_python_ints():

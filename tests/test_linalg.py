@@ -20,6 +20,7 @@ from conekit import (
     unreshuffle,
 )
 from conekit.errors import BadParam, DimMismatch, MissingDims, NotHermitian, ZeroVector
+from conekit.linalg import _gaussian_products
 
 
 def _rand_vec(rng, da, db):
@@ -296,3 +297,23 @@ def test_matrix_op_require_dims():
     with pytest.raises(MissingDims):
         MatrixOp(np.eye(4)).require_dims()
     assert MatrixOp(np.eye(6), dims=(2, 3)).require_dims() == (2, 3)
+
+
+# ---------------------------------------------------------------------------
+# The one draw of rank <= k products
+
+
+@pytest.mark.parametrize("da,db,k,n,seed", [(2, 2, 1, 1, 0), (3, 4, 2, 3, 7),
+                                            (4, 3, 3, 2, 11), (2, 4, 2, 5, 123)])
+def test_gaussian_products_stream_order(da, db, k, n, seed):
+    """Product by product, the draw reads G1's real part, its imaginary
+    part, then G2's real and imaginary parts, and returns G1 @ G2."""
+    rng = np.random.default_rng(seed)
+    want = []
+    for _ in range(n):
+        g1 = rng.normal(size=(da, k)) + 1j * rng.normal(size=(da, k))
+        g2 = rng.normal(size=(k, db)) + 1j * rng.normal(size=(k, db))
+        want.append(g1 @ g2)
+    got = _gaussian_products(np.random.default_rng(seed), n, da, k, db)
+    assert got.shape == (n, da, db)
+    assert np.array_equal(got, np.array(want))

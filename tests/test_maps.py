@@ -49,6 +49,7 @@ from conekit.linalg import (
     HERM_TOL,
     PSD_TOL,
     BipartiteVector,
+    _gaussian_products,
     check_hermitian,
     hermitian_eig,
     reshuffle,
@@ -459,13 +460,12 @@ def test_kraus_stack_rank_is_largest_operator_rank(case):
 
 
 @_stack_settings
-@given(_kraus_sets, st.one_of(st.none(), st.integers(1, 4)))
-def test_kraus_stack_json_round_trip_is_lossless(case, rank_bound):
+@given(_kraus_sets)
+def test_kraus_stack_json_round_trip_is_lossless(case):
     r, d, seed, exponent, kind = case
-    ks = KrausSet(_as_container(_kraus_ops(r, d, seed, exponent), kind), rank_bound=rank_bound)
+    ks = KrausSet(_as_container(_kraus_ops(r, d, seed, exponent), kind))
     back = kraus_from_json(json.loads(dumps(kraus_to_json(ks))))
     assert np.array_equal(back.operators, ks.operators)
-    assert back.rank_bound == rank_bound
 
 
 @_stack_settings
@@ -533,6 +533,15 @@ def _random_k_positive_map_loop(d, k, seed):
     cp_part = _random_cp_map_loop(d, d, 2, cp_seed)
     red = reduction_family(d, 1.0 / k)
     return MapRep(d, lam * cp_part.super_mat + (1.0 - lam) * red.super_mat)
+
+
+@pytest.mark.parametrize("d,k,n_ops,seed", [(2, 1, 1, 0), (3, 2, 3, 5), (4, 3, 2, 17)])
+def test_random_kraus_is_the_one_draw_normalized(d, k, n_ops, seed):
+    """The Kraus stack of random_cp_map is the draw of _gaussian_products
+    from one generator seeded seed, each operator at unit norm."""
+    ops = _gaussian_products(np.random.default_rng(seed), n_ops, d, k, d)
+    want = ops / np.array([np.linalg.norm(a) for a in ops])[:, None, None]
+    assert np.array_equal(maps_mod._random_kraus(d, k, n_ops, seed), want)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -843,7 +852,6 @@ def test_compose_certified_reduction_rank_and_reconstruction():
         a = _rand_mat(rng, 3, rank=2)
         a = a / np.linalg.norm(a)
         ks = compose_certified(a, psi, 2)
-        assert ks.rank_bound == 2
         for op in ks.operators:
             assert numerical_rank(op) <= 2
         target = compose(psi, ad(a))

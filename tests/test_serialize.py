@@ -93,7 +93,17 @@ def test_kraus_round_trip():
     assert len(back.operators) == len(ks.operators)
     for a, b in zip(back.operators, ks.operators):
         assert np.abs(a - b).max() <= 1e-15
-    assert back.rank_bound == ks.rank_bound
+
+
+def test_kraus_json_holds_only_the_operators():
+    """kraus_to_json writes the operators alone, and a payload's "rank_bound"
+    key, an integer or null, is ignored on reading: the rank is computed."""
+    ks = kraus_decompose(random_cp_map(3, 2, 3, 1))
+    obj = kraus_to_json(ks)
+    assert list(obj) == ["kraus"]
+    for rank_bound in (2, None):
+        back = kraus_from_json({**obj, "rank_bound": rank_bound})
+        assert np.array_equal(back.operators, ks.operators)
 
 
 def test_vector_round_trip():

@@ -24,13 +24,31 @@ EIGEN_SITES = {
     "fuzz.fuzz_composition",
 }
 
+# The functions that may call np.linalg.svd: the Schmidt decomposition, the
+# numerical ranks of a matrix and of a Kraus set, and the factorization of
+# the conjugated operator in compose_certified. The see-saw takes every frame,
+# its starts' included, by one qr rule and runs none.
+SVD_SITES = {
+    "linalg.schmidt_decompose", "linalg.numerical_rank",
+    "maps.rank", "maps.compose_certified",
+}
+
+# The functions that may draw normal deviates: linalg._gaussian_products,
+# the one draw behind every random rank <= k object (see-saw starts, Kraus
+# operators, pure terms of a Schmidt-bounded state), and the full-rank
+# Gaussian matrices of a random HP map and of two fuzz suites.
+NORMAL_SITES = {
+    "linalg._gaussian_products", "maps.random_hp_map",
+    "fuzz.fuzz_bijection", "fuzz.fuzz_adjoint",
+}
+
 # The places that tell a MatrixOp from a raw array: linalg._matrix, which
 # also applies the entry rule (no NaN or infinite entry) to the raw array,
 # and linalg._dims, which refuses a raw array where bipartite dims are needed.
 MATRIXOP_TEST_SITES = {"linalg._matrix", "linalg._dims"}
 
 # The functions a functools memo may decorate: the see-saw's start frames
-# (one svd per configuration) and the CLI's parser. Everything else is
+# (one draw per configuration) and the CLI's parser. Everything else is
 # computed per call; in particular the reduction detectors' images have a
 # closed form and need no memoized bank.
 MEMO_SITES = {"_seesaw._start_frames", "cli._build_parser"}
@@ -77,12 +95,15 @@ def _is_hand_rolled_hermitian_part(node):
     return False
 
 
-def _is_eigen_call(node):
-    if not isinstance(node, ast.Call):
-        return False
-    func = node.func
-    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-    return name in ("eigh", "eigvalsh")
+def _calls(*names):
+    """A matcher of the calls to a function or method with one of these names."""
+    def is_match(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        return (func.attr if isinstance(func, ast.Attribute)
+                else getattr(func, "id", None)) in names
+    return is_match
 
 
 def _is_matrixop_test(node):
@@ -145,7 +166,15 @@ def test_hermitian_part_is_hand_rolled_only_in_the_seesaw_half_steps():
 
 
 def test_eigensolves_sit_in_allow_listed_functions():
-    assert _sites(_is_eigen_call) == EIGEN_SITES
+    assert _sites(_calls("eigh", "eigvalsh")) == EIGEN_SITES
+
+
+def test_svds_sit_in_allow_listed_functions():
+    assert _sites(_calls("svd")) == SVD_SITES
+
+
+def test_normal_draws_sit_in_allow_listed_functions():
+    assert _sites(_calls("normal")) == NORMAL_SITES
 
 
 def test_matrixop_is_unwrapped_only_by_the_entry_rule():

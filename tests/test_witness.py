@@ -18,6 +18,7 @@ from conekit import (
     witness_from_map,
 )
 from conekit.errors import BadFamily, BadK, BadParam, DimMismatch, NotAState
+from conekit.linalg import _gaussian_products
 
 
 def test_isotropic_is_a_state_with_fidelity_f():
@@ -135,6 +136,19 @@ def test_random_schmidt_bounded_state_is_valid():
     assert np.linalg.eigvalsh(rho.mat)[0] >= -1e-12
     with pytest.raises(BadK):
         random_schmidt_bounded_state(3, 0, 2, 0)
+
+
+@pytest.mark.parametrize("d,k,n_terms,seed", [(2, 1, 1, 0), (3, 2, 4, 9), (4, 3, 3, 21)])
+def test_random_schmidt_bounded_state_is_the_one_draw(d, k, n_terms, seed):
+    """After its Dirichlet weights, the state's generator feeds one
+    _gaussian_products draw; each product, as a unit vector, is a term."""
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(n_terms))
+    want = np.zeros((d * d, d * d), dtype=complex)
+    for weight, g in zip(weights, _gaussian_products(rng, n_terms, d, k, d)):
+        v = g.reshape(-1) / np.linalg.norm(g)
+        want += weight * np.outer(v, v.conj())
+    assert np.array_equal(random_schmidt_bounded_state(d, k, n_terms, seed).mat, want)
 
 
 # ---------------------------------------------------------------------------
