@@ -198,7 +198,8 @@ def schmidt_number_bounds(c: MatrixOp, *, construction: KrausSet | None = None,
     (1 (x) R_{1/k})(C) = tr_B(C) (x) 1 - C/k proves Schmidt number >= k+1:
     the k-reduction criterion, formed in closed form). A level k >=
     min(dims) cannot fire, as no state has Schmidt number above min(dims),
-    so none is applied. Upper bound:
+    so none is applied. The images are decided as one stack by one
+    `hermitian_eig` call, each against its own margin. Upper bound:
     the largest operator rank when a Kraus construction is supplied, the
     Schmidt rank of the range vector when C has rank one, else min(dims). C
     counts as PSD, and a detector as fired, against the margin
@@ -213,14 +214,15 @@ def schmidt_number_bounds(c: MatrixOp, *, construction: KrausSet | None = None,
             raise NotPSD(f"matrix has eigenvalue {eig[0][0]:.3e}; Schmidt number undefined")
     w, v = eig
     lower = 1
-    # each image is judged on its own margin; hermitian_eig refuses a non-finite one
     kmax = min(da, db)
-    levels = range(1, kmax)
-    images = _reduction_images(c.mat, da, db, levels)
-    for k, image in zip(levels, images):
-        w_det, _ = hermitian_eig(image)
-        if float(w_det[0]) < -_margin(image, PSD_TOL):
-            lower = max(lower, k + 1)
+    if kmax > 1:
+        # one stacked call decides every image, each against its own margin;
+        # hermitian_eig refuses a non-finite one
+        images = _reduction_images(c.mat, da, db, range(1, kmax))
+        w_det, _ = hermitian_eig(images)
+        fired = np.flatnonzero(w_det[:, 0] < -_margin(images, PSD_TOL, (1, 2)))
+        if fired.size:  # image i is level k = i + 1, which proves k + 1
+            lower = int(fired[-1]) + 2
     if construction is not None:
         upper = max(1, min(construction.rank, kmax))
     elif _rank(np.abs(w), RANK_TOL) == 1:

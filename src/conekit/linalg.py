@@ -27,11 +27,15 @@ RANK_TOL = 1e-8
 _TINY = float(np.finfo(float).tiny)
 
 
-def _margin(m: np.ndarray, eps: float) -> float:
+def _margin(m: np.ndarray, eps: float, axes=None) -> float | np.ndarray:
     """The margin eps * max|M| of a sign or Hermiticity decision on M, so that
     scaling M by any positive factor leaves the decision unchanged. M = 0 gets
-    the least positive scale, so exact zeros still pass."""
-    return eps * max(float(np.abs(m).max()), _TINY)
+    the least positive scale, so exact zeros still pass. With axes, m is a
+    stack whose members span those axes, and each member gets its own margin
+    (an array of them, the same numbers one call per member returns)."""
+    if axes is None:
+        return eps * max(float(np.abs(m).max()), _TINY)
+    return eps * np.maximum(np.abs(m).max(axis=axes), _TINY)
 
 
 def _pow2_scaled(m: np.ndarray, top: float):
@@ -254,12 +258,22 @@ def check_hermitian(m: np.ndarray) -> None:
     _check_hermitian_pair(m, m.conj().T)
 
 
-def _check_hermitian_pair(m: np.ndarray, m_dag: np.ndarray) -> None:
+def _check_hermitian_pair(m: np.ndarray, m_dag: np.ndarray, axes=None) -> None:
     """check_hermitian for X held in any layout, given X^dag in the same
-    layout: the decision and the message depend only on the entries."""
-    dev = float(np.abs(m - m_dag).max())
-    if dev > _margin(m, HERM_TOL):
-        raise NotHermitian(f"max |X - X^dag| = {dev:.3e} exceeds tolerance")
+    layout: the decision and the message depend only on the entries. With
+    axes, m is a stack whose members span those axes, and each member is
+    judged against its own margin; the message gives the deviation of the
+    first member that fails."""
+    if axes is None:
+        dev = float(np.abs(m - m_dag).max())
+        if dev > _margin(m, HERM_TOL):
+            raise NotHermitian(f"max |X - X^dag| = {dev:.3e} exceeds tolerance")
+        return
+    devs = np.abs(m - m_dag).max(axis=axes)
+    failing = np.flatnonzero(devs > _margin(m, HERM_TOL, axes))
+    if failing.size:
+        i = int(failing[0])
+        raise NotHermitian(f"max |X - X^dag| = {devs[i]:.3e} exceeds tolerance (stack member {i})")
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
@@ -271,17 +285,28 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
 
 
 def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """eigh of the Hermitian part of a finite, gated m; BadParam if the spectrum is not."""
+    """eigh of the Hermitian part of a finite, gated m, one matrix or each
+    member of a non-empty (r, n, n) stack in one LAPACK call per member;
+    BadParam if a spectrum is not finite, naming the eigenvalue range of the
+    first member whose spectrum is not."""
     w, v = np.linalg.eigh(_hermitian_part(m))
-    if not (math.isfinite(w[0]) and math.isfinite(w[-1])):
-        raise BadParam(f"the spectrum is not finite (eigenvalues from {w[0]} to {w[-1]})")
+    first = w if w.ndim == 1 else w[np.argmin(np.isfinite(w[:, 0]) & np.isfinite(w[:, -1]))]
+    if not (math.isfinite(first[0]) and math.isfinite(first[-1])):
+        raise BadParam(f"the spectrum is not finite (eigenvalues from {first[0]} to {first[-1]})")
     return w, v
 
 
 def hermitian_eig(x: MatrixOp | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gated eigen-decomposition, ascending: _matrix, check_hermitian, _eigh."""
+    """Gated eigen-decomposition, ascending: _matrix, the Hermiticity gate,
+    _eigh. x is one square matrix, or a non-empty (r, n, n) stack of them,
+    decided in one call: each member is gated against its own margin (the
+    rule of check_hermitian) and eigh runs the same LAPACK routine on each,
+    so every member's (w, v) equals that of its own call."""
     m = _matrix(x)
-    check_hermitian(m)
+    if m.ndim == 3 and m.size and m.shape[1] == m.shape[2]:
+        _check_hermitian_pair(m, m.conj().swapaxes(1, 2), axes=(1, 2))
+    else:
+        check_hermitian(m)
     return _eigh(m)
 
 

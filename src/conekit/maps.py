@@ -376,15 +376,18 @@ def _reduction_images(x: np.ndarray, da: int, db: int, levels) -> np.ndarray:
     """(1_da (x) R_{1/k})(X) = tr_B(X) (x) 1 - X/k for each k in levels, as
     one (len(levels), n, n) stack, n = da*db: the images apply_on_right_factor
     forms with reduction_family(db, 1/k), in closed form (the k-reduction
-    criterion of Terhal & Horodecki). An image beyond the float range holds
-    inf or NaN and raises no numpy warning; the caller judges it."""
+    criterion of Terhal & Horodecki). x may also be a stack (r, n, n), whose
+    images come as one (r, len(levels), n, n) array, each equal to the image
+    of its member alone. An image beyond the float range holds inf or NaN
+    and raises no numpy warning; the caller judges it."""
     n = da * db
-    x4 = x.reshape(da, db, da, db)
+    lead = x.shape[:-2]
+    x4 = x.reshape(lead + (da, db, da, db))
     c = 1.0 / np.asarray(levels, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        tr_b = np.trace(x4, axis1=1, axis2=3)
-        out = (tr_b[:, None, :, None] * np.eye(db)[:, None, :]).reshape(n, n)
-        return out - c[:, None, None] * x4.reshape(n, n)
+        tr_b = np.trace(x4, axis1=-3, axis2=-1)
+        out = (tr_b[..., :, None, :, None] * np.eye(db)[:, None, :]).reshape(lead + (1, n, n))
+        return out - c[:, None, None] * x.reshape(lead + (1, n, n))
 
 
 def max_entangled_projector(d: int) -> MatrixOp:

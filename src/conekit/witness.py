@@ -18,9 +18,9 @@ from .linalg import (
     _dims,
     _gaussian_products,
     _matrix,
+    _pt_array,
     hermitian_eig,
     hs_inner,
-    partial_transpose,
 )
 from .maps import (
     Detector,
@@ -95,16 +95,36 @@ def detect_schmidt_number(rho: MatrixOp, detector: Detector) -> DetectionResult:
     )
 
 
+def _isotropic_mats(d: int, fs) -> np.ndarray:
+    """The isotropic states at the fidelities fs, as one (len(fs), d^2, d^2)
+    stack, checked in order: d first, then each F."""
+    _check_count("d", d, 2)
+    for f in fs:
+        if not 0.0 <= f <= 1.0:
+            raise BadParam(f"fidelity must lie in [0, 1], got {f}")
+    f = np.asarray(fs, dtype=float)[:, None, None]
+    p_plus = max_entangled_projector(d).mat / d
+    eye = np.eye(d * d, dtype=np.complex128)
+    return f * p_plus + (1.0 - f) * (eye - p_plus) / (d * d - 1)
+
+
 def isotropic_state(d: int, f: float) -> MatrixOp:
     """F-weighted mix of the maximally entangled projector and its complement:
     rho = F P+ + (1-F)(1 - P+)/(d^2 - 1), P+ normalized."""
-    _check_count("d", d, 2)
-    if not 0.0 <= f <= 1.0:
-        raise BadParam(f"fidelity must lie in [0, 1], got {f}")
-    p_plus = max_entangled_projector(d).mat / d
-    eye = np.eye(d * d, dtype=np.complex128)
-    rho = f * p_plus + (1.0 - f) * (eye - p_plus) / (d * d - 1)
-    return MatrixOp(rho, dims=(d, d))
+    return MatrixOp(_isotropic_mats(d, (f,))[0], dims=(d, d))
+
+
+def _werner_mats(ps) -> np.ndarray:
+    """The two-qubit Werner states at the weights ps, as one (len(ps), 4, 4)
+    stack, each weight checked in order."""
+    for p in ps:
+        if not 0.0 <= p <= 1.0:
+            raise BadParam(f"mixing weight must lie in [0, 1], got {p}")
+    p = np.asarray(ps, dtype=float)[:, None, None]
+    singlet = np.zeros(4, dtype=np.complex128)
+    singlet[1] = 1.0 / np.sqrt(2.0)
+    singlet[2] = -1.0 / np.sqrt(2.0)
+    return p * np.outer(singlet, singlet.conj()) + (1.0 - p) * np.eye(4, dtype=np.complex128) / 4.0
 
 
 def werner_state(p: float, d: int = 2) -> MatrixOp:
@@ -112,13 +132,7 @@ def werner_state(p: float, d: int = 2) -> MatrixOp:
     p <= 1/3 (the partial transpose's bottom eigenvalue is (1-3p)/4)."""
     if d != 2:
         raise BadParam("this singlet-plus-noise family is defined for d=2 only")
-    if not 0.0 <= p <= 1.0:
-        raise BadParam(f"mixing weight must lie in [0, 1], got {p}")
-    singlet = np.zeros(4, dtype=np.complex128)
-    singlet[1] = 1.0 / np.sqrt(2.0)
-    singlet[2] = -1.0 / np.sqrt(2.0)
-    rho = p * np.outer(singlet, singlet.conj()) + (1.0 - p) * np.eye(4, dtype=np.complex128) / 4.0
-    return MatrixOp(rho, dims=(2, 2))
+    return MatrixOp(_werner_mats((p,))[0], dims=(2, 2))
 
 
 def witness_from_map(phi: MapRep, k_level: int) -> Witness:
@@ -152,6 +166,15 @@ def _scan_point(param: float, value: float, tol: float) -> ScanPoint:
     return ScanPoint(param, value, value < -tol)
 
 
+def _bottom_rows(params: list[float], stack: np.ndarray, tol: float) -> list[ScanPoint]:
+    """One scan row per grid value from the bottom eigenvalue of its member
+    of stack, all decided by one hermitian_eig call."""
+    if not params:
+        return []
+    w, _ = hermitian_eig(stack)
+    return [_scan_point(x, float(v), tol) for x, v in zip(params, w[:, 0])]
+
+
 def threshold_scan(family: str, d: int, k: int, grid,
                    opts: SeesawOpts = DEFAULT_OPTS) -> list[ScanPoint]:
     """Sweep a one-parameter family and record where the detector fires
@@ -160,7 +183,10 @@ def threshold_scan(family: str, d: int, k: int, grid,
     isotropic: bottom eigenvalue of (1 (x) reduction[1/k]) rho_F =
     tr_B(rho_F) (x) 1 - rho_F/k, which is min(1/d - F/k,
     1/d - (1-F)/((d^2-1)k)); the flip sits at F = k/d. werner (d=2): bottom
-    eigenvalue of the partial transpose; flip at p = 1/3.
+    eigenvalue of the partial transpose; flip at p = 1/3. Either family's
+    rows are one stack (the states, then their images), gated and
+    decomposed in one hermitian_eig call; each row's value is the one its
+    own call would give.
 
     reduction: the family's Choi matrix is C(c) = 1 - cP with P =
     |psi+><psi+|, so its minimum over unit vectors of Schmidt rank <= k is
@@ -172,31 +198,31 @@ def threshold_scan(family: str, d: int, k: int, grid,
     eigensolve of P. A row at c = 0 has the value 1. Each value is attained
     by the search's witness, and the flip sits at c = 1/k.
 
-    Raises BadParam naming the grid value when one is NaN or infinite
-    (before any search) and when a row's value is not a finite double
-    (1 - ck overflows near the top of the float range).
+    The dimension is checked first, by the rule of its family (an integer
+    d >= 2 for isotropic, d >= 1 for reduction, d = 2 for werner), then
+    the level k, then each isotropic F or Werner p against [0, 1], in grid
+    order, before any row is decomposed. Raises BadParam naming
+    the grid value when one is NaN or infinite (before any search or
+    eigensolve) and when a row's value is not a finite double (1 - ck
+    overflows near the top of the float range).
     """
     tol = opts.eps_neg
     params = [float(x) for x in grid]
     for x in params:
         if not math.isfinite(x):
             raise BadParam(f"grid point {x!r} is not a finite double")
-    rows: list[ScanPoint] = []
     if family == "isotropic":
+        _check_count("d", d, 2)
         _check_level(k, d)
-        for f in params:
-            rho = isotropic_state(d, f)
-            w, _ = hermitian_eig(_reduction_images(rho.mat, d, d, (k,))[0])
-            rows.append(_scan_point(f, float(w[0]), tol))
-    elif family == "werner":
+        images = _reduction_images(_isotropic_mats(d, params), d, d, (k,))[:, 0]
+        return _bottom_rows(params, images, tol)
+    if family == "werner":
         if d != 2:
             raise BadParam("werner scans are defined for d=2 only")
         _check_level(k, d)
-        for p in params:
-            rho = werner_state(p)
-            w, _ = hermitian_eig(partial_transpose(rho))
-            rows.append(_scan_point(p, float(w[0]), tol))
-    elif family == "reduction":
+        return _bottom_rows(params, _pt_array(_werner_mats(params), 2, 2), tol)
+    if family == "reduction":
+        _check_dim(d)
         _check_level(k, d)
         proj = max_entangled_projector(d).mat
         # m[True] is the largest overlap <psi|P|psi>, m[False] the smallest
@@ -211,8 +237,5 @@ def threshold_scan(family: str, d: int, k: int, grid,
                                             restarts=opts.restarts, max_iters=opts.max_iters,
                                             eps_conv=opts.eps_conv, seed=opts.seed)
                 m[pos] = -val if pos else val
-        for c in params:
-            rows.append(_scan_point(c, 1.0 - c * m[c > 0] if c else 1.0, tol))
-    else:
-        raise BadFamily(f"unknown family {family!r}")
-    return rows
+        return [_scan_point(c, 1.0 - c * m[c > 0] if c else 1.0, tol) for c in params]
+    raise BadFamily(f"unknown family {family!r}")

@@ -55,7 +55,7 @@ from conekit.errors import (
     NotPSD,
 )
 
-from conekit.linalg import PSD_TOL, _margin
+from conekit.linalg import PSD_TOL, RANK_TOL, BipartiteVector, _margin, _rank
 from conekit.maps import MapRep
 from conekit.serialize import report_to_json
 
@@ -375,14 +375,17 @@ def test_stacked_detector_bank_matches_the_loop(d):
 def test_rectangular_bounds_apply_only_the_levels_that_can_fire(dims, monkeypatch):
     """No state has Schmidt number above min(dims), so a detector at a level
     k >= min(dims) cannot fire: at dA < dB schmidt_number_bounds applies the
-    levels 1..dA-1 only, one hermitian_eig each after C's own, and its lower
-    bound equals the loop's over all dB - 1 detectors, on seeded PSD
-    matrices of rank 1, 2 and dA dB at scales 1e-12..1e12."""
+    levels 1..dA-1 only, as one stacked hermitian_eig call after C's own
+    (so min(dims) matrices in two calls), and its lower bound equals the
+    loop's over all dB - 1 detectors, on seeded PSD matrices of rank 1, 2
+    and dA dB at scales 1e-12..1e12."""
     import conekit.certify as certify_mod
-    calls = [0]
+    calls, matrices = [0], [0]
 
     def counting_eig(x, *args):
+        stack = getattr(x, "mat", x)
         calls[0] += 1
+        matrices[0] += stack.shape[0] if stack.ndim == 3 else 1
         return hermitian_eig(x, *args)
 
     rng = np.random.default_rng(sum(dims))
@@ -393,11 +396,82 @@ def test_rectangular_bounds_apply_only_the_levels_that_can_fire(dims, monkeypatc
             for s in 10.0 ** np.arange(-12, 13, 12):
                 c = MatrixOp(s * (g @ g.conj().T), dims=dims)
                 monkeypatch.setattr(certify_mod, "hermitian_eig", counting_eig)
-                calls[0] = 0
+                calls[0] = matrices[0] = 0
                 lower = schmidt_number_bounds(c)[0]
-                assert calls[0] == min(dims)
+                assert matrices[0] == min(dims) and calls[0] == 2
                 monkeypatch.undo()
                 assert lower == _loop_lower_bound(c)
+
+
+def _per_image_bounds(c):
+    """schmidt_number_bounds as it decided one detector image per call: the
+    closed-form image tr_B(C) (x) 1 - C/k of each level k < min(dims),
+    judged by its own hermitian_eig against its own margin."""
+    da, db = c.dims
+    n = da * db
+    w, v = hermitian_eig(c)
+    tr_b = np.trace(c.mat.reshape(da, db, da, db), axis1=1, axis2=3)
+    lower = 1
+    for k in range(1, min(da, db)):
+        image = (tr_b[:, None, :, None] * np.eye(db)[:, None, :]).reshape(n, n) - (1.0 / k) * c.mat
+        w_det, _ = hermitian_eig(image)
+        if float(w_det[0]) < -_margin(image, PSD_TOL):
+            lower = k + 1
+    if _rank(np.abs(w), RANK_TOL) == 1:
+        upper = schmidt_decompose(BipartiteVector(da, db, v[:, -1])).rank
+    else:
+        upper = min(da, db)
+    return lower, upper
+
+
+def _seeded_psd(dims, seed):
+    """PSD matrices with the given dims: ranks 1, 2 and full, at scales
+    1e-12..1e12."""
+    rng = np.random.default_rng(seed)
+    n = dims[0] * dims[1]
+    for rank in (1, 2, n):
+        g = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+        for s in 10.0 ** np.arange(-12, 13, 6):
+            yield MatrixOp(s * (g @ g.conj().T), dims=dims)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3), (4, 4), (2, 4)])
+def test_stacked_bounds_equal_the_per_image_loop(dims):
+    """One stacked call over the detector images gives the bounds of one
+    call per image, on seeded PSD matrices and, at dA = dB, on isotropic
+    states 1e-3 either side of each level's flip F = k/d."""
+    cases = list(_seeded_psd(dims, 7 * dims[0] + dims[1]))
+    if dims[0] == dims[1]:
+        d = dims[0]
+        cases += [isotropic_state(d, k / d + step) for k in range(1, d) for step in (-1e-3, 1e-3)]
+    for c in cases:
+        assert schmidt_number_bounds(c) == _per_image_bounds(c)
+    if dims == (3, 3):
+        # level 1's image has the eigenvalue -2.7e-10, beyond its own margin
+        # 2.5e-10 and within level 2's 2.9e-10: each image has its own
+        rho = isotropic_state(3, 1 / 3 + 2.7e-10)
+        assert schmidt_number_bounds(rho) == _per_image_bounds(rho) == (2, 3)
+
+
+@pytest.mark.parametrize("dims", [(3, 3), (4, 4), (2, 4)])
+def test_detector_images_take_one_eigh_call(dims, monkeypatch):
+    """Given C's eigendecomposition, schmidt_number_bounds makes exactly one
+    numpy eigh call: the stack of its min(dims) - 1 detector images."""
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(m, *args, **kwargs):
+        shapes.append(m.shape)
+        return eigh(m, *args, **kwargs)
+
+    n = dims[0] * dims[1]
+    for c in _seeded_psd(dims, 3):
+        eig = hermitian_eig(c)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        shapes.clear()
+        schmidt_number_bounds(c, eig=eig)
+        monkeypatch.undo()
+        assert shapes == [(min(dims) - 1, n, n)]
 
 
 def test_detector_image_beyond_the_float_range_is_refused():

@@ -372,6 +372,35 @@ def test_scan_rejects_non_finite_grid(grid, capsys):
     assert grid in out.err and "finite" in out.err
 
 
+@pytest.mark.parametrize("family, k, message", [
+    ("reduction:0", "1", "dimension must be an integer >= 1, got 0"),
+    ("isotropic:1", "2", "need an integer d >= 2, got 1"),
+    ("werner:3", "5", "werner scans are defined for d=2 only"),
+])
+def test_scan_names_the_dimension_before_the_level(family, k, message, capsys):
+    """A dimension its family does not define exits 2 naming the dimension,
+    even where the level is out of range for it too."""
+    assert cli.main(["scan", "--family", family, "--k", k,
+                     "--grid", "0.1:0.3:3"]) == cli.PARSE_ERROR
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("family, grid, bad", [
+    ("isotropic:3", "0.5:1.5:5", "fidelity must lie in [0, 1], got 1.25"),
+    ("werner", "-0.5:0.5:3", "mixing weight must lie in [0, 1], got -0.5"),
+])
+def test_scan_with_an_out_of_range_row_prints_no_rows(family, grid, bad, capsys):
+    """A parameter outside [0, 1] anywhere in the grid exits 2 naming it,
+    and no row of the grid reaches stdout."""
+    assert cli.main(["scan", "--family", family, "--k", "1",
+                     f"--grid={grid}"]) == cli.PARSE_ERROR
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {bad}\n"
+
+
 def test_scan_at_the_top_of_the_float_range(capsys):
     """reduction:3 at c = 1e308: level 1's minimum 1 - c is a double and is
     printed; at levels 2 and 3, 1 - kc overflows, so the scan exits 2 naming

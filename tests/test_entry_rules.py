@@ -76,9 +76,17 @@ CASES = {
     # ... and of every Schmidt level
     "werner-scan-k-float": (BadK, lambda: threshold_scan("werner", 2, 1.5, [0.2])),
     "werner-scan-k-too-high": (BadK, lambda: threshold_scan("werner", 2, 3, [0.2])),
+    # ... where a scan's dimension is checked first, by its family's rule
+    "reduction-scan-d-float": (BadParam, lambda: threshold_scan("reduction", 2.0, 1, [0.3])),
+    "reduction-scan-d-zero": (BadParam, lambda: threshold_scan("reduction", 0, 1, [0.3])),
+    "isotropic-scan-d-one": (BadParam, lambda: threshold_scan("isotropic", 1, 2, [0.3])),
+    "isotropic-scan-d-float": (BadParam, lambda: threshold_scan("isotropic", 3.0, 4, [0.3])),
+    "werner-scan-d-three": (BadParam, lambda: threshold_scan("werner", 3, 5, [0.3])),
     # a raw array that is not a square matrix at the Hermiticity gate
     "hermitian-eig-not-square": (DimMismatch, lambda: hermitian_eig(np.ones((2, 3)))),
     "hermitian-eig-1d": (DimMismatch, lambda: hermitian_eig(np.ones(4))),
+    "hermitian-eig-empty-stack": (DimMismatch, lambda: hermitian_eig(np.zeros((0, 3, 3)))),
+    "hermitian-eig-stack-not-square": (DimMismatch, lambda: hermitian_eig(np.ones((2, 3, 4)))),
     "hs-inner-not-square": (DimMismatch, lambda: hs_inner(np.ones((2, 3)), np.ones((2, 3)))),
     # a raw state: read through the entry rule, refused where dims are needed
     "detect-raw-state": (MissingDims, lambda: detect_schmidt_number(

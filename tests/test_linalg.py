@@ -209,6 +209,46 @@ def test_hermitian_eig_rejects_non_hermitian():
             hermitian_eig(MatrixOp(s * np.array([[0.0, 1.0], [0.0, 0.0]])))
 
 
+def test_hermitian_eig_of_a_stack_is_each_members_own_call():
+    """A stack is decided in one call, and each member's (w, v) is bit for
+    bit the one its own call returns."""
+    rng = np.random.default_rng(17)
+    stack = np.stack([_rand_herm(rng, 6) * s for s in (1e-200, 1.0, 3.0, 1e200)])
+    w, v = hermitian_eig(stack)
+    for i, m in enumerate(stack):
+        wi, vi = hermitian_eig(m)
+        assert np.array_equal(w[i], wi) and np.array_equal(v[i], vi)
+
+
+def test_stacked_gate_names_the_member_that_fails():
+    """Only the second member is not Hermitian: the stacked gate raises
+    NotHermitian with that member's deviation and index."""
+    good = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    bad = good.copy()
+    bad[0, 2] = 0.25
+    with pytest.raises(NotHermitian, match=r"= 2\.500e-01 exceeds tolerance \(stack member 1\)"):
+        hermitian_eig(np.stack([good, bad, good]))
+
+
+def test_stacked_gate_judges_each_member_on_its_own_margin():
+    """Members at 1e-300 and 1e300, each with max|X - X^dag| = 1e-11 max|X|,
+    pass; a member 1e-9 off at unit scale fails beside a Hermitian one at
+    1e300, whose margin would have let it through."""
+    skew = np.array([[1.0, 1e-11], [0.0, 0.5]], dtype=complex)
+    w, _ = hermitian_eig(np.stack([1e-300 * skew, 1e300 * skew]))
+    assert np.isfinite(w).all()
+    off = np.array([[1.0, 1e-9], [0.0, 0.5]], dtype=complex)
+    with pytest.raises(NotHermitian, match="stack member 0"):
+        hermitian_eig(np.stack([off, 1e300 * np.eye(2)]))
+
+
+def test_stacked_eigensolve_refuses_a_member_with_a_non_finite_spectrum():
+    """-1.7e308 * ones(4, 4) has the eigenvalue -6.8e308: as the second
+    member of a stack it raises BadParam naming its eigenvalue range."""
+    with pytest.raises(BadParam, match="spectrum is not finite .*from -inf"):
+        hermitian_eig(np.stack([np.eye(4), -1.7e308 * np.ones((4, 4))]))
+
+
 def test_hs_inner_symmetric_real():
     rng = np.random.default_rng(16)
     a = _rand_herm(rng, 4)

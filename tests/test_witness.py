@@ -3,6 +3,7 @@ detection and threshold scans."""
 
 import numpy as np
 import pytest
+from _scan_oracle import scan_rows
 
 from conekit import (
     Detector,
@@ -17,8 +18,10 @@ from conekit import (
     werner_state,
     witness_from_map,
 )
+from conekit.certify import DEFAULT_OPTS
 from conekit.errors import BadFamily, BadK, BadParam, DimMismatch, NotAState
 from conekit.linalg import _gaussian_products
+from conekit.serialize import scan_rows_to_csv
 
 
 def test_isotropic_is_a_state_with_fidelity_f():
@@ -245,7 +248,6 @@ def test_scan_reduction_matches_the_per_row_search(d):
     """One search per sign of c gives every row the per-row search's value
     within 1e-14 * max(1, |v|) and the same fired flag, on grids with
     negative values, 0, +-1e-300 and the points 1e-3 either side of 1/k."""
-    from conekit.certify import DEFAULT_OPTS
     for k in range(1, d + 1):
         grid = [-2.0, -0.5, -1e-300, 0.0, 1e-300, 0.25,
                 1 / k - 1e-3, 1 / k + 1e-3, 1.0, 3.0]
@@ -280,6 +282,66 @@ def test_scan_reduction_runs_one_search_per_sign(monkeypatch, grid, searches):
     assert len(calls) == searches
     threshold_scan("reduction", 3, 3, grid)
     assert len(calls) == searches
+
+
+def _parity_grids(flip):
+    """Grids of 1, 9 and 41 rows holding 0, 1 and the flip point +- 1e-12
+    (kept inside [0, 1])."""
+    marks = [0.0, flip - 1e-12, flip, min(flip + 1e-12, 1.0), 1.0]
+    return [[flip], marks + list(np.linspace(0.1, 0.9, 4)),
+            marks + list(np.linspace(0.0, 1.0, 36))]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_scan_isotropic_rows_match_the_per_row_oracle(d):
+    """An isotropic scan decided as one stack writes the CSV bytes of the
+    loop that decided each row alone, at every level k = 1..d, on grids of
+    1, 9 and 41 rows through F = 0, F = 1 and F = k/d +- 1e-12."""
+    for k in range(1, d + 1):
+        for grid in _parity_grids(k / d):
+            want = scan_rows_to_csv(scan_rows("isotropic", d, k, grid, DEFAULT_OPTS.eps_neg))
+            assert scan_rows_to_csv(threshold_scan("isotropic", d, k, grid)) == want, (d, k)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_scan_werner_rows_match_the_per_row_oracle(k):
+    """The same for the Werner rows, through p = 0, 1 and 1/3 +- 1e-12."""
+    for grid in _parity_grids(1 / 3):
+        want = scan_rows_to_csv(scan_rows("werner", 2, k, grid, DEFAULT_OPTS.eps_neg))
+        assert scan_rows_to_csv(threshold_scan("werner", 2, k, grid)) == want
+
+
+@pytest.mark.parametrize("family, d, grid", [
+    ("isotropic", 3, [0.2, 1.5, 0.3, -0.1]),
+    ("isotropic", 2, [-1e-12]),
+    ("werner", 2, [0.2, 0.4, 1.0 + 1e-12, 0.5]),
+])
+def test_scan_out_of_range_row_raises_what_the_loop_raises(family, d, grid):
+    """A parameter outside [0, 1] in the middle of the grid raises the
+    BadParam of the loop, naming the first such value."""
+    with pytest.raises(BadParam) as want:
+        scan_rows(family, d, 1, grid, 1e-6)
+    with pytest.raises(BadParam) as got:
+        threshold_scan(family, d, 1, grid)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("family, d, k", [("isotropic", 3, 2), ("isotropic", 4, 1), ("werner", 2, 1)])
+@pytest.mark.parametrize("rows", [1, 9, 41])
+def test_scan_eigenvalue_rows_make_one_eigh_call(monkeypatch, family, d, k, rows):
+    """An isotropic or Werner scan makes exactly one numpy eigh call, on the
+    stack of all its rows' images, whatever the grid's length."""
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(m, *args, **kwargs):
+        shapes.append(m.shape)
+        return eigh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    out = threshold_scan(family, d, k, np.linspace(0.0, 1.0, rows))
+    assert len(out) == rows
+    assert shapes == [(rows, d * d, d * d)]
 
 
 @pytest.mark.parametrize("family, d", [("reduction", 3), ("isotropic", 3), ("werner", 2)])
