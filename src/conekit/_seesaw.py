@@ -67,9 +67,8 @@ import functools
 
 import numpy as np
 
-from .errors import DimMismatch
-from .linalg import (_TINY, _check_count, _check_eps, _check_level, _gaussian_products, _is_int,
-                     _margin, _matrix, _pow2_scaled)
+from .linalg import (_TINY, _check_count, _check_eps, _check_level, _check_square,
+                     _gaussian_products, _margin, _matrix, _pow2_scaled, _split)
 
 # Always False: no compiled kernel exists; perfbench's environment header reads it.
 NUMBA_ACTIVE = False
@@ -367,10 +366,9 @@ def seesaw_minimize(c_mat: np.ndarray, dims: tuple[int, int], k: int,
     1..min(dims).
     """
     _check_search(restarts, max_iters, eps_conv, seed)
-    da, db = dims
     c = _matrix(c_mat)
-    if not (_is_int(da, 1) and _is_int(db, 1)) or c.shape != (da * db, da * db):
-        raise DimMismatch(f"dims {dims} incompatible with C of shape {c.shape}")
+    _check_square(c)
+    da, db = _split(dims, c.shape[0])
     _check_level(k, min(da, db))
     top = float(np.abs(c).max())
     frames = _start_frames(da, db, k, restarts, seed)

@@ -21,7 +21,7 @@ class NotHermitian(ConekitError):
     """Matrix fails the Hermiticity tolerance."""
 
 
-class NotHermiticityPreserving(ConekitError):
+class NotHermiticityPreserving(NotHermitian):
     """Map's Choi matrix fails the Hermiticity tolerance."""
 
 

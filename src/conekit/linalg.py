@@ -122,9 +122,25 @@ def _dims(x) -> tuple[int, int]:
 
 
 def _check_square(m: np.ndarray) -> None:
-    """Raise DimMismatch unless m is a square 2-D array."""
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimMismatch(f"expected a square matrix, got shape {m.shape}")
+    """Raise DimMismatch unless m is a non-empty square 2-D array."""
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        raise DimMismatch(f"expected a non-empty square matrix, got shape {m.shape}")
+
+
+def _square_side(n: int, what: str) -> int:
+    """The side d of the square split (d, d) of size n = d^2, else DimMismatch."""
+    d = math.isqrt(n)
+    if d * d != n:
+        raise DimMismatch(f"{what} size {n} is not a perfect square")
+    return d
+
+
+def _split(dims, n: int) -> tuple[int, int]:
+    """dims (dA, dB) as ints; DimMismatch unless both pass _is_int(., 1) and dA dB = n."""
+    da, db = dims
+    if not (_is_int(da, 1) and _is_int(db, 1)) or da * db != n:
+        raise DimMismatch(f"dims {dims} incompatible with size {n}")
+    return int(da), int(db)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -145,10 +161,7 @@ class MatrixOp:
         m = _freeze(self.mat)
         _check_square(m)
         if self.dims is not None:
-            da, db = self.dims
-            if not (_is_int(da, 1) and _is_int(db, 1)) or da * db != m.shape[0]:
-                raise DimMismatch(f"dims {self.dims} incompatible with size {m.shape[0]}")
-            object.__setattr__(self, "dims", (int(da), int(db)))
+            object.__setattr__(self, "dims", _split(self.dims, m.shape[0]))
         object.__setattr__(self, "mat", m)
 
     @property
@@ -171,8 +184,9 @@ class BipartiteVector:
 
     def __post_init__(self) -> None:
         a = _freeze(self.amp).reshape(-1)
-        if a.shape[0] != self.d_a * self.d_b:
-            raise DimMismatch(f"length {a.shape[0]} != {self.d_a}*{self.d_b}")
+        da, db = _split((self.d_a, self.d_b), a.shape[0])
+        object.__setattr__(self, "d_a", da)
+        object.__setattr__(self, "d_b", db)
         object.__setattr__(self, "amp", a)
 
     @property

@@ -30,6 +30,7 @@ from .linalg import (
     _check_count,
     _check_hermitian_pair,
     _check_level,
+    _check_square,
     _dims,
     _eigh,
     _freeze,
@@ -39,7 +40,7 @@ from .linalg import (
     _margin,
     _matrix,
     _rank,
-    check_hermitian,
+    _square_side,
     max_entangled,
     reshuffle,
     swap_matrix,
@@ -95,7 +96,7 @@ class KrausSet:
             if any(a.shape != mats[0].shape for a in mats):
                 raise DimMismatch("all Kraus operators must share one square shape")
             ops = np.stack(mats)
-        if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
+        if ops.ndim != 3 or ops.shape[1] != ops.shape[2] or not ops.shape[1]:
             raise DimMismatch(f"Kraus operators must form an (r, d, d) stack, got {ops.shape}")
         object.__setattr__(self, "operators", _freeze(ops))
 
@@ -148,13 +149,11 @@ def choi(phi: MapRep) -> MatrixOp:
 
 
 def map_from_choi(c) -> MapRep:
-    """Inverse of choi(). The input must be Hermitian (and finite)."""
+    """Inverse of choi(). The input must be finite, square of perfect-square
+    size, and Hermitian (MapRep's gate raises NotHermiticityPreserving)."""
     m = _matrix(c)
-    n = m.shape[0]
-    d = int(round(np.sqrt(n)))
-    if d * d != n:
-        raise DimMismatch(f"Choi matrix size {n} is not a perfect square")
-    check_hermitian(m)
+    _check_square(m)
+    d = _square_side(m.shape[0], "Choi matrix")
     return MapRep(d, unreshuffle(m, d))
 
 

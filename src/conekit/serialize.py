@@ -4,6 +4,9 @@ Matrix: {"dim": n, "dims": [dA, dB] | null, "re": [[..]], "im": [[..]]}
 Map:    the same applied to the superoperator, plus "repr": "super"
 Kraus:  {"kraus": [matrix, ...]}; a reader ignores any other key
 
+"dim" is an integer >= 1 (a float, bool or string raises BadParam), "im"
+may be left out (zero); _to_json and _from_json write and read every matrix.
+
 Floats print via repr (shortest round-trip); CSV uses 17 significant digits.
 Everything is emitted with sorted keys so identical configs give identical
 bytes.
@@ -20,78 +23,72 @@ of floats) to that reference encoder, re-indented.
 from __future__ import annotations
 
 import json
-import math
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .certify import Certificate, ConeReport, Verdict
-from .errors import DimMismatch
-from .linalg import BipartiteVector, MatrixOp
+from .linalg import BipartiteVector, MatrixOp, _check_count, _square_side
 from .maps import KrausSet, MapRep
 
 
-def _grid(m: np.ndarray) -> tuple[list, list]:
-    return m.real.tolist(), m.imag.tolist()
-
-
 def _complex(re, im) -> np.ndarray:
-    """re + 1j*im from JSON number lists. json.loads accepts NaN and
-    Infinity; no certificate can be built on them, so they are refused."""
+    """re + 1j*im from JSON number lists of one shape (neither is broadcast).
+    json.loads accepts NaN and Infinity; no certificate can be built on
+    them, so they are refused."""
     re = np.asarray(re, dtype=float)
     im = np.asarray(im, dtype=float)
+    if re.shape != im.shape:
+        raise ValueError(f"re and im differ in shape: {re.shape} vs {im.shape}")
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise ValueError("entries must be finite numbers")
     return re + 1j * im
 
 
-def _ungrid(obj: dict, n: int) -> np.ndarray:
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj.get("im") or np.zeros_like(re), dtype=float)
-    if re.shape != (n, n) or im.shape != (n, n):
+def _dim(obj: dict) -> int:
+    """A matrix payload's "dim", under linalg's integer rule (BadParam)."""
+    n = obj["dim"]
+    _check_count("dim", n, 1)
+    return n
+
+
+def _to_json(m: np.ndarray, dims=None) -> dict:
+    """The one writer of a matrix payload {"dim", "dims", "re", "im"}."""
+    return {"dim": m.shape[0], "dims": list(dims) if dims is not None else None,
+            "re": m.real.tolist(), "im": m.imag.tolist()}
+
+
+def _from_json(obj: dict) -> np.ndarray:
+    """The one reader of a matrix payload: its n x n complex matrix, n =
+    _dim(obj); a grid of another shape raises ValueError."""
+    n = _dim(obj)
+    m = _complex(obj["re"], obj.get("im") or np.zeros((n, n)))
+    if m.shape != (n, n):
         raise ValueError(f"re/im grids must be {n}x{n}")
-    return _complex(re, im)
+    return m
 
 
 def matrix_to_json(x: MatrixOp) -> dict:
-    re, im = _grid(x.mat)
-    return {
-        "dim": x.dim,
-        "dims": list(x.dims) if x.dims is not None else None,
-        "re": re,
-        "im": im,
-    }
+    return _to_json(x.mat, x.dims)
 
 
 def matrix_from_json(obj: dict) -> MatrixOp:
-    n = int(obj["dim"])
-    dims = obj.get("dims")
-    return MatrixOp(_ungrid(obj, n), dims=tuple(dims) if dims else None)
+    return MatrixOp(_from_json(obj), dims=obj.get("dims") or None)
 
 
 def map_to_json(phi: MapRep) -> dict:
-    re, im = _grid(phi.super_mat)
-    return {
-        "repr": "super",
-        "dim": phi.d * phi.d,
-        "dims": [phi.d, phi.d],
-        "re": re,
-        "im": im,
-    }
+    return {"repr": "super", **_to_json(phi.super_mat, (phi.d, phi.d))}
 
 
 def map_from_json(obj: dict) -> MapRep:
     if obj.get("repr") != "super":
         raise ValueError(f"expected repr 'super', got {obj.get('repr')!r}")
-    n = int(obj["dim"])
-    d = int(round(np.sqrt(n)))
-    if d * d != n:
-        raise ValueError(f"superoperator size {n} is not a perfect square")
-    return MapRep(d, _ungrid(obj, n))
+    s = _from_json(obj)
+    return MapRep(_square_side(s.shape[0], "superoperator"), s)
 
 
 def kraus_to_json(ks: KrausSet) -> dict:
-    return {"kraus": [matrix_to_json(MatrixOp(a)) for a in ks.operators]}
+    return {"kraus": [_to_json(a) for a in ks.operators]}
 
 
 def kraus_from_json(obj: dict) -> KrausSet:
@@ -107,7 +104,7 @@ def vector_to_json(v: BipartiteVector) -> dict:
 
 
 def vector_from_json(obj: dict) -> BipartiteVector:
-    da, db = (int(x) for x in obj["dims"])
+    da, db = obj["dims"]
     return BipartiteVector(da, db, _complex(obj["re"], obj["im"]))
 
 
@@ -120,13 +117,8 @@ def certificate_to_json(cert: Certificate) -> dict:
         "witness": vector_to_json(cert.witness) if cert.witness is not None else None,
     }
     if cert.extras is not None:
-        extras = {}
-        for key, val in cert.extras.items():
-            if isinstance(val, np.ndarray):
-                extras[key] = matrix_to_json(MatrixOp(val))
-            else:
-                extras[key] = val
-        out["extras"] = extras
+        out["extras"] = {key: _to_json(val) if isinstance(val, np.ndarray) else val
+                         for key, val in cert.extras.items()}
     return out
 
 
@@ -136,7 +128,7 @@ def certificate_from_json(obj: dict) -> Certificate:
     wit = obj.get("witness")
     extras = obj.get("extras")
     if extras is not None:
-        extras = {key: _ungrid(val, int(val["dim"])) if isinstance(val, dict) else val
+        extras = {key: _from_json(val) if isinstance(val, dict) else val
                   for key, val in extras.items()}
     return Certificate(
         verdict=Verdict(obj["verdict"]),
@@ -179,11 +171,7 @@ def load_operator(obj: dict):
     if "kraus" in obj:
         return kraus_from_json(obj)
     if not obj.get("dims"):
-        n = int(obj["dim"])
-        d = math.isqrt(n)
-        if d * d != n:
-            raise DimMismatch(f"Choi matrix size {n} is not a perfect square")
-        obj = {**obj, "dims": [d, d]}
+        obj = {**obj, "dims": [_square_side(_dim(obj), "Choi matrix")] * 2}
     return matrix_from_json(obj)
 
 

@@ -1,16 +1,21 @@
 """Regression cases for the entry rules: a raw matrix argument with a NaN or
-infinite entry, a spectrum beyond the float range, and a count, level, seed
-or dimension that is not an integer are each refused with a conekit error,
-whichever public function receives them. Every case raises (and no numpy
-warning, which pytest turns into an error) instead of returning a value
-computed from such input."""
+infinite entry, a spectrum beyond the float range, a count, level, seed
+or dimension that is not an integer, an empty matrix and a payload whose
+"dim" is not an integer or whose size has no square side are each refused
+with a conekit error, whichever public function receives them. Every case
+raises (and no numpy warning, which pytest turns into an error) instead of
+returning a value computed from such input."""
 
 import numpy as np
 import pytest
 
+import conekit.cli as cli
+import conekit.linalg as linalg_mod
+import conekit.maps as maps_mod
 from conekit import (
     BipartiteVector,
     Detector,
+    KrausSet,
     MapRep,
     MatrixOp,
     compose_certified,
@@ -22,14 +27,32 @@ from conekit import (
     identity_map,
     is_cp,
     kraus_decompose,
+    map_from_choi,
     numerical_rank,
     reduction_family,
     witness_from_map,
 )
 from conekit._seesaw import seesaw_minimize
 from conekit.certify import decomposable_certify
-from conekit.errors import BadK, BadParam, DimMismatch, MissingDims
+from conekit.errors import (
+    BadK,
+    BadParam,
+    DimMismatch,
+    MissingDims,
+    NotHermitian,
+    NotHermiticityPreserving,
+)
 from conekit.fuzz import fuzz_adjoint, fuzz_bijection, fuzz_duality
+from conekit.serialize import (
+    certificate_from_json,
+    dumps,
+    load_operator,
+    map_from_json,
+    map_to_json,
+    matrix_from_json,
+    matrix_to_json,
+    vector_to_json,
+)
 from conekit.witness import isotropic_state, threshold_scan
 
 
@@ -97,6 +120,15 @@ CASES = {
         witness_from_map(reduction_family(2, 1.0), 1), _nan_at(4, 1) / 4)),
     "expectation-raw-wrong-shape": (DimMismatch, lambda: expectation(
         witness_from_map(reduction_family(2, 1.0), 1), np.ones(4) / 4)),
+    # an empty matrix, by the square rule
+    "matrixop-empty": (DimMismatch, lambda: MatrixOp(np.zeros((0, 0)))),
+    "hermitian-eig-empty": (DimMismatch, lambda: hermitian_eig(np.zeros((0, 0)))),
+    "map-from-choi-empty": (DimMismatch, lambda: map_from_choi(np.zeros((0, 0)))),
+    "kraus-set-empty-operator": (DimMismatch, lambda: KrausSet([np.zeros((0, 0))])),
+    # bipartite dims, by the split rule
+    "bipartite-vector-dims-float": (DimMismatch, lambda: BipartiteVector(2.5, 1.6, np.ones(4))),
+    "bipartite-vector-dims-negative": (DimMismatch, lambda: BipartiteVector(-2, -2, np.ones(4))),
+    "seesaw-dims-float": (DimMismatch, lambda: seesaw_minimize(np.eye(4), (2.0, 2), 1)),
 }
 
 
@@ -144,3 +176,78 @@ def test_entry_modulus_beyond_the_float_range_is_refused(search):
             seesaw_minimize(c, (2, 2), 1, restarts=2)
         else:
             decomposable_certify(MatrixOp(c, dims=(2, 2)))
+
+
+def test_bipartite_vector_keeps_numpy_integer_dims_as_python_ints():
+    v = BipartiteVector(np.int64(2), 2, np.ones(4))
+    assert (v.d_a, v.d_b) == (2, 2)
+    assert all(type(d) is int for d in (v.d_a, v.d_b))
+    assert dumps(vector_to_json(v)) == dumps(vector_to_json(BipartiteVector(2, 2, np.ones(4))))
+
+
+def _matrix_payload(**changes):
+    return {**matrix_to_json(MatrixOp(np.eye(4), dims=(2, 2))), **changes}
+
+
+def _extras_payload(dim):
+    return {"verdict": "Inconclusive", "value": 0.0,
+            "extras": {"A": _matrix_payload(dim=dim, dims=None)}}
+
+
+# The readers of a matrix payload, each handed one whose "dim" is bad.
+PAYLOAD_READERS = {
+    "matrix": lambda dim: matrix_from_json(_matrix_payload(dim=dim)),
+    "choi-with-dims": lambda dim: load_operator(_matrix_payload(dim=dim)),
+    "choi-without-dims": lambda dim: load_operator(_matrix_payload(dim=dim, dims=None)),
+    "super": lambda dim: map_from_json({**map_to_json(identity_map(2)), "dim": dim}),
+    "certificate-extras": lambda dim: certificate_from_json(_extras_payload(dim)),
+}
+
+
+@pytest.mark.parametrize("dim", [4.5, True, "4"], ids=["float", "bool", "string"])
+@pytest.mark.parametrize("reader", sorted(PAYLOAD_READERS))
+def test_payload_dim_must_be_an_integer(reader, dim):
+    with pytest.raises(BadParam, match="need an integer dim >= 1"):
+        PAYLOAD_READERS[reader](dim)
+
+
+def _super_payload_of_size_6():
+    return {**matrix_to_json(MatrixOp(np.eye(6))), "repr": "super"}
+
+
+def test_super_payload_needs_a_square_side():
+    with pytest.raises(DimMismatch, match="superoperator size 6 is not a perfect square"):
+        map_from_json(_super_payload_of_size_6())
+
+
+@pytest.mark.parametrize("payload, code", [
+    (_matrix_payload(dim=4.5), cli.PARSE_ERROR),
+    (_matrix_payload(dim=True, dims=None), cli.PARSE_ERROR),
+    (_matrix_payload(dim="4"), cli.PARSE_ERROR),
+    (_super_payload_of_size_6(), cli.INVARIANT_ERROR),
+], ids=["dim-float", "dim-bool", "dim-string", "super-size-6"])
+def test_classify_refuses_a_bad_payload_size(payload, code, tmp_path, capsys):
+    path = tmp_path / "op.json"
+    path.write_text(dumps(payload))
+    assert cli.main(["classify", str(path), "--no-dec"]) == code
+    assert capsys.readouterr().out == ""
+
+
+def test_map_from_choi_gates_hermiticity_once(monkeypatch):
+    """map_from_choi leaves the Hermiticity decision to MapRep's gate; its
+    error is a NotHermitian as well as a NotHermiticityPreserving."""
+    calls = []
+    real = linalg_mod._check_hermitian_pair
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(linalg_mod, "_check_hermitian_pair", counted)
+    monkeypatch.setattr(maps_mod, "_check_hermitian_pair", counted)
+    c = np.zeros((4, 4), dtype=complex)
+    c[0, 1] = 1.0
+    with pytest.raises(NotHermitian) as got:
+        map_from_choi(c)
+    assert isinstance(got.value, NotHermiticityPreserving)
+    assert len(calls) == 1

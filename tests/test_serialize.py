@@ -178,6 +178,17 @@ def test_non_finite_entries_rejected():
         vector_from_json(obj)
 
 
+@pytest.mark.parametrize("read, obj", [
+    (vector_from_json, {"dims": [2, 2], "re": [1.0, 0.0, 0.0, 0.0], "im": [0.5]}),
+    (vector_from_json, {"dims": [2, 2], "re": [1.0], "im": [0.0, 0.0, 0.0, 0.5]}),
+    (matrix_from_json, {"dim": 2, "dims": None, "re": [[1.0, 0.0], [0.0, 1.0]], "im": [0.5]}),
+], ids=["vector-im-short", "vector-re-short", "matrix-im-short"])
+def test_re_and_im_of_different_shapes_are_rejected(read, obj):
+    """Neither part of a payload is broadcast against the other."""
+    with pytest.raises(ValueError, match="differ in shape"):
+        read(obj)
+
+
 def test_certificate_json_is_json_serializable():
     cert = k_block_positive_certify(choi(reduction_family(2, 0.3)), 1)
     text = dumps(certificate_to_json(cert))

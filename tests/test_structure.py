@@ -53,6 +53,15 @@ MATRIXOP_TEST_SITES = {"linalg._matrix", "linalg._dims"}
 # closed form and need no memoized bank.
 MEMO_SITES = {"_seesaw._start_frames", "cli._build_parser"}
 
+# The one home of a square side d with d * d = n: linalg._square_side, by
+# math.isqrt. No other function takes an integer square root of a size or
+# rounds a floating one.
+SQUARE_SIDE_SITES = {"linalg._square_side"}
+
+# The functions of serialize that build a MatrixOp: the matrix reader alone.
+# Every writer formats its array through _to_json, with no copy or check.
+SERIALIZE_MATRIXOP_SITES = {"serialize.matrix_from_json"}
+
 # Names the CLI never uses: it hands classify the operator as loaded, so no
 # Choi -> map -> Choi round trip (or Kraus -> map detour) decides what is
 # classified outside certify.
@@ -114,6 +123,14 @@ def _is_matrixop_test(node):
     return any(isinstance(n, ast.Name) and n.id == "MatrixOp"
                or isinstance(n, ast.Attribute) and n.attr == "MatrixOp"
                for n in ast.walk(node.args[1]))
+
+
+def _is_square_root(node):
+    """math.isqrt(...), or round(...) around a sqrt(...) call."""
+    if _calls("isqrt")(node):
+        return True
+    return (_calls("round")(node)
+            and any(_calls("sqrt")(n) for n in ast.walk(node)))
 
 
 def _is_memo(decorator):
@@ -179,6 +196,17 @@ def test_normal_draws_sit_in_allow_listed_functions():
 
 def test_matrixop_is_unwrapped_only_by_the_entry_rule():
     assert _sites(_is_matrixop_test) == MATRIXOP_TEST_SITES
+
+
+def test_square_sides_are_taken_only_by_the_square_side_rule():
+    assert _sites(_is_square_root) == SQUARE_SIDE_SITES
+
+
+def test_serialize_builds_a_matrixop_only_in_the_matrix_reader():
+    serialize = next(path for path in SOURCES if path.stem == "serialize")
+    builders = {name for name, fn in _top_level_functions(serialize)
+                if any(_calls("MatrixOp")(node) for node in ast.walk(fn))}
+    assert builders == SERIALIZE_MATRIXOP_SITES
 
 
 def test_memos_sit_in_allow_listed_functions():
