@@ -136,8 +136,12 @@ def _square_side(n: int, what: str) -> int:
 
 
 def _split(dims, n: int) -> tuple[int, int]:
-    """dims (dA, dB) as ints; DimMismatch unless both pass _is_int(., 1) and dA dB = n."""
-    da, db = dims
+    """dims (dA, dB) as ints; DimMismatch unless dims is a pair, both pass
+    _is_int(., 1) and dA dB = n."""
+    try:
+        da, db = dims
+    except (TypeError, ValueError):
+        raise DimMismatch(f"dims {dims!r} are not a pair (dA, dB)") from None
     if not (_is_int(da, 1) and _is_int(db, 1)) or da * db != n:
         raise DimMismatch(f"dims {dims} incompatible with size {n}")
     return int(da), int(db)
@@ -183,7 +187,9 @@ class BipartiteVector:
     amp: np.ndarray
 
     def __post_init__(self) -> None:
-        a = _freeze(self.amp).reshape(-1)
+        a = _freeze(self.amp)
+        if a.ndim != 1:
+            raise DimMismatch(f"amplitudes must be a 1-D array, got shape {a.shape}")
         da, db = _split((self.d_a, self.d_b), a.shape[0])
         object.__setattr__(self, "d_a", da)
         object.__setattr__(self, "d_b", db)

@@ -8,22 +8,13 @@ Kraus:  {"kraus": [matrix, ...]}; a reader ignores any other key
 may be left out (zero); _to_json and _from_json write and read every matrix.
 
 Floats print via repr (shortest round-trip); CSV uses 17 significant digits.
-Everything is emitted with sorted keys so identical configs give identical
-bytes.
-
-`dumps` writes exactly the bytes of json.dumps(obj, sort_keys=True,
-indent=2) + "\n". With an indent, CPython's json runs its pure-Python
-encoder, a generator frame per container; `dumps` walks the containers
-itself instead, writes a list of floats as one join over float.__repr__, and
-hands any value it does not write directly (a tuple, a dict with a non-str
-key, an int subclass or a float subclass such as np.float64 outside a list
-of floats) to that reference encoder, re-indented.
+JSON is written compact with sorted keys, by json's C encoder, so identical
+configs give identical bytes.
 """
 
 from __future__ import annotations
 
 import json
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -73,7 +64,7 @@ def matrix_to_json(x: MatrixOp) -> dict:
 
 
 def matrix_from_json(obj: dict) -> MatrixOp:
-    return MatrixOp(_from_json(obj), dims=obj.get("dims") or None)
+    return MatrixOp(_from_json(obj), dims=obj.get("dims"))
 
 
 def map_to_json(phi: MapRep) -> dict:
@@ -162,15 +153,16 @@ def report_to_json(rep: ConeReport) -> dict:
 def load_operator(obj: dict):
     """Dispatch a JSON payload: a map if tagged repr=super or given as Kraus
     operators, otherwise a Choi operator, a MatrixOp that always carries
-    dims. Its declared dims are kept; without them the operator is square,
-    (d, d) with d^2 = dim, and any other size raises DimMismatch."""
+    dims. Its declared dims are kept, and anything but a pair of them raises
+    DimMismatch; null or no "dims" makes the operator square, (d, d) with
+    d^2 = dim, and any other size raises DimMismatch."""
     if not isinstance(obj, dict):
         raise ValueError("operator payload must be a JSON object")
     if obj.get("repr") == "super":
         return map_from_json(obj)
     if "kraus" in obj:
         return kraus_from_json(obj)
-    if not obj.get("dims"):
+    if obj.get("dims") is None:
         obj = {**obj, "dims": [_square_side(_dim(obj), "Choi matrix")] * 2}
     return matrix_from_json(obj)
 
@@ -182,55 +174,6 @@ def scan_rows_to_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-# json's spellings of the floats that are not finite
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _encode(o, nl: str) -> str:
-    """o as json.dumps(o, sort_keys=True, indent=2) writes it at the
-    indentation nl ("\n" plus the current indent)."""
-    t = type(o)
-    if t is str:
-        return encode_basestring_ascii(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if t is int:
-        return int.__repr__(o)
-    if t is float:
-        r = float.__repr__(o)
-        return _NON_FINITE.get(r, r)
-    if t is list and o:
-        inner = nl + "  "
-        sep = "," + inner
-        try:
-            # float.__repr__ refuses every item that is not a float, and
-            # json writes a float subclass through float.__repr__ too
-            body = sep.join(map(float.__repr__, o))
-        except TypeError:
-            body = sep.join([_encode(v, inner) for v in o])
-        else:
-            if "n" in body:  # only "nan" and "inf" spell an n
-                body = sep.join([_encode(v, inner) for v in o])
-        return "[" + inner + body + nl + "]"
-    if t is dict and o and all(type(key) is str for key in o):
-        inner = nl + "  "
-        return "{" + inner + ("," + inner).join(
-            [encode_basestring_ascii(key) + ": " + _encode(val, inner)
-             for key, val in sorted(o.items())]) + nl + "}"
-    # the reference encoder; a JSON string holds no raw newline, so shifting
-    # every line break re-indents its output exactly
-    return json.dumps(o, sort_keys=True, indent=2).replace("\n", nl)
-
-
 def dumps(obj: dict) -> str:
-    """json.dumps(obj, sort_keys=True, indent=2) + "\n", byte for byte. A
-    structure nested too deeply for this writer's recursion (or a circular
-    one) goes to the reference encoder whole, which writes it or raises."""
-    try:
-        return _encode(obj, "\n") + "\n"
-    except RecursionError:
-        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """obj as one line of JSON with sorted keys, plus a line break."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"

@@ -1,6 +1,7 @@
 """Regression cases for the entry rules: a raw matrix argument with a NaN or
 infinite entry, a spectrum beyond the float range, a count, level, seed
-or dimension that is not an integer, an empty matrix and a payload whose
+or dimension that is not an integer, bipartite dims that are not a pair,
+amplitudes that are not a 1-D array, an empty matrix and a payload whose
 "dim" is not an integer or whose size has no square side are each refused
 with a conekit error, whichever public function receives them. Every case
 raises (and no numpy warning, which pytest turns into an error) instead of
@@ -51,6 +52,7 @@ from conekit.serialize import (
     map_to_json,
     matrix_from_json,
     matrix_to_json,
+    vector_from_json,
     vector_to_json,
 )
 from conekit.witness import isotropic_state, threshold_scan
@@ -129,7 +131,20 @@ CASES = {
     "bipartite-vector-dims-float": (DimMismatch, lambda: BipartiteVector(2.5, 1.6, np.ones(4))),
     "bipartite-vector-dims-negative": (DimMismatch, lambda: BipartiteVector(-2, -2, np.ones(4))),
     "seesaw-dims-float": (DimMismatch, lambda: seesaw_minimize(np.eye(4), (2.0, 2), 1)),
+    "matrixop-dims-not-a-pair": (DimMismatch, lambda: MatrixOp(np.eye(4), dims=(4,))),
+    "seesaw-dims-not-a-pair": (DimMismatch, lambda: seesaw_minimize(np.eye(4), 4, 1)),
+    # amplitudes, a 1-D array
+    "bipartite-vector-grid": (DimMismatch, lambda: BipartiteVector(2, 2, np.eye(2))),
+    "vector-from-json-grid": (DimMismatch, lambda: vector_from_json(
+        {"dims": [2, 2], "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]})),
 }
+# A payload's "dims" is read as given: only null or a missing key means square.
+for _name, _dims in {"empty-list": [], "zero": 0, "false": False, "empty-string": "",
+                     "one-entry": [4]}.items():
+    CASES[f"load-operator-dims-{_name}"] = (
+        DimMismatch, lambda dims=_dims: load_operator(_matrix_payload(dims=dims)))
+    CASES[f"matrix-from-json-dims-{_name}"] = (
+        DimMismatch, lambda dims=_dims: matrix_from_json(_matrix_payload(dims=dims)))
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -225,7 +240,8 @@ def test_super_payload_needs_a_square_side():
     (_matrix_payload(dim=True, dims=None), cli.PARSE_ERROR),
     (_matrix_payload(dim="4"), cli.PARSE_ERROR),
     (_super_payload_of_size_6(), cli.INVARIANT_ERROR),
-], ids=["dim-float", "dim-bool", "dim-string", "super-size-6"])
+    (_matrix_payload(dims=[]), cli.INVARIANT_ERROR),
+], ids=["dim-float", "dim-bool", "dim-string", "super-size-6", "dims-empty"])
 def test_classify_refuses_a_bad_payload_size(payload, code, tmp_path, capsys):
     path = tmp_path / "op.json"
     path.write_text(dumps(payload))
