@@ -305,10 +305,9 @@ def _seesaw_kernel(C, da, db, k, frames, max_iters, eps_conv):
             sw, qn = np.flatnonzero(live & ~phase), np.flatnonzero(phase)
             isw = sw if sw.size < n_restarts else slice(None)
             iqn = qn if qn.size < n_restarts else slice(None)
-    # Strictly smaller wins, so the first restart wins a tie; NaN never wins.
-    best = int(np.argmin(np.where(q < np.inf, q, np.inf)))
-    if not q[best] < np.inf:
-        return np.inf, np.zeros((da, db), dtype=np.complex128), iters
+    # Every restart ran a whole first sweep, so every q is a finite eigh
+    # eigenvalue; argmin takes the first restart on a tie.
+    best = int(np.argmin(q))
     return q[best], m[best].copy(), iters
 
 

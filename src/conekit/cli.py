@@ -36,7 +36,7 @@ PARSE_ERROR = 2
 INVARIANT_ERROR = 3
 FUZZ_FAILURE = 4
 
-_PARSE_EXC = (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError,
+_PARSE_EXC = (ValueError, KeyError, TypeError, OSError,
               BadFamily, BadParam, BadK, BadRank, EmptyList)
 
 
@@ -135,8 +135,7 @@ def _parse_family(spec: str) -> tuple[str, int]:
     raise ValueError(f"family {spec!r} needs a dimension, e.g. {spec}:3")
 
 
-def _cmd_classify(args) -> int:
-    opts = _opts_from(args)
+def _cmd_classify(args, opts: SeesawOpts) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     report = classify(load_operator(payload), opts=opts, include_dec=not args.no_dec)
@@ -144,8 +143,7 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _cmd_scan(args) -> int:
-    opts = _opts_from(args)
+def _cmd_scan(args, opts: SeesawOpts) -> int:
     name, d = _parse_family(args.family)
     grid = _parse_grid(args.grid)
     rows = threshold_scan(name, d, args.k, grid, opts=opts)
@@ -153,12 +151,14 @@ def _cmd_scan(args) -> int:
     return 0
 
 
-def _cmd_fuzz(args) -> int:
-    opts = _opts_from(args)
+def _cmd_fuzz(args, opts: SeesawOpts) -> int:
     summary = fuzz_mod.run_suite(args.suite, args.n, opts.seed, d=args.d, k=args.k)
     summary["seed"] = opts.seed
     _emit(dumps(summary), args.out)
     return FUZZ_FAILURE if summary["failed"] else 0
+
+
+_COMMANDS = {"classify": _cmd_classify, "scan": _cmd_scan, "fuzz": _cmd_fuzz}
 
 
 def main(argv=None) -> int:
@@ -168,13 +168,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return PARSE_ERROR if exc.code not in (0, None) else 0
     try:
-        if args.command == "classify":
-            return _cmd_classify(args)
-        if args.command == "scan":
-            return _cmd_scan(args)
-        if args.command == "fuzz":
-            return _cmd_fuzz(args)
-        raise ValueError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args, _opts_from(args))
     except _PARSE_EXC as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PARSE_ERROR

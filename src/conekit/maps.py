@@ -123,24 +123,31 @@ class Detector:
     label: str = ""
 
 
+def _right_action(phi: MapRep, x: np.ndarray, m: int) -> np.ndarray:
+    """(1_m (x) phi)(x) for an (m d, m d) array x, as one gemm: the m^2 d x d
+    blocks x_ab, vectorized as rows, times S^T; block (a, b) of the result is
+    phi(x_ab). apply, apply_on_right_factor and block_action all act here."""
+    d = phi.d
+    rows = x.reshape(m, d, m, d).swapaxes(1, 2).reshape(m * m, d * d)
+    out = (rows @ phi.super_mat.T).reshape(m, m, d, d)
+    return out.swapaxes(1, 2).reshape(m * d, m * d)
+
+
 def apply(phi: MapRep, x) -> MatrixOp:
-    """phi(x) for a d x d matrix x (under linalg's entry rule)."""
+    """phi(x) for a d x d matrix x (linalg's entry rule): _right_action at m = 1."""
     m = _matrix(x)
     if m.shape != (phi.d, phi.d):
         raise DimMismatch(f"argument shape {m.shape} != ({phi.d}, {phi.d})")
-    return MatrixOp((phi.super_mat @ m.reshape(-1)).reshape(phi.d, phi.d))
+    return MatrixOp(_right_action(phi, m, 1))
 
 
 def apply_on_right_factor(phi: MapRep, x: MatrixOp) -> MatrixOp:
-    """(1_m (x) phi)(x) for x on C^m (x) C^d, acting on the second factor."""
+    """(1_m (x) phi)(x) for x on C^m (x) C^d by _right_action; choi(phi) is its
+    m = d case on |psi+><psi+|, formed exactly by reindexing S instead."""
     m_dim, d = _dims(x)
     if d != phi.d:
         raise DimMismatch(f"second factor size {d} != map dimension {phi.d}")
-    s4 = phi.super_mat.reshape(d, d, d, d)
-    x4 = x.mat.reshape(m_dim, d, m_dim, d)
-    out = np.einsum("jltu,itku->ijkl", s4, x4)
-    n = m_dim * d
-    return MatrixOp(out.reshape(n, n), dims=(m_dim, d))
+    return MatrixOp(_right_action(phi, x.mat, m_dim), dims=(m_dim, d))
 
 
 def choi(phi: MapRep) -> MatrixOp:
@@ -286,17 +293,16 @@ def block_action(phi: MapRep, psis: list) -> MatrixOp:
     """Matrix on C^k (x) C^d with block (i, j) = phi(|psi_i><psi_j|).
 
     For k-positive phi and any k vectors this is PSD: the block matrix of the
-    dyads equals |eta><eta| with eta = sum_i e_i (x) psi_i.
+    dyads equals |eta><eta| with eta = sum_i e_i (x) psi_i, so it is formed as
+    (1_k (x) phi)(|eta><eta|) by _right_action.
     """
     if len(psis) == 0:
         raise EmptyList("need at least one vector")
     d, k = phi.d, len(psis)
     if any(np.size(p) != d for p in psis):
         raise DimMismatch(f"every vector must have the map dimension {d}")
-    g = np.array([np.ravel(p) for p in psis], dtype=np.complex128)
-    s4 = phi.super_mat.reshape(d, d, d, d)
-    out = np.einsum("abce,ic,je->iajb", s4, g, g.conj())
-    return MatrixOp(out.reshape(k * d, k * d), dims=(k, d))
+    eta = np.array([np.ravel(p) for p in psis], dtype=np.complex128).reshape(-1)
+    return MatrixOp(_right_action(phi, np.outer(eta, eta.conj()), k), dims=(k, d))
 
 
 def compose_certified(a, phi: MapRep, k: int,

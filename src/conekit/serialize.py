@@ -19,7 +19,7 @@ import json
 import numpy as np
 
 from .certify import Certificate, ConeReport, Verdict
-from .linalg import BipartiteVector, MatrixOp, _check_count, _square_side
+from .linalg import BipartiteVector, MatrixOp, _check_count, _split, _square_side
 from .maps import KrausSet, MapRep
 
 
@@ -95,8 +95,8 @@ def vector_to_json(v: BipartiteVector) -> dict:
 
 
 def vector_from_json(obj: dict) -> BipartiteVector:
-    da, db = obj["dims"]
-    return BipartiteVector(da, db, _complex(obj["re"], obj["im"]))
+    amp = _complex(obj["re"], obj["im"])
+    return BipartiteVector(*_split(obj["dims"], amp.size), amp)
 
 
 def certificate_to_json(cert: Certificate) -> dict:

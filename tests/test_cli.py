@@ -345,6 +345,21 @@ def test_parse_errors_exit_2(tmap_file, tmp_path, capsys):
         assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["classify", "{tmap}", "--no-dec", "--config", "{cfg}"], "must hold a JSON object"),
+    (["scan", "--family", "reduction:3", "--k", "1", "--grid", "0:1:0"], "at least one step"),
+    (["scan", "--family", "reduction", "--k", "1", "--grid", "0:1:3"], "needs a dimension"),
+], ids=["config-not-an-object", "grid-zero-steps", "family-without-dimension"])
+def test_malformed_options_exit_2(argv, message, tmap_file, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    argv = [arg.format(tmap=tmap_file, cfg=cfg) for arg in argv]
+    assert cli.main(argv) == cli.PARSE_ERROR
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert message in out.err
+
+
 def test_zero_restarts_rejected(tmap_file, tmp_path, capsys):
     """A search that never runs is a bad parameter, not an Inconclusive
     verdict or an inf scan row, whatever the input: a CP map (every level

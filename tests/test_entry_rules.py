@@ -1,8 +1,9 @@
 """Regression cases for the entry rules: a raw matrix argument with a NaN or
 infinite entry, a spectrum beyond the float range, a count, level, seed
 or dimension that is not an integer, bipartite dims that are not a pair,
-amplitudes that are not a 1-D array, an empty matrix and a payload whose
-"dim" is not an integer or whose size has no square side are each refused
+amplitudes that are not a 1-D array, an empty matrix, shapes or maps that
+do not line up and a payload whose "dim" is not an integer or whose size
+has no square side are each refused
 with a conekit error, whichever public function receives them. Every case
 raises (and no numpy warning, which pytest turns into an error) instead of
 returning a value computed from such input."""
@@ -19,6 +20,9 @@ from conekit import (
     KrausSet,
     MapRep,
     MatrixOp,
+    apply,
+    apply_on_right_factor,
+    compose,
     compose_certified,
     detect_schmidt_number,
     expectation,
@@ -30,11 +34,12 @@ from conekit import (
     kraus_decompose,
     map_from_choi,
     numerical_rank,
+    partial_transpose,
     reduction_family,
     witness_from_map,
 )
 from conekit._seesaw import seesaw_minimize
-from conekit.certify import decomposable_certify
+from conekit.certify import decomposable_certify, dual_pairing
 from conekit.errors import (
     BadK,
     BadParam,
@@ -85,6 +90,7 @@ CASES = {
     "numerical-rank-nan": (BadParam, lambda: numerical_rank([[np.nan, 0.0], [0.0, 1.0]])),
     "bipartite-vector-nan": (BadParam, lambda: BipartiteVector(2, 2, [np.nan, 0, 0, 1])),
     "bipartite-vector-inf": (BadParam, lambda: BipartiteVector(2, 2, [1, 0, 0, -np.inf])),
+    "reduction-family-c-nan": (BadParam, lambda: reduction_family(2, np.nan)),
     # the integer rule of every count and seed
     "fuzz-n-float": (BadParam, lambda: fuzz_duality(2.5)),
     "fuzz-seed-negative": (BadParam, lambda: fuzz_duality(2, seed=-1)),
@@ -133,6 +139,17 @@ CASES = {
     "seesaw-dims-float": (DimMismatch, lambda: seesaw_minimize(np.eye(4), (2.0, 2), 1)),
     "matrixop-dims-not-a-pair": (DimMismatch, lambda: MatrixOp(np.eye(4), dims=(4,))),
     "seesaw-dims-not-a-pair": (DimMismatch, lambda: seesaw_minimize(np.eye(4), 4, 1)),
+    # an argument, a subsystem name or a pair of maps that does not line up
+    "apply-shape": (DimMismatch, lambda: apply(identity_map(2), np.eye(3))),
+    "apply-on-right-factor-size": (DimMismatch, lambda: apply_on_right_factor(
+        identity_map(2), MatrixOp(np.eye(6), dims=(2, 3)))),
+    "compose-across-d": (DimMismatch, lambda: compose(identity_map(2), identity_map(3))),
+    "compose-certified-shape": (DimMismatch, lambda: compose_certified(
+        np.eye(2), identity_map(3), 1)),
+    "partial-transpose-subsystem": (DimMismatch, lambda: partial_transpose(
+        MatrixOp(np.eye(4), dims=(2, 2)), "C")),
+    "dual-pairing-across-d": (DimMismatch, lambda: dual_pairing(
+        identity_map(2), identity_map(3))),
     # amplitudes, a 1-D array
     "bipartite-vector-grid": (DimMismatch, lambda: BipartiteVector(2, 2, np.eye(2))),
     "vector-from-json-grid": (DimMismatch, lambda: vector_from_json(
@@ -145,6 +162,11 @@ for _name, _dims in {"empty-list": [], "zero": 0, "false": False, "empty-string"
         DimMismatch, lambda dims=_dims: load_operator(_matrix_payload(dims=dims)))
     CASES[f"matrix-from-json-dims-{_name}"] = (
         DimMismatch, lambda dims=_dims: matrix_from_json(_matrix_payload(dims=dims)))
+
+# ... and a witness payload's "dims", by the same split rule.
+for _name, _dims in {"one-entry": [4], "null": None, "three-entries": [2, 2, 1]}.items():
+    CASES[f"vector-from-json-dims-{_name}"] = (DimMismatch, lambda dims=_dims: vector_from_json(
+        {"dims": dims, "re": [1.0, 0.0, 0.0, 0.0], "im": [0.0, 0.0, 0.0, 0.0]}))
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

@@ -191,6 +191,54 @@ def test_ad_is_two_sided_conjugation():
     assert np.allclose(apply(ad(a), x).mat, a.conj().T @ x @ a, atol=1e-11)
 
 
+# The two map contractions that maps._right_action replaced, kept here as
+# references: the 4-index form of apply_on_right_factor and the 3-operand
+# form of block_action.
+def _right_factor_einsum(phi, x, m):
+    d = phi.d
+    s4 = phi.super_mat.reshape(d, d, d, d)
+    out = np.einsum("jltu,itku->ijkl", s4, x.reshape(m, d, m, d))
+    return out.reshape(m * d, m * d)
+
+
+def _block_einsum(phi, g):
+    d, k = phi.d, len(g)
+    s4 = phi.super_mat.reshape(d, d, d, d)
+    return np.einsum("abce,ic,je->iajb", s4, g, g.conj()).reshape(k * d, k * d)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_one_map_action_matches_the_former_contractions(d):
+    """apply is the matvec S vec(x) bit for bit; apply_on_right_factor and
+    block_action agree with their former einsum forms within 1e-14 of the
+    largest entry, at every m = 1..4."""
+    rng = np.random.default_rng(70 + d)
+    for seed in range(3):
+        phi = random_hp_map(d, seed)
+        x = _rand_mat(rng, d)
+        want = (phi.super_mat @ x.reshape(-1)).reshape(d, d)
+        assert np.array_equal(apply(phi, x).mat, want)
+        for m in range(1, 5):
+            big = _rand_mat(rng, m * d)
+            want = _right_factor_einsum(phi, big, m)
+            got = apply_on_right_factor(phi, MatrixOp(big, dims=(m, d)))
+            assert got.dims == (m, d)
+            assert np.abs(got.mat - want).max() <= 1e-14 * np.abs(want).max()
+            g = rng.normal(size=(m, d)) + 1j * rng.normal(size=(m, d))
+            want = _block_einsum(phi, g)
+            got = block_action(phi, list(g))
+            assert got.dims == (m, d)
+            assert np.abs(got.mat - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_one_map_action_gives_the_choi_matrix_on_psi_plus():
+    """choi(phi) is (1_d (x) phi)(|psi+><psi+|), formed by reindexing S."""
+    for d in (1, 2, 3, 4):
+        phi = random_hp_map(d, d)
+        got = apply_on_right_factor(phi, max_entangled_projector(d)).mat
+        assert np.abs(got - choi(phi).mat).max() <= 1e-14 * np.abs(got).max()
+
+
 # ---------------------------------------------------------------------------
 # Choi matrix
 
@@ -889,6 +937,19 @@ def test_compose_certified_rejects_insufficient_positivity():
     for s in 10.0 ** np.arange(-12, 13, 2):
         with pytest.raises(BlockNotPSD):
             compose_certified(a, MapRep(3, red * s), 2)
+
+
+def test_zero_map_and_zero_operator_give_one_zero_kraus_operator():
+    """A Choi or block spectrum with nothing above the noise floor, and an
+    operator of rank 0, each factor into one zero operator, which
+    reconstructs the zero map."""
+    zero = MapRep(3, np.zeros((9, 9)))
+    a = np.diag([1.0, 0.0, 0.0])
+    for ks in (kraus_decompose(zero), compose_certified(a, zero, 1),
+               compose_certified(np.zeros((3, 3)), identity_map(3), 1)):
+        assert ks.operators.shape == (1, 3, 3)
+        assert not ks.operators.any()
+        assert not ks.to_map().super_mat.any()
 
 
 def test_compose_certified_bad_order_flag():

@@ -188,6 +188,12 @@ def test_re_and_im_of_different_shapes_are_rejected(read, obj):
         read(obj)
 
 
+def test_matrix_grid_must_match_its_dim():
+    eye = np.eye(3).tolist()
+    with pytest.raises(ValueError, match="grids must be 2x2"):
+        matrix_from_json({"dim": 2, "dims": None, "re": eye, "im": np.zeros((3, 3)).tolist()})
+
+
 def test_certificate_json_is_json_serializable():
     cert = k_block_positive_certify(choi(reduction_family(2, 0.3)), 1)
     text = dumps(certificate_to_json(cert))

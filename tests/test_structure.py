@@ -62,6 +62,16 @@ SQUARE_SIDE_SITES = {"linalg._square_side"}
 # Every writer formats its array through _to_json, with no copy or check.
 SERIALIZE_MATRIXOP_SITES = {"serialize.matrix_from_json"}
 
+# The functions that may call np.einsum: the index permutations between the
+# superoperator and the Choi matrix, the Hilbert-Schmidt pairing, the
+# see-saw's effective matrix and the PPT witness's value. A map acts on a
+# matrix only through maps._right_action, one gemm, so a second map
+# contraction fails here.
+EINSUM_SITES = {
+    "linalg.reshuffle", "linalg.unreshuffle", "linalg.hs_inner",
+    "_seesaw._bottom", "certify._ppt_witness",
+}
+
 # Names the CLI never uses: it hands classify the operator as loaded, so no
 # Choi -> map -> Choi round trip (or Kraus -> map detour) decides what is
 # classified outside certify.
@@ -192,6 +202,10 @@ def test_svds_sit_in_allow_listed_functions():
 
 def test_normal_draws_sit_in_allow_listed_functions():
     assert _sites(_calls("normal")) == NORMAL_SITES
+
+
+def test_einsums_sit_in_allow_listed_functions():
+    assert _sites(_calls("einsum")) == EINSUM_SITES
 
 
 def test_matrixop_is_unwrapped_only_by_the_entry_rule():

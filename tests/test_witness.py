@@ -76,6 +76,8 @@ def test_expectation_validates_the_state():
     w = witness_from_map(reduction_family(2, 1.0), 1)
     with pytest.raises(NotAState):
         expectation(w, MatrixOp(np.eye(4), dims=(2, 2)))  # trace 4
+    with pytest.raises(NotAState, match="below the positivity floor"):
+        expectation(w, MatrixOp(np.diag([1.5, -0.5, 0.0, 0.0]), dims=(2, 2)))
     with pytest.raises(DimMismatch):
         expectation(w, MatrixOp(np.eye(9) / 9, dims=(3, 3)))
 
