@@ -3,10 +3,10 @@ infinite entry, a spectrum beyond the float range, a count, level, seed
 or dimension that is not an integer, bipartite dims that are not a pair,
 amplitudes that are not a 1-D array, an empty matrix, shapes or maps that
 do not line up and a payload whose "dim" is not an integer or whose size
-has no square side are each refused
-with a conekit error, whichever public function receives them. Every case
-raises (and no numpy warning, which pytest turns into an error) instead of
-returning a value computed from such input."""
+has no square side are each refused with a conekit error, whichever
+public function receives them. Every case raises (and no numpy warning,
+which pytest turns into an error) instead of returning a value computed
+from such input."""
 
 import numpy as np
 import pytest
