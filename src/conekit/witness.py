@@ -191,12 +191,13 @@ def threshold_scan(family: str, d: int, k: int, grid,
     reduction: the family's Choi matrix is C(c) = 1 - cP with P =
     |psi+><psi+|, so its minimum over unit vectors of Schmidt rank <= k is
     1 - cm, where m is the largest <psi|P|psi> (closed form k, Terhal &
-    Horodecki 2000) for c > 0 and the smallest for c < 0. One search per
-    sign present in the grid finds m for every row: the see-saw on -P or P
-    with the scan's opts (so opts.restarts counts the restarts of that one
-    search, not of each row), or for k = d the extreme eigenvalues of one
-    eigensolve of P. A row at c = 0 has the value 1. Each value is attained
-    by the search's witness, and the flip sits at c = 1/k.
+    Horodecki 2000) for c > 0 and the smallest for c <= 0: 0, at |0>|1>,
+    for d >= 2 and 1 at d = 1, so the rows at c <= 0 are exact. At most one
+    search runs, only when the grid holds a c > 0: the see-saw on -P with
+    the scan's opts (so opts.restarts counts the restarts of that one
+    search, not of each row), or for k = d the top eigenvalue of one
+    eigensolve of P. Each value is attained by the search's witness, and
+    the flip sits at c = 1/k.
 
     The dimension is checked first, by the rule of its family (an integer
     d >= 2 for isotropic, d >= 1 for reduction, d = 2 for werner), then
@@ -224,18 +225,15 @@ def threshold_scan(family: str, d: int, k: int, grid,
     if family == "reduction":
         _check_dim(d)
         _check_level(k, d)
-        proj = max_entangled_projector(d).mat
-        # m[True] is the largest overlap <psi|P|psi>, m[False] the smallest
-        signs = {c > 0 for c in params if c != 0}
-        m: dict[bool, float] = {}
-        if signs and k == d:
-            w, _ = hermitian_eig(proj)
-            m = {True: float(w[-1]), False: float(w[0])}
-        else:
-            for pos in signs:
-                val, _, _ = seesaw_minimize(-proj if pos else proj, (d, d), k,
-                                            restarts=opts.restarts, max_iters=opts.max_iters,
-                                            eps_conv=opts.eps_conv, seed=opts.seed)
-                m[pos] = -val if pos else val
-        return [_scan_point(c, 1.0 - c * m[c > 0] if c else 1.0, tol) for c in params]
+        # the smallest <psi|P|psi>: 0 at |0>|1> for d >= 2, 1 at d = 1 (P = [[1]])
+        low = high = float(d == 1)
+        if any(c > 0 for c in params):
+            proj = max_entangled_projector(d).mat
+            if k == d:
+                high = float(hermitian_eig(proj)[0][-1])
+            else:
+                high = -seesaw_minimize(-proj, (d, d), k, restarts=opts.restarts,
+                                        max_iters=opts.max_iters, eps_conv=opts.eps_conv,
+                                        seed=opts.seed)[0]
+        return [_scan_point(c, 1.0 - c * (high if c > 0 else low), tol) for c in params]
     raise BadFamily(f"unknown family {family!r}")

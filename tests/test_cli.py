@@ -211,6 +211,17 @@ def test_scan_csv_stdout(capsys):
     assert fired[0] == 0 and fired[-1] == 1
 
 
+def test_scan_reduction_negative_rows_are_exact(capsys):
+    """At c < 0 a reduction row is exactly 1 and not fired, however large
+    |c| is: three rows from -1e17 to -1e16 all print 1 and 0."""
+    assert cli.main(["scan", "--family", "reduction:3", "--k", "1",
+                     "--grid=-1e17:-1e16:3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "param,min_eig,fired"
+    assert len(lines) == 4
+    assert all(line.endswith(",1,0") for line in lines[1:])
+
+
 def test_scan_werner_shortform(capsys):
     assert cli.main(["scan", "--family", "werner", "--k", "1",
                      "--grid", "0.2:0.5:7"]) == 0

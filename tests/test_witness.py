@@ -228,7 +228,8 @@ def test_scan_level_is_an_integer(family, k):
 def _per_row_reduction_scan(d, k, grid, opts):
     """The scan as one search per row: the minimum of C(c) = 1 - cP over
     Schmidt rank <= k, by the see-saw for k < d and by an eigensolve at
-    k = d. Kept as the oracle of the shared search per sign."""
+    k = d. Kept as the oracle of the shared search and the closed-form
+    rows at c <= 0."""
     from conekit import hermitian_eig, max_entangled_projector
     from conekit._seesaw import seesaw_minimize
     proj = max_entangled_projector(d).mat
@@ -247,9 +248,10 @@ def _per_row_reduction_scan(d, k, grid, opts):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_scan_reduction_matches_the_per_row_search(d):
-    """One search per sign of c gives every row the per-row search's value
-    within 1e-14 * max(1, |v|) and the same fired flag, on grids with
-    negative values, 0, +-1e-300 and the points 1e-3 either side of 1/k."""
+    """The shared search and the closed-form rows at c <= 0 give every row
+    the per-row search's value within 1e-14 * max(1, |v|) and the same
+    fired flag, on grids with negative values, 0, +-1e-300 and the points
+    1e-3 either side of 1/k."""
     for k in range(1, d + 1):
         grid = [-2.0, -0.5, -1e-300, 0.0, 1e-300, 0.25,
                 1 / k - 1e-3, 1 / k + 1e-3, 1.0, 3.0]
@@ -263,14 +265,15 @@ def test_scan_reduction_matches_the_per_row_search(d):
 
 @pytest.mark.parametrize("grid, searches", [
     ([0.1, 0.5, 0.9], 1),
-    ([-0.4, -0.1], 1),
-    ([-0.4, 0.0, 0.4, 0.6], 2),
+    ([-0.4, -0.1], 0),
+    ([-0.4, 0.0, 0.4, 0.6], 1),
     ([0.0, -0.0], 0),
     ([], 0),
 ])
-def test_scan_reduction_runs_one_search_per_sign(monkeypatch, grid, searches):
-    """The see-saw runs once for each nonzero sign of c in the grid, and not
-    at all at k = d or on an all-zero grid."""
+def test_scan_reduction_runs_at_most_one_search(monkeypatch, grid, searches):
+    """The see-saw runs once, at the scan's level, when the grid holds a
+    c > 0 and k < d, and never at k = d or on a grid with no c > 0: the
+    rows at c <= 0 take the smallest overlap from its closed form."""
     import conekit.witness as witness
     calls = []
     real = witness.seesaw_minimize
@@ -281,9 +284,43 @@ def test_scan_reduction_runs_one_search_per_sign(monkeypatch, grid, searches):
 
     monkeypatch.setattr(witness, "seesaw_minimize", counted)
     threshold_scan("reduction", 3, 2, grid)
-    assert len(calls) == searches
+    assert calls == [2] * searches
     threshold_scan("reduction", 3, 3, grid)
-    assert len(calls) == searches
+    assert calls == [2] * searches
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_scan_reduction_rows_at_nonpositive_c_are_exactly_one(d):
+    """For c <= 0 the Choi matrix 1 + |c|P is >= 1, with equality on
+    |0>|1>, so every row is exactly 1 and not fired, at every level and
+    however large |c| is: a searched minimum of P a few ulps off 0 would
+    be scaled by |c|."""
+    grid = [-1e300, -1e17, -1e16, -1e15, -2.0, -0.0, 0.0]
+    for k in range(1, d + 1):
+        rows = threshold_scan("reduction", d, k, grid)
+        assert [r.param for r in rows] == grid
+        assert all(r.min_eig == 1.0 and not r.fired for r in rows), (d, k)
+
+
+def test_scan_reduction_rows_at_d1_are_one_minus_c():
+    """At d = 1, P = [[1]]: every row is 1 - c, on both sides of 0."""
+    grid = [-1e300, -1e16, -2.0, -0.0, 0.0, 0.5, 1.0, 2.0, 1e300]
+    rows = threshold_scan("reduction", 1, 1, grid)
+    assert [r.min_eig for r in rows] == [1.0 - c for c in grid]
+    assert [r.fired for r in rows] == [c > 1.0 for c in grid]
+
+
+@pytest.mark.parametrize("family, d", [("isotropic", 3), ("werner", 2), ("reduction", 3)])
+def test_scan_of_an_empty_grid_is_empty(monkeypatch, family, d):
+    """An empty grid gives no rows, with no eigensolve and no search."""
+    import conekit.witness as witness
+
+    def no_call(*args, **kwargs):
+        raise AssertionError("an empty grid ran a search or an eigensolve")
+
+    monkeypatch.setattr(witness, "seesaw_minimize", no_call)
+    monkeypatch.setattr(witness, "hermitian_eig", no_call)
+    assert threshold_scan(family, d, 1, []) == []
 
 
 def _parity_grids(flip):
