@@ -9,7 +9,7 @@ Inconclusive with the best value found.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -100,36 +100,19 @@ def _witness_quadratic_form(c: np.ndarray, w: BipartiteVector) -> float:
     return float(val.real)
 
 
-def _eigen_cert(c: MatrixOp, eig: tuple[np.ndarray, np.ndarray], tol: float,
-                prefix: str = "") -> Certificate:
-    """The eigen-decision on C from its eigendecomposition eig: PSD within
-    tol is a constructive proof ("choi-psd"); otherwise the bottom
-    eigenvector is the witness, reported as a violation only when its
-    re-verified value is below -tol (an overflowing or ill-conditioned
-    eigensolve can return a vector that does not violate). prefix marks the
-    co-chain ("pt-")."""
-    w, v = eig
-    lam_min = float(w[0])
-    if lam_min >= -tol:
-        return Certificate(Verdict.MEMBERSHIP, lam_min, detail=prefix + "choi-psd")
-    da, db = _dims(c)
-    wit = BipartiteVector(da, db, v[:, 0])
-    val = _witness_quadratic_form(c.mat, wit)
-    if val < -tol:
-        return Certificate(Verdict.VIOLATION, val, witness=wit,
-                           detail=prefix + "min-eigenvector")
-    return Certificate(Verdict.INCONCLUSIVE, val,
-                       detail=prefix + "min-eigenvector-unverified")
-
-
 def k_block_positive_certify(c: MatrixOp, k: int, opts: SeesawOpts = DEFAULT_OPTS,
                              eig: tuple[np.ndarray, np.ndarray] | None = None) -> Certificate:
-    """Certify <psi|C|psi> >= 0 over Schmidt rank <= k unit vectors.
+    """Certify <psi|C|psi> >= 0 over Schmidt rank <= k unit vectors: the one
+    decision of a chain level, CP and co-CP (the top levels) included.
 
-    PSD input is a constructive proof for every k. For k = min(dims) the
-    rank constraint is vacuous and the bottom eigenpair decides. Otherwise
-    the see-saw minimizer searches for a violating vector; its witnesses are
-    re-verified against C before being reported. Every margin is
+    PSD input is a constructive proof for every k ("choi-psd"). Otherwise
+    one witness is tried: for k = min(dims) the rank constraint is vacuous
+    and the bottom eigenvector is the witness ("min-eigenvector"); below it
+    the see-saw minimizer searches for one ("seesaw"). The witness is
+    re-verified against C and reported as a violation only when its value is
+    below -tol (an overflowing or ill-conditioned eigensolve can return a
+    vector that does not violate); else the answer is Inconclusive with that
+    value ("min-eigenvector-unverified", "seesaw-best"). Every margin is
     eps_neg * max|C|.
 
     eig is C's eigendecomposition as `hermitian_eig` returns it, for a
@@ -141,36 +124,43 @@ def k_block_positive_certify(c: MatrixOp, k: int, opts: SeesawOpts = DEFAULT_OPT
     _check_level(k, kmax)
     if eig is None:
         eig = hermitian_eig(c)
+    w, v = eig
     tol = _margin(c.mat, opts.eps_neg)
-    if k == kmax or float(eig[0][0]) >= -tol:
-        return _eigen_cert(c, eig, tol)
-    val, m, _ = seesaw_minimize(c.mat, (da, db), k, restarts=opts.restarts,
-                                max_iters=opts.max_iters, eps_conv=opts.eps_conv,
-                                seed=opts.seed)
-    wit = BipartiteVector(da, db, m.reshape(-1))
+    if float(w[0]) >= -tol:
+        return Certificate(Verdict.MEMBERSHIP, float(w[0]), detail="choi-psd")
+    searched = k < kmax
+    if searched:
+        val, m, _ = seesaw_minimize(c.mat, (da, db), k, restarts=opts.restarts,
+                                    max_iters=opts.max_iters, eps_conv=opts.eps_conv,
+                                    seed=opts.seed)
+        wit = BipartiteVector(da, db, m.reshape(-1))
+        found, best, restarts = "seesaw", "seesaw-best", opts.restarts
+    else:
+        wit = BipartiteVector(da, db, v[:, 0])
+        found, best, restarts = "min-eigenvector", "min-eigenvector-unverified", 0
     val_check = _witness_quadratic_form(c.mat, wit)
-    if abs(val_check - val) > _margin(c.mat, 1e-8):
+    # the see-saw's own value and rank can disagree with its witness; an
+    # eigenvector's cannot, so these checks run only on a searched one
+    if searched and abs(val_check - val) > _margin(c.mat, 1e-8):
         raise ConekitError("optimizer value disagrees with its own witness")
     if val_check < -tol:
-        if schmidt_decompose(wit).rank > k:
+        if searched and schmidt_decompose(wit).rank > k:
             raise ConekitError("witness Schmidt rank exceeds the queried level")
-        return Certificate(Verdict.VIOLATION, val_check, witness=wit,
-                           detail="seesaw", restarts_used=opts.restarts)
-    return Certificate(Verdict.INCONCLUSIVE, val_check, detail="seesaw-best",
-                       restarts_used=opts.restarts)
+        return Certificate(Verdict.VIOLATION, val_check, witness=wit, detail=found,
+                           restarts_used=restarts)
+    return Certificate(Verdict.INCONCLUSIVE, val_check, detail=best, restarts_used=restarts)
 
 
 def is_cp(phi: MapRep) -> Certificate:
-    """Complete positivity via the bottom Choi eigenpair, with margin
-    PSD_TOL * max|C|."""
-    c = choi(phi)
-    return _eigen_cert(c, hermitian_eig(c), _margin(c.mat, PSD_TOL))
+    """Complete positivity, the top level d of the positivity chain: the
+    level decision of `k_block_positive_certify` on phi's Choi matrix."""
+    return k_block_positive_certify(choi(phi), phi.d)
 
 
 def is_ccp(phi: MapRep) -> Certificate:
-    """Complete copositivity: the partially transposed Choi matrix is tested."""
-    c = partial_transpose(choi(phi))
-    return _eigen_cert(c, hermitian_eig(c), _margin(c.mat, PSD_TOL), prefix="pt-")
+    """Complete copositivity, the top level d of the co-chain: the same
+    decision on the partial transpose of phi's Choi matrix."""
+    return k_block_positive_certify(partial_transpose(choi(phi)), phi.d)
 
 
 def is_k_positive_certify(phi: MapRep, k: int,
@@ -296,11 +286,8 @@ def classify(x: MatrixOp | MapRep | KrausSet, opts: SeesawOpts = DEFAULT_OPTS,
             if best_viol is not None and (
                     cert.verdict is not Verdict.VIOLATION
                     or cert.value > best_viol.value + tie):
-                inherited = Certificate(Verdict.VIOLATION, best_viol.value,
-                                        witness=best_viol.witness,
-                                        detail=best_viol.detail + "+inherited",
-                                        restarts_used=cert.restarts_used)
-                cert = inherited
+                cert = replace(best_viol, detail=best_viol.detail + "+inherited",
+                               restarts_used=cert.restarts_used)
             if cert.verdict is Verdict.VIOLATION:
                 if best_viol is None or cert.value < best_viol.value:
                     best_viol = cert

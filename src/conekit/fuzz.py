@@ -149,6 +149,11 @@ def fuzz_adjoint(n: int, d: int = 3, seed: int = 0) -> dict:
 
 def run_suite(suite: str, n: int, seed: int, d: int | None = None,
               k: int | None = None) -> dict:
+    """One suite with its defaults for what is not given. A level k given to
+    a suite that reads none (bijection, adjoint) raises BadK rather than be
+    ignored."""
+    if k is not None and suite in ("bijection", "adjoint"):
+        raise BadK(f"the {suite} suite takes no level; got k={k}")
     if suite == "duality":
         dd = d if d is not None else 3
         ks = (k,) if k is not None else tuple(range(1, min(dd, 3)))

@@ -17,9 +17,11 @@ import numpy as np
 from .errors import BadK, BadParam, DimMismatch, MissingDims, NotHermitian, ZeroVector
 
 HERM_TOL = 1e-10
-# Relative floor of the PSD decisions in is_cp, is_ccp, schmidt_number_bounds,
+# Relative floor of the PSD decisions in schmidt_number_bounds,
 # kraus_decompose (also its drop cutoff) and compose_certified: an eigenvalue
 # counts as negative below -PSD_TOL * max|M| of the matrix M it belongs to.
+# The chain levels, CP and co-CP included, use SeesawOpts.eps_neg instead,
+# whose default is the same 1e-9.
 PSD_TOL = 1e-9
 # Relative cutoff of every numerical rank (Schmidt, operator, Choi matrix).
 RANK_TOL = 1e-8

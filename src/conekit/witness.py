@@ -182,11 +182,12 @@ def threshold_scan(family: str, d: int, k: int, grid,
 
     isotropic: bottom eigenvalue of (1 (x) reduction[1/k]) rho_F =
     tr_B(rho_F) (x) 1 - rho_F/k, which is min(1/d - F/k,
-    1/d - (1-F)/((d^2-1)k)); the flip sits at F = k/d. werner (d=2): bottom
-    eigenvalue of the partial transpose; flip at p = 1/3. Either family's
-    rows are one stack (the states, then their images), gated and
-    decomposed in one hermitian_eig call; each row's value is the one its
-    own call would give.
+    1/d - (1-F)/((d^2-1)k)); the flip sits at F = k/d. werner (d=2, k=1):
+    bottom eigenvalue of the partial transpose, which detects Schmidt number
+    > 1; flip at p = 1/3. No two-qubit state has Schmidt number > 2, so k = 1
+    is the only level a Werner scan takes. Either family's rows are one
+    stack (the states, then their images), gated and decomposed in one
+    hermitian_eig call; each row's value is the one its own call would give.
 
     reduction: the family's Choi matrix is C(c) = 1 - cP with P =
     |psi+><psi+|, so its minimum over unit vectors of Schmidt rank <= k is
@@ -201,11 +202,11 @@ def threshold_scan(family: str, d: int, k: int, grid,
 
     The dimension is checked first, by the rule of its family (an integer
     d >= 2 for isotropic, d >= 1 for reduction, d = 2 for werner), then
-    the level k, then each isotropic F or Werner p against [0, 1], in grid
-    order, before any row is decomposed. Raises BadParam naming
-    the grid value when one is NaN or infinite (before any search or
-    eigensolve) and when a row's value is not a finite double (1 - ck
-    overflows near the top of the float range).
+    the level k (1..d, and 1 for werner), then each isotropic F or Werner p
+    against [0, 1], in grid order, before any row is decomposed. Raises
+    BadParam naming the grid value when one is NaN or infinite (before any
+    search or eigensolve) and when a row's value is not a finite double
+    (1 - ck overflows near the top of the float range).
     """
     tol = opts.eps_neg
     params = [float(x) for x in grid]
@@ -220,7 +221,7 @@ def threshold_scan(family: str, d: int, k: int, grid,
     if family == "werner":
         if d != 2:
             raise BadParam("werner scans are defined for d=2 only")
-        _check_level(k, d)
+        _check_level(k, 1)
         return _bottom_rows(params, _pt_array(_werner_mats(params), 2, 2), tol)
     if family == "reduction":
         _check_dim(d)

@@ -65,7 +65,7 @@ def scan_rows(family, d, k, grid, tol):
             w, _ = hermitian_eig(_reduction_image(rho.mat, d, k))
             rows.append(_row(f, float(w[0]), tol))
     elif family == "werner":
-        _check_level(k, d)
+        _check_level(k, 1)
         for p in params:
             w, _ = hermitian_eig(partial_transpose(_werner_state(p)))
             rows.append(_row(p, float(w[0]), tol))

@@ -42,6 +42,7 @@ from conekit._seesaw import seesaw_minimize
 from conekit.fuzz import fuzz_composition, fuzz_duality
 from conekit.linalg import BipartiteVector
 
+from _inputs import rank_ops
 from conftest import record_criterion
 
 
@@ -53,16 +54,6 @@ def _criterion(number, description):
         ok = True
     finally:
         record_criterion(number, description, ok)
-
-
-def _rank_ops(rng, d, k, n):
-    ops = []
-    for _ in range(n):
-        g1 = rng.normal(size=(d, k)) + 1j * rng.normal(size=(d, k))
-        g2 = rng.normal(size=(k, d)) + 1j * rng.normal(size=(k, d))
-        a = g1 @ g2
-        ops.append(a / np.linalg.norm(a))
-    return ops
 
 
 def test_criterion_01_reduction_family_thresholds():
@@ -156,7 +147,7 @@ def test_criterion_07_characterization_battery():
         for k in (1, 2):
             rng = np.random.default_rng(500 + k)
             for seed in range(50):
-                phi = from_kraus(_rank_ops(rng, d, k, 3))
+                phi = from_kraus(rank_ops(rng, d, k, 3))
                 psi = random_k_positive_map(d, k, 9000 + 100 * k + seed)
                 both = compose(psi, phi), compose(phi, psi)
                 for prod in both:

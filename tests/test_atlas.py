@@ -29,6 +29,8 @@ import pytest
 from conekit import MatrixOp, classify, isotropic_state, werner_state
 from conekit.certify import Verdict
 
+from _inputs import cho_kye_lee_choi
+
 _EDGE = 1e-6
 D = 3
 
@@ -36,18 +38,6 @@ D = 3
 def _psi_plus_projector(d):
     v = np.eye(d).reshape(-1)
     return np.outer(v, v)
-
-
-def _generalized_choi(a, b, c):
-    """Choi matrix sum_ij e_ij (x) Phi[a,b,c](e_ij)."""
-    weights = np.array([[a, c, b], [b, a, c], [c, b, a]])  # row i: diag of Phi(e_ii)
-    out = -_psi_plus_projector(3)
-    for i in range(3):
-        out[4 * i, 4 * i] += a  # C[ii, ii] = a - 1
-        for j in range(3):
-            if j != i:
-                out[3 * i + j, 3 * i + j] = weights[i, j]
-    return out
 
 
 def _inside(*margins):
@@ -91,7 +81,7 @@ def _cho_kye_lee():
         positive = (a - 1.0, a + b + c - 3.0) + ((b * c - (2.0 - a) ** 2,) if a <= 2.0 else ())
         dec = (a - 1.0,) + ((b * c - (3.0 - a) ** 2 / 4.0,) if a <= 3.0 else ())
         cones = {"p[1]": _inside(*positive), "dec": _inside(*dec), "p[3]": _inside(a - 3.0)}
-        yield MatrixOp(_generalized_choi(a, b, c), dims=(3, 3)), True, cones, None
+        yield MatrixOp(cho_kye_lee_choi(a, b, c), dims=(3, 3)), True, cones, None
 
 
 FAMILIES = {"tomiyama": _tomiyama, "isotropic": _isotropic, "werner": _werner,

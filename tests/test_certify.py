@@ -60,17 +60,8 @@ from conekit.maps import MapRep
 from conekit.serialize import report_to_json
 
 from _decompose_oracle import decomposable_certify as decomposable_oracle
+from _inputs import cho_kye_lee_choi, rank_ops
 from _report_oracle import check_report
-
-
-def _rank_ops(rng, d, k, n):
-    ops = []
-    for _ in range(n):
-        g1 = rng.normal(size=(d, k)) + 1j * rng.normal(size=(d, k))
-        g2 = rng.normal(size=(k, d)) + 1j * rng.normal(size=(k, d))
-        a = g1 @ g2
-        ops.append(a / np.linalg.norm(a))
-    return ops
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +173,9 @@ def test_min_eigenvector_verdict_matches_its_value(monkeypatch):
     cert = k_block_positive_certify(c, 2)
     assert cert.verdict is Verdict.INCONCLUSIVE
     assert cert.witness is None
-    for cert, prefix in ((is_cp(phi), ""), (is_ccp(co(phi)), "pt-")):
+    for cert in (is_cp(phi), is_ccp(co(phi))):
         assert cert.verdict is Verdict.INCONCLUSIVE
-        assert cert.detail == prefix + "min-eigenvector-unverified"
+        assert cert.detail == "min-eigenvector-unverified"
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +194,7 @@ def test_transpose_not_cp_with_witness():
 def test_transpose_is_ccp():
     cert = is_ccp(transpose_map(3))
     assert cert.verdict is Verdict.MEMBERSHIP
-    assert cert.detail == "pt-choi-psd"
+    assert cert.detail == "choi-psd"
     assert cert.value >= -1e-12
 
 
@@ -213,8 +204,36 @@ def test_identity_cp_but_not_ccp():
     assert cert.detail == "choi-psd"
     cert = is_ccp(identity_map(3))
     assert cert.verdict is Verdict.VIOLATION
-    assert cert.detail == "pt-min-eigenvector"
+    assert cert.detail == "min-eigenvector"
     assert abs(cert.value - (-1.0)) <= 1e-12
+
+
+def _top_level_parity_maps():
+    d = 3
+    for at, c in (("1/d", 1 / d), ("1", 1.0)):
+        for shift in ("-1e-6", "", "+1e-6"):
+            yield f"reduction-{at}{shift}", reduction_family(d, c + float(shift or 0))
+    yield "transpose", transpose_map(d)
+    yield "identity", identity_map(d)
+    yield "depolarizing", depolarizing(d, 0.5)
+    for seed in (3, 4):
+        yield f"hp-{seed}", random_hp_map(d, seed)
+
+
+@pytest.mark.parametrize("name, phi", list(_top_level_parity_maps()),
+                         ids=[name for name, _ in _top_level_parity_maps()])
+def test_is_cp_and_is_ccp_are_the_top_chain_levels(name, phi):
+    """is_cp and is_ccp are classify's decision at the top level d of the
+    positivity and co-positivity chains: the same verdict, detail, value and
+    witness, bit for bit."""
+    rep = classify(phi, opts=SeesawOpts(restarts=2), include_dec=False)
+    for cert, level in ((is_cp(phi), rep.p[phi.d]), (is_ccp(phi), rep.co_p[phi.d])):
+        assert (cert.verdict, cert.detail, cert.value) == (level.verdict, level.detail,
+                                                           level.value)
+        if cert.witness is None:
+            assert level.witness is None
+        else:
+            assert np.array_equal(cert.witness.amp, level.witness.amp)
 
 
 def test_reduction_cp_exactly_at_one_over_d():
@@ -268,7 +287,7 @@ def test_pairing_rank_k_cp_against_k_positive():
     rng = np.random.default_rng(31)
     for k in (1, 2):
         for seed in range(20):
-            phi = from_kraus(_rank_ops(rng, 3, k, 3))
+            phi = from_kraus(rank_ops(rng, 3, k, 3))
             psi = random_k_positive_map(3, k, seed)
             assert dual_pairing(phi, psi) >= -1e-9
 
@@ -289,13 +308,13 @@ def test_bounds_max_entangled():
 
 def test_bounds_rank_one_choi():
     rng = np.random.default_rng(32)
-    a = _rank_ops(rng, 3, 2, 1)[0]
+    a = rank_ops(rng, 3, 2, 1)[0]
     assert schmidt_number_bounds(choi(ad(a))) == (2, 2)
 
 
 def test_bounds_with_construction():
     rng = np.random.default_rng(33)
-    ops = _rank_ops(rng, 3, 1, 5)
+    ops = rank_ops(rng, 3, 1, 5)
     phi = from_kraus(ops)
     bounds = schmidt_number_bounds(choi(phi), construction=KrausSet(tuple(ops)))
     assert bounds == (1, 1)
@@ -305,7 +324,7 @@ def test_bounds_eigen_kraus_can_be_looser_than_construction():
     """Re-extracted Kraus operators mix the generators, so the generic upper
     bound can exceed the one carried by the original construction."""
     rng = np.random.default_rng(34)
-    ops = _rank_ops(rng, 3, 1, 5)
+    ops = rank_ops(rng, 3, 1, 5)
     phi = from_kraus(ops)
     generic = schmidt_number_bounds(choi(phi))
     assert generic[0] == 1
@@ -840,19 +859,6 @@ def _block_positive(rng, dims, margin, seed):
     return MatrixOp(h + (margin - q) * np.eye(h.shape[0]), dims=dims)
 
 
-def _generalized_choi(a, b, c):
-    """Choi matrix of the Cho-Kye-Lee map Phi[a,b,c] on M_3:
-    Phi(X) = diag(a x11 + b x22 + c x33, c x11 + a x22 + b x33,
-    b x11 + c x22 + a x33) - X."""
-    weights = np.array([[a, c, b], [b, a, c], [c, b, a]])
-    out = np.zeros((9, 9), dtype=complex)
-    for i in range(3):
-        out[3 * i:3 * i + 3, 3 * i:3 * i + 3] = np.diag(weights[i])
-        for j in range(3):
-            out[3 * i + i, 3 * j + j] -= 1.0
-    return out
-
-
 def _decompose_parity_inputs():
     rng = np.random.default_rng(37)
     yield MatrixOp(swap_matrix(2).astype(complex), dims=(2, 2))
@@ -884,7 +890,7 @@ def test_decomposable_matches_oracle_verdicts():
     Phi[2,0,1] it stops undecided at its cap, where the new search returns
     a PPT witness."""
     inputs = list(_decompose_parity_inputs())
-    inputs += [MatrixOp(_generalized_choi(2.0, b, c), dims=(3, 3))
+    inputs += [MatrixOp(cho_kye_lee_choi(2.0, b, c), dims=(3, 3))
                for b, c in ((0.0, 1.0), (0.6, 0.6), (1.0, 1.0))]
     for c in inputs:
         new = decomposable_certify(c)
@@ -903,7 +909,7 @@ def test_decomposable_matches_oracle_verdicts():
 def test_choi_map_refuted_by_ppt_witness():
     """Phi[2,0,1] is positive but not decomposable; the search returns a PPT
     state that pairs negatively with its Choi matrix."""
-    c = _generalized_choi(2.0, 0.0, 1.0)
+    c = cho_kye_lee_choi(2.0, 0.0, 1.0)
     cert = decomposable_certify(MatrixOp(c, dims=(3, 3)))
     assert cert.verdict is Verdict.VIOLATION
     assert cert.detail == "ppt-witness"
@@ -946,7 +952,7 @@ def test_decomposable_sweep_counts():
         assert cert.verdict is Verdict.MEMBERSHIP
         assert cert.extras["sweeps"] <= 20
     for b in np.linspace(0.6, 1.0, 5):
-        cert = decomposable_certify(MatrixOp(_generalized_choi(2.0, b, b), dims=(3, 3)))
+        cert = decomposable_certify(MatrixOp(cho_kye_lee_choi(2.0, b, b), dims=(3, 3)))
         assert cert.verdict is Verdict.MEMBERSHIP
         assert cert.extras["sweeps"] <= 10
     for _ in range(50):
@@ -972,7 +978,7 @@ def test_decomposable_makes_two_eigh_calls_per_sweep(monkeypatch):
     rng = np.random.default_rng(42)
     b = MatrixOp(_unit_trace_psd(rng, 9), dims=(3, 3))
     split = MatrixOp(0.5 * _unit_trace_psd(rng, 9) + partial_transpose(b).mat, dims=(3, 3))
-    refuted = MatrixOp(_generalized_choi(2.0, 0.0, 1.0), dims=(3, 3))
+    refuted = MatrixOp(cho_kye_lee_choi(2.0, 0.0, 1.0), dims=(3, 3))
     psd = MatrixOp(_unit_trace_psd(rng, 9), dims=(3, 3))
     for c, verdict in ((split, Verdict.MEMBERSHIP), (refuted, Verdict.VIOLATION),
                        (psd, Verdict.MEMBERSHIP)):
@@ -1014,7 +1020,7 @@ def test_decomposable_scales_near_the_top_of_the_float_range():
     of the float range gives the split, residual and value of C * 2^960
     times 2^(j-960) exactly, the ppt-witness state unchanged."""
     base = 2.0 ** 960
-    for c in (choi(reduction_family(2, 0.7)).mat, _generalized_choi(2.0, 0.0, 1.0)):
+    for c in (choi(reduction_family(2, 0.7)).mat, cho_kye_lee_choi(2.0, 0.0, 1.0)):
         dims = (int(round(np.sqrt(c.shape[0]))),) * 2
         ref = decomposable_certify(MatrixOp(c * base, dims=dims))
         for j in (961, 1000, 1023):
@@ -1037,7 +1043,7 @@ def test_decomposable_is_one_search_at_every_power_of_two_scale():
     a decomposable C and on one refuted by a PPT witness (the same state at
     every scale)."""
     for c, verdict in ((choi(reduction_family(2, 0.7)).mat, Verdict.MEMBERSHIP),
-                       (_generalized_choi(2.0, 0.0, 1.0), Verdict.VIOLATION)):
+                       (cho_kye_lee_choi(2.0, 0.0, 1.0), Verdict.VIOLATION)):
         dims = (int(round(np.sqrt(c.shape[0]))),) * 2
         ref = decomposable_certify(MatrixOp(c, dims=dims))
         assert ref.verdict is verdict
@@ -1135,7 +1141,7 @@ def test_margins_scale_with_c():
     Phi[2,0,1] * 1e-10 came out CP, the reduction map's non-PSD Choi
     matrix * 1e-9 came out PSD, and the isotropic state * 1e-9 lost its
     lower bound (1, 3)."""
-    gen = _generalized_choi(2.0, 0.0, 1.0)
+    gen = cho_kye_lee_choi(2.0, 0.0, 1.0)
     red = choi(reduction_family(2, 0.7)).mat
     rng = np.random.default_rng(41)
     b = MatrixOp(_unit_trace_psd(rng, 9), dims=(3, 3))
@@ -1165,25 +1171,25 @@ def test_margins_scale_with_c():
 
 def test_classify_decomposes_each_chain_once(monkeypatch):
     """One eigendecomposition per chain serves every level, and only the
-    level k = min(dims) builds the bottom-eigenvector certificate when C is
-    not PSD: the levels below go straight to the see-saw."""
+    level k = min(dims) takes the bottom eigenvector as its witness when C
+    is not PSD: the levels below go straight to the see-saw."""
     import conekit.certify as certify_mod
-    eigs, certs = [], []
+    eigs, searched = [], []
 
     def counting_eig(x, *args):
         eigs.append(x)
         return hermitian_eig(x, *args)
 
-    def counting_cert(*args, **kwargs):
-        certs.append(args[0])
-        return eigen_cert(*args, **kwargs)
+    def counting_search(c, dims, k, **kwargs):
+        searched.append(k)
+        return seesaw_minimize(c, dims, k, **kwargs)
 
-    eigen_cert = certify_mod._eigen_cert
     monkeypatch.setattr(certify_mod, "hermitian_eig", counting_eig)
-    monkeypatch.setattr(certify_mod, "_eigen_cert", counting_cert)
+    monkeypatch.setattr(certify_mod, "seesaw_minimize", counting_search)
     # neither Choi matrix nor its partial transpose is PSD: no Schmidt bounds
     rep = classify(reduction_family(3, 1.02), opts=SeesawOpts(restarts=2), include_dec=False)
-    assert len(eigs) == 2 and len(certs) == 2
+    assert len(eigs) == 2 and searched == [1, 2, 1, 2]
+    assert rep.p[3].detail == rep.co_p[3].detail == "min-eigenvector"
     assert not rep.cp and rep.co_p[3].verdict is Verdict.VIOLATION
     eigs.clear()
     assert k_block_positive_certify(choi(reduction_family(3, 0.7)), 2).detail == "seesaw"

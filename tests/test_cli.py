@@ -263,10 +263,13 @@ def test_fuzz_failure_exit_code(monkeypatch, capsys):
     ["fuzz", "bijection", "--n", "-1"],
     ["fuzz", "duality", "--d", "1"],
     ["fuzz", "composition", "--k", "0"],
+    ["fuzz", "bijection", "--k", "7"],
+    ["fuzz", "adjoint", "--k", "7"],
 ], ids=lambda argv: "_".join(argv[1:]))
 def test_fuzz_run_that_checks_nothing_exits_2(argv, capsys):
-    """No instance, no level, or a level outside 1..d: a parse error with
-    empty stdout, never a green summary (nor a warning before the error)."""
+    """No instance, no level, a level outside 1..d, or a level given to a
+    suite that reads none: a parse error with empty stdout, never a green
+    summary (nor a warning before the error)."""
     assert cli.main(argv) == cli.PARSE_ERROR
     out = capsys.readouterr()
     assert out.out == ""
@@ -360,7 +363,11 @@ def test_parse_errors_exit_2(tmap_file, tmp_path, capsys):
     (["classify", "{tmap}", "--no-dec", "--config", "{cfg}"], "must hold a JSON object"),
     (["scan", "--family", "reduction:3", "--k", "1", "--grid", "0:1:0"], "at least one step"),
     (["scan", "--family", "reduction", "--k", "1", "--grid", "0:1:3"], "needs a dimension"),
-], ids=["config-not-an-object", "grid-zero-steps", "family-without-dimension"])
+    # the PPT test detects Schmidt number > 1 only, and no two-qubit state
+    # has one above 2: a Werner scan takes no level but k = 1
+    (["scan", "--family", "werner", "--k", "2", "--grid", "0.5:1:3"], "k=2 outside 1..1"),
+], ids=["config-not-an-object", "grid-zero-steps", "family-without-dimension",
+        "werner-k-two"])
 def test_malformed_options_exit_2(argv, message, tmap_file, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("[1, 2]")

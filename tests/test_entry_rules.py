@@ -107,6 +107,8 @@ CASES = {
     # ... and of every Schmidt level
     "werner-scan-k-float": (BadK, lambda: threshold_scan("werner", 2, 1.5, [0.2])),
     "werner-scan-k-too-high": (BadK, lambda: threshold_scan("werner", 2, 3, [0.2])),
+    # a two-qubit state has Schmidt number <= 2: the PPT test decides k = 1 only
+    "werner-scan-k-two": (BadK, lambda: threshold_scan("werner", 2, 2, [0.5])),
     # ... where a scan's dimension is checked first, by its family's rule
     "reduction-scan-d-float": (BadParam, lambda: threshold_scan("reduction", 2.0, 1, [0.3])),
     "reduction-scan-d-zero": (BadParam, lambda: threshold_scan("reduction", 0, 1, [0.3])),

@@ -22,15 +22,12 @@ from conekit import (
 from conekit.errors import BadParam, DimMismatch, MissingDims, NotHermitian, ZeroVector
 from conekit.linalg import _gaussian_products
 
+from _inputs import rand_herm
+
 
 def _rand_vec(rng, da, db):
     amp = rng.normal(size=da * db) + 1j * rng.normal(size=da * db)
     return BipartiteVector(da, db, amp)
-
-
-def _rand_herm(rng, n):
-    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return 0.5 * (g + g.conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +118,7 @@ def test_bipartite_vector_matrix_devectorizes():
 def test_partial_transpose_involution_exact():
     rng = np.random.default_rng(2)
     for da, db in [(2, 2), (2, 3), (3, 4)]:
-        x = MatrixOp(_rand_herm(rng, da * db), dims=(da, db))
+        x = MatrixOp(rand_herm(rng, da * db), dims=(da, db))
         back = partial_transpose(partial_transpose(x))
         assert np.array_equal(back.mat, x.mat)
 
@@ -129,7 +126,7 @@ def test_partial_transpose_involution_exact():
 def test_partial_transpose_preserves_trace():
     rng = np.random.default_rng(8)
     for _ in range(20):
-        x = MatrixOp(_rand_herm(rng, 6), dims=(2, 3))
+        x = MatrixOp(rand_herm(rng, 6), dims=(2, 3))
         assert abs(np.trace(partial_transpose(x).mat) - np.trace(x.mat)) <= 1e-12
 
 
@@ -148,7 +145,7 @@ def test_partial_transpose_index_formula():
 
 def test_partial_transpose_both_factors_is_full_transpose():
     rng = np.random.default_rng(10)
-    x = MatrixOp(_rand_herm(rng, 6), dims=(2, 3))
+    x = MatrixOp(rand_herm(rng, 6), dims=(2, 3))
     both = partial_transpose(partial_transpose(x, subsystem="A"), subsystem="B")
     assert np.allclose(both.mat, x.mat.T, atol=0)
 
@@ -196,7 +193,7 @@ def test_reshuffle_not_involutive():
 
 def test_hermitian_eig_ascending_and_consistent():
     rng = np.random.default_rng(15)
-    a = _rand_herm(rng, 5)
+    a = rand_herm(rng, 5)
     w, v = hermitian_eig(MatrixOp(a))
     assert np.all(np.diff(w) >= 0)
     assert np.allclose(a @ v, v @ np.diag(w), atol=1e-10)
@@ -213,7 +210,7 @@ def test_hermitian_eig_of_a_stack_is_each_members_own_call():
     """A stack is decided in one call, and each member's (w, v) is bit for
     bit the one its own call returns."""
     rng = np.random.default_rng(17)
-    stack = np.stack([_rand_herm(rng, 6) * s for s in (1e-200, 1.0, 3.0, 1e200)])
+    stack = np.stack([rand_herm(rng, 6) * s for s in (1e-200, 1.0, 3.0, 1e200)])
     w, v = hermitian_eig(stack)
     for i, m in enumerate(stack):
         wi, vi = hermitian_eig(m)
@@ -251,16 +248,16 @@ def test_stacked_eigensolve_refuses_a_member_with_a_non_finite_spectrum():
 
 def test_hs_inner_symmetric_real():
     rng = np.random.default_rng(16)
-    a = _rand_herm(rng, 4)
-    b = _rand_herm(rng, 4)
+    a = rand_herm(rng, 4)
+    b = rand_herm(rng, 4)
     assert abs(hs_inner(a, b) - hs_inner(b, a)) <= 1e-12
     assert hs_inner(a, a) >= 0
 
 
 def test_hs_inner_is_trace_of_product():
     rng = np.random.default_rng(17)
-    a = _rand_herm(rng, 3)
-    b = _rand_herm(rng, 3)
+    a = rand_herm(rng, 3)
+    b = rand_herm(rng, 3)
     assert abs(hs_inner(a, b) - np.trace(a @ b).real) <= 1e-12
 
 

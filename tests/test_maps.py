@@ -67,6 +67,8 @@ from conekit.errors import (
     RankTooHigh,
 )
 
+from _inputs import rand_herm
+
 
 def _rand_mat(rng, d, rank=None):
     if rank is None:
@@ -74,11 +76,6 @@ def _rand_mat(rng, d, rank=None):
     u = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
     v = rng.normal(size=(rank, d)) + 1j * rng.normal(size=(rank, d))
     return u @ v
-
-
-def _rand_herm(rng, n):
-    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return 0.5 * (g + g.conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +157,7 @@ def test_maprep_runs_no_reshuffle(monkeypatch):
 
 def test_apply_identity_and_transpose():
     rng = np.random.default_rng(1)
-    x = _rand_herm(rng, 3)
+    x = rand_herm(rng, 3)
     assert np.allclose(apply(identity_map(3), x).mat, x, atol=1e-14)
     assert np.allclose(apply(transpose_map(3), x).mat, x.T, atol=1e-14)
 
@@ -168,7 +165,7 @@ def test_apply_identity_and_transpose():
 def test_apply_reduction_closed_form():
     """reduction_family(d, c) sends x to Tr(x) 1 - c x."""
     rng = np.random.default_rng(2)
-    x = _rand_herm(rng, 3)
+    x = rand_herm(rng, 3)
     for c in (0.3, 1.0):
         out = apply(reduction_family(3, c), x).mat
         assert np.allclose(out, np.trace(x) * np.eye(3) - c * x, atol=1e-12)
@@ -178,8 +175,8 @@ def test_apply_on_right_factor_product_input():
     """(1 (x) phi)(a (x) b) = a (x) phi(b)."""
     rng = np.random.default_rng(3)
     phi = random_hp_map(3, 7)
-    a = _rand_herm(rng, 3)
-    b = _rand_herm(rng, 3)
+    a = rand_herm(rng, 3)
+    b = rand_herm(rng, 3)
     out = apply_on_right_factor(phi, MatrixOp(np.kron(a, b), dims=(3, 3))).mat
     assert np.allclose(out, np.kron(a, apply(phi, b).mat), atol=1e-11)
 
@@ -187,7 +184,7 @@ def test_apply_on_right_factor_product_input():
 def test_ad_is_two_sided_conjugation():
     rng = np.random.default_rng(4)
     a = _rand_mat(rng, 3)
-    x = _rand_herm(rng, 3)
+    x = rand_herm(rng, 3)
     assert np.allclose(apply(ad(a), x).mat, a.conj().T @ x @ a, atol=1e-11)
 
 
@@ -314,7 +311,7 @@ def test_compose_applies_right_factor_first():
     rng = np.random.default_rng(5)
     f = random_hp_map(3, 11)
     g = random_hp_map(3, 12)
-    x = _rand_herm(rng, 3)
+    x = rand_herm(rng, 3)
     lhs = apply(compose(f, g), x).mat
     rhs = apply(f, apply(g, x).mat).mat
     assert np.allclose(lhs, rhs, atol=1e-10)
@@ -335,8 +332,8 @@ def test_adjoint_is_hs_adjoint_500_triples():
     for i in range(500):
         d = 2 + i % 3
         phi = random_hp_map(d, i)
-        x = _rand_herm(rng, d)
-        y = _rand_herm(rng, d)
+        x = rand_herm(rng, d)
+        y = rand_herm(rng, d)
         lhs = hs_inner(apply(phi, x).mat, y)
         rhs = hs_inner(x, apply(adjoint(phi), y).mat)
         assert abs(lhs - rhs) <= 1e-10
@@ -414,7 +411,7 @@ def test_from_kraus_matches_conjugation_sum():
     rng = np.random.default_rng(8)
     ops = [_rand_mat(rng, 3) for _ in range(4)]
     phi = from_kraus(ops)
-    x = _rand_herm(rng, 3)
+    x = rand_herm(rng, 3)
     direct = sum(op.conj().T @ x @ op for op in ops)
     assert np.allclose(apply(phi, x).mat, direct, atol=1e-10)
 
@@ -684,7 +681,7 @@ def test_rank_reads_run_one_batched_svd(svd_calls):
 
 def test_depolarizing_is_cp_and_unital():
     rng = np.random.default_rng(9)
-    x = _rand_herm(rng, 3)
+    x = rand_herm(rng, 3)
     for p in (0.0, 0.5, 1.0):
         phi = depolarizing(3, p)
         w, _ = hermitian_eig(choi(phi))

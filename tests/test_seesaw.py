@@ -26,10 +26,7 @@ from conekit import _seesaw
 from conekit._seesaw import random_starts, seesaw_minimize
 from conekit.linalg import _gaussian_products
 
-
-def _rand_herm(rng, n):
-    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return 0.5 * (g + g.conj().T)
+from _inputs import rand_herm
 
 
 def test_reduction_family_closed_form_minimum():
@@ -64,7 +61,7 @@ def test_product_minimum_of_kron_diagonal():
 
 def test_rectangular_dims_supported():
     rng = np.random.default_rng(1)
-    c = _rand_herm(rng, 6)
+    c = rand_herm(rng, 6)
     q2, _, _ = seesaw_minimize(c, (2, 3), 2, restarts=10)
     w = np.linalg.eigvalsh(c)
     # k = min(dims) removes the rank constraint entirely
@@ -75,14 +72,14 @@ def test_rectangular_dims_supported():
 def test_value_never_below_global_minimum():
     rng = np.random.default_rng(2)
     for i in range(20):
-        c = _rand_herm(rng, 9)
+        c = rand_herm(rng, 9)
         q, _, _ = seesaw_minimize(c, (3, 3), 1, restarts=5, seed=i)
         assert q >= np.linalg.eigvalsh(c)[0] - 1e-9
 
 
 def test_deterministic_in_seed():
     rng = np.random.default_rng(3)
-    c = _rand_herm(rng, 9)
+    c = rand_herm(rng, 9)
     out1 = seesaw_minimize(c, (3, 3), 2, restarts=6, seed=9)
     out2 = seesaw_minimize(c, (3, 3), 2, restarts=6, seed=9)
     assert out1[0] == out2[0]
@@ -193,7 +190,7 @@ def test_batched_kernel_matches_loop_oracle(dims, k, restarts):
     witness attains it with Schmidt rank <= k."""
     rng = np.random.default_rng(100 * dims[0] + 10 * dims[1] + k)
     for trial in range(2):
-        c = _rand_herm(rng, dims[0] * dims[1])
+        c = rand_herm(rng, dims[0] * dims[1])
         q, m, _ = seesaw_minimize(c, dims, k, restarts=restarts, seed=trial)
         q_ref, _, _ = _oracle(c, dims, k, restarts, trial)
         assert q <= q_ref + 1e-9 * np.abs(c).max()
@@ -208,7 +205,7 @@ def test_batched_kernel_matches_loop_oracle_at_iteration_cap(phase_evaluations):
     rng = np.random.default_rng(7)
     mixed = 0
     for trial in range(3):
-        c = _rand_herm(rng, 9)
+        c = rand_herm(rng, 9)
         uncapped = [seesaw_minimize(c, (3, 3), 1, restarts=1, seed=trial + r)[2]
                     for r in range(6)]
         for max_iters in (5, 20):
@@ -233,7 +230,7 @@ def test_batched_restarts_equal_single_restarts(phase_evaluations, dims, k, kpos
         forms = [choi(random_k_positive_map(4, 2, 1)).mat]
     else:
         rng = np.random.default_rng(10 * dims[0] + dims[1] + 100 * k)
-        forms = [_rand_herm(rng, dims[0] * dims[1]) for _ in range(4)]
+        forms = [rand_herm(rng, dims[0] * dims[1]) for _ in range(4)]
     batched_phase = 0
     for seed, c in enumerate(forms):
         singles = [seesaw_minimize(c, dims, k, restarts=1, seed=seed + r) for r in range(6)]
@@ -298,8 +295,8 @@ def kernel_steps(monkeypatch):
 def _eigh_inputs():
     rng = np.random.default_rng(12)
     inputs = [(choi(phi).mat, (3, 3), k) for phi in _kpos_family()[:6] for k in (1, 2)]
-    inputs += [(_rand_herm(rng, 12), (3, 4), k) for k in (1, 2, 3)]
-    inputs += [(_rand_herm(rng, 16), (4, 4), k) for k in (1, 2, 3)]
+    inputs += [(rand_herm(rng, 12), (3, 4), k) for k in (1, 2, 3)]
+    inputs += [(rand_herm(rng, 16), (4, 4), k) for k in (1, 2, 3)]
     inputs += [(choi(random_k_positive_map(4, 2, 1)).mat, (4, 4), 2),
                (np.zeros((9, 9)), (3, 3), 2)]
     return inputs

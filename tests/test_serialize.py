@@ -43,6 +43,8 @@ from conekit.serialize import (
 )
 from conekit.witness import ScanPoint, threshold_scan
 
+from _inputs import cho_kye_lee_choi
+
 
 def test_matrix_round_trip_with_dims():
     rng = np.random.default_rng(0)
@@ -147,19 +149,8 @@ def test_certificate_round_trip_keeps_split():
     assert np.abs(a + pt_b - swap_matrix(2)).max() <= 1e-8
 
 
-def _choi_map_phi201() -> np.ndarray:
-    """Choi matrix of the Choi map Phi[2,0,1] on M_3: positive, not
-    decomposable."""
-    c = np.zeros((9, 9), dtype=complex)
-    for i in range(3):
-        c[3 * i:3 * i + 3, 3 * i:3 * i + 3] = np.diag(np.roll([2.0, 1.0, 0.0], i))
-        for j in range(3):
-            c[3 * i + i, 3 * j + j] -= 1.0
-    return c
-
-
 def test_certificate_round_trip_keeps_ppt_witness():
-    c = _choi_map_phi201()
+    c = cho_kye_lee_choi(2.0, 0.0, 1.0)
     cert = decomposable_certify(MatrixOp(c, dims=(3, 3)))
     assert cert.detail == "ppt-witness"
     back = _assert_extras_round_trip(cert)
@@ -286,7 +277,7 @@ def _report_payloads():
     ops = np.random.default_rng(7).normal(size=(2, 4, 4, 2)) @ np.array([1.0, 1j])
     return {
         "split-d2": map_to_json(reduction_family(2, 0.8)),
-        "ppt-witness-d3": matrix_to_json(MatrixOp(_choi_map_phi201(), dims=(3, 3))),
+        "ppt-witness-d3": matrix_to_json(MatrixOp(cho_kye_lee_choi(2.0, 0.0, 1.0), dims=(3, 3))),
         "kraus-d4": kraus_to_json(KrausSet(ops)),
     }
 

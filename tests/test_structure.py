@@ -2,6 +2,7 @@
 one home, so a second copy of it fails here rather than in review."""
 
 import ast
+import re
 from pathlib import Path
 
 import conekit
@@ -77,6 +78,13 @@ EINSUM_SITES = {
 # classified outside certify.
 CLI_UNNAMED = {"map_from_choi", "to_map"}
 
+# The one decision of a chain level: every chain detail ("choi-psd",
+# "min-eigenvector*", "seesaw*", with or without a prefix) is written in
+# k_block_positive_certify, which is also is_cp and is_ccp, and the see-saw
+# is run only there and by the reduction scan's one search.
+CHAIN_DETAIL_SITES = {"certify.k_block_positive_certify"}
+SEESAW_SITES = {"certify.k_block_positive_certify", "witness.threshold_scan"}
+
 
 def _top_level_functions(path):
     """(qualified name, node) of each module-level function, class bodies
@@ -149,6 +157,13 @@ def _is_memo(decorator):
     node = decorator.func if isinstance(decorator, ast.Call) else decorator
     name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
     return name in ("lru_cache", "cache")
+
+
+def _is_chain_detail(node):
+    """A one-word string constant naming a chain level's evidence."""
+    return (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and re.fullmatch(r"[\w+-]*(choi-psd|min-eigenvector|seesaw)[\w+-]*",
+                             node.value) is not None)
 
 
 def _names(path):
@@ -239,3 +254,16 @@ def test_json_is_written_only_in_serialize():
 def test_cli_hands_classify_the_operator_as_loaded():
     cli_source = next(path for path in SOURCES if path.stem == "cli")
     assert not _names(cli_source) & CLI_UNNAMED
+
+
+def test_chain_details_are_written_only_in_the_level_decision():
+    assert _sites(_is_chain_detail) == CHAIN_DETAIL_SITES
+    # and no other module holds one, not even outside its functions
+    modules = {path.stem for path in SOURCES
+               if any(_is_chain_detail(node)
+                      for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))}
+    assert modules == {site.split(".")[0] for site in CHAIN_DETAIL_SITES}
+
+
+def test_seesaw_runs_only_in_the_level_decision_and_the_reduction_scan():
+    assert _sites(_calls("seesaw_minimize")) == SEESAW_SITES
