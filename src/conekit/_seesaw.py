@@ -64,6 +64,7 @@ as the reference the tests compare against.
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -330,21 +331,35 @@ def _start_frames(da: int, db: int, k: int, restarts: int, seed: int) -> np.ndar
     return frames
 
 
-def _check_search(restarts, max_iters, eps_conv, seed) -> None:
-    """Raise BadParam unless restarts, max_iters and seed are integers (numpy
-    ones pass, bool does not), the two counts are >= 1 (a search that never
-    runs has no value to report), seed is >= 0 (numpy's generators take no
-    negative seed) and eps_conv passes _check_eps."""
-    _check_count("restarts", restarts, 1)
-    _check_count("max_iters", max_iters, 1)
-    _check_count("seed", seed, 0)
-    _check_eps("eps_conv", eps_conv)
+@dataclass(frozen=True)
+class SeesawOpts:
+    """The see-saw's restarts, iteration cap, stop threshold and seed, and the
+    margin factor eps_neg of the decisions built on it. BadParam unless, in
+    this order, restarts and max_iters pass _check_count at 1 (a search that
+    never runs has no value), seed at 0 and eps_conv and eps_neg _check_eps."""
+
+    restarts: int = 20
+    max_iters: int = 500
+    eps_conv: float = 1e-10
+    eps_neg: float = 1e-9
+    seed: int = 42
+
+    def __post_init__(self) -> None:
+        _check_count("restarts", self.restarts, 1)
+        _check_count("max_iters", self.max_iters, 1)
+        _check_count("seed", self.seed, 0)
+        _check_eps("eps_conv", self.eps_conv)
+        _check_eps("eps_neg", self.eps_neg)
+
+
+DEFAULT_OPTS = SeesawOpts()
 
 
 def seesaw_minimize(c_mat: np.ndarray, dims: tuple[int, int], k: int,
-                    restarts: int = 20, max_iters: int = 500,
-                    eps_conv: float = 1e-10,
-                    seed: int = 42) -> tuple[float, np.ndarray, int]:
+                    restarts: int = DEFAULT_OPTS.restarts,
+                    max_iters: int = DEFAULT_OPTS.max_iters,
+                    eps_conv: float = DEFAULT_OPTS.eps_conv,
+                    seed: int = DEFAULT_OPTS.seed) -> tuple[float, np.ndarray, int]:
     """Best value, best dA x dB coefficient matrix (unit Frobenius norm, rank
     <= k) and the total iteration count over all restarts: see-saw sweeps
     plus quasi-Newton evaluations. Deterministic in seed.
@@ -357,14 +372,12 @@ def seesaw_minimize(c_mat: np.ndarray, dims: tuple[int, int], k: int,
     gains less than that, keeping the half-step's value and witness; the
     sweep still counts as one iteration.
 
-    Raises BadParam unless restarts, max_iters and seed are integers (numpy
-    ones pass, bool does not) with both counts >= 1 and seed >= 0 and
-    eps_conv is a finite real >= 0, and when an entry of C is not finite (a
-    NaN or inf one makes every value inf); DimMismatch unless dims are
-    integers >= 1 and C is (dA dB) x (dA dB); BadK unless k is an integer in
-    1..min(dims).
+    Raises BadParam when the arguments fail SeesawOpts's rule (they are
+    checked by building one) and when an entry of C is not finite (a NaN or
+    inf one makes every value inf); DimMismatch unless dims are integers >= 1
+    and C is (dA dB) x (dA dB); BadK unless k is an integer in 1..min(dims).
     """
-    _check_search(restarts, max_iters, eps_conv, seed)
+    SeesawOpts(restarts, max_iters, eps_conv, seed=seed)
     c = _matrix(c_mat)
     _check_square(c)
     da, db = _split(dims, c.shape[0])

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._seesaw import _check_search, seesaw_minimize
+from ._seesaw import DEFAULT_OPTS, SeesawOpts, seesaw_minimize
 from .errors import BadParam, ConekitError, DimMismatch, NotPSD
 from .linalg import (
     PSD_TOL,
@@ -23,7 +23,6 @@ from .linalg import (
     BipartiteVector,
     MatrixOp,
     _check_count,
-    _check_eps,
     _check_level,
     _dims,
     _hermitian_part,
@@ -49,23 +48,6 @@ class Verdict(str, Enum):
     VIOLATION = "ViolationFound"
     MEMBERSHIP = "MembershipProven"
     INCONCLUSIVE = "Inconclusive"
-
-
-@dataclass(frozen=True)
-class SeesawOpts:
-    restarts: int = 20
-    max_iters: int = 500
-    eps_conv: float = 1e-10
-    eps_neg: float = 1e-9
-    seed: int = 42
-
-    def __post_init__(self) -> None:
-        # the see-saw's own rule, applied whatever the input
-        _check_search(self.restarts, self.max_iters, self.eps_conv, self.seed)
-        _check_eps("eps_neg", self.eps_neg)
-
-
-DEFAULT_OPTS = SeesawOpts()
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,8 +178,17 @@ def schmidt_number_bounds(c: MatrixOp, *, construction: KrausSet | None = None,
     PSD_TOL * max|M| of the matrix M tested, so the bounds are the same at
     every scale of C. A caller that has already proven C PSD (as `classify`'s
     chains do) passes C's `hermitian_eig` as eig, and C is not judged again.
+    A construction must factor C: DimMismatch unless C's dims are (d, d) for
+    its operators on C^d, BadParam when its Choi matrix misses C by more than
+    PSD_TOL * max|C| (the reconstruction rule of `compose_certified`).
     """
     da, db = _dims(c)
+    if construction is not None:
+        if (da, db) != (construction.d,) * 2:
+            raise DimMismatch(f"C has dims {(da, db)}; its construction acts on M_{construction.d}")
+        err = float(np.abs(choi(construction.to_map()).mat - c.mat).max())
+        if err > _margin(c.mat, PSD_TOL):
+            raise BadParam(f"the Kraus construction misses C by {err:.3e}")
     if eig is None:
         eig = hermitian_eig(c)
         if float(eig[0][0]) < -_margin(c.mat, PSD_TOL):

@@ -25,7 +25,6 @@ from .errors import (
     BadFamily,
     BadK,
     BadParam,
-    BadRank,
     ConekitError,
     EmptyList,
 )
@@ -37,7 +36,7 @@ INVARIANT_ERROR = 3
 FUZZ_FAILURE = 4
 
 _PARSE_EXC = (ValueError, KeyError, TypeError, OSError,
-              BadFamily, BadParam, BadK, BadRank, EmptyList)
+              BadFamily, BadParam, BadK, EmptyList)
 
 
 @functools.lru_cache(maxsize=1)

@@ -41,10 +41,6 @@ class EmptyList(ConekitError):
     """An operator or vector list that must be nonempty is empty."""
 
 
-class BadRank(ConekitError):
-    """Requested rank is outside 1..d."""
-
-
 class BadK(ConekitError):
     """Schmidt level k outside 1..d."""
 

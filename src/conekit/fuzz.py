@@ -8,7 +8,8 @@ import numpy as np
 
 from .certify import dual_pairing
 from .errors import BadFamily, BadK
-from .linalg import _check_count, _hermitian_part, _is_int, hs_inner, unreshuffle, reshuffle
+from .linalg import (_check_count, _check_level, _complex_gaussian, _hermitian_part, hs_inner,
+                     reshuffle, unreshuffle)
 from .maps import (
     _random_kraus,
     _reduction_images,
@@ -24,17 +25,9 @@ from .maps import (
     random_k_positive_map,
 )
 
-SUITES = ("duality", "composition", "bijection", "adjoint")
-
-
 def _sub_seeds(seed: int, n: int) -> list[int]:
     rng = np.random.default_rng(seed)
     return [int(x) for x in rng.integers(0, 2**63 - 1, size=n)]
-
-
-def _check_levels(d: int, ks) -> None:
-    if not ks or not all(_is_int(k, 1) and k <= d for k in ks):
-        raise BadK(f"levels {list(ks)} must be a non-empty choice from 1..{d}")
 
 
 def _run(suite: str, n: int, seed: int, params: dict, one) -> dict:
@@ -58,10 +51,15 @@ def _run(suite: str, n: int, seed: int, params: dict, one) -> dict:
     }
 
 
-def fuzz_duality(n: int, d: int = 3, ks=(1, 2), seed: int = 0) -> dict:
+def fuzz_duality(n: int, d: int = 3, ks=None, seed: int = 0) -> dict:
     """Pairing of a random Schmidt-rank-k CP map against a random k-positive
-    map is nonnegative (>= -1e-9) for each level k."""
-    _check_levels(d, ks)
+    map is nonnegative (>= -1e-9) for each level k in ks: a non-empty choice
+    from 1..d (BadK otherwise), by default the levels below d, at most 2."""
+    ks = tuple(k for k in (1, 2) if k < d) if ks is None else tuple(ks)
+    if not ks:
+        raise BadK(f"no level to check in 1..{d}")
+    for k in ks:
+        _check_level(k, d)
     tol = 1e-9
 
     def one(inst_seed: int):
@@ -81,7 +79,7 @@ def fuzz_composition(n: int, d: int = 3, k: int = 2, seed: int = 0) -> dict:
     """compose(psi, ad(a)) with rank(a) <= k and psi k-positive factors into
     rank <= k Kraus terms; the level-k reduction detector never fires on the
     composite's Choi matrix. Residuals count up to 1e-9."""
-    _check_levels(d, (k,))
+    _check_level(k, d)
     tol = 1e-9
 
     def one(inst_seed: int):
@@ -116,8 +114,7 @@ def fuzz_bijection(n: int, dims=(2, 3, 4), seed: int = 0) -> dict:
         err = float(np.abs(back.super_mat - phi.super_mat).max())
         if err > tol:
             return f"round-trip error {err:.3e} at d={d}"
-        rng = np.random.default_rng(inst_seed)
-        g = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+        g = _complex_gaussian(np.random.default_rng(inst_seed), (d * d, d * d))
         if not np.array_equal(unreshuffle(reshuffle(g, d), d), g):
             return f"reshuffle round-trip not exact at d={d}"
         return None
@@ -132,12 +129,8 @@ def fuzz_adjoint(n: int, d: int = 3, seed: int = 0) -> dict:
     def one(inst_seed: int):
         phi = random_hp_map(d, inst_seed)
         rng = np.random.default_rng(inst_seed + 1)
-        mats = []
-        for _ in range(2):
-            g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            h = _hermitian_part(g)
-            mats.append(h / np.linalg.norm(h))
-        x, y = mats
+        hs = [_hermitian_part(_complex_gaussian(rng, (d, d))) for _ in range(2)]
+        x, y = (h / np.linalg.norm(h) for h in hs)
         lhs = hs_inner(apply(phi, x), y)
         rhs = hs_inner(x, apply(adjoint(phi), y))
         if abs(lhs - rhs) > tol:
@@ -147,23 +140,28 @@ def fuzz_adjoint(n: int, d: int = 3, seed: int = 0) -> dict:
     return _run("adjoint", n, seed, {"d": d, "tol": tol}, one)
 
 
+# Each suite by name, with where the CLI's --d and --k go among its
+# parameters; None for a suite that reads no level.
+_SUITES = {
+    "duality": (fuzz_duality, lambda d: {"d": d}, lambda k: {"ks": (k,)}),
+    "composition": (fuzz_composition, lambda d: {"d": d}, lambda k: {"k": k}),
+    "bijection": (fuzz_bijection, lambda d: {"dims": (d,)}, None),
+    "adjoint": (fuzz_adjoint, lambda d: {"d": d}, None),
+}
+SUITES = tuple(_SUITES)
+
+
 def run_suite(suite: str, n: int, seed: int, d: int | None = None,
               k: int | None = None) -> dict:
-    """One suite with its defaults for what is not given. A level k given to
-    a suite that reads none (bijection, adjoint) raises BadK rather than be
-    ignored."""
-    if k is not None and suite in ("bijection", "adjoint"):
+    """One suite at the d and k given, its own defaults for the rest. A
+    level k given to a suite that reads none (bijection, adjoint) raises
+    BadK rather than be ignored."""
+    if suite not in _SUITES:
+        raise BadFamily(f"unknown fuzz suite {suite!r}; choose from {SUITES}")
+    fn, d_args, k_args = _SUITES[suite]
+    if k is not None and k_args is None:
         raise BadK(f"the {suite} suite takes no level; got k={k}")
-    if suite == "duality":
-        dd = d if d is not None else 3
-        ks = (k,) if k is not None else tuple(range(1, min(dd, 3)))
-        return fuzz_duality(n, d=dd, ks=ks, seed=seed)
-    if suite == "composition":
-        dd = d if d is not None else 3
-        return fuzz_composition(n, d=dd, k=k if k is not None else 2, seed=seed)
-    if suite == "bijection":
-        dims = (d,) if d is not None else (2, 3, 4)
-        return fuzz_bijection(n, dims=dims, seed=seed)
-    if suite == "adjoint":
-        return fuzz_adjoint(n, d=d if d is not None else 3, seed=seed)
-    raise BadFamily(f"unknown fuzz suite {suite!r}; choose from {SUITES}")
+    kwargs = {} if d is None else d_args(d)
+    if k is not None:
+        kwargs.update(k_args(k))
+    return fn(n, seed=seed, **kwargs)

@@ -85,13 +85,13 @@ def _check_level(k, top: int) -> None:
         raise BadK(f"k={k} outside 1..{top}")
 
 
-def _rank(values: np.ndarray, tol: float) -> int:
+def _rank(values: np.ndarray, tol: float) -> int | np.ndarray:
     """Number of nonnegative values above tol times the largest; 0 when the
-    largest is not positive."""
-    top = float(values.max()) if values.size else 0.0
-    if not top > 0.0:
-        return 0
-    return int(np.count_nonzero(values > tol * top))
+    largest is not positive. A stack of value rows is counted row by row
+    (an array of counts, each the int its row alone gives)."""
+    top = values.max(axis=-1, keepdims=True, initial=0.0)
+    counts = np.count_nonzero(values > tol * top, axis=-1)
+    return int(counts) if values.ndim == 1 else counts
 
 
 def _gaussian_products(rng: np.random.Generator, n: int, da: int, k: int, db: int) -> np.ndarray:
@@ -103,6 +103,12 @@ def _gaussian_products(rng: np.random.Generator, n: int, da: int, k: int, db: in
     g1 = (z[:, :a] + 1j * z[:, a:2 * a]).reshape(n, da, k)
     g2 = (z[:, 2 * a:2 * a + b] + 1j * z[:, 2 * a + b:]).reshape(n, k, db)
     return g1 @ g2
+
+
+def _complex_gaussian(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """A complex Gaussian array, the draw of every full-rank random matrix:
+    all real parts are read first, then all imaginary parts."""
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
 def _matrix(x) -> np.ndarray:

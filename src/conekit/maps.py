@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import (
     BadParam,
-    BadRank,
     BlockNotPSD,
     DimMismatch,
     EmptyList,
@@ -31,6 +30,7 @@ from .linalg import (
     _check_hermitian_pair,
     _check_level,
     _check_square,
+    _complex_gaussian,
     _dims,
     _eigh,
     _freeze,
@@ -107,8 +107,7 @@ class KrausSet:
     @property
     def rank(self) -> int:
         """The largest numerical rank among the operators, from one batched SVD."""
-        s = np.linalg.svd(self.operators, compute_uv=False)
-        return int(np.count_nonzero(s > RANK_TOL * s[:, :1], axis=1).max())
+        return int(_rank(np.linalg.svd(self.operators, compute_uv=False), RANK_TOL).max())
 
     def to_map(self) -> MapRep:
         return MapRep(self.d, _kraus_super(self.operators))
@@ -260,8 +259,7 @@ def random_cp_map(d: int, k: int, n_ops: int, seed: int) -> MapRep:
     """CP map built from n_ops random Kraus operators of exact rank <= k,
     each a product of d x k and k x d complex Gaussian factors."""
     _check_dim(d)
-    if not _is_int(k, 1) or k > d:
-        raise BadRank(f"rank level k={k} outside 1..{d}")
+    _check_level(k, d)
     _check_count("n_ops", n_ops, 1)
     _check_count("seed", seed, 0)
     return MapRep(d, _kraus_super(_random_kraus(d, k, n_ops, seed)))
@@ -271,8 +269,7 @@ def random_hp_map(d: int, seed: int) -> MapRep:
     """Hermiticity-preserving map with a GUE-like random Hermitian Choi matrix."""
     _check_dim(d)
     _check_count("seed", seed, 0)
-    rng = np.random.default_rng(seed)
-    g = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+    g = _complex_gaussian(np.random.default_rng(seed), (d * d, d * d))
     return map_from_choi(_hermitian_part(g))
 
 

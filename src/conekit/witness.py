@@ -8,8 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._seesaw import seesaw_minimize
-from .certify import DEFAULT_OPTS, SeesawOpts
+from ._seesaw import DEFAULT_OPTS, SeesawOpts, seesaw_minimize
 from .errors import BadFamily, BadParam, NotAState
 from .linalg import (
     MatrixOp,

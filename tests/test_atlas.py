@@ -14,6 +14,13 @@ cone memberships are known in closed form.
   positive iff a >= 1, a + b + c >= 3 and, for 1 <= a <= 2,
   bc >= (2-a)^2; decomposable iff a >= 1 and, for a <= 3,
   bc >= (3-a)^2/4; completely positive iff a >= 3.
+- The Breuer-Hall map phi(X) = Tr(X) 1 - X - U X^T U^dag on M_4 with
+  U = i sigma_y (+) i sigma_y, and phi o ad(V) for seeded unitaries V:
+  positive and co-positive, not decomposable, and neither 2-positive nor
+  2-copositive: for eta = e_1 (x) e_1 + e_2 (x) e_3, the principal 2 x 2
+  minor of (1_2 (x) phi)(|eta><eta|) at e_1 (x) e_1, e_2 (x) e_3, and that
+  of the co-map's image at e_1 (x) e_2, e_2 (x) e_4, are [[0, -1], [-1, 0]].
+  Conjugation by a unitary leaves every one of these memberships unchanged.
 
 A report may leave a cone Inconclusive, but it never proves membership
 outside the cone's region nor finds a violation inside it, and reported
@@ -26,7 +33,8 @@ less fails here as well.
 import numpy as np
 import pytest
 
-from conekit import MatrixOp, classify, isotropic_state, werner_state
+from conekit import (MapRep, MatrixOp, ad, classify, compose, isotropic_state,
+                     reduction_family, transpose_map, werner_state)
 from conekit.certify import Verdict
 
 from _inputs import cho_kye_lee_choi
@@ -84,8 +92,22 @@ def _cho_kye_lee():
         yield MatrixOp(cho_kye_lee_choi(a, b, c), dims=(3, 3)), True, cones, None
 
 
+def _breuer_hall():
+    u = np.kron(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    # ad(u^dag)(Y) = u Y u^dag, so the subtracted term is ad(u^dag) o transpose
+    phi = MapRep(4, reduction_family(4, 1.0).super_mat
+                 - compose(ad(u.conj().T), transpose_map(4)).super_mat)
+    cones = {"p[1]": True, "co_p[1]": True, "dec": False}
+    cones.update({f"{chain}[{k}]": False for chain in ("p", "co_p") for k in (2, 3, 4)})
+    rng = np.random.default_rng(14)
+    yield phi, True, cones, None
+    for _ in range(6):
+        q, r = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        yield compose(phi, ad(q * (np.diag(r) / np.abs(np.diag(r))))), True, cones, None
+
+
 FAMILIES = {"tomiyama": _tomiyama, "isotropic": _isotropic, "werner": _werner,
-            "cho-kye-lee": _cho_kye_lee}
+            "cho-kye-lee": _cho_kye_lee, "breuer-hall": _breuer_hall}
 
 # The decided points of each cone today, out of the points off its
 # boundary; for "schmidt", the points whose Schmidt bounds meet.
@@ -95,6 +117,10 @@ FLOORS = {
     "isotropic": {"co_p[3]": 9, "schmidt": 3},
     "werner": {"co_p[2]": 9, "schmidt": 6},
     "cho-kye-lee": {"p[1]": 9, "dec": 24, "p[3]": 24},
+    # positivity sits at value 0 (phi has many product zeros) and stays
+    # Inconclusive; every violation and the PPT witness are found
+    "breuer-hall": {"p[1]": 0, "co_p[1]": 0, "dec": 7,
+                    **{f"{chain}[{k}]": 7 for chain in ("p", "co_p") for k in (2, 3, 4)}},
 }
 
 

@@ -50,6 +50,7 @@ from conekit.errors import (
     BadK,
     BadParam,
     ConekitError,
+    DimMismatch,
     MissingDims,
     NotHermitian,
     NotPSD,
@@ -338,10 +339,41 @@ def test_bounds_require_psd():
 
 def test_bounds_contradiction_rejected():
     """A construction claiming rank 1 for the maximally entangled projector
-    contradicts the fired detectors."""
+    does not factor it, so it is refused as input (BadParam) before its rank
+    could contradict the fired detectors."""
     fake = KrausSet((np.eye(3, dtype=complex)[:, :1] @ np.ones((1, 3)),))
-    with pytest.raises(ConekitError):
+    with pytest.raises(BadParam, match="misses C"):
         schmidt_number_bounds(max_entangled_projector(3), construction=fake)
+
+
+def _horodecki_state(a):
+    """P. Horodecki's 3 x 3 state at 0 < a < 1: PSD and PPT, yet entangled
+    (bound entangled), so no reduction detector fires on it."""
+    rho = a * np.eye(9, dtype=complex)
+    for i in (0, 4, 8):
+        for j in (0, 4, 8):
+            rho[i, j] = a
+    rho[6, 6] = rho[8, 8] = (1 + a) / 2
+    rho[6, 8] = rho[8, 6] = np.sqrt(1 - a * a) / 2
+    return MatrixOp(rho / (8 * a + 1), dims=(3, 3))
+
+
+def test_bounds_refuse_a_construction_of_another_operator():
+    """An unrelated rank-one Kraus set claimed a Schmidt number of 1, a
+    separability claim, for the bound-entangled Horodecki state, whose own
+    bounds are (1, 3): a construction that does not factor C is refused."""
+    rho = _horodecki_state(0.5)
+    assert np.linalg.eigvalsh(partial_transpose(rho).mat)[0] > -_margin(rho.mat, PSD_TOL)
+    assert schmidt_number_bounds(rho) == (1, 3)
+    with pytest.raises(BadParam, match="misses C"):
+        schmidt_number_bounds(rho, construction=KrausSet([np.diag([1.0, 0.0, 0.0])]))
+
+
+def test_bounds_refuse_a_construction_of_another_dimension():
+    """A Kraus set on M_2 cannot factor a 3 x 3 state: DimMismatch at the
+    boundary, not the contradiction blamed on a detector's k tag."""
+    with pytest.raises(DimMismatch, match="M_2"):
+        schmidt_number_bounds(isotropic_state(3, 0.9), construction=KrausSet([np.eye(2)]))
 
 
 def test_bounds_separable_state():

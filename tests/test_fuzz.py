@@ -1,8 +1,11 @@
 """Seeded fuzz suite behavior: green runs, determinism and replayability."""
 
+import re
+
 import numpy as np
 import pytest
 
+from conekit import KrausSet, MapRep, choi, fuzz, random_cp_map, random_hp_map
 from conekit.errors import BadFamily, BadK, BadParam
 from conekit.fuzz import (
     SUITES,
@@ -36,6 +39,86 @@ def test_instance_seeds_are_replayable():
     assert full["failed"] == 0 and solo["failed"] == 0
     # same instance: single-run params match the full run's sub-case
     assert solo["params"] == full["params"]
+
+
+def test_duality_defaults_are_the_cli_levels():
+    """fuzz_duality's default levels are those below d, at most 2: the same
+    run as the CLI's at every d."""
+    for d in (2, 3, 4):
+        assert fuzz_duality(3, d=d, seed=5) == run_suite("duality", 3, 5, d=d)
+    assert fuzz_duality(2, d=2)["params"]["ks"] == [1]
+    assert fuzz_duality(2, d=4)["params"]["ks"] == [1, 2]
+
+
+def _break_duality(monkeypatch, seed):
+    """The pairing of instance seed's level-1 CP map reads -1."""
+    s_phi, _ = fuzz._sub_seeds(seed, 2)
+    target = random_cp_map(3, 1, 3, s_phi + 1).super_mat
+    pairing = fuzz.dual_pairing
+    monkeypatch.setattr(fuzz, "dual_pairing", lambda phi, psi: (
+        -1.0 if np.array_equal(phi.super_mat, target) else pairing(phi, psi)))
+    return re.escape("pairing -1.000e+00 < -1e-09 at k=1")
+
+
+def _break_composition(monkeypatch, seed):
+    """Instance seed's factorization comes back as the rank-3 identity."""
+    s_a, _ = fuzz._sub_seeds(seed, 2)
+    target = fuzz._random_kraus(3, 2, 1, s_a)[0]
+    certified = fuzz.compose_certified
+    monkeypatch.setattr(fuzz, "compose_certified", lambda a, psi, k: (
+        KrausSet([np.eye(3)]) if np.array_equal(a, target) else certified(a, psi, k)))
+    return re.escape("factor rank 3 > 2")
+
+
+def _break_bijection(monkeypatch, seed):
+    """Instance seed's Choi matrix maps back to its map plus 1e-6 times the
+    identity superoperator."""
+    d = (2, 3, 4)[seed % 3]
+    target = choi(random_hp_map(d, seed)).mat
+    from_choi = fuzz.map_from_choi
+
+    def broken(c):
+        back = from_choi(c)
+        if np.array_equal(c.mat, target):
+            return MapRep(d, back.super_mat + 1e-6 * np.eye(d * d))
+        return back
+
+    monkeypatch.setattr(fuzz, "map_from_choi", broken)
+    return re.escape(f"round-trip error 1.000e-06 at d={d}")
+
+
+def _break_adjoint(monkeypatch, seed):
+    """Instance seed's adjoint comes back doubled."""
+    target = random_hp_map(3, seed).super_mat
+    adjoint = fuzz.adjoint
+
+    def broken(phi):
+        dag = adjoint(phi)
+        if np.array_equal(phi.super_mat, target):
+            return MapRep(3, 2.0 * dag.super_mat)
+        return dag
+
+    monkeypatch.setattr(fuzz, "adjoint", broken)
+    return r"pairing mismatch \d\.\d{3}e[-+]\d{2}"
+
+
+@pytest.mark.parametrize("suite, breaks", [
+    ("duality", _break_duality), ("composition", _break_composition),
+    ("bijection", _break_bijection), ("adjoint", _break_adjoint),
+])
+def test_a_failed_instance_is_recorded_and_replays(suite, breaks, monkeypatch):
+    """With the check of one instance forced to fail, the run records that
+    instance alone: its index i, its seed s + i and the check's detail; the
+    n = 1 run at seed s + i reproduces the same detail."""
+    base, index = 20, 3
+    pattern = breaks(monkeypatch, base + index)
+    out = run_suite(suite, 5, base)
+    assert (out["n"], out["passed"], out["failed"]) == (5, 4, 1)
+    [record] = out["failures"]
+    assert (record["index"], record["seed"]) == (index, base + index)
+    assert re.fullmatch(pattern, record["detail"])
+    replay = run_suite(suite, 1, base + index)
+    assert replay["failures"] == [{"index": 0, "seed": base + index, "detail": record["detail"]}]
 
 
 def test_composition_checks_bubble_up_details():

@@ -57,7 +57,6 @@ from conekit.linalg import (
 from conekit.errors import (
     BadK,
     BadParam,
-    BadRank,
     BlockNotPSD,
     DimMismatch,
     EmptyList,
@@ -453,7 +452,7 @@ def test_from_kraus_input_validation():
 
 
 def test_random_cp_map_rejects_rank_outside_range():
-    with pytest.raises(BadRank):
+    with pytest.raises(BadK):
         random_cp_map(3, 4, 2, 0)
     with pytest.raises(BadParam):
         random_cp_map(3, 2, 0, 0)
@@ -792,8 +791,8 @@ _RANK_ONE = np.diag([1.0, 0.0, 0.0])
 
 
 @pytest.mark.parametrize("build,error", [
-    (lambda: random_cp_map(3, True, 1, 0), BadRank),
-    (lambda: random_cp_map(3, 1.5, 1, 0), BadRank),
+    (lambda: random_cp_map(3, True, 1, 0), BadK),
+    (lambda: random_cp_map(3, 1.5, 1, 0), BadK),
     (lambda: random_cp_map(3, 1, 2.5, 0), BadParam),
     (lambda: random_cp_map(3, 1, True, 0), BadParam),
     (lambda: random_cp_map(3, 1, 1, -1), BadParam),

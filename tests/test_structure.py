@@ -36,12 +36,32 @@ SVD_SITES = {
 
 # The functions that may draw normal deviates: linalg._gaussian_products,
 # the one draw behind every random rank <= k object (see-saw starts, Kraus
-# operators, pure terms of a Schmidt-bounded state), and the full-rank
-# Gaussian matrices of a random HP map and of two fuzz suites.
-NORMAL_SITES = {
-    "linalg._gaussian_products", "maps.random_hp_map",
-    "fuzz.fuzz_bijection", "fuzz.fuzz_adjoint",
-}
+# operators, pure terms of a Schmidt-bounded state), and
+# linalg._complex_gaussian, the one draw of every full-rank complex Gaussian
+# matrix (a random HP map's Choi matrix, the bijection and adjoint suites'
+# inputs).
+NORMAL_SITES = {"linalg._gaussian_products", "linalg._complex_gaussian"}
+
+# The one rank count: linalg._rank, which counts one row of values or each
+# row of a stack (a Kraus set's operators) against its own largest value.
+COUNT_SITES = {"linalg._rank"}
+
+# The integer rule of every count, level, seed and dimension is
+# linalg._is_int, read by linalg's count, level and dims checks and by the
+# maps' dimension check; no other function restates it.
+IS_INT_SITES = {"linalg._check_count", "linalg._check_level", "linalg._split",
+                "maps._check_dim"}
+
+# The functions that raise BadK: linalg._check_level, the one range rule of
+# a Schmidt level (every generator, certifier, scan and fuzz suite calls
+# it), and the two fuzz refusals of a run with no level to check: a duality
+# run at no level, and a level given to a suite that reads none.
+BAD_K_SITES = {"linalg._check_level", "fuzz.fuzz_duality", "fuzz.run_suite"}
+
+# Names gone from the source: each rule they restated has its one home above
+# (_check_level for BadRank and fuzz._check_levels, SeesawOpts for the
+# see-saw's _check_search).
+RETIRED_NAMES = {"BadRank", "_check_levels", "_check_search"}
 
 # The places that tell a MatrixOp from a raw array: linalg._matrix, which
 # also applies the entry rule (no NaN or infinite entry) to the raw array,
@@ -217,6 +237,41 @@ def test_svds_sit_in_allow_listed_functions():
 
 def test_normal_draws_sit_in_allow_listed_functions():
     assert _sites(_calls("normal")) == NORMAL_SITES
+
+
+def test_rank_counts_sit_in_the_one_rank_rule():
+    assert _sites(_calls("count_nonzero")) == COUNT_SITES
+
+
+def test_the_integer_rule_is_read_only_by_the_checks():
+    assert _sites(_calls("_is_int")) == IS_INT_SITES
+
+
+def test_bad_levels_are_raised_only_by_the_level_rule_and_the_fuzz_refusals():
+    assert _sites(_calls("BadK")) == BAD_K_SITES
+
+
+def test_retired_rules_are_gone():
+    assert not set().union(*(_names(path) for path in SOURCES)) & RETIRED_NAMES
+
+
+def test_search_options_live_beside_the_search():
+    """SeesawOpts and DEFAULT_OPTS are defined in _seesaw, re-exported by
+    certify and the package; seesaw_minimize's defaults read DEFAULT_OPTS,
+    and witness takes both from _seesaw, not from certify."""
+    from conekit import _seesaw, certify
+
+    assert conekit.SeesawOpts is certify.SeesawOpts is _seesaw.SeesawOpts
+    assert certify.DEFAULT_OPTS is _seesaw.DEFAULT_OPTS
+    seesaw = next(path for path in SOURCES if path.stem == "_seesaw")
+    fn = dict(_top_level_functions(seesaw))["_seesaw.seesaw_minimize"]
+    named = fn.args.args[-len(fn.args.defaults):]
+    assert [(arg.arg, ast.unparse(default)) for arg, default in zip(named, fn.args.defaults)] == [
+        (name, f"DEFAULT_OPTS.{name}") for name in ("restarts", "max_iters", "eps_conv", "seed")]
+    witness = next(path for path in SOURCES if path.stem == "witness")
+    modules = {node.module for node in ast.walk(ast.parse(witness.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ImportFrom)}
+    assert "certify" not in modules | _names(witness)
 
 
 def test_einsums_sit_in_allow_listed_functions():
