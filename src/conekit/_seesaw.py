@@ -49,13 +49,13 @@ half-step, as the iterate is (B U^T)^T; a
 quasi-Newton step hands over its frame V directly. The starts' frames (the
 first sweep reads nothing else) follow the same rule from their first k
 rows and come from a memo, so two chains' levels draw their starts once. A
-restart stops when a sweep moves its value by less than the stop threshold,
-or after max_iters iterations (sweeps and evaluations together). It stops
-earlier in the same sweep, skipping the right half-step with its `eigh` and
-its two `qr` calls, when the left half-step gains less than the threshold
-and the restart has a full sweep behind it since its start or its last
-phase: a sweep's decrease is the sum of its half-steps' decreases, both
->= 0. The value and witness P V kept are that half-step's, and the cut
+restart stops when a sweep moves its value by less than the stop threshold
+_EPS_CONV * max|C|, or after _MAX_ITERS iterations (sweeps and evaluations
+together). It stops earlier in the same sweep, skipping the right
+half-step with its `eigh` and its two `qr` calls, when the left half-step
+gains less than the threshold and the restart has a full sweep behind it
+since its start or its last phase: a sweep's decrease is the sum of its
+half-steps' decreases, both >= 0. The value and witness P V kept are that half-step's, and the cut
 sweep counts as one iteration.
 tests/_seesaw_oracle.py keeps the one-restart-at-a-time scalar see-saw loop
 as the reference the tests compare against.
@@ -78,11 +78,14 @@ NUMBA_ACTIVE = False
 # sweeps in a row, once two consecutive sweeps each kept more than _QN_SLOW
 # of the previous sweep's decrease (slow linear convergence). _ARMIJO is the
 # sufficient-decrease constant of the line search; a chart is restarted once
-# |X|_F^2 > _CHART_R2, before its metric distorts.
+# |X|_F^2 > _CHART_R2, before its metric distorts. A restart stops after
+# _MAX_ITERS iterations or at the stop threshold _EPS_CONV * max|C|.
 _QN_AFTER = 5
 _QN_SLOW = 0.5
 _ARMIJO = 1e-4
 _CHART_R2 = 1.0
+_MAX_ITERS = 500
+_EPS_CONV = 1e-10
 
 
 def _bottom(cx, v, n, k):
@@ -333,22 +336,18 @@ def _start_frames(da: int, db: int, k: int, restarts: int, seed: int) -> np.ndar
 
 @dataclass(frozen=True)
 class SeesawOpts:
-    """The see-saw's restarts, iteration cap, stop threshold and seed, and the
-    margin factor eps_neg of the decisions built on it. BadParam unless, in
-    this order, restarts and max_iters pass _check_count at 1 (a search that
-    never runs has no value), seed at 0 and eps_conv and eps_neg _check_eps."""
+    """The see-saw's restarts and seed, and the margin factor eps_neg of the
+    decisions built on it. BadParam unless, in this order, restarts passes
+    _check_count at 1 (a search that never runs has no value), seed at 0
+    and eps_neg _check_eps."""
 
     restarts: int = 20
-    max_iters: int = 500
-    eps_conv: float = 1e-10
     eps_neg: float = 1e-9
     seed: int = 42
 
     def __post_init__(self) -> None:
         _check_count("restarts", self.restarts, 1)
-        _check_count("max_iters", self.max_iters, 1)
         _check_count("seed", self.seed, 0)
-        _check_eps("eps_conv", self.eps_conv)
         _check_eps("eps_neg", self.eps_neg)
 
 
@@ -357,27 +356,25 @@ DEFAULT_OPTS = SeesawOpts()
 
 def seesaw_minimize(c_mat: np.ndarray, dims: tuple[int, int], k: int,
                     restarts: int = DEFAULT_OPTS.restarts,
-                    max_iters: int = DEFAULT_OPTS.max_iters,
-                    eps_conv: float = DEFAULT_OPTS.eps_conv,
                     seed: int = DEFAULT_OPTS.seed) -> tuple[float, np.ndarray, int]:
     """Best value, best dA x dB coefficient matrix (unit Frobenius norm, rank
     <= k) and the total iteration count over all restarts: see-saw sweeps
     plus quasi-Newton evaluations. Deterministic in seed.
 
     A restart stops when a sweep moves its value by less than
-    eps_conv * max|C|, so the stop rule scales with C at every size (C = 0
-    stops on its second sweep), or after max_iters iterations. Once it has
+    _EPS_CONV * max|C|, so the stop rule scales with C at every size (C = 0
+    stops on its second sweep), or after _MAX_ITERS iterations. Once it has
     a full sweep behind it since its start or since it left the
     quasi-Newton phase, it stops already when a sweep's first half-step
     gains less than that, keeping the half-step's value and witness; the
     sweep still counts as one iteration.
 
-    Raises BadParam when the arguments fail SeesawOpts's rule (they are
+    Raises BadParam when restarts or seed fail SeesawOpts's rule (they are
     checked by building one) and when an entry of C is not finite (a NaN or
     inf one makes every value inf); DimMismatch unless dims are integers >= 1
     and C is (dA dB) x (dA dB); BadK unless k is an integer in 1..min(dims).
     """
-    SeesawOpts(restarts, max_iters, eps_conv, seed=seed)
+    SeesawOpts(restarts, seed=seed)
     c = _matrix(c_mat)
     _check_square(c)
     da, db = _split(dims, c.shape[0])
@@ -389,6 +386,6 @@ def seesaw_minimize(c_mat: np.ndarray, dims: tuple[int, int], k: int,
     # quasi-Newton phase under- or overflows; the value overflows to inf
     # only when it is not a double itself.
     c, unscale = _pow2_scaled(c, top)
-    best_q, best_m, iters = _seesaw_kernel(c, da, db, k, frames, int(max_iters),
-                                           _margin(c, float(eps_conv)))
+    best_q, best_m, iters = _seesaw_kernel(c, da, db, k, frames, _MAX_ITERS,
+                                           _margin(c, _EPS_CONV))
     return unscale(float(best_q)), best_m, int(iters)

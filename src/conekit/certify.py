@@ -77,6 +77,33 @@ class ConeReport:
     decomposable: Certificate | None
 
 
+_EIG_TOL = 1e-12  # far below PSD_TOL, far above eigh's residual (2e-15 at d = 4)
+
+
+class _OwnEig(tuple):
+    """classify's hermitian_eig of the MatrixOp self.of, which _checked_eig
+    trusts: checking it at every level would cost about the eigensolve."""
+
+
+def _checked_eig(c: MatrixOp, eig) -> tuple[np.ndarray, np.ndarray]:
+    """hermitian_eig(C) without eig, else eig if it is an _OwnEig of C or
+    one as hermitian_eig returns it (real ascending w, unitary v, H v = v
+    diag(w) for H C's Hermitian part, all within _EIG_TOL on C / max|C|)."""
+    if eig is None:
+        return hermitian_eig(c)
+    if isinstance(eig, _OwnEig) and eig.of is c:
+        return eig
+    w, v = (np.asarray(a) for a in eig)
+    n = c.mat.shape[0]
+    top = max(float(np.abs(c.mat).max()), _TINY)
+    if not (w.shape == (n,) and v.shape == (n, n) and np.isrealobj(w)
+            and (np.diff(w) >= 0).all()
+            and np.abs(_hermitian_part(c.mat) / top @ v - v * (w / top)).max() <= _EIG_TOL
+            and np.abs(v.conj().T @ v - np.eye(n)).max() <= _EIG_TOL):
+        raise BadParam("eig is not an eigendecomposition of C in ascending order")
+    return w, v
+
+
 def _witness_quadratic_form(c: np.ndarray, w: BipartiteVector) -> float:
     val = complex(w.amp.conj() @ (c @ w.amp))
     return float(val.real)
@@ -97,23 +124,20 @@ def k_block_positive_certify(c: MatrixOp, k: int, opts: SeesawOpts = DEFAULT_OPT
     value ("min-eigenvector-unverified", "seesaw-best"). Every margin is
     eps_neg * max|C|.
 
-    eig is C's eigendecomposition as `hermitian_eig` returns it, for a
-    caller that certifies several levels of one C (as `classify` does);
-    without it C is decomposed here. C must carry its bipartite dims.
+    eig is C's eigendecomposition as `hermitian_eig` returns it (else
+    BadParam), for a caller that certifies several levels of one C (as
+    `classify` does); without it C is decomposed here. C needs its dims.
     """
     da, db = _dims(c)
     kmax = min(da, db)
     _check_level(k, kmax)
-    if eig is None:
-        eig = hermitian_eig(c)
-    w, v = eig
+    w, v = _checked_eig(c, eig)
     tol = _margin(c.mat, opts.eps_neg)
     if float(w[0]) >= -tol:
         return Certificate(Verdict.MEMBERSHIP, float(w[0]), detail="choi-psd")
     searched = k < kmax
     if searched:
         val, m, _ = seesaw_minimize(c.mat, (da, db), k, restarts=opts.restarts,
-                                    max_iters=opts.max_iters, eps_conv=opts.eps_conv,
                                     seed=opts.seed)
         wit = BipartiteVector(da, db, m.reshape(-1))
         found, best, restarts = "seesaw", "seesaw-best", opts.restarts
@@ -177,7 +201,8 @@ def schmidt_number_bounds(c: MatrixOp, *, construction: KrausSet | None = None,
     counts as PSD, and a detector as fired, against the margin
     PSD_TOL * max|M| of the matrix M tested, so the bounds are the same at
     every scale of C. A caller that has already proven C PSD (as `classify`'s
-    chains do) passes C's `hermitian_eig` as eig, and C is not judged again.
+    chains do) passes C's `hermitian_eig` as eig (else BadParam), and C is
+    not judged again.
     A construction must factor C: DimMismatch unless C's dims are (d, d) for
     its operators on C^d, BadParam when its Choi matrix misses C by more than
     PSD_TOL * max|C| (the reconstruction rule of `compose_certified`).
@@ -189,11 +214,9 @@ def schmidt_number_bounds(c: MatrixOp, *, construction: KrausSet | None = None,
         err = float(np.abs(choi(construction.to_map()).mat - c.mat).max())
         if err > _margin(c.mat, PSD_TOL):
             raise BadParam(f"the Kraus construction misses C by {err:.3e}")
-    if eig is None:
-        eig = hermitian_eig(c)
-        if float(eig[0][0]) < -_margin(c.mat, PSD_TOL):
-            raise NotPSD(f"matrix has eigenvalue {eig[0][0]:.3e}; Schmidt number undefined")
-    w, v = eig
+    w, v = _checked_eig(c, eig)
+    if eig is None and float(w[0]) < -_margin(c.mat, PSD_TOL):
+        raise NotPSD(f"matrix has eigenvalue {w[0]:.3e}; Schmidt number undefined")
     lower = 1
     kmax = min(da, db)
     if kmax > 1:
@@ -205,14 +228,15 @@ def schmidt_number_bounds(c: MatrixOp, *, construction: KrausSet | None = None,
         if fired.size:  # image i is level k = i + 1, which proves k + 1
             lower = int(fired[-1]) + 2
     if construction is not None:
-        upper = max(1, min(construction.rank, kmax))
+        upper, source = max(1, min(construction.rank, kmax)), "the Kraus rank"
     elif _rank(np.abs(w), RANK_TOL) == 1:
         upper = schmidt_decompose(BipartiteVector(da, db, v[:, -1])).rank
+        source = "the Schmidt rank of C's range vector"
     else:
-        upper = kmax
+        upper, source = kmax, "min(dims)"
     if lower > upper:
-        raise ConekitError(
-            f"inconsistent bounds lower={lower} > upper={upper}; a detector's k tag is wrong")
+        raise ConekitError(f"inconsistent bounds: lower {lower} from the level-{lower - 1} "
+                           f"reduction detector > upper {upper} from {source}")
     return lower, upper
 
 
@@ -270,7 +294,8 @@ def classify(x: MatrixOp | MapRep | KrausSet, opts: SeesawOpts = DEFAULT_OPTS,
               ) -> tuple[dict, tuple[int, int] | None]:
         certs: dict[int, Certificate] = {}
         best_viol: Certificate | None = None
-        eig = hermitian_eig(target_choi)
+        eig = _OwnEig(hermitian_eig(target_choi))
+        eig.of = target_choi
         tie = _margin(target_choi.mat, opts.eps_neg)
         for k in range(1, top + 1):
             cert = k_block_positive_certify(target_choi, k, opts, eig)

@@ -11,7 +11,6 @@ exit codes: 0 ok, 2 parse/input error, 3 invariant violation, 4 fuzz failures.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -20,7 +19,7 @@ import sys
 import numpy as np
 
 from . import fuzz as fuzz_mod
-from .certify import SeesawOpts, classify
+from .certify import DEFAULT_OPTS, SeesawOpts, classify
 from .errors import (
     BadFamily,
     BadK,
@@ -48,13 +47,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--restarts", type=int, default=None)
-    common.add_argument("--tol", type=float, default=None,
+    common.add_argument("--seed", type=int, default=DEFAULT_OPTS.seed)
+    common.add_argument("--restarts", type=int, default=DEFAULT_OPTS.restarts)
+    common.add_argument("--tol", type=float, default=DEFAULT_OPTS.eps_neg,
                         help="violation threshold (eps_neg)")
     common.add_argument("--out", type=str, default=None)
-    common.add_argument("--config", type=str, default=None,
-                        help="JSON file with restarts/max_iters/eps_conv/eps_neg/seed")
 
     p_cls = sub.add_parser("classify", parents=[common],
                            help="full cone report for one operator file")
@@ -80,28 +77,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ValueError("config file must hold a JSON object")
-    return cfg
-
-
 def _opts_from(args) -> SeesawOpts:
-    """Config keys are SeesawOpts's field names, and their JSON values go to
-    SeesawOpts as they are, which checks them; --restarts, --tol and --seed
-    win over them, and every other field keeps its default."""
-    cfg = _load_config(args.config)
-    names = [f.name for f in dataclasses.fields(SeesawOpts)]
-    unknown = sorted(set(cfg) - set(names))
-    if unknown:
-        raise ValueError(f"unknown config keys {unknown}; allowed: {names}")
-    flags = {"restarts": args.restarts, "eps_neg": args.tol, "seed": args.seed}
-    merged = {**cfg, **{key: val for key, val in flags.items() if val is not None}}
-    return SeesawOpts(**merged)
+    """SeesawOpts from --restarts, --tol and --seed, whose defaults are
+    DEFAULT_OPTS's; SeesawOpts checks them."""
+    return SeesawOpts(restarts=args.restarts, eps_neg=args.tol, seed=args.seed)
 
 
 def _emit(text: str, out_path: str | None) -> None:

@@ -11,6 +11,7 @@ from .errors import BadFamily, BadK
 from .linalg import (_check_count, _check_level, _complex_gaussian, _hermitian_part, hs_inner,
                      reshuffle, unreshuffle)
 from .maps import (
+    _check_dim,
     _random_kraus,
     _reduction_images,
     ad,
@@ -53,8 +54,9 @@ def _run(suite: str, n: int, seed: int, params: dict, one) -> dict:
 
 def fuzz_duality(n: int, d: int = 3, ks=None, seed: int = 0) -> dict:
     """Pairing of a random Schmidt-rank-k CP map against a random k-positive
-    map is nonnegative (>= -1e-9) for each level k in ks: a non-empty choice
-    from 1..d (BadK otherwise), by default the levels below d, at most 2."""
+    map is nonnegative (>= -1e-9) at each level k in ks, checked after d: a
+    non-empty choice from 1..d (else BadK), by default those below d, <= 2."""
+    _check_dim(d)
     ks = tuple(k for k in (1, 2) if k < d) if ks is None else tuple(ks)
     if not ks:
         raise BadK(f"no level to check in 1..{d}")
@@ -78,7 +80,8 @@ def fuzz_duality(n: int, d: int = 3, ks=None, seed: int = 0) -> dict:
 def fuzz_composition(n: int, d: int = 3, k: int = 2, seed: int = 0) -> dict:
     """compose(psi, ad(a)) with rank(a) <= k and psi k-positive factors into
     rank <= k Kraus terms; the level-k reduction detector never fires on the
-    composite's Choi matrix. Residuals count up to 1e-9."""
+    composite's Choi matrix. Residuals count up to 1e-9; d is checked first."""
+    _check_dim(d)
     _check_level(k, d)
     tol = 1e-9
 

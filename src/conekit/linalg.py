@@ -176,10 +176,6 @@ class MatrixOp:
             object.__setattr__(self, "dims", _split(self.dims, m.shape[0]))
         object.__setattr__(self, "mat", m)
 
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
     def require_dims(self) -> tuple[int, int]:
         if self.dims is None:
             raise MissingDims("operation needs bipartite dims but none are declared")

@@ -126,11 +126,9 @@ def _werner_mats(ps) -> np.ndarray:
     return p * np.outer(singlet, singlet.conj()) + (1.0 - p) * np.eye(4, dtype=np.complex128) / 4.0
 
 
-def werner_state(p: float, d: int = 2) -> MatrixOp:
+def werner_state(p: float) -> MatrixOp:
     """rho = p |psi-><psi-| + (1-p) 1/4 on two qubits. PPT exactly when
     p <= 1/3 (the partial transpose's bottom eigenvalue is (1-3p)/4)."""
-    if d != 2:
-        raise BadParam("this singlet-plus-noise family is defined for d=2 only")
     return MatrixOp(_werner_mats((p,))[0], dims=(2, 2))
 
 
@@ -233,7 +231,6 @@ def threshold_scan(family: str, d: int, k: int, grid,
                 high = float(hermitian_eig(proj)[0][-1])
             else:
                 high = -seesaw_minimize(-proj, (d, d), k, restarts=opts.restarts,
-                                        max_iters=opts.max_iters, eps_conv=opts.eps_conv,
                                         seed=opts.seed)[0]
         return [_scan_point(c, 1.0 - c * (high if c > 0 else low), tol) for c in params]
     raise BadFamily(f"unknown family {family!r}")

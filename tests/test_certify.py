@@ -2,7 +2,9 @@
 Schmidt-number bounds, duality pairing, classification and the
 decomposability heuristic."""
 
+import re
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -57,6 +59,7 @@ from conekit.errors import (
 )
 
 from conekit.linalg import PSD_TOL, RANK_TOL, BipartiteVector, _margin, _rank
+import conekit.certify as certify_mod
 from conekit.maps import MapRep
 from conekit.serialize import report_to_json
 
@@ -344,6 +347,55 @@ def test_bounds_contradiction_rejected():
     fake = KrausSet((np.eye(3, dtype=complex)[:, :1] @ np.ones((1, 3)),))
     with pytest.raises(BadParam, match="misses C"):
         schmidt_number_bounds(max_entangled_projector(3), construction=fake)
+
+
+def test_bounds_contradiction_names_both_ends(monkeypatch):
+    """lower > upper means a producer is wrong: with the Schmidt rank of the
+    range vector of |Omega><Omega| (d = 2) patched from 2 to 1, the level-1
+    detector's lower bound 2 exceeds it, and the message names both ends
+    and where each came from."""
+    monkeypatch.setattr(certify_mod, "schmidt_decompose", lambda vec: SimpleNamespace(rank=1))
+    with pytest.raises(ConekitError, match=re.escape(
+            "lower 2 from the level-1 reduction detector > upper 1 from the Schmidt "
+            "rank of C's range vector")):
+        schmidt_number_bounds(max_entangled_projector(2))
+
+
+def _own_eig_of_another_matrix(c):
+    eig = certify_mod._OwnEig(hermitian_eig(np.eye(4)))
+    eig.of = MatrixOp(np.eye(4), dims=(2, 2))
+    return eig
+
+
+_FORGED_EIGS = {
+    "identity": lambda c: hermitian_eig(np.eye(4)),
+    "classify-mark-of-another-matrix": _own_eig_of_another_matrix,
+    "descending": lambda c: tuple(a[..., ::-1] for a in hermitian_eig(c)),
+    "too-large": lambda c: hermitian_eig(np.eye(9)),
+    "not-unitary": lambda c: (hermitian_eig(c)[0], 2.0 * hermitian_eig(c)[1]),
+}
+
+
+@pytest.mark.parametrize("forge", sorted(_FORGED_EIGS))
+def test_an_eig_that_is_not_cs_is_refused(forge):
+    """The transpose map's Choi matrix (the swap, eigenvalue -1) is not PSD:
+    its level 2 is violated and it has no Schmidt number. An eig that is
+    not C's ascending eigendecomposition (the identity's gave MembershipProven
+    "choi-psd" and bounds (1, 2); C's own in descending order puts +1 first)
+    raises BadParam in both functions, also when classify's mark ties it to
+    another matrix, while C's own eig is trusted as a proof of PSD, as
+    classify's chains use it."""
+    c = choi(transpose_map(2))
+    assert k_block_positive_certify(c, 2).verdict is Verdict.VIOLATION
+    with pytest.raises(NotPSD):
+        schmidt_number_bounds(c)
+    eig = _FORGED_EIGS[forge](c)
+    with pytest.raises(BadParam, match="eigendecomposition"):
+        k_block_positive_certify(c, 2, eig=eig)
+    with pytest.raises(BadParam, match="eigendecomposition"):
+        schmidt_number_bounds(c, eig=eig)
+    assert k_block_positive_certify(c, 2, eig=hermitian_eig(c)).verdict is Verdict.VIOLATION
+    schmidt_number_bounds(c, eig=hermitian_eig(c))
 
 
 def _horodecki_state(a):

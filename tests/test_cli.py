@@ -127,39 +127,6 @@ def test_classify_out_file_and_determinism(tmap_file, tmp_path):
     assert rep["decomposable"]["verdict"] == "MembershipProven"
 
 
-def test_classify_config_merge(tmap_file, tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"restarts": 6, "seed": 7}))
-    assert cli.main(["classify", tmap_file, "--no-dec", "--config", str(cfg)]) == 0
-    rep = json.loads(capsys.readouterr().out)
-    assert rep["p"]["1"]["restarts_used"] == 6
-    # flags win over config
-    assert cli.main(["classify", tmap_file, "--no-dec", "--config", str(cfg),
-                     "--restarts", "3"]) == 0
-    rep = json.loads(capsys.readouterr().out)
-    assert rep["p"]["1"]["restarts_used"] == 3
-
-
-def test_unknown_config_key_exits_2(tmap_file, tmp_path, capsys):
-    """Config keys are exactly SeesawOpts's fields; a misspelt key or the
-    former "out" key is an input error, not silently ignored."""
-    for bad in ({"restart": 6}, {"out": str(tmp_path / "report.json")}):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(bad))
-        assert cli.main(["classify", tmap_file, "--no-dec",
-                         "--config", str(cfg)]) == cli.PARSE_ERROR
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "unknown config keys" in captured.err
-    assert not (tmp_path / "report.json").exists()
-    # a known key with a value its int field cannot hold is no better
-    for bad in ({"restarts": 2.7}, {"seed": True}):
-        cfg.write_text(json.dumps(bad))
-        assert cli.main(["classify", tmap_file, "--no-dec",
-                         "--config", str(cfg)]) == cli.PARSE_ERROR
-        assert capsys.readouterr().out == ""
-
-
 @pytest.mark.parametrize("phi", [depolarizing(3, 1.0), reduction_family(3, 0.6)],
                          ids=["no-search", "search"])
 def test_negative_seed_exits_2(phi, tmp_path, capsys):
@@ -170,19 +137,6 @@ def test_negative_seed_exits_2(phi, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "seed >= 0" in captured.err
-
-
-@pytest.mark.parametrize("bad", [{"restarts": "3"}, {"restarts": 2.0}, {"eps_neg": "1e-9"}])
-def test_config_values_are_not_coerced(bad, tmp_path, capsys):
-    """Config values go to SeesawOpts as JSON gave them: a string, or a
-    float for an integer field (even an integral one), is an input error."""
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(bad))
-    assert cli.main(["scan", "--family", "werner", "--grid", "0:1:3",
-                     "--config", str(cfg)]) == cli.PARSE_ERROR
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert next(iter(bad)) in captured.err
 
 
 @pytest.mark.parametrize("extra", [["--no-dec"], []])
@@ -360,17 +314,18 @@ def test_parse_errors_exit_2(tmap_file, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["classify", "{tmap}", "--no-dec", "--config", "{cfg}"], "must hold a JSON object"),
+    # options are set by flags alone: even a valid options file is refused
+    (["classify", "--config", "{cfg}", "{tmap}"], "unrecognized arguments: --config"),
     (["scan", "--family", "reduction:3", "--k", "1", "--grid", "0:1:0"], "at least one step"),
     (["scan", "--family", "reduction", "--k", "1", "--grid", "0:1:3"], "needs a dimension"),
     # the PPT test detects Schmidt number > 1 only, and no two-qubit state
     # has one above 2: a Werner scan takes no level but k = 1
     (["scan", "--family", "werner", "--k", "2", "--grid", "0.5:1:3"], "k=2 outside 1..1"),
-], ids=["config-not-an-object", "grid-zero-steps", "family-without-dimension",
+], ids=["config-is-no-option", "grid-zero-steps", "family-without-dimension",
         "werner-k-two"])
 def test_malformed_options_exit_2(argv, message, tmap_file, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text("[1, 2]")
+    cfg.write_text('{"restarts": 3}')
     argv = [arg.format(tmap=tmap_file, cfg=cfg) for arg in argv]
     assert cli.main(argv) == cli.PARSE_ERROR
     out = capsys.readouterr()

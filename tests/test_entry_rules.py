@@ -48,7 +48,7 @@ from conekit.errors import (
     NotHermitian,
     NotHermiticityPreserving,
 )
-from conekit.fuzz import fuzz_adjoint, fuzz_bijection, fuzz_duality
+from conekit.fuzz import fuzz_adjoint, fuzz_bijection, fuzz_composition, fuzz_duality
 from conekit.serialize import (
     certificate_from_json,
     dumps,
@@ -102,6 +102,11 @@ CASES = {
         MatrixOp(np.eye(4), dims=(2, 2)), max_sweeps=True)),
     # ... of every dimension
     "isotropic-d-float": (BadParam, lambda: isotropic_state(2.5, 0.5)),
+    # (a fuzz suite's d comes first, by the maps' rule: d = 0 is a BadParam, not a BadK)
+    "fuzz-duality-d-float": (BadParam, lambda: fuzz_duality(3, d=2.5)),
+    "fuzz-duality-d-zero": (BadParam, lambda: fuzz_duality(3, d=0)),
+    "fuzz-composition-d-float": (BadParam, lambda: fuzz_composition(3, d=2.5, k=2)),
+    "fuzz-composition-d-zero": (BadParam, lambda: fuzz_composition(3, d=0, k=1)),
     "matrixop-dims-float": (DimMismatch, lambda: MatrixOp(np.eye(3), dims=(1.5, 2))),
     "matrixop-dims-bool": (DimMismatch, lambda: MatrixOp(np.eye(4), dims=(True, 4))),
     # ... and of every Schmidt level

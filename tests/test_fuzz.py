@@ -157,10 +157,13 @@ def test_suite_names_exported():
     pytest.param(lambda: fuzz_duality(5, d=3, ks=(0,)), BadK, id="duality-k0"),
     pytest.param(lambda: fuzz_composition(5, d=3, k=0), BadK, id="composition-k0"),
     pytest.param(lambda: fuzz_composition(5, d=2, k=3), BadK, id="composition-k-above-d"),
+    pytest.param(lambda: fuzz_duality(3, d=2.5), BadParam, id="duality-d-float"),
+    pytest.param(lambda: fuzz_composition(3, d=2.5, k=2), BadParam, id="composition-d-float"),
 ])
 def test_runs_that_check_nothing_are_rejected_before_drawing(call, error, monkeypatch):
-    """No instance, no level, or a level outside 1..d is refused before any
-    random generator is built: a run that checks nothing never passes."""
+    """No instance, no level, a level outside 1..d or a d that is not an
+    integer >= 1 is refused before any random generator is built: a run
+    that checks nothing never passes."""
     drawn = [0]
     default_rng = np.random.default_rng
 

@@ -197,6 +197,17 @@ def test_batched_kernel_matches_loop_oracle(dims, k, restarts):
         _assert_witness(c, dims, k, q, m)
 
 
+def _capped_kernel(c, dims, k, restarts, seed, max_iters):
+    """seesaw_minimize with the kernel's iteration cap max_iters in place of
+    _seesaw._MAX_ITERS: the same scaled C, start frames and stop threshold."""
+    top = float(np.abs(c).max())
+    scaled, unscale = _seesaw._pow2_scaled(np.asarray(c, dtype=complex), top)
+    frames = _seesaw._start_frames(dims[0], dims[1], k, restarts, seed)
+    q, m, iters = _seesaw._seesaw_kernel(scaled, dims[0], dims[1], k, frames, max_iters,
+                                         _seesaw._margin(scaled, _seesaw._EPS_CONV))
+    return unscale(float(q)), m, iters
+
+
 def test_batched_kernel_matches_loop_oracle_at_iteration_cap(phase_evaluations):
     """A restart stops after max_iters iterations, sweeps and quasi-Newton
     evaluations together: with the cap, the total is the sum over restarts
@@ -210,8 +221,7 @@ def test_batched_kernel_matches_loop_oracle_at_iteration_cap(phase_evaluations):
                     for r in range(6)]
         for max_iters in (5, 20):
             phase_evaluations[0] = 0
-            q, m, iters = seesaw_minimize(c, (3, 3), 1, restarts=6, seed=trial,
-                                          max_iters=max_iters)
+            q, m, iters = _capped_kernel(c, (3, 3), 1, 6, trial, max_iters)
             assert iters == sum(min(n, max_iters) for n in uncapped)
             _assert_witness(c, (3, 3), 1, q, m)
             mixed += min(uncapped) < max_iters < max(uncapped) and phase_evaluations[0] > 0
@@ -412,7 +422,7 @@ def test_zero_minimum_of_a_k_positive_map():
 
 def test_stop_rule_scales_with_c():
     """The search runs on C / 2^e with max|C / 2^e| in [1/2, 1) and stops at
-    eps_conv * max|C|: scaling C up or down leaves the iteration count and
+    _EPS_CONV * max|C|: scaling C up or down leaves the iteration count and
     the value relative to the scale unchanged, bit for bit at powers of two,
     also where the quasi-Newton phase runs (without the normalization its
     squared gradient underflows below 1e-154); C = 0 stops at the second
@@ -462,9 +472,7 @@ def test_search_that_never_runs_is_rejected():
     c = choi(reduction_family(3, 0.7)).mat
     with pytest.raises(BadParam):
         seesaw_minimize(c, (3, 3), 2, restarts=0)
-    with pytest.raises(BadParam):
-        seesaw_minimize(c, (3, 3), 2, max_iters=0)
-    for bad in ({"restarts": 0}, {"max_iters": 0}, {"restarts": -3}):
+    for bad in ({"restarts": 0}, {"restarts": -3}):
         with pytest.raises(BadParam):
             SeesawOpts(**bad)
 
@@ -483,14 +491,11 @@ def test_negative_seed_is_rejected(seed):
                            restarts=1)[0] < 0.0
 
 
-@pytest.mark.parametrize("bad", [{"restarts": 2.5}, {"restarts": True}, {"seed": 1.5},
-                                 {"max_iters": 7.5}, {"max_iters": np.float64(7.0)},
-                                 {"eps_conv": True}, {"eps_conv": "1e-10"}])
+@pytest.mark.parametrize("bad", [{"restarts": 2.5}, {"restarts": True}, {"seed": 1.5}])
 def test_search_options_have_one_type_rule(bad):
-    """SeesawOpts and seesaw_minimize share one check: counts and the seed
-    are integers (not bool, not a float, even an integral one) and eps_conv
-    a real number, or BadParam is raised before numpy sees them; a
-    fractional max_iters is refused, not truncated."""
+    """SeesawOpts and seesaw_minimize share one check: the restart count and
+    the seed are integers (not bool, not a float), or BadParam is raised
+    before numpy sees them."""
     with pytest.raises(BadParam):
         SeesawOpts(**bad)
     with pytest.raises(BadParam):
@@ -521,26 +526,16 @@ def test_level_and_dims_are_checked_at_the_entry_point(c, dims, k, error):
 
 def test_search_options_accept_numpy_integers():
     """numpy integers pass the check and run the search of the equal int;
-    eps_neg goes through the same margin check as eps_conv."""
+    eps_neg goes through the margin check, which refuses a bool."""
     with pytest.raises(BadParam):
         SeesawOpts(eps_neg=True)
     c = choi(reduction_family(3, 0.7)).mat
-    opts = SeesawOpts(restarts=np.int64(2), max_iters=np.int32(40), seed=np.int64(3))
+    opts = SeesawOpts(restarts=np.int64(2), seed=np.int64(3))
     assert opts.restarts == 2
-    out = seesaw_minimize(c, (3, 3), 1, restarts=np.int64(2), max_iters=np.int32(40),
-                          seed=np.int64(3))
-    ref = seesaw_minimize(c, (3, 3), 1, restarts=2, max_iters=40, seed=3)
+    out = seesaw_minimize(c, (3, 3), 1, restarts=np.int64(2), seed=np.int64(3))
+    ref = seesaw_minimize(c, (3, 3), 1, restarts=2, seed=3)
     assert out[0] == ref[0] and out[2] == ref[2]
     assert np.array_equal(out[1], ref[1])
-
-
-def test_stop_threshold_must_be_finite_and_nonnegative():
-    """The rule of SeesawOpts: a negative eps_conv stops every restart on its
-    first sweep, a NaN one lets none converge, an infinite one stops all on
-    the second."""
-    for eps in (-1.0, np.nan, np.inf):
-        with pytest.raises(BadParam):
-            seesaw_minimize(np.eye(4), (2, 2), 1, restarts=1, eps_conv=eps)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.nan, 1.0)])

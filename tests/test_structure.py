@@ -2,6 +2,7 @@
 one home, so a second copy of it fails here rather than in review."""
 
 import ast
+import dataclasses
 import re
 from pathlib import Path
 
@@ -104,6 +105,11 @@ CLI_UNNAMED = {"map_from_choi", "to_map"}
 # is run only there and by the reduction scan's one search.
 CHAIN_DETAIL_SITES = {"certify.k_block_positive_certify"}
 SEESAW_SITES = {"certify.k_block_positive_certify", "witness.threshold_scan"}
+
+# The search options and the one CLI flag that sets each. The see-saw's
+# iteration cap and stop threshold are _seesaw constants, read only by
+# seesaw_minimize, which hands them to the kernel.
+OPTION_FLAGS = {"restarts": "--restarts", "eps_neg": "--tol", "seed": "--seed"}
 
 
 def _top_level_functions(path):
@@ -257,21 +263,40 @@ def test_retired_rules_are_gone():
 
 def test_search_options_live_beside_the_search():
     """SeesawOpts and DEFAULT_OPTS are defined in _seesaw, re-exported by
-    certify and the package; seesaw_minimize's defaults read DEFAULT_OPTS,
-    and witness takes both from _seesaw, not from certify."""
+    certify and the package; seesaw_minimize's two defaults read
+    DEFAULT_OPTS, its iteration cap and stop threshold are _seesaw's
+    constants, and witness takes both from _seesaw, not from certify."""
     from conekit import _seesaw, certify
 
     assert conekit.SeesawOpts is certify.SeesawOpts is _seesaw.SeesawOpts
     assert certify.DEFAULT_OPTS is _seesaw.DEFAULT_OPTS
+    assert (_seesaw._MAX_ITERS, _seesaw._EPS_CONV) == (500, 1e-10)
     seesaw = next(path for path in SOURCES if path.stem == "_seesaw")
     fn = dict(_top_level_functions(seesaw))["_seesaw.seesaw_minimize"]
     named = fn.args.args[-len(fn.args.defaults):]
     assert [(arg.arg, ast.unparse(default)) for arg, default in zip(named, fn.args.defaults)] == [
-        (name, f"DEFAULT_OPTS.{name}") for name in ("restarts", "max_iters", "eps_conv", "seed")]
+        (name, f"DEFAULT_OPTS.{name}") for name in ("restarts", "seed")]
     witness = next(path for path in SOURCES if path.stem == "witness")
     modules = {node.module for node in ast.walk(ast.parse(witness.read_text(encoding="utf-8")))
                if isinstance(node, ast.ImportFrom)}
     assert "certify" not in modules | _names(witness)
+
+
+def test_search_options_are_the_three_flags():
+    """SeesawOpts holds restarts, eps_neg and seed, each set by one CLI flag
+    (--restarts, --tol, --seed) with no options file beside them, and only
+    seesaw_minimize reads the iteration cap and the stop threshold."""
+    assert [f.name for f in dataclasses.fields(conekit.SeesawOpts)] == list(OPTION_FLAGS)
+    source = next(path for path in SOURCES if path.stem == "cli")
+    flags = {arg.value for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+             if _calls("add_argument")(node) for arg in node.args}
+    assert flags >= set(OPTION_FLAGS.values()) and "--config" not in flags
+    fn = dict(_top_level_functions(source))["cli._opts_from"]
+    (call,) = [node for node in ast.walk(fn) if _calls("SeesawOpts")(node)]
+    assert {kw.arg: ast.unparse(kw.value) for kw in call.keywords} == {
+        field: f"args.{flag[2:]}" for field, flag in OPTION_FLAGS.items()}
+    assert _sites(lambda node: isinstance(node, ast.Name)
+                  and node.id in ("_MAX_ITERS", "_EPS_CONV")) == {"_seesaw.seesaw_minimize"}
 
 
 def test_einsums_sit_in_allow_listed_functions():

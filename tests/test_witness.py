@@ -58,7 +58,7 @@ def test_werner_boundary_sharp_to_1e9():
 
 def test_werner_rejects_bad_params():
     with pytest.raises(BadParam):
-        werner_state(0.5, d=3)
+        werner_state(1.5)
     with pytest.raises(BadParam):
         werner_state(-0.1)
 
@@ -240,8 +240,7 @@ def _per_row_reduction_scan(d, k, grid, opts):
             val = float(hermitian_eig(cm)[0][0])
         else:
             val, _, _ = seesaw_minimize(cm, (d, d), k, restarts=opts.restarts,
-                                        max_iters=opts.max_iters,
-                                        eps_conv=opts.eps_conv, seed=opts.seed)
+                                        seed=opts.seed)
         rows.append((val, val < -opts.eps_neg))
     return rows
 
