@@ -77,40 +77,13 @@ class ConeReport:
     decomposable: Certificate | None
 
 
-_EIG_TOL = 1e-12  # far below PSD_TOL, far above eigh's residual (2e-15 at d = 4)
-
-
-class _OwnEig(tuple):
-    """classify's hermitian_eig of the MatrixOp self.of, which _checked_eig
-    trusts: checking it at every level would cost about the eigensolve."""
-
-
-def _checked_eig(c: MatrixOp, eig) -> tuple[np.ndarray, np.ndarray]:
-    """hermitian_eig(C) without eig, else eig if it is an _OwnEig of C or
-    one as hermitian_eig returns it (real ascending w, unitary v, H v = v
-    diag(w) for H C's Hermitian part, all within _EIG_TOL on C / max|C|)."""
-    if eig is None:
-        return hermitian_eig(c)
-    if isinstance(eig, _OwnEig) and eig.of is c:
-        return eig
-    w, v = (np.asarray(a) for a in eig)
-    n = c.mat.shape[0]
-    top = max(float(np.abs(c.mat).max()), _TINY)
-    if not (w.shape == (n,) and v.shape == (n, n) and np.isrealobj(w)
-            and (np.diff(w) >= 0).all()
-            and np.abs(_hermitian_part(c.mat) / top @ v - v * (w / top)).max() <= _EIG_TOL
-            and np.abs(v.conj().T @ v - np.eye(n)).max() <= _EIG_TOL):
-        raise BadParam("eig is not an eigendecomposition of C in ascending order")
-    return w, v
-
-
 def _witness_quadratic_form(c: np.ndarray, w: BipartiteVector) -> float:
     val = complex(w.amp.conj() @ (c @ w.amp))
     return float(val.real)
 
 
-def k_block_positive_certify(c: MatrixOp, k: int, opts: SeesawOpts = DEFAULT_OPTS,
-                             eig: tuple[np.ndarray, np.ndarray] | None = None) -> Certificate:
+def k_block_positive_certify(c: MatrixOp, k: int,
+                             opts: SeesawOpts = DEFAULT_OPTS) -> Certificate:
     """Certify <psi|C|psi> >= 0 over Schmidt rank <= k unit vectors: the one
     decision of a chain level, CP and co-CP (the top levels) included.
 
@@ -124,14 +97,14 @@ def k_block_positive_certify(c: MatrixOp, k: int, opts: SeesawOpts = DEFAULT_OPT
     value ("min-eigenvector-unverified", "seesaw-best"). Every margin is
     eps_neg * max|C|.
 
-    eig is C's eigendecomposition as `hermitian_eig` returns it (else
-    BadParam), for a caller that certifies several levels of one C (as
-    `classify` does); without it C is decomposed here. C needs its dims.
+    The spectrum is C's own `c.eig`, taken once per MatrixOp, so the levels
+    of one C (as `classify` certifies them) share one eigendecomposition.
+    C needs its dims.
     """
     da, db = _dims(c)
     kmax = min(da, db)
     _check_level(k, kmax)
-    w, v = _checked_eig(c, eig)
+    w, v = c.eig
     tol = _margin(c.mat, opts.eps_neg)
     if float(w[0]) >= -tol:
         return Certificate(Verdict.MEMBERSHIP, float(w[0]), detail="choi-psd")
@@ -183,26 +156,12 @@ def dual_pairing(phi: MapRep, psi: MapRep) -> float:
     return hs_inner(choi(phi), choi(psi))
 
 
-def schmidt_number_bounds(c: MatrixOp, *, construction: KrausSet | None = None,
-                          eig: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[int, int]:
+def schmidt_number_bounds(c: MatrixOp, *, construction: KrausSet | None = None
+                          ) -> tuple[int, int]:
     """(lower, upper) bounds on the Schmidt number of a PSD bipartite matrix
-    C with declared dims.
+    C with declared dims: NotPSD unless C's spectrum `c.eig` is PSD within
+    PSD_TOL * max|C|, then `_schmidt_bounds`.
 
-    Lower bound: 1 + the largest k among the reduction detectors
-    R_{1/k}: a -> tr(a) 1 - a/k, k = 1..min(dims)-1, that fire (a k-positive
-    map sends Schmidt-number <= k states to PSD, so a negative eigenvalue of
-    (1 (x) R_{1/k})(C) = tr_B(C) (x) 1 - C/k proves Schmidt number >= k+1:
-    the k-reduction criterion, formed in closed form). A level k >=
-    min(dims) cannot fire, as no state has Schmidt number above min(dims),
-    so none is applied. The images are decided as one stack by one
-    `hermitian_eig` call, each against its own margin. Upper bound:
-    the largest operator rank when a Kraus construction is supplied, the
-    Schmidt rank of the range vector when C has rank one, else min(dims). C
-    counts as PSD, and a detector as fired, against the margin
-    PSD_TOL * max|M| of the matrix M tested, so the bounds are the same at
-    every scale of C. A caller that has already proven C PSD (as `classify`'s
-    chains do) passes C's `hermitian_eig` as eig (else BadParam), and C is
-    not judged again.
     A construction must factor C: DimMismatch unless C's dims are (d, d) for
     its operators on C^d, BadParam when its Choi matrix misses C by more than
     PSD_TOL * max|C| (the reconstruction rule of `compose_certified`).
@@ -214,9 +173,31 @@ def schmidt_number_bounds(c: MatrixOp, *, construction: KrausSet | None = None,
         err = float(np.abs(choi(construction.to_map()).mat - c.mat).max())
         if err > _margin(c.mat, PSD_TOL):
             raise BadParam(f"the Kraus construction misses C by {err:.3e}")
-    w, v = _checked_eig(c, eig)
-    if eig is None and float(w[0]) < -_margin(c.mat, PSD_TOL):
+    w = c.eig[0]
+    if float(w[0]) < -_margin(c.mat, PSD_TOL):
         raise NotPSD(f"matrix has eigenvalue {w[0]:.3e}; Schmidt number undefined")
+    return _schmidt_bounds(c, construction)
+
+
+def _schmidt_bounds(c: MatrixOp, construction: KrausSet | None) -> tuple[int, int]:
+    """The Schmidt-number bounds of a C already proven PSD (by the caller's
+    own margin: `classify`'s chains prove it at their top level), with a
+    construction that factors C or none.
+
+    Lower bound: 1 + the largest k among the reduction detectors
+    R_{1/k}: a -> tr(a) 1 - a/k, k = 1..min(dims)-1, that fire (a k-positive
+    map sends Schmidt-number <= k states to PSD, so a negative eigenvalue of
+    (1 (x) R_{1/k})(C) = tr_B(C) (x) 1 - C/k proves Schmidt number >= k+1:
+    the k-reduction criterion, formed in closed form). A level k >=
+    min(dims) cannot fire, as no state has Schmidt number above min(dims),
+    so none is applied. The images are decided as one stack by one
+    `hermitian_eig` call, each fired against its own margin PSD_TOL * max|M|
+    of its matrix M, so the bounds are the same at every scale of C. Upper
+    bound: the largest operator rank of the construction, the Schmidt rank
+    of the range vector when C has rank one, else min(dims).
+    """
+    da, db = c.dims
+    w, v = c.eig
     lower = 1
     kmax = min(da, db)
     if kmax > 1:
@@ -294,11 +275,9 @@ def classify(x: MatrixOp | MapRep | KrausSet, opts: SeesawOpts = DEFAULT_OPTS,
               ) -> tuple[dict, tuple[int, int] | None]:
         certs: dict[int, Certificate] = {}
         best_viol: Certificate | None = None
-        eig = _OwnEig(hermitian_eig(target_choi))
-        eig.of = target_choi
         tie = _margin(target_choi.mat, opts.eps_neg)
         for k in range(1, top + 1):
-            cert = k_block_positive_certify(target_choi, k, opts, eig)
+            cert = k_block_positive_certify(target_choi, k, opts)
             if best_viol is not None and (
                     cert.verdict is not Verdict.VIOLATION
                     or cert.value > best_viol.value + tie):
@@ -310,8 +289,7 @@ def classify(x: MatrixOp | MapRep | KrausSet, opts: SeesawOpts = DEFAULT_OPTS,
             certs[k] = cert
         # Schmidt bounds stand on this chain's own proof that the matrix is PSD
         psd = certs[top].verdict is Verdict.MEMBERSHIP
-        return certs, (schmidt_number_bounds(target_choi, construction=kraus, eig=eig)
-                       if psd else None)
+        return certs, _schmidt_bounds(target_choi, kraus) if psd else None
 
     # choi(co(phi)) = PT_B(choi(phi)): the co-chain reads the same matrix
     co_c = partial_transpose(c)

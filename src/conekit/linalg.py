@@ -8,6 +8,7 @@ slow, so e_i (x) e_j sits at flat index i*d_B + j and np.kron matches it.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -164,7 +165,9 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class MatrixOp:
-    """Dense complex square matrix, optionally with integer bipartite dims (d_A, d_B)."""
+    """Dense complex square matrix, optionally with integer bipartite dims
+    (d_A, d_B). Its matrix is a read-only copy, so its spectrum `eig` is
+    taken once, on first read, and kept."""
 
     mat: np.ndarray
     dims: tuple[int, int] | None = None
@@ -180,6 +183,15 @@ class MatrixOp:
         if self.dims is None:
             raise MissingDims("operation needs bipartite dims but none are declared")
         return self.dims
+
+    @functools.cached_property
+    def eig(self) -> tuple[np.ndarray, np.ndarray]:
+        """hermitian_eig of the matrix (its gate and its refusals included),
+        both arrays read-only: every certificate of this matrix reads it."""
+        w, v = hermitian_eig(self)
+        w.setflags(write=False)
+        v.setflags(write=False)
+        return w, v
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,25 +291,31 @@ def check_hermitian(m: np.ndarray) -> None:
     """The Hermiticity gate: DimMismatch unless X is a square matrix, then
     NotHermitian when max |X - X^dag| > HERM_TOL * max |X|, at every scale."""
     _check_square(m)
-    _check_hermitian_pair(m, m.conj().T)
+    _check_hermitian_pair(m, lambda x: x.conj().T)
 
 
-def _check_hermitian_pair(m: np.ndarray, m_dag: np.ndarray, axes=None) -> None:
-    """check_hermitian for X held in any layout, given X^dag in the same
-    layout: the decision and the message depend only on the entries. With
+def _check_hermitian_pair(m: np.ndarray, dagger, axes=None) -> None:
+    """check_hermitian for X held in any layout, given dagger, which maps an
+    array in that layout to its adjoint in the same layout: the decision
+    and the message depend only on the entries. With
     axes, m is a stack whose members span those axes, and each member is
     judged against its own margin; the message gives the deviation of the
-    first member that fails."""
+    first member that fails.
+
+    X/4 - X^dag/4 is judged against HERM_TOL * max|X/4|: for finite X no
+    modulus of these overflows, and quartering is exact outside the
+    subnormal range, so the decision is that on X itself."""
+    quarter = 0.25 * m
+    devs = np.abs(quarter - dagger(quarter)).max(axis=axes)
     if axes is None:
-        dev = float(np.abs(m - m_dag).max())
-        if dev > _margin(m, HERM_TOL):
-            raise NotHermitian(f"max |X - X^dag| = {dev:.3e} exceeds tolerance")
+        if devs > _margin(quarter, HERM_TOL):
+            raise NotHermitian(f"max |X - X^dag| = {4.0 * float(devs):.3e} exceeds tolerance")
         return
-    devs = np.abs(m - m_dag).max(axis=axes)
-    failing = np.flatnonzero(devs > _margin(m, HERM_TOL, axes))
+    failing = np.flatnonzero(devs > _margin(quarter, HERM_TOL, axes))
     if failing.size:
         i = int(failing[0])
-        raise NotHermitian(f"max |X - X^dag| = {devs[i]:.3e} exceeds tolerance (stack member {i})")
+        raise NotHermitian(f"max |X - X^dag| = {4.0 * float(devs[i]):.3e} exceeds tolerance "
+                           f"(stack member {i})")
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
@@ -328,7 +346,7 @@ def hermitian_eig(x: MatrixOp | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     so every member's (w, v) equals that of its own call."""
     m = _matrix(x)
     if m.ndim == 3 and m.size and m.shape[1] == m.shape[2]:
-        _check_hermitian_pair(m, m.conj().swapaxes(1, 2), axes=(1, 2))
+        _check_hermitian_pair(m, lambda x: x.conj().swapaxes(1, 2), axes=(1, 2))
     else:
         check_hermitian(m)
     return _eigh(m)

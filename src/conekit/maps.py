@@ -74,7 +74,7 @@ class MapRep:
         # so C - C^dag holds exactly the entries S4[a, b, c, e] - conj(S4[b, a, e, c]).
         s4 = s.reshape(self.d, self.d, self.d, self.d)
         try:
-            _check_hermitian_pair(s4, s4.transpose(1, 0, 3, 2).conj())
+            _check_hermitian_pair(s4, lambda x: x.transpose(1, 0, 3, 2).conj())
         except NotHermitian as exc:
             raise NotHermiticityPreserving(f"Choi matrix: {exc}") from None
         object.__setattr__(self, "super_mat", s)

@@ -53,7 +53,8 @@ def _from_json(obj: dict) -> np.ndarray:
     """The one reader of a matrix payload: its n x n complex matrix, n =
     _dim(obj); a grid of another shape raises ValueError."""
     n = _dim(obj)
-    m = _complex(obj["re"], obj.get("im") or np.zeros((n, n)))
+    re = np.asarray(obj["re"], dtype=float)
+    m = _complex(re, obj.get("im") or np.zeros_like(re))
     if m.shape != (n, n):
         raise ValueError(f"re/im grids must be {n}x{n}")
     return m

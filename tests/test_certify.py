@@ -60,6 +60,7 @@ from conekit.errors import (
 
 from conekit.linalg import PSD_TOL, RANK_TOL, BipartiteVector, _margin, _rank
 import conekit.certify as certify_mod
+import conekit.linalg as linalg_mod
 from conekit.maps import MapRep
 from conekit.serialize import report_to_json
 
@@ -159,7 +160,6 @@ def test_min_eigenvector_verdict_matches_its_value(monkeypatch):
     bottom eigenvalue (1 - 1.4) * 1e308. An eigensolve whose vector does not
     violate (here the top eigenvector under the bottom eigenvalue, as an
     overflowing one returned) gives no violation."""
-    import conekit.certify as certify_mod
     c = MatrixOp(choi(reduction_family(2, 0.7)).mat * 1e308, dims=(2, 2))
     cert = k_block_positive_certify(c, 2)
     assert (cert.verdict, cert.detail) == (Verdict.VIOLATION, "min-eigenvector")
@@ -173,7 +173,9 @@ def test_min_eigenvector_verdict_matches_its_value(monkeypatch):
         w, v = hermitian_eig(x)
         return w, v[:, ::-1]
 
-    monkeypatch.setattr(certify_mod, "hermitian_eig", reversed_vectors)
+    # a MatrixOp keeps the spectrum it took first, so C is built again
+    monkeypatch.setattr(linalg_mod, "hermitian_eig", reversed_vectors)
+    c = MatrixOp(c.mat, dims=(2, 2))
     cert = k_block_positive_certify(c, 2)
     assert cert.verdict is Verdict.INCONCLUSIVE
     assert cert.witness is None
@@ -336,6 +338,13 @@ def test_bounds_eigen_kraus_can_be_looser_than_construction():
 
 
 def test_bounds_require_psd():
+    """The transpose map's Choi matrix (the swap, eigenvalue -1) is not PSD:
+    its level 2 is violated and it has no Schmidt number, also once its
+    spectrum has been taken for the level."""
+    c = choi(transpose_map(2))
+    assert k_block_positive_certify(c, 2).verdict is Verdict.VIOLATION
+    with pytest.raises(NotPSD):
+        schmidt_number_bounds(c)
     with pytest.raises(NotPSD):
         schmidt_number_bounds(MatrixOp(swap_matrix(2).astype(complex), dims=(2, 2)))
 
@@ -359,43 +368,6 @@ def test_bounds_contradiction_names_both_ends(monkeypatch):
             "lower 2 from the level-1 reduction detector > upper 1 from the Schmidt "
             "rank of C's range vector")):
         schmidt_number_bounds(max_entangled_projector(2))
-
-
-def _own_eig_of_another_matrix(c):
-    eig = certify_mod._OwnEig(hermitian_eig(np.eye(4)))
-    eig.of = MatrixOp(np.eye(4), dims=(2, 2))
-    return eig
-
-
-_FORGED_EIGS = {
-    "identity": lambda c: hermitian_eig(np.eye(4)),
-    "classify-mark-of-another-matrix": _own_eig_of_another_matrix,
-    "descending": lambda c: tuple(a[..., ::-1] for a in hermitian_eig(c)),
-    "too-large": lambda c: hermitian_eig(np.eye(9)),
-    "not-unitary": lambda c: (hermitian_eig(c)[0], 2.0 * hermitian_eig(c)[1]),
-}
-
-
-@pytest.mark.parametrize("forge", sorted(_FORGED_EIGS))
-def test_an_eig_that_is_not_cs_is_refused(forge):
-    """The transpose map's Choi matrix (the swap, eigenvalue -1) is not PSD:
-    its level 2 is violated and it has no Schmidt number. An eig that is
-    not C's ascending eigendecomposition (the identity's gave MembershipProven
-    "choi-psd" and bounds (1, 2); C's own in descending order puts +1 first)
-    raises BadParam in both functions, also when classify's mark ties it to
-    another matrix, while C's own eig is trusted as a proof of PSD, as
-    classify's chains use it."""
-    c = choi(transpose_map(2))
-    assert k_block_positive_certify(c, 2).verdict is Verdict.VIOLATION
-    with pytest.raises(NotPSD):
-        schmidt_number_bounds(c)
-    eig = _FORGED_EIGS[forge](c)
-    with pytest.raises(BadParam, match="eigendecomposition"):
-        k_block_positive_certify(c, 2, eig=eig)
-    with pytest.raises(BadParam, match="eigendecomposition"):
-        schmidt_number_bounds(c, eig=eig)
-    assert k_block_positive_certify(c, 2, eig=hermitian_eig(c)).verdict is Verdict.VIOLATION
-    schmidt_number_bounds(c, eig=hermitian_eig(c))
 
 
 def _horodecki_state(a):
@@ -479,10 +451,9 @@ def test_rectangular_bounds_apply_only_the_levels_that_can_fire(dims, monkeypatc
     """No state has Schmidt number above min(dims), so a detector at a level
     k >= min(dims) cannot fire: at dA < dB schmidt_number_bounds applies the
     levels 1..dA-1 only, as one stacked hermitian_eig call after C's own
-    (so min(dims) matrices in two calls), and its lower bound equals the
-    loop's over all dB - 1 detectors, on seeded PSD matrices of rank 1, 2
-    and dA dB at scales 1e-12..1e12."""
-    import conekit.certify as certify_mod
+    (its MatrixOp.eig; so min(dims) matrices in two calls), and its lower
+    bound equals the loop's over all dB - 1 detectors, on seeded PSD
+    matrices of rank 1, 2 and dA dB at scales 1e-12..1e12."""
     calls, matrices = [0], [0]
 
     def counting_eig(x, *args):
@@ -498,7 +469,8 @@ def test_rectangular_bounds_apply_only_the_levels_that_can_fire(dims, monkeypatc
             g = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
             for s in 10.0 ** np.arange(-12, 13, 12):
                 c = MatrixOp(s * (g @ g.conj().T), dims=dims)
-                monkeypatch.setattr(certify_mod, "hermitian_eig", counting_eig)
+                for mod in (certify_mod, linalg_mod):
+                    monkeypatch.setattr(mod, "hermitian_eig", counting_eig)
                 calls[0] = matrices[0] = 0
                 lower = schmidt_number_bounds(c)[0]
                 assert matrices[0] == min(dims) and calls[0] == 2
@@ -558,8 +530,9 @@ def test_stacked_bounds_equal_the_per_image_loop(dims):
 
 @pytest.mark.parametrize("dims", [(3, 3), (4, 4), (2, 4)])
 def test_detector_images_take_one_eigh_call(dims, monkeypatch):
-    """Given C's eigendecomposition, schmidt_number_bounds makes exactly one
-    numpy eigh call: the stack of its min(dims) - 1 detector images."""
+    """Once C's spectrum has been read (MatrixOp.eig), schmidt_number_bounds
+    makes exactly one numpy eigh call: the stack of its min(dims) - 1
+    detector images."""
     shapes = []
     eigh = np.linalg.eigh
 
@@ -569,10 +542,10 @@ def test_detector_images_take_one_eigh_call(dims, monkeypatch):
 
     n = dims[0] * dims[1]
     for c in _seeded_psd(dims, 3):
-        eig = hermitian_eig(c)
+        c.eig
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         shapes.clear()
-        schmidt_number_bounds(c, eig=eig)
+        schmidt_number_bounds(c)
         monkeypatch.undo()
         assert shapes == [(min(dims) - 1, n, n)]
 
@@ -746,14 +719,14 @@ def test_classify_decomposes_a_psd_choi_once(monkeypatch):
     """The Schmidt bounds reuse the chains' eigendecompositions: C and PT(C)
     are each decomposed once; the other calls are the detectors' moved
     matrices."""
-    import conekit.certify as certify_mod
     eigs = []
 
     def counting_eig(x, *args):
         eigs.append(x)
         return hermitian_eig(x, *args)
 
-    monkeypatch.setattr(certify_mod, "hermitian_eig", counting_eig)
+    for mod in (certify_mod, linalg_mod):
+        monkeypatch.setattr(mod, "hermitian_eig", counting_eig)
     rep = classify(identity_map(3), opts=SeesawOpts(restarts=1), include_dec=False)
     assert rep.schmidt_number == (3, 3)
     c = choi(identity_map(3)).mat
@@ -763,22 +736,24 @@ def test_classify_decomposes_a_psd_choi_once(monkeypatch):
 
 
 def test_classify_bounds_come_from_the_public_function(monkeypatch):
-    """Each chain that proves its matrix PSD calls schmidt_number_bounds once,
-    handing over its eigendecomposition, so C is not decomposed again."""
-    import conekit.certify as certify_mod
+    """Each chain that proves its matrix PSD calls _schmidt_bounds, the body
+    of schmidt_number_bounds past its own PSD judgment, once, on the
+    MatrixOp whose spectrum its levels have already read, so C is not
+    decomposed again."""
     bounds_calls, eigs = [], []
-    snb = certify_mod.schmidt_number_bounds
+    bounds = certify_mod._schmidt_bounds
 
-    def counting_bounds(c, **kwargs):
-        bounds_calls.append(kwargs.get("eig") is not None)
-        return snb(c, **kwargs)
+    def counting_bounds(c, construction):
+        bounds_calls.append("eig" in vars(c))
+        return bounds(c, construction)
 
     def counting_eig(x, *args):
         eigs.append(x)
         return hermitian_eig(x, *args)
 
-    monkeypatch.setattr(certify_mod, "schmidt_number_bounds", counting_bounds)
-    monkeypatch.setattr(certify_mod, "hermitian_eig", counting_eig)
+    monkeypatch.setattr(certify_mod, "_schmidt_bounds", counting_bounds)
+    for mod in (certify_mod, linalg_mod):
+        monkeypatch.setattr(mod, "hermitian_eig", counting_eig)
     # the identity map: C is PSD, PT(C) (the swap) is not
     rep = classify(identity_map(3), opts=SeesawOpts(restarts=1), include_dec=False)
     assert rep.schmidt_number == (3, 3) and bounds_calls == [True]
@@ -1257,7 +1232,6 @@ def test_classify_decomposes_each_chain_once(monkeypatch):
     """One eigendecomposition per chain serves every level, and only the
     level k = min(dims) takes the bottom eigenvector as its witness when C
     is not PSD: the levels below go straight to the see-saw."""
-    import conekit.certify as certify_mod
     eigs, searched = [], []
 
     def counting_eig(x, *args):
@@ -1268,7 +1242,8 @@ def test_classify_decomposes_each_chain_once(monkeypatch):
         searched.append(k)
         return seesaw_minimize(c, dims, k, **kwargs)
 
-    monkeypatch.setattr(certify_mod, "hermitian_eig", counting_eig)
+    for mod in (certify_mod, linalg_mod):
+        monkeypatch.setattr(mod, "hermitian_eig", counting_eig)
     monkeypatch.setattr(certify_mod, "seesaw_minimize", counting_search)
     # neither Choi matrix nor its partial transpose is PSD: no Schmidt bounds
     rep = classify(reduction_family(3, 1.02), opts=SeesawOpts(restarts=2), include_dec=False)

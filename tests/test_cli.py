@@ -425,6 +425,20 @@ def test_invariant_error_exit_3(tmp_path, capsys):
     assert "invariant" in capsys.readouterr().err
 
 
+def test_classify_refuses_an_entry_whose_modulus_overflows(tmp_path, capsys):
+    """1_4 with X[0,1] = z and X[1,0] = -conj(z), z = 1.7e308(1 + i), is
+    finite but not Hermitian: it was reported CP (its Hermiticity margin
+    overflowed to inf) and now exits 3 with no report and no numpy warning."""
+    m = np.eye(4, dtype=complex)
+    m[0, 1] = 1.7e308 + 1.7e308j
+    m[1, 0] = -np.conj(m[0, 1])
+    path = _write(tmp_path / "skew.json", matrix_to_json(MatrixOp(m, dims=(2, 2))))
+    assert cli.main(["classify", path, "--restarts", "1"]) == cli.INVARIANT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invariant" in captured.err and "Warning" not in captured.err
+
+
 def test_entry_point_installed(tmp_path):
     """The packaging metadata exposes a `conekit` console script bound to
     `conekit.cli.main`.

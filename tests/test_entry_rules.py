@@ -2,8 +2,9 @@
 infinite entry, a spectrum beyond the float range, a count, level, seed
 or dimension that is not an integer, bipartite dims that are not a pair,
 amplitudes that are not a 1-D array, an empty matrix, shapes or maps that
-do not line up and a payload whose "dim" is not an integer or whose size
-has no square side are each refused with a conekit error, whichever
+do not line up, an entry whose modulus overflows at the Hermiticity gate,
+and a payload whose "dim" is not an integer or does not match its grid or
+whose size has no square side are each refused with a conekit error, whichever
 public function receives them. Every case raises (and no numpy warning,
 which pytest turns into an error) instead of returning a value computed
 from such input."""
@@ -74,7 +75,23 @@ def _huge_kraus_map():
     return from_kraus([np.sqrt(1.7e308) * np.ones((2, 2))])
 
 
+def _overflowing_skew():
+    """1_4 with X[0,1] = z and X[1,0] = -conj(z), z = 1.7e308(1 + i): every
+    part is finite, but |z|, max|X| and X - X^dag overflow, which once made
+    the Hermiticity margin inf and let X through."""
+    x = np.eye(4, dtype=complex)
+    x[0, 1] = 1.7e308 + 1.7e308j
+    x[1, 0] = -np.conj(x[0, 1])
+    return x
+
+
 CASES = {
+    # an entry whose modulus overflows, at the Hermiticity gate
+    "check-hermitian-modulus-overflow": (NotHermitian, lambda: linalg_mod.check_hermitian(
+        _overflowing_skew())),
+    "hs-inner-modulus-overflow": (NotHermitian, lambda: hs_inner(_overflowing_skew(), np.eye(4))),
+    "map-from-choi-modulus-overflow": (NotHermiticityPreserving, lambda: map_from_choi(
+        _overflowing_skew())),
     # a spectrum beyond the float range in the map layer's factorizations
     "kraus-decompose-spectrum": (BadParam, lambda: kraus_decompose(_huge_kraus_map())),
     "compose-certified-spectrum": (BadParam, lambda: compose_certified(
@@ -259,6 +276,11 @@ def _super_payload_of_size_6():
     return {**matrix_to_json(MatrixOp(np.eye(6))), "repr": "super"}
 
 
+# "dim" 10^7 beside a 1 x 1 grid and no "im": the grid is read first, so the
+# payload is refused, not allocated as a 10^7 x 10^7 grid of zeros (728 TiB)
+_HUGE_DIM = {"dim": 10_000_000, "dims": [1, 10_000_000], "re": [[1.0]]}
+
+
 def test_super_payload_needs_a_square_side():
     with pytest.raises(DimMismatch, match="superoperator size 6 is not a perfect square"):
         map_from_json(_super_payload_of_size_6())
@@ -270,7 +292,11 @@ def test_super_payload_needs_a_square_side():
     (_matrix_payload(dim="4"), cli.PARSE_ERROR),
     (_super_payload_of_size_6(), cli.INVARIANT_ERROR),
     (_matrix_payload(dims=[]), cli.INVARIANT_ERROR),
-], ids=["dim-float", "dim-bool", "dim-string", "super-size-6", "dims-empty"])
+    (_HUGE_DIM, cli.PARSE_ERROR),
+    ({**_HUGE_DIM, "repr": "super"}, cli.PARSE_ERROR),
+    ({"kraus": [_HUGE_DIM]}, cli.PARSE_ERROR),
+], ids=["dim-float", "dim-bool", "dim-string", "super-size-6", "dims-empty",
+        "dim-huge-choi", "dim-huge-super", "dim-huge-kraus"])
 def test_classify_refuses_a_bad_payload_size(payload, code, tmp_path, capsys):
     path = tmp_path / "op.json"
     path.write_text(dumps(payload))

@@ -310,6 +310,31 @@ def test_matrix_op_immutable():
         x.mat[0, 0] = 5.0
 
 
+def test_matrix_op_takes_its_spectrum_once(monkeypatch):
+    """eig is hermitian_eig of the matrix, taken on the first read and kept:
+    later reads return the same read-only arrays without a second call, and
+    a matrix that fails the Hermiticity gate raises on reading it."""
+    import conekit.linalg as linalg_mod
+    calls = []
+
+    def counting_eig(x):
+        calls.append(x)
+        return hermitian_eig(x)
+
+    monkeypatch.setattr(linalg_mod, "hermitian_eig", counting_eig)
+    a = rand_herm(np.random.default_rng(18), 4)
+    x = MatrixOp(a)
+    w, v = x.eig
+    assert x.eig[0] is w and x.eig[1] is v and len(calls) == 1
+    want_w, want_v = hermitian_eig(a)
+    assert np.array_equal(w, want_w) and np.array_equal(v, want_v)
+    for arr in (w, v):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    with pytest.raises(NotHermitian):
+        MatrixOp(np.array([[0.0, 1.0], [0.0, 0.0]])).eig
+
+
 NON_FINITE = [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(0.0, np.inf),
               complex(0.0, -np.inf)]
 

@@ -61,8 +61,10 @@ BAD_K_SITES = {"linalg._check_level", "fuzz.fuzz_duality", "fuzz.run_suite"}
 
 # Names gone from the source: each rule they restated has its one home above
 # (_check_level for BadRank and fuzz._check_levels, SeesawOpts for the
-# see-saw's _check_search).
-RETIRED_NAMES = {"BadRank", "_check_levels", "_check_search"}
+# see-saw's _check_search, MatrixOp.eig for the eigendecompositions handed
+# around as an eig parameter, checked by _checked_eig or trusted as _OwnEig).
+RETIRED_NAMES = {"BadRank", "_check_levels", "_check_search",
+                 "_OwnEig", "_checked_eig", "_EIG_TOL"}
 
 # The places that tell a MatrixOp from a raw array: linalg._matrix, which
 # also applies the entry rule (no NaN or infinite entry) to the raw array,
@@ -70,10 +72,11 @@ RETIRED_NAMES = {"BadRank", "_check_levels", "_check_search"}
 MATRIXOP_TEST_SITES = {"linalg._matrix", "linalg._dims"}
 
 # The functions a functools memo may decorate: the see-saw's start frames
-# (one draw per configuration) and the CLI's parser. Everything else is
-# computed per call; in particular the reduction detectors' images have a
-# closed form and need no memoized bank.
-MEMO_SITES = {"_seesaw._start_frames", "cli._build_parser"}
+# (one draw per configuration), the CLI's parser and a MatrixOp's spectrum
+# (its matrix is read-only). Everything else is computed per call; in
+# particular the reduction detectors' images have a closed form and need no
+# memoized bank.
+MEMO_SITES = {"_seesaw._start_frames", "cli._build_parser", "linalg.eig"}
 
 # The one home of a square side d with d * d = n: linalg._square_side, by
 # math.isqrt. No other function takes an integer square root of a size or
@@ -105,6 +108,10 @@ CLI_UNNAMED = {"map_from_choi", "to_map"}
 # is run only there and by the reduction scan's one search.
 CHAIN_DETAIL_SITES = {"certify.k_block_positive_certify"}
 SEESAW_SITES = {"certify.k_block_positive_certify", "witness.threshold_scan"}
+
+# The one eigendecomposition certify takes itself: the stack of detector
+# images in _schmidt_bounds. A chain matrix's spectrum is its MatrixOp.eig.
+CERTIFY_EIG_CALLS = [("certify._schmidt_bounds", "images")]
 
 # The search options and the one CLI flag that sets each. The see-saw's
 # iteration cap and stop threshold are _seesaw constants, read only by
@@ -178,11 +185,11 @@ def _is_square_root(node):
 
 
 def _is_memo(decorator):
-    """functools.lru_cache or functools.cache, called or not, also through a
-    name imported from functools."""
+    """functools.lru_cache, functools.cache or functools.cached_property,
+    called or not, also through a name imported from functools."""
     node = decorator.func if isinstance(decorator, ast.Call) else decorator
     name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
-    return name in ("lru_cache", "cache")
+    return name in ("lru_cache", "cache", "cached_property")
 
 
 def _is_chain_detail(node):
@@ -347,3 +354,20 @@ def test_chain_details_are_written_only_in_the_level_decision():
 
 def test_seesaw_runs_only_in_the_level_decision_and_the_reduction_scan():
     assert _sites(_calls("seesaw_minimize")) == SEESAW_SITES
+
+
+def test_no_function_takes_an_eig_parameter():
+    """A matrix's spectrum is read from its MatrixOp, never handed in beside it."""
+    takers = {name for path in SOURCES for name, fn in _top_level_functions(path)
+              for node in ast.walk(fn) if isinstance(node, (ast.FunctionDef, ast.Lambda))
+              for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+              if arg.arg == "eig"}
+    assert not takers
+
+
+def test_certify_decomposes_only_the_detector_stack():
+    certify = next(path for path in SOURCES if path.stem == "certify")
+    calls = [(name, ast.unparse(node.args[0]))
+             for name, fn in _top_level_functions(certify)
+             for node in ast.walk(fn) if _calls("hermitian_eig")(node)]
+    assert calls == CERTIFY_EIG_CALLS
