@@ -311,10 +311,11 @@ def classify(x: MatrixOp | MapRep | KrausSet, opts: SeesawOpts = DEFAULT_OPTS,
                       decomposable=dec)
 
 
-# Dual early exit of decomposable_certify: the gap vector is tested every
-# _GAP_EVERY sweeps, and a candidate PPT state is shifted _WITNESS_SHIFT into
-# the interior of both cones before it is re-checked.
-_GAP_EVERY = 10
+# decomposable_certify relaxes each Douglas-Rachford step by _RELAX, and
+# tests the gap vector for a PPT witness on every sweep; a candidate PPT
+# state is shifted _WITNESS_SHIFT into the interior of both cones before it
+# is re-checked.
+_RELAX = 1.6
 _WITNESS_SHIFT = 1e-9
 
 
@@ -345,8 +346,18 @@ def _ppt_witness(gap: np.ndarray, target: np.ndarray, da: int, db: int,
     ~n^2*eps*max|C|, far below the value margin at every scale of C, so a
     decomposable C (Tr(rho C) = Tr(rho A) + Tr(PT(rho) B) >= 0) is never
     refuted.
+
+    A screen returns None before any eigensolve, where the re-check would
+    fail: Tr(W C) = Tr(g C) + shift*Tr C with shift >= -lmin(g) >= -min
+    diag g, so for Tr C >= 0 a witness needs Re Tr(gap C) + max(0, -min Re
+    diag gap)*Tr C < 0.
     """
     n = target.shape[0]
+    trace_c = target.trace().real
+    if trace_c >= 0.0:
+        floor = max(0.0, -gap.diagonal().real.min())
+        if np.vdot(target, gap).real + floor * trace_c >= 0.0:
+            return None
     g = _hermitian_part(gap)
     norm = float(np.linalg.norm(g))
     if not norm > 0.0:
@@ -370,11 +381,13 @@ def decomposable_certify(c: MatrixOp, opts: SeesawOpts = DEFAULT_OPTS,
 
     Douglas-Rachford (DR) runs on the PSD cone and its partial-transpose
     slide {C - PT(B) : B PSD}: a = clip(z), x = the slide's projection of
-    2a - z, z += x - a. DR looks for any point of the intersection, not the
-    nearest split, so on inputs that split it stops after a few sweeps
-    (finite convergence under Slater's condition is known for some set
-    pairs: Bauschke, Dao, Noll & Phan 2016). A sweep makes two `eigh`
-    calls: one for a, and one stacked call for the reflected step's
+    2a - z, z += lambda*(x - a) with lambda = _RELAX = 1.6. Relaxed DR with
+    lambda in (0, 2) converges whenever plain DR (lambda = 1) does (Eckstein
+    & Bertsekas 1992), in fewer sweeps here. DR looks for any point of the
+    intersection, not the nearest split, so on inputs that split it stops
+    after a few sweeps (finite convergence under Slater's condition is known
+    for some set pairs: Bauschke, Dao, Noll & Phan 2016). A sweep makes two
+    `eigh` calls: one for a, and one stacked call for the reflected step's
     projection and the residual's B = clip(PT(C - a)). The split is the
     best sweep's own pair (a, B), kept as the loop computed it: no
     projection runs after the loop, and "residual" is
@@ -385,10 +398,12 @@ def decomposable_certify(c: MatrixOp, opts: SeesawOpts = DEFAULT_OPTS,
     - ViolationFound (detail "ppt-witness"): decomposable maps are exactly
       those whose Choi matrix pairs nonnegatively with every PPT operator, so
       a PPT state rho with Tr(rho C) < 0 refutes decomposability. On an
-      infeasible pair the DR displacement a - x = z_k - z_{k+1} tends to the
-      minimal displacement vector, which is the gap vector between the two
-      sets (Bauschke, Combettes & Luke 2004) and such a witness up to a
-      shift. Every _GAP_EVERY = 10 sweeps the gap is shifted
+      infeasible pair the DR displacement a - x = (z_k - z_{k+1})/lambda
+      tends to the minimal displacement vector, which is the gap vector
+      between the two sets (Bauschke, Combettes & Luke 2004; for relaxed
+      steps Banjac, Goulart, Stellato & Boyd 2019) and such a witness up to
+      a shift. On every sweep the gap passes a screen that needs no
+      eigensolve (_ppt_witness), and one that passes is shifted
       delta = 1e-9 past both cones' boundaries and scaled to unit trace;
       rho is accepted only if Tr(rho C) < -eps_neg*max|C| and
       lmin(rho), lmin(PT rho) > n*eps, recomputed from rho itself (the
@@ -437,11 +452,11 @@ def decomposable_certify(c: MatrixOp, opts: SeesawOpts = DEFAULT_OPTS,
             best = (a, b_pair[1], res)
         if best[2] < tol:
             break
-        if sweeps_done % _GAP_EVERY == 0:
-            witness = _ppt_witness(a - x, target, da, db, tol)
-            if witness is not None:
-                break
-        z += x - a
+        gap = a - x
+        witness = _ppt_witness(gap, target, da, db, tol)
+        if witness is not None:
+            break
+        z -= _RELAX * gap
 
     a, b, residual = best
     proven = residual < tol

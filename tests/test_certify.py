@@ -889,13 +889,17 @@ def test_psd_choi_trivially_decomposable():
     assert cert.extras["residual"] < 1e-9
 
 
-def test_decomposable_never_refutes():
+def test_decomposable_refutes_a_random_hermitian_within_five_sweeps():
+    """A random 9x9 Hermitian matrix is not decomposable (it is not even
+    block-positive), and the gap vector is tested on every sweep, so a
+    PPT witness that re-checks comes within 5 sweeps."""
     rng = np.random.default_rng(36)
     g = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
     h = 0.5 * (g + g.conj().T)
-    cert = decomposable_certify(MatrixOp(h, dims=(3, 3)),
-                                max_sweeps=5)
-    assert cert.verdict in (Verdict.MEMBERSHIP, Verdict.INCONCLUSIVE)
+    cert = decomposable_certify(MatrixOp(h, dims=(3, 3)), max_sweeps=5)
+    assert cert.verdict is Verdict.VIOLATION
+    assert cert.extras["sweeps"] <= 5
+    _assert_witness_holds(cert, h)
 
 
 def _hermitian(rng, n):
@@ -965,15 +969,13 @@ def test_decomposable_matches_oracle_verdicts():
         _assert_split_holds(new, c)
 
 
-def test_choi_map_refuted_by_ppt_witness():
-    """Phi[2,0,1] is positive but not decomposable; the search returns a PPT
-    state that pairs negatively with its Choi matrix."""
-    c = cho_kye_lee_choi(2.0, 0.0, 1.0)
-    cert = decomposable_certify(MatrixOp(c, dims=(3, 3)))
+def _assert_witness_holds(cert, c):
+    """Re-check a ppt-witness refutation of the 9x9 matrix c with numpy
+    alone: rho = extras["W"] is a unit-trace Hermitian PPT state and
+    Tr(rho C) < 0 is the reported value."""
     assert cert.verdict is Verdict.VIOLATION
     assert cert.detail == "ppt-witness"
     assert set(cert.extras) == {"A", "B", "residual", "sweeps", "W"}
-    assert cert.extras["sweeps"] < 2000
     rho = cert.extras["W"]
     assert abs(np.trace(rho) - 1.0) <= 1e-12
     assert np.abs(rho - rho.conj().T).max() <= 1e-12
@@ -983,6 +985,88 @@ def test_choi_map_refuted_by_ppt_witness():
     value = float(np.trace(rho @ c).real)
     assert value < 0.0
     assert abs(value - cert.value) <= 1e-12
+
+
+def test_choi_map_refuted_by_ppt_witness():
+    """Phi[2,0,1] is positive but not decomposable; the search returns a PPT
+    state that pairs negatively with its Choi matrix."""
+    c = cho_kye_lee_choi(2.0, 0.0, 1.0)
+    cert = decomposable_certify(MatrixOp(c, dims=(3, 3)))
+    assert cert.extras["sweeps"] < 2000
+    _assert_witness_holds(cert, c)
+
+
+def _unscreened_witness_value(gap, c, dims):
+    """Tr(rho C) of the PPT-witness construction without its screen, with
+    numpy alone: g = herm(gap)/||.||_F shifted by max(0, -lmin g,
+    -lmin PT g) + 1e-9 and scaled to unit trace."""
+    da, db = dims
+    n = c.shape[0]
+    g = 0.5 * (gap + gap.conj().T)
+    g = g / np.linalg.norm(g)
+    pt_g = g.reshape(da, db, da, db).transpose(0, 3, 2, 1).reshape(n, n)
+    shift = max(0.0, -np.linalg.eigvalsh(g)[0], -np.linalg.eigvalsh(pt_g)[0]) + 1e-9
+    w = g + shift * np.eye(n)
+    return float(np.trace(w @ c).real / np.trace(w).real)
+
+
+def _screen_cases():
+    """(gap, C, dims): seeded random pairs at d = 2..4, C Hermitian (its
+    trace of either sign) or shifted PSD, the gap a general complex matrix,
+    half of them shifted toward the PSD cone; then the DR gap vectors of
+    Phi[2,0,1], recorded from the search itself."""
+    rng = np.random.default_rng(43)
+    for i in range(600):
+        d = 2 + i % 3
+        c = _hermitian(rng, d * d)
+        if i % 3 == 1:
+            c = c + (rng.uniform(0.0, 1.0) - np.linalg.eigvalsh(c)[0]) * np.eye(d * d)
+        gap = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+        if i % 2:
+            gap = gap + rng.uniform(0.0, 3.0) * np.eye(d * d)
+        yield gap, 0.75 * c / np.abs(c).max(), (d, d)
+    seen = []
+    witness = certify_mod._ppt_witness
+
+    def recording(gap, target, da, db, margin):
+        seen.append((gap.copy(), target.copy(), (da, db)))
+        return witness(gap, target, da, db, margin)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certify_mod, "_ppt_witness", recording)
+        decomposable_certify(MatrixOp(cho_kye_lee_choi(2.0, 0.0, 1.0), dims=(3, 3)))
+    assert seen
+    yield from seen
+
+
+def test_ppt_witness_screen_is_sound(monkeypatch):
+    """The screen in front of the witness construction rejects a gap vector
+    (returns None before any eigvalsh) only when the construction itself
+    would give Tr(rho C) >= 0, so no witness is lost: checked against the
+    construction run without the screen. Rejected gaps run no eigvalsh at
+    all, and both outcomes occur often."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(m, *args, **kwargs):
+        calls.append(m.shape)
+        return eigvalsh(m, *args, **kwargs)
+
+    rejected = witnesses = 0
+    for gap, c, dims in _screen_cases():
+        calls.clear()
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        found = certify_mod._ppt_witness(gap, c, *dims, 1e-9)
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        value = _unscreened_witness_value(gap, c, dims)
+        if not calls:
+            rejected += 1
+            assert found is None
+            assert value >= 0.0
+        if found is not None:
+            witnesses += 1
+            assert abs(found[1] - value) <= 1e-12
+    assert rejected >= 100 and witnesses >= 100
 
 
 def test_decomposable_never_refutes_by_stormer_woronowicz():
@@ -1002,7 +1086,8 @@ def test_decomposable_never_refutes_by_stormer_woronowicz():
 def test_decomposable_sweep_counts():
     """Deterministic sweep counts on seeded inputs: A/2 + PT(B) at d = 3
     splits in <= 20 sweeps, Phi[2,b,b] with b in [0.6, 1] in <= 10, and a
-    random 9x9 Hermitian matrix is refuted at the first witness test."""
+    random 9x9 Hermitian matrix is refuted at the first witness test, which
+    comes at sweep 1."""
     rng = np.random.default_rng(39)
     for _ in range(100):
         b = MatrixOp(_unit_trace_psd(rng, 9), dims=(3, 3))
@@ -1017,7 +1102,29 @@ def test_decomposable_sweep_counts():
     for _ in range(50):
         cert = decomposable_certify(MatrixOp(_hermitian(rng, 9), dims=(3, 3)))
         assert cert.verdict is Verdict.VIOLATION
-        assert cert.extras["sweeps"] == 10
+        assert cert.extras["sweeps"] == 1
+
+
+def test_decomposable_decides_a_rank_two_mixture_near_the_boundary():
+    """C = 0.7 A + 0.3 PT(B) with A and B of rank 2 sits on the boundary of
+    the decomposable cone, where plain Douglas-Rachford steps stop
+    Inconclusive at the 2000-sweep cap; relaxed steps reach a split below
+    the margin (at sweep 1338), and it re-checks."""
+    rng = np.random.default_rng(9)
+
+    def rank_two():
+        g = rng.normal(size=(9, 2)) + 1j * rng.normal(size=(9, 2))
+        m = g @ g.conj().T
+        return m / np.trace(m).real
+
+    pairs = [(rank_two(), rank_two()) for _ in range(3)]
+    a, b = pairs[2]
+    pt_b = b.reshape(3, 3, 3, 3).transpose(0, 3, 2, 1).reshape(9, 9)
+    c = MatrixOp(0.7 * a + 0.3 * pt_b, dims=(3, 3))
+    cert = decomposable_certify(c)
+    assert (cert.verdict, cert.detail) == (Verdict.MEMBERSHIP, "psd+pt-psd-split")
+    assert cert.extras["sweeps"] < 2000
+    _assert_split_holds(cert, c)
 
 
 def test_decomposable_makes_two_eigh_calls_per_sweep(monkeypatch):
@@ -1123,12 +1230,13 @@ def test_decomposable_finds_the_witness_of_a_tiny_c():
     """At max|C| ~ 1e-200 the squared entries of the gap vector underflow;
     searched as given, its norm came out 0 and no PPT witness was ever
     formed (Inconclusive after 2000 sweeps). On C / 2^e the witness is
-    found at sweep 10, as at unit scale."""
+    found at the sweep where unit scale finds it."""
     c = choi(random_hp_map(3, 1)).mat
     ref = decomposable_certify(MatrixOp(c, dims=(3, 3)))
     cert = decomposable_certify(MatrixOp(1e-200 * c, dims=(3, 3)))
     assert (cert.verdict, cert.detail) == (Verdict.VIOLATION, "ppt-witness")
-    assert cert.extras["sweeps"] == ref.extras["sweeps"] == 10
+    assert (ref.verdict, ref.detail) == (Verdict.VIOLATION, "ppt-witness")
+    assert cert.extras["sweeps"] == ref.extras["sweeps"]
     assert cert.value < 0.0
 
 
