@@ -890,9 +890,9 @@ def test_psd_choi_trivially_decomposable():
 
 
 def test_decomposable_refutes_a_random_hermitian_within_five_sweeps():
-    """A random 9x9 Hermitian matrix is not decomposable (it is not even
-    block-positive), and the gap vector is tested on every sweep, so a
-    PPT witness that re-checks comes within 5 sweeps."""
+    """A random 9x9 Hermitian matrix is not decomposable, and the gap vector
+    is tested on every sweep, so a PPT witness that re-checks (and so
+    proves it) comes within 5 sweeps."""
     rng = np.random.default_rng(36)
     g = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
     h = 0.5 * (g + g.conj().T)
