@@ -31,7 +31,6 @@ from .linalg import (
     _pt_array,
     _rank,
     check_hermitian,
-    hermitian_eig,
     hs_inner,
     partial_transpose,
     schmidt_decompose,
@@ -39,6 +38,7 @@ from .linalg import (
 from .maps import (
     KrausSet,
     MapRep,
+    _fire,
     _reduction_images,
     choi,
 )
@@ -190,22 +190,17 @@ def _schmidt_bounds(c: MatrixOp, construction: KrausSet | None) -> tuple[int, in
     (1 (x) R_{1/k})(C) = tr_B(C) (x) 1 - C/k proves Schmidt number >= k+1:
     the k-reduction criterion, formed in closed form). A level k >=
     min(dims) cannot fire, as no state has Schmidt number above min(dims),
-    so none is applied. The images are decided as one stack by one
-    `hermitian_eig` call, each fired against its own margin PSD_TOL * max|M|
-    of its matrix M, so the bounds are the same at every scale of C. Upper
-    bound: the largest operator rank of the construction, the Schmidt rank
-    of the range vector when C has rank one, else min(dims).
+    so none is applied. `maps._fire`, the rule of `detect_schmidt_number`
+    too, decides the stack of images at every scale of C. Upper bound: the
+    largest operator rank of the construction, the Schmidt rank of the
+    range vector when C has rank one, else min(dims).
     """
     da, db = c.dims
     w, v = c.eig
     lower = 1
     kmax = min(da, db)
     if kmax > 1:
-        # one stacked call decides every image, each against its own margin;
-        # hermitian_eig refuses a non-finite one
-        images = _reduction_images(c.mat, da, db, range(1, kmax))
-        w_det, _ = hermitian_eig(images)
-        fired = np.flatnonzero(w_det[:, 0] < -_margin(images, PSD_TOL, (1, 2)))
+        fired = np.flatnonzero(_fire(_reduction_images(c.mat, da, db, range(1, kmax)))[1])
         if fired.size:  # image i is level k = i + 1, which proves k + 1
             lower = int(fired[-1]) + 2
     if construction is not None:

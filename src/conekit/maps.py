@@ -8,7 +8,7 @@ with S[(i*d+j), (k*d+l)] = (phi(e_kl))[i, j].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .linalg import (
     _matrix,
     _rank,
     _square_side,
+    hermitian_eig,
     max_entangled,
     reshuffle,
     swap_matrix,
@@ -111,15 +112,6 @@ class KrausSet:
 
     def to_map(self) -> MapRep:
         return MapRep(self.d, _kraus_super(self.operators))
-
-
-@dataclass(frozen=True)
-class Detector:
-    """A map together with the positivity level k it is certified for."""
-
-    map: MapRep
-    k_level: int
-    label: str = ""
 
 
 def _right_action(phi: MapRep, x: np.ndarray, m: int) -> np.ndarray:
@@ -362,16 +354,57 @@ def compose_certified(a, phi: MapRep, k: int,
     return KrausSet(ops)
 
 
-def reduction_detectors(d: int) -> list[Detector]:
-    """Default detector bank: reduction maps at c = 1/k for k = 1..d-1, each
-    k-positive by the closed-form threshold and not completely positive, so
-    each can fire on an entangled state. A fresh list on every call, for
-    detect_schmidt_number and any caller that applies the maps themselves;
-    schmidt_number_bounds forms the same images in closed form
-    (_reduction_images) and builds none of them."""
+@dataclass(frozen=True, eq=False)
+class Witness:
+    """A level-k Schmidt-number witness: W (dims (d, d)), the Choi matrix of
+    a k-positive map R, so (1 (x) R)(rho) is PSD and Tr(W rho) >= 0 on every
+    state of Schmidt number <= k. Its read-only `proof` is derived from W."""
+
+    operator: MatrixOp
+    k_level: int
+    proof: str = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "proof", _witness_proof(self.operator, self.k_level))
+
+
+def _witness_proof(w: MatrixOp, k) -> str:
+    """Why W is k-block-positive, within PSD_TOL * max|W|: "choi-psd" when
+    lambda_min(W) (from W.eig) is above -PSD_TOL * max|W|, at every level;
+    "reduction" when W = a(1 - c P+) entrywise with a > 0 and a(1 - ck) >=
+    -PSD_TOL * max|W|, W's minimum over Schmidt rank <= k (the k-reduction
+    criterion, Terhal & Horodecki 2000). BadParam otherwise."""
+    d, db = _dims(w)
+    if d != db:
+        raise DimMismatch(f"a witness is a Choi matrix with dims (d, d), got {(d, db)}")
+    _check_level(k, d)
+    m, margin = w.mat, _margin(w.mat, PSD_TOL)
+    if float(w.eig[0][0]) >= -margin:
+        return "choi-psd"
+    if d > 1:  # a is W on |0>|1>, which is orthogonal to psi+; -ac is W[00, 11]
+        a, ac = m[1, 1].real, -m[0, d + 1].real
+        form = a * np.eye(d * d) - ac * max_entangled_projector(d).mat
+        if a > 0 and a - k * ac >= -margin and np.abs(m - form).max() <= margin:
+            return "reduction"
+    raise BadParam(f"no proof that W is {k}-block-positive: not PSD, not a(1 - cP+) with ck <= 1")
+
+
+def reduction_detectors(d: int) -> list[Witness]:
+    """A fresh list of the Witnesses 1 - P+/k (proof "reduction"), k =
+    1..d-1: reduction maps at c = 1/k, none CP, so each can fire on an
+    entangled state. schmidt_number_bounds forms their images in closed
+    form (_reduction_images) and builds none of them."""
     _check_dim(d)
-    return [Detector(reduction_family(d, 1.0 / k), k, f"reduction[c=1/{k}]")
-            for k in range(1, d)]
+    return [Witness(choi(reduction_family(d, 1.0 / k)), k) for k in range(1, d)]
+
+
+def _fire(images: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one firing rule of a Schmidt-number detector: one hermitian_eig
+    call (refusing a non-finite image) on an (r, n, n) stack of images, and
+    image M fires below -PSD_TOL * max|M|. Returns the bottom eigenvalues,
+    the fired flags and the bottom eigenvectors v (rows): <v|M|v> is one."""
+    w, v = hermitian_eig(images)
+    return w[:, 0], w[:, 0] < -_margin(images, PSD_TOL, (1, 2)), v[:, :, 0]
 
 
 def _reduction_images(x: np.ndarray, da: int, db: int, levels) -> np.ndarray:

@@ -1,5 +1,6 @@
-"""Entanglement-style detection on states: witnesses built from Choi matrices
-of k-positive maps, detector sweeps and threshold scans over named families."""
+"""Detection on states: witnesses (maps.Witness, a k-positive map's Choi
+matrix with the proof of its level) detect by `schmidt_number_bounds`' firing
+rule; STATE_TOL only gates a state. States and threshold scans of families."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import numpy as np
 from ._seesaw import DEFAULT_OPTS, SeesawOpts, seesaw_minimize
 from .errors import BadFamily, BadParam, NotAState
 from .linalg import (
+    BipartiteVector,
     MatrixOp,
     _check_count,
     _check_level,
@@ -22,31 +24,25 @@ from .linalg import (
     hs_inner,
 )
 from .maps import (
-    Detector,
     MapRep,
+    Witness,
     _check_dim,
+    _fire,
     _reduction_images,
     apply_on_right_factor,
     choi,
+    map_from_choi,
     max_entangled_projector,
 )
 
 STATE_TOL = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
-class Witness:
-    """Hermitian block-positive operator with the level it witnesses."""
-
-    operator: MatrixOp
-    k_level: int
-
-
 @dataclass(frozen=True)
 class DetectionResult:
     min_eigenvalue: float
     fired: bool
-    detector_id: str
+    vector: BipartiteVector | None
     implied_lower_bound: int
 
 
@@ -57,41 +53,36 @@ class ScanPoint:
     fired: bool
 
 
-def _validate_state(rho: MatrixOp | np.ndarray) -> np.ndarray:
+def _validate_state(rho: MatrixOp | np.ndarray) -> None:
+    """NotAState unless Tr rho = 1 and lambda_min >= -STATE_TOL; no clipping."""
     m = _matrix(rho)
-    w, v = hermitian_eig(m)
+    w, _ = hermitian_eig(m)
     tr = complex(np.trace(m))
     if abs(tr - 1.0) > STATE_TOL:
         raise NotAState(f"trace {tr:.12g} is not 1 within {STATE_TOL}")
     if float(w[0]) < -STATE_TOL:
         raise NotAState(f"eigenvalue {w[0]:.3e} below the positivity floor")
-    w = np.clip(w, 0.0, None)
-    return (v * w) @ v.conj().T
 
 
 def expectation(w: Witness, rho: MatrixOp | np.ndarray) -> float:
     """Tr(W rho) for a valid state rho, raw or not. Nonnegative on every state
-    of Schmidt number <= k when W is the Choi matrix of a k-positive map."""
+    of Schmidt number <= k, since W's level k is proven."""
     _validate_state(rho)
     return hs_inner(w.operator, rho)
 
 
-def detect_schmidt_number(rho: MatrixOp, detector: Detector) -> DetectionResult:
-    """Apply 1 (x) detector to the state; an eigenvalue below -STATE_TOL
-    proves the Schmidt number exceeds the detector's level. A state without
-    bipartite dims, a raw matrix included, raises MissingDims."""
+def detect_schmidt_number(rho: MatrixOp, w: Witness) -> DetectionResult:
+    """Apply 1 (x) R to the state, R the map whose Choi matrix is W, and
+    decide the image by `maps._fire`, the rule of `schmidt_number_bounds`.
+    A firing proves Schmidt number > W's level; its evidence `vector` is the
+    image's bottom eigenvector (None when quiet). A state without bipartite
+    dims, a raw matrix included, raises MissingDims."""
     da, db = _dims(rho)
-    clipped = _validate_state(rho)
-    moved = apply_on_right_factor(detector.map, MatrixOp(clipped, dims=(da, db)))
-    w, _ = hermitian_eig(moved)
-    min_eig = float(w[0])
-    fired = min_eig < -STATE_TOL
-    return DetectionResult(
-        min_eigenvalue=min_eig,
-        fired=fired,
-        detector_id=detector.label or f"k{detector.k_level}-detector",
-        implied_lower_bound=detector.k_level + 1 if fired else 1,
-    )
+    _validate_state(rho)
+    image = apply_on_right_factor(map_from_choi(w.operator), rho).mat
+    (low,), (fired,), (v,) = _fire(image[None])
+    vector = BipartiteVector(da, db, v) if fired else None
+    return DetectionResult(float(low), bool(fired), vector, w.k_level + 1 if fired else 1)
 
 
 def _isotropic_mats(d: int, fs) -> np.ndarray:
@@ -133,9 +124,8 @@ def werner_state(p: float) -> MatrixOp:
 
 
 def witness_from_map(phi: MapRep, k_level: int) -> Witness:
-    """Choi matrix of a k-positive map, packaged as a Schmidt-number witness."""
-    _check_level(k_level, phi.d)
-    return Witness(operator=choi(phi), k_level=k_level)
+    """Witness(choi(phi), k_level): BadParam unless its level is proven."""
+    return Witness(choi(phi), k_level)
 
 
 def random_schmidt_bounded_state(d: int, k: int, n_terms: int, seed: int) -> MatrixOp:

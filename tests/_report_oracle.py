@@ -8,6 +8,9 @@ against the operator C and its dims (dA, dB), with no conekit code.
 - a split has PSD A and B and residual < 1e-8 under the (dA, dB) partial
   transpose, and a PPT witness is PSD with a PSD partial transpose and a
   negative pairing with C.
+
+`check_detection` re-checks one `detect_schmidt_number` result the same way,
+against the witness's Choi matrix W and the state.
 """
 
 import numpy as np
@@ -77,3 +80,28 @@ def check_report(rep: dict, c: np.ndarray, dims, eps_neg: float = 1e-9) -> None:
     assert rep["cp"] == (rep["p"][str(top)]["verdict"] == "MembershipProven")
     if rep["decomposable"] is not None:
         check_split(rep["decomposable"], c, dims)
+
+
+def check_detection(res, w: np.ndarray, k: int, rho: np.ndarray, dims) -> None:
+    """One detection of the level-k witness W on the state rho at dims
+    (dA, dB). W is the Choi matrix of a map R on M_dB, W[i p, j q] =
+    R(e_ij)[p, q], so (1 (x) R)(rho) is rebuilt by reshuffling W against
+    rho's blocks. A firing carries a unit vector v with <v|image|v> equal
+    to min_eigenvalue within 1e-12 * max|image| and below -1e-9 *
+    max|image|, and implies Schmidt number >= k + 1; a quiet detector
+    carries no vector and implies nothing above 1."""
+    da, db = dims
+    image = np.einsum("aibj,ipjq->apbq", rho.reshape(da, db, da, db),
+                      w.reshape(db, db, db, db)).reshape(da * db, da * db)
+    scale = float(np.abs(image).max())
+    assert abs(_min_eig(image) - res.min_eigenvalue) <= 1e-12 * scale
+    if res.fired:
+        assert (res.vector.d_a, res.vector.d_b) == (da, db)
+        v = np.asarray(res.vector.amp)
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+        value = float((v.conj() @ image @ v).real)
+        assert abs(value - res.min_eigenvalue) <= 1e-12 * scale
+        assert value < -1e-9 * scale
+        assert res.implied_lower_bound == k + 1
+    else:
+        assert res.vector is None and res.implied_lower_bound == 1

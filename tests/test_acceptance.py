@@ -8,7 +8,6 @@ import time
 import numpy as np
 
 from conekit import (
-    Detector,
     MatrixOp,
     SeesawOpts,
     Verdict,
@@ -188,7 +187,7 @@ def test_criterion_09_detector_soundness_200():
                 rho = random_schmidt_bounded_state(3, k, 4, 4000 * k + seed)
                 for det in sound:
                     res = detect_schmidt_number(rho, det)
-                    assert not res.fired, (k, seed, det.label, res.min_eigenvalue)
+                    assert not res.fired, (k, seed, det.k_level, res.min_eigenvalue)
 
 
 def test_criterion_10_decomposability_heuristic_100():

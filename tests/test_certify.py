@@ -61,6 +61,7 @@ from conekit.errors import (
 from conekit.linalg import PSD_TOL, RANK_TOL, BipartiteVector, _margin, _rank
 import conekit.certify as certify_mod
 import conekit.linalg as linalg_mod
+import conekit.maps as maps_mod
 from conekit.maps import MapRep
 from conekit.serialize import report_to_json
 
@@ -413,12 +414,12 @@ def test_bounds_separable_state():
 
 
 def _loop_lower_bound(c):
-    """The Schmidt lower bound one detector at a time: 1 (x) psi applied by
-    apply_on_right_factor, each image judged by hermitian_eig against
-    PSD_TOL * max|image|."""
+    """The Schmidt lower bound one detector at a time: 1 (x) R applied by
+    apply_on_right_factor, R the map whose Choi matrix is the witness, each
+    image judged by hermitian_eig against PSD_TOL * max|image|."""
     lower = 1
     for det in reduction_detectors(c.dims[1]):
-        moved = apply_on_right_factor(det.map, c)
+        moved = apply_on_right_factor(map_from_choi(det.operator), c)
         w, _ = hermitian_eig(moved)
         if float(w[0]) < -_margin(moved.mat, PSD_TOL):
             lower = max(lower, det.k_level + 1)
@@ -469,7 +470,7 @@ def test_rectangular_bounds_apply_only_the_levels_that_can_fire(dims, monkeypatc
             g = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
             for s in 10.0 ** np.arange(-12, 13, 12):
                 c = MatrixOp(s * (g @ g.conj().T), dims=dims)
-                for mod in (certify_mod, linalg_mod):
+                for mod in (maps_mod, linalg_mod):
                     monkeypatch.setattr(mod, "hermitian_eig", counting_eig)
                 calls[0] = matrices[0] = 0
                 lower = schmidt_number_bounds(c)[0]
@@ -725,7 +726,7 @@ def test_classify_decomposes_a_psd_choi_once(monkeypatch):
         eigs.append(x)
         return hermitian_eig(x, *args)
 
-    for mod in (certify_mod, linalg_mod):
+    for mod in (maps_mod, linalg_mod):
         monkeypatch.setattr(mod, "hermitian_eig", counting_eig)
     rep = classify(identity_map(3), opts=SeesawOpts(restarts=1), include_dec=False)
     assert rep.schmidt_number == (3, 3)
@@ -752,7 +753,7 @@ def test_classify_bounds_come_from_the_public_function(monkeypatch):
         return hermitian_eig(x, *args)
 
     monkeypatch.setattr(certify_mod, "_schmidt_bounds", counting_bounds)
-    for mod in (certify_mod, linalg_mod):
+    for mod in (maps_mod, linalg_mod):
         monkeypatch.setattr(mod, "hermitian_eig", counting_eig)
     # the identity map: C is PSD, PT(C) (the swap) is not
     rep = classify(identity_map(3), opts=SeesawOpts(restarts=1), include_dec=False)
@@ -1350,7 +1351,7 @@ def test_classify_decomposes_each_chain_once(monkeypatch):
         searched.append(k)
         return seesaw_minimize(c, dims, k, **kwargs)
 
-    for mod in (certify_mod, linalg_mod):
+    for mod in (maps_mod, linalg_mod):
         monkeypatch.setattr(mod, "hermitian_eig", counting_eig)
     monkeypatch.setattr(certify_mod, "seesaw_minimize", counting_search)
     # neither Choi matrix nor its partial transpose is PSD: no Schmidt bounds

@@ -17,7 +17,6 @@ import conekit.linalg as linalg_mod
 import conekit.maps as maps_mod
 from conekit import (
     BipartiteVector,
-    Detector,
     KrausSet,
     MapRep,
     MatrixOp,
@@ -145,9 +144,9 @@ CASES = {
     "hs-inner-not-square": (DimMismatch, lambda: hs_inner(np.ones((2, 3)), np.ones((2, 3)))),
     # a raw state: read through the entry rule, refused where dims are needed
     "detect-raw-state": (MissingDims, lambda: detect_schmidt_number(
-        np.eye(4) / 4, Detector(reduction_family(2, 1.0), 1))),
+        np.eye(4) / 4, witness_from_map(reduction_family(2, 1.0), 1))),
     "detect-state-without-dims": (MissingDims, lambda: detect_schmidt_number(
-        MatrixOp(np.eye(4) / 4), Detector(reduction_family(2, 1.0), 1))),
+        MatrixOp(np.eye(4) / 4), witness_from_map(reduction_family(2, 1.0), 1))),
     "expectation-raw-nan": (BadParam, lambda: expectation(
         witness_from_map(reduction_family(2, 1.0), 1), _nan_at(4, 1) / 4)),
     "expectation-raw-wrong-shape": (DimMismatch, lambda: expectation(

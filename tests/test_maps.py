@@ -713,12 +713,14 @@ def test_random_k_positive_map_blends_known_families():
 
 
 def test_reduction_detectors_bank():
-    """One detector per level, each with a negative Choi eigenvalue: a CP
-    detector sends every PSD input to a PSD matrix and so can never fire."""
+    """One witness per level, each proven by the reduction closed form and
+    each with a negative Choi eigenvalue: a CP detector sends every PSD
+    input to a PSD matrix and so can never fire."""
     bank = reduction_detectors(3)
     assert [det.k_level for det in bank] == [1, 2]
     for det in bank:
-        assert np.linalg.eigvalsh(choi(det.map).mat)[0] < -1e-9
+        assert det.proof == "reduction" and det.operator.dims == (3, 3)
+        assert np.linalg.eigvalsh(det.operator.mat)[0] < -1e-9
 
 
 def test_reduction_detectors_is_a_fresh_list():

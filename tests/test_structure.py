@@ -62,9 +62,11 @@ BAD_K_SITES = {"linalg._check_level", "fuzz.fuzz_duality", "fuzz.run_suite"}
 # Names gone from the source: each rule they restated has its one home above
 # (_check_level for BadRank and fuzz._check_levels, SeesawOpts for the
 # see-saw's _check_search, MatrixOp.eig for the eigendecompositions handed
-# around as an eig parameter, checked by _checked_eig or trusted as _OwnEig).
+# around as an eig parameter, checked by _checked_eig or trusted as _OwnEig,
+# the self-proving Witness for the Detector whose level was a label, and a
+# detection's evidence vector for its detector_id).
 RETIRED_NAMES = {"BadRank", "_check_levels", "_check_search",
-                 "_OwnEig", "_checked_eig", "_EIG_TOL"}
+                 "_OwnEig", "_checked_eig", "_EIG_TOL", "Detector", "detector_id"}
 
 # The places that tell a MatrixOp from a raw array: linalg._matrix, which
 # also applies the entry rule (no NaN or infinite entry) to the raw array,
@@ -109,9 +111,29 @@ CLI_UNNAMED = {"map_from_choi", "to_map"}
 CHAIN_DETAIL_SITES = {"certify.k_block_positive_certify"}
 SEESAW_SITES = {"certify.k_block_positive_certify", "witness.threshold_scan"}
 
-# The one eigendecomposition certify takes itself: the stack of detector
-# images in _schmidt_bounds. A chain matrix's spectrum is its MatrixOp.eig.
-CERTIFY_EIG_CALLS = [("certify._schmidt_bounds", "images")]
+# The one other writer of such a string: a Witness's proof "choi-psd", the
+# same evidence read off the witness's own spectrum in maps._witness_proof.
+WITNESS_PROOF_SITES = {"maps._witness_proof"}
+
+# The eigendecompositions certify takes itself: none. A chain matrix's
+# spectrum is its MatrixOp.eig, and the stack of detector images is decided
+# by maps._fire.
+CERTIFY_EIG_CALLS = []
+
+# The one firing rule of a Schmidt-number detector: maps._fire decides a
+# stack of detector images, each against PSD_TOL * max|image|, for the lower
+# bound of schmidt_number_bounds and for detect_schmidt_number alike.
+FIRE_CALLERS = {"certify._schmidt_bounds", "witness.detect_schmidt_number"}
+
+# The functions that read PSD_TOL: the map layer's CP and block floors, a
+# witness's proof, the firing rule, and schmidt_number_bounds' PSD gate and
+# construction check. _fire is the only one that judges a detector image.
+PSD_TOL_SITES = {"maps.kraus_decompose", "maps.compose_certified", "maps._witness_proof",
+                 "maps._fire", "certify.schmidt_number_bounds"}
+
+# STATE_TOL gates a state (its trace and its bottom eigenvalue) and decides
+# nothing else: detections fire by _fire's relative rule.
+STATE_TOL_SITES = {"witness._validate_state"}
 
 # The search options and the one CLI flag that sets each. The see-saw's
 # iteration cap and stop threshold are _seesaw constants, read only by
@@ -344,12 +366,13 @@ def test_cli_hands_classify_the_operator_as_loaded():
 
 
 def test_chain_details_are_written_only_in_the_level_decision():
-    assert _sites(_is_chain_detail) == CHAIN_DETAIL_SITES
+    sites = CHAIN_DETAIL_SITES | WITNESS_PROOF_SITES
+    assert _sites(_is_chain_detail) == sites
     # and no other module holds one, not even outside its functions
     modules = {path.stem for path in SOURCES
                if any(_is_chain_detail(node)
                       for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))}
-    assert modules == {site.split(".")[0] for site in CHAIN_DETAIL_SITES}
+    assert modules == {site.split(".")[0] for site in sites}
 
 
 def test_seesaw_runs_only_in_the_level_decision_and_the_reduction_scan():
@@ -365,7 +388,22 @@ def test_no_function_takes_an_eig_parameter():
     assert not takers
 
 
+def _reads(name):
+    return lambda node: isinstance(node, ast.Name) and node.id == name
+
+
+def test_detectors_fire_by_one_rule():
+    assert _sites(_calls("_fire")) == FIRE_CALLERS
+    assert _sites(_reads("PSD_TOL")) == PSD_TOL_SITES
+
+
+def test_state_tol_only_gates_states():
+    assert _sites(_reads("STATE_TOL")) == STATE_TOL_SITES
+
+
 def test_certify_decomposes_only_the_detector_stack():
+    """certify calls hermitian_eig nowhere: chain spectra are MatrixOp.eig,
+    and its one stack, the detector images, is decomposed in maps._fire."""
     certify = next(path for path in SOURCES if path.stem == "certify")
     calls = [(name, ast.unparse(node.args[0]))
              for name, fn in _top_level_functions(certify)

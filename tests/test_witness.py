@@ -3,17 +3,22 @@ detection and threshold scans."""
 
 import numpy as np
 import pytest
+from _report_oracle import check_detection
 from _scan_oracle import scan_rows
 
 from conekit import (
-    Detector,
     MatrixOp,
+    Witness,
+    choi,
     detect_schmidt_number,
     expectation,
     isotropic_state,
     partial_transpose,
+    random_cp_map,
     random_schmidt_bounded_state,
+    reduction_detectors,
     reduction_family,
+    schmidt_number_bounds,
     threshold_scan,
     werner_state,
     witness_from_map,
@@ -101,38 +106,108 @@ def test_witness_from_map_level_is_an_integer(k):
         witness_from_map(reduction_family(3, 1.0), k)
 
 
+def test_witness_levels_are_proven_from_w():
+    """A witness's level is evidence, not a label: the reduction map at
+    c = 1 is 1-positive only, and at c = 0.52 > 1/2 it is not 2-positive,
+    so neither is a level-2 witness (the first once reported Schmidt number
+    3 for isotropic_state(3, 0.6), whose Schmidt number is 2)."""
+    with pytest.raises(BadParam, match="no proof"):
+        witness_from_map(reduction_family(3, 1.0), 2)
+    with pytest.raises(BadParam, match="no proof"):
+        Witness(choi(reduction_family(3, 0.52)), 2)
+    assert Witness(choi(reduction_family(3, 0.52)), 1).proof == "reduction"
+    assert witness_from_map(random_cp_map(3, 2, 3, 0), 2).proof == "choi-psd"
+    # the closed form is read at any positive scale a of W = a(1 - cP+)
+    scaled = MatrixOp(1e6 * choi(reduction_family(4, 1 / 3)).mat, dims=(4, 4))
+    assert Witness(scaled, 3).proof == "reduction"
+    with pytest.raises(BadParam, match="no proof"):
+        Witness(MatrixOp(-scaled.mat, dims=(4, 4)), 1)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_reduction_detectors_are_proven_by_the_closed_form(d):
+    bank = reduction_detectors(d)
+    assert [w.k_level for w in bank] == list(range(1, d))
+    assert all(w.proof == "reduction" for w in bank)
+
+
+def test_witness_proof_is_read_only_and_needs_square_dims():
+    w = reduction_detectors(3)[0]
+    with pytest.raises(AttributeError):
+        w.proof = "choi-psd"
+    with pytest.raises(DimMismatch):
+        Witness(MatrixOp(np.eye(6), dims=(2, 3)), 1)
+
+
 def test_detect_fires_on_entangled_isotropic():
-    det = Detector(reduction_family(3, 0.5), 2, "red-k2")
-    res = detect_schmidt_number(isotropic_state(3, 0.9), det)
+    det = reduction_detectors(3)[1]
+    rho = isotropic_state(3, 0.9)
+    res = detect_schmidt_number(rho, det)
     assert res.fired
     assert res.implied_lower_bound == 3
-    assert res.detector_id == "red-k2"
+    check_detection(res, det.operator.mat, 2, rho.mat, (3, 3))
 
 
 def test_detect_quiet_on_maximally_mixed():
-    det = Detector(reduction_family(3, 0.5), 2, "red-k2")
+    det = reduction_detectors(3)[1]
     res = detect_schmidt_number(MatrixOp(np.eye(9) / 9, dims=(3, 3)), det)
     assert not res.fired
     assert res.implied_lower_bound == 1
+    assert res.vector is None
 
 
 def test_detect_sound_on_rank_bounded_states():
     """Level-k detectors stay quiet on states of Schmidt number <= k."""
-    for k in (1, 2):
-        det = Detector(reduction_family(3, 1.0 / k), k, f"red-k{k}")
+    for det in reduction_detectors(3):
         for seed in range(25):
-            rho = random_schmidt_bounded_state(3, k, 4, seed)
+            rho = random_schmidt_bounded_state(3, det.k_level, 4, seed)
             assert not detect_schmidt_number(rho, det).fired
 
 
 def test_detect_isotropic_flip_at_k_over_d():
     d = 3
-    for k in (1, 2):
-        det = Detector(reduction_family(d, 1.0 / k), k, "")
+    for det in reduction_detectors(d):
+        k = det.k_level
         below = detect_schmidt_number(isotropic_state(d, k / d - 0.01), det)
         above = detect_schmidt_number(isotropic_state(d, k / d + 0.01), det)
         assert not below.fired
         assert above.fired
+
+
+def _agreement_states(name):
+    """(state, a known bound on its Schmidt number or None): the atlas's
+    isotropic (d = 3) and Werner grids, acceptance criterion 9's 200 states
+    of Schmidt number <= k, and isotropic states 1e-9 and 1e-10 on either
+    side of each flip F = k/d, d = 3..5."""
+    if name == "atlas":
+        yield from ((isotropic_state(3, f), None) for f in np.linspace(0.0, 1.0, 10))
+        yield from ((werner_state(p), None) for p in np.linspace(0.0, 1.0, 9))
+    elif name == "criterion-9":
+        for k in (1, 2):
+            yield from ((random_schmidt_bounded_state(3, k, 4, 4000 * k + seed), k)
+                        for seed in range(100))
+    else:
+        for d in (3, 4, 5):
+            for k in range(1, d):
+                for step in (1e-9, -1e-9, 1e-10, -1e-10):
+                    yield isotropic_state(d, k / d + step), None
+
+
+@pytest.mark.parametrize("name", ["atlas", "criterion-9", "isotropic-flips"])
+def test_detection_agrees_with_schmidt_number_bounds(name):
+    """One firing rule: the largest lower bound the reduction detectors
+    imply is schmidt_number_bounds' lower bound (the two rules once
+    disagreed on the isotropic states at F = k/d + 1e-9), and every
+    detection's evidence passes the numpy re-check. On a criterion-9 state
+    of Schmidt number <= k no detector of level >= k fires."""
+    for rho, bound in _agreement_states(name):
+        bank = reduction_detectors(rho.dims[1])
+        results = [detect_schmidt_number(rho, w) for w in bank]
+        for w, res in zip(bank, results):
+            check_detection(res, w.operator.mat, w.k_level, rho.mat, rho.dims)
+            assert bound is None or w.k_level < bound or not res.fired
+        lower = max([res.implied_lower_bound for res in results], default=1)
+        assert lower == schmidt_number_bounds(rho)[0]
 
 
 def test_random_schmidt_bounded_state_is_valid():
