@@ -87,15 +87,23 @@ def k_block_positive_certify(c: MatrixOp, k: int,
     """Certify <psi|C|psi> >= 0 over Schmidt rank <= k unit vectors: the one
     decision of a chain level, CP and co-CP (the top levels) included.
 
-    PSD input is a constructive proof for every k ("choi-psd"). Otherwise
-    one witness is tried: for k = min(dims) the rank constraint is vacuous
-    and the bottom eigenvector is the witness ("min-eigenvector"); below it
-    the see-saw minimizer searches for one ("seesaw"). The witness is
-    re-verified against C and reported as a violation only when its value is
-    below -tol (an overflowing or ill-conditioned eigensolve can return a
-    vector that does not violate); else the answer is Inconclusive with that
-    value ("min-eigenvector-unverified", "seesaw-best"). Every margin is
-    eps_neg * max|C|.
+    PSD input is a constructive proof for every k ("choi-psd"). Otherwise,
+    for k = min(dims) the rank constraint is vacuous and the bottom
+    eigenvector is the witness ("min-eigenvector"). Below it any violating
+    vector of Schmidt rank <= k refutes the level, minimizer or not, so the
+    bottom eigenvector's top k Schmidt terms, normalized, are tried first
+    ("min-eigenvector-truncated", exact for the reduction maps, where it
+    reads 1 - ck); only when that vector does not violate does the see-saw
+    minimizer search for one ("seesaw"). A witness is re-verified against C
+    (value and, below min(dims), Schmidt rank) and reported as a violation
+    only when its value is below -tol (an overflowing or ill-conditioned
+    eigensolve can return a vector that does not violate); else the answer
+    is Inconclusive with that value ("min-eigenvector-unverified",
+    "seesaw-best"). Every margin is eps_neg * max|C|.
+
+    A violation's value is its witness's attained value: an upper bound on
+    the level's minimum, not the minimum. restarts_used counts the see-saw's
+    restarts: 0 means no search ran.
 
     The spectrum is C's own `c.eig`, taken once per MatrixOp, so the levels
     of one C (as `classify` certifies them) share one eigendecomposition.
@@ -108,22 +116,28 @@ def k_block_positive_certify(c: MatrixOp, k: int,
     tol = _margin(c.mat, opts.eps_neg)
     if float(w[0]) >= -tol:
         return Certificate(Verdict.MEMBERSHIP, float(w[0]), detail="choi-psd")
-    searched = k < kmax
-    if searched:
+    wit = BipartiteVector(da, db, v[:, 0])
+    found, best, restarts = "min-eigenvector", "min-eigenvector-unverified", 0
+    if k < kmax:
+        # the bottom eigenvector's top k Schmidt terms: a rank <= k witness
+        sd = schmidt_decompose(wit)
+        coef = sd.coefficients[:k]
+        m = (sd.left_vectors[:k].T * coef) @ sd.right_vectors[:k]
+        wit = BipartiteVector(da, db, m.reshape(-1) / np.linalg.norm(coef))
+        found, best = "min-eigenvector-truncated", "seesaw-best"
+    val_check = _witness_quadratic_form(c.mat, wit)
+    if k < kmax and val_check >= -tol:
         val, m, _ = seesaw_minimize(c.mat, (da, db), k, restarts=opts.restarts,
                                     seed=opts.seed)
         wit = BipartiteVector(da, db, m.reshape(-1))
-        found, best, restarts = "seesaw", "seesaw-best", opts.restarts
-    else:
-        wit = BipartiteVector(da, db, v[:, 0])
-        found, best, restarts = "min-eigenvector", "min-eigenvector-unverified", 0
-    val_check = _witness_quadratic_form(c.mat, wit)
-    # the see-saw's own value and rank can disagree with its witness; an
-    # eigenvector's cannot, so these checks run only on a searched one
-    if searched and abs(val_check - val) > _margin(c.mat, 1e-8):
-        raise ConekitError("optimizer value disagrees with its own witness")
+        val_check = _witness_quadratic_form(c.mat, wit)
+        found, restarts = "seesaw", opts.restarts
+        # the see-saw's own value can disagree with its witness; an
+        # eigenvector's cannot
+        if abs(val_check - val) > _margin(c.mat, 1e-8):
+            raise ConekitError("optimizer value disagrees with its own witness")
     if val_check < -tol:
-        if searched and schmidt_decompose(wit).rank > k:
+        if k < kmax and schmidt_decompose(wit).rank > k:
             raise ConekitError("witness Schmidt rank exceeds the queried level")
         return Certificate(Verdict.VIOLATION, val_check, witness=wit, detail=found,
                            restarts_used=restarts)
@@ -257,7 +271,10 @@ def classify(x: MatrixOp | MapRep | KrausSet, opts: SeesawOpts = DEFAULT_OPTS,
     witness at every k' > k), so reports never claim membership above a
     refuted level. A level keeps its own violation unless it is weaker than
     the inherited one by more than eps_neg*max|C|, so ties between levels do
-    not turn on last-bit differences at any scale of C.
+    not turn on last-bit differences at any scale of C. A violation's value
+    is its witness's attained value, an upper bound on the level's minimum,
+    not the minimum; an inherited certificate keeps its level's own
+    restarts_used, and 0 means that level ran no search.
     """
     construction = None
     if isinstance(x, KrausSet):

@@ -63,11 +63,11 @@ import conekit.certify as certify_mod
 import conekit.linalg as linalg_mod
 import conekit.maps as maps_mod
 from conekit.maps import MapRep
-from conekit.serialize import report_to_json
+from conekit.serialize import certificate_to_json, report_to_json
 
 from _decompose_oracle import decomposable_certify as decomposable_oracle
 from _inputs import cho_kye_lee_choi, rank_ops
-from _report_oracle import check_report
+from _report_oracle import check_chain_certificate, check_report
 
 
 # ---------------------------------------------------------------------------
@@ -253,13 +253,14 @@ def test_k_positivity_violation_is_projected_positivity_failure():
     x -> (1 (x) phi)((q (x) 1) x (q (x) 1)) for a rank-k projection q built
     from the witness's Schmidt frame: with chi = sum_l u_l (x) conj(u_l) and
     beta the witness, <beta|(1 (x) phi)((q (x) 1)|chi><chi|(q (x) 1))|beta>
-    equals the witness value."""
+    equals the witness value. Here the witness is the bottom eigenvector's
+    rank-2 truncation, the exact minimizer, at exactly 1 - 2 * 0.7."""
     d, k = 3, 2
     phi = reduction_family(d, 0.7)
     cert = is_k_positive_certify(phi, k)
     assert cert.verdict is Verdict.VIOLATION
-    assert cert.detail == "seesaw"
-    assert abs(cert.value - (1 - 2 * 0.7)) <= 2e-3
+    assert cert.detail == "min-eigenvector-truncated"
+    assert abs(cert.value - (1 - 2 * 0.7)) <= 1e-12
     sd = schmidt_decompose(cert.witness)
     u = sd.left_vectors
     q = sum(np.outer(u[l], u[l].conj()) for l in range(k))
@@ -275,6 +276,49 @@ def test_k_positivity_violation_is_projected_positivity_failure():
     value = float((beta.conj() @ mapped @ beta).real)
     assert abs(value - cert.value) <= 1e-8 * max(1.0, abs(cert.value))
     assert value < -1e-9
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_truncated_bottom_eigenvector_is_the_reduction_minimizer(d):
+    """The Choi matrix of reduction(d, c) is 1 - c d |Omega><Omega|, whose
+    bottom eigenvector Omega has a rank-k truncation of value exactly 1 - ck,
+    the minimum over Schmidt rank <= k: it refutes every level k < d with
+    ck > 1, no search, and its witness re-checks with numpy alone."""
+    for c in (0.4, 0.7, 1.2):
+        choi_c = choi(reduction_family(d, c))
+        scale = float(np.abs(choi_c.mat).max())
+        for k in [k for k in range(1, d) if c * k > 1]:
+            cert = k_block_positive_certify(choi_c, k)
+            assert (cert.verdict, cert.detail, cert.restarts_used) == (
+                Verdict.VIOLATION, "min-eigenvector-truncated", 0)
+            assert abs(cert.value - (1 - c * k)) <= 1e-12 * scale
+            check_chain_certificate(certificate_to_json(cert), choi_c.mat, (d, d), k,
+                                    SeesawOpts().eps_neg)
+
+
+def test_a_level_the_truncation_refutes_runs_no_search(monkeypatch):
+    """The see-saw runs only where the truncated bottom eigenvector does not
+    violate: not at all for reduction(3, 0.7) at k = 2, once for
+    reduction(2, 0.7) at k = 1, where the truncation reads +0.3 and the
+    search stays Inconclusive at the true minimum 0.3."""
+    searched = []
+
+    def counting_search(c, dims, k, **kwargs):
+        searched.append(k)
+        return seesaw_minimize(c, dims, k, **kwargs)
+
+    monkeypatch.setattr(certify_mod, "seesaw_minimize", counting_search)
+    cert = k_block_positive_certify(choi(reduction_family(3, 0.7)), 2)
+    assert (cert.verdict, cert.detail) == (Verdict.VIOLATION, "min-eigenvector-truncated")
+    assert searched == []
+    c = choi(reduction_family(2, 0.7))
+    u, s, vh = np.linalg.svd(np.linalg.eigh(c.mat)[1][:, 0].reshape(2, 2))
+    psi_1 = np.kron(u[:, 0], vh[0])
+    assert abs(float((psi_1.conj() @ c.mat @ psi_1).real) - 0.3) <= 1e-12
+    cert = k_block_positive_certify(c, 1)
+    assert (cert.verdict, cert.detail) == (Verdict.INCONCLUSIVE, "seesaw-best")
+    assert abs(cert.value - 0.3) <= 1e-12
+    assert searched == [1]
 
 
 # ---------------------------------------------------------------------------
@@ -771,26 +815,30 @@ def test_classify_bounds_come_from_the_public_function(monkeypatch):
 
 
 def test_classify_inherits_a_stronger_violation_upward():
-    """C = 1 - 1.5 |e0 e0><e0 e0| - 1.2 |psi><psi| with psi = (e1 e1 + e2 e2)/sqrt(2):
-    the product vector e0 e0 gives -0.5 at every level, while level 2's own
-    search (restarts=1, seed=18) settles on psi at -0.2. The chain keeps the
-    stronger level-1 witness at level 2."""
+    """C = 1 - 2 |phi><phi| - 1.8 |e0 e1><e0 e1| with the bottom eigenvector
+    phi = sqrt(.45) e0 e0 + sqrt(.35) e1 e1 + sqrt(.2) e2 e2: its rank-1
+    truncation e0 e0 reads +0.1, so level 1 searches and finds the product
+    vector e0 e1 at -0.8, while level 2's own certificate is phi's rank-2
+    truncation at 1 - 2 * 0.8 = -0.6, weaker by more than the tie margin.
+    The chain keeps the stronger level-1 witness at level 2."""
     e = np.eye(3)
-    v0 = np.kron(e[0], e[0])
-    psi = (np.kron(e[1], e[1]) + np.kron(e[2], e[2])) / np.sqrt(2)
-    c = MatrixOp(np.eye(9) - 1.5 * np.outer(v0, v0) - 1.2 * np.outer(psi, psi), dims=(3, 3))
+    phi = (np.sqrt(0.45) * np.kron(e[0], e[0]) + np.sqrt(0.35) * np.kron(e[1], e[1])
+           + np.sqrt(0.2) * np.kron(e[2], e[2]))
+    v01 = np.kron(e[0], e[1])
+    c = MatrixOp(np.eye(9) - 2 * np.outer(phi, phi) - 1.8 * np.outer(v01, v01), dims=(3, 3))
     opts = SeesawOpts(restarts=1, seed=18)
     own = k_block_positive_certify(c, 2, opts)
-    assert (own.verdict, own.detail) == (Verdict.VIOLATION, "seesaw")
-    assert abs(own.value + 0.2) <= 1e-12
+    assert (own.verdict, own.detail) == (Verdict.VIOLATION, "min-eigenvector-truncated")
+    assert abs(own.value + 0.6) <= 1e-12
     rep = classify(c, opts, include_dec=False)
     assert (rep.p[1].verdict, rep.p[1].detail) == (Verdict.VIOLATION, "seesaw")
-    assert abs(rep.p[1].value + 0.5) <= 1e-12
+    assert abs(rep.p[1].value + 0.8) <= 1e-8
     assert schmidt_rank(rep.p[1].witness) == 1
+    assert rep.p[1].value < own.value - _margin(c.mat, opts.eps_neg)
     assert (rep.p[2].verdict, rep.p[2].detail) == (Verdict.VIOLATION, "seesaw+inherited")
     assert rep.p[2].value == rep.p[1].value
     assert rep.p[2].witness is rep.p[1].witness
-    assert rep.p[2].restarts_used == 1
+    assert rep.p[2].restarts_used == own.restarts_used == 0
 
 
 def _random_hermitian(n, seed):
@@ -1286,11 +1334,17 @@ def test_decomposable_rejects_nan(entry):
 
 
 def test_certificate_fields():
+    """restarts_used counts the see-saw's restarts: 0 when the truncated
+    bottom eigenvector decides the level with no search, >= 1 on a level
+    that searched (reduction(2, 0.7) at k = 1, where it reads +0.3)."""
     cert = k_block_positive_certify(choi(reduction_family(3, 0.7)), 2)
     assert isinstance(cert, Certificate)
     assert cert.verdict is Verdict.VIOLATION
-    assert cert.restarts_used >= 1
+    assert cert.restarts_used == 0
     assert str(cert.verdict.value) == "ViolationFound"
+    searched = k_block_positive_certify(choi(reduction_family(2, 0.7)), 1)
+    assert searched.detail == "seesaw-best"
+    assert searched.restarts_used >= 1
 
 
 def test_verdict_string_values():
@@ -1338,9 +1392,10 @@ def test_margins_scale_with_c():
 
 
 def test_classify_decomposes_each_chain_once(monkeypatch):
-    """One eigendecomposition per chain serves every level, and only the
-    level k = min(dims) takes the bottom eigenvector as its witness when C
-    is not PSD: the levels below go straight to the see-saw."""
+    """One eigendecomposition per chain serves every level. When C is not
+    PSD the level k = min(dims) takes the bottom eigenvector as its witness,
+    and a level below it first tries that vector's rank-k truncation: the
+    see-saw runs only at a level the truncation does not refute."""
     eigs, searched = [], []
 
     def counting_eig(x, *args):
@@ -1356,9 +1411,22 @@ def test_classify_decomposes_each_chain_once(monkeypatch):
     monkeypatch.setattr(certify_mod, "seesaw_minimize", counting_search)
     # neither Choi matrix nor its partial transpose is PSD: no Schmidt bounds
     rep = classify(reduction_family(3, 1.02), opts=SeesawOpts(restarts=2), include_dec=False)
-    assert len(eigs) == 2 and searched == [1, 2, 1, 2]
+    assert len(eigs) == 2 and searched == []
     assert rep.p[3].detail == rep.co_p[3].detail == "min-eigenvector"
+    assert {rep.p[1].detail, rep.p[2].detail, rep.co_p[1].detail, rep.co_p[2].detail} == {
+        "min-eigenvector-truncated"}
     assert not rep.cp and rep.co_p[3].verdict is Verdict.VIOLATION
+    # reduction(3, 0.7): the truncation reads 1 - 0.7 = +0.3 at level 1, so
+    # that level searches; PT(C) is PSD, so the co-chain needs no search (its
+    # Schmidt bounds decompose the detectors' moved matrices besides)
     eigs.clear()
-    assert k_block_positive_certify(choi(reduction_family(3, 0.7)), 2).detail == "seesaw"
+    c = choi(reduction_family(3, 0.7))
+    rep = classify(c, opts=SeesawOpts(restarts=2), include_dec=False)
+    assert searched == [1]
+    assert [sum(np.array_equal(getattr(x, "mat", x), m.mat) for x in eigs)
+            for m in (c, partial_transpose(c))] == [1, 1]
+    assert rep.p[1].detail == "seesaw-best" and rep.p[2].detail == "min-eigenvector-truncated"
+    eigs.clear()
+    assert k_block_positive_certify(choi(reduction_family(3, 0.7)), 2).detail == (
+        "min-eigenvector-truncated")
     assert len(eigs) == 1
