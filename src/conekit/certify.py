@@ -27,12 +27,13 @@ from .linalg import (
     _dims,
     _hermitian_part,
     _margin,
+    _pairing,
     _pow2_scaled,
     _pt_array,
     _rank,
     check_hermitian,
-    hs_inner,
     partial_transpose,
+    reshuffle,
     schmidt_decompose,
 )
 from .maps import (
@@ -164,10 +165,12 @@ def is_k_positive_certify(phi: MapRep, k: int,
 
 def dual_pairing(phi: MapRep, psi: MapRep) -> float:
     """Tr(C_phi C_psi). Nonnegative whenever one map is in S_k and the other
-    in P_k (the cones are mutually dual under this pairing)."""
+    in P_k (the cones are mutually dual under this pairing). Both Choi
+    matrices already passed their maps' Hermiticity gates, so hs_inner's
+    formula is applied with no second gate."""
     if phi.d != psi.d:
         raise DimMismatch(f"maps act on M_{phi.d} and M_{psi.d}")
-    return hs_inner(choi(phi), choi(psi))
+    return _pairing(reshuffle(phi.super_mat, phi.d), reshuffle(psi.super_mat, psi.d))
 
 
 def schmidt_number_bounds(c: MatrixOp, *, construction: KrausSet | None = None

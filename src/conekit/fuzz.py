@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from .certify import dual_pairing
-from .errors import BadFamily, BadK
+from .errors import BadFamily, BadK, BadParam
 from .linalg import (_check_count, _check_level, _complex_gaussian, _hermitian_part, hs_inner,
                      reshuffle, unreshuffle)
 from .maps import (
@@ -28,7 +28,7 @@ from .maps import (
 
 def _sub_seeds(seed: int, n: int) -> list[int]:
     rng = np.random.default_rng(seed)
-    return [int(x) for x in rng.integers(0, 2**63 - 1, size=n)]
+    return rng.integers(0, 2**63 - 1, size=n).tolist()
 
 
 def _run(suite: str, n: int, seed: int, params: dict, one) -> dict:
@@ -97,7 +97,7 @@ def fuzz_composition(n: int, d: int = 3, k: int = 2, seed: int = 0) -> dict:
         err = float(np.abs(recon.super_mat - target.super_mat).max())
         if err > tol:
             return f"reconstruction error {err:.3e}"
-        w = np.linalg.eigvalsh(_reduction_images(choi(target).mat, d, d, (k,))[0])
+        w = np.linalg.eigvalsh(_reduction_images(reshuffle(target.super_mat, d), d, d, (k,))[0])
         if float(w[0]) < -tol:
             return f"level-{k} detector fired at {w[0]:.3e} on the composite"
         return None
@@ -107,7 +107,16 @@ def fuzz_composition(n: int, d: int = 3, k: int = 2, seed: int = 0) -> dict:
 
 def fuzz_bijection(n: int, dims=(2, 3, 4), seed: int = 0) -> dict:
     """map_from_choi inverts choi within 1e-13, and the reshuffling
-    round-trip is exact."""
+    round-trip is exact. dims, checked first, must be a non-empty sequence
+    of dimensions (BadParam otherwise)."""
+    try:
+        dims = tuple(dims)
+    except TypeError:
+        raise BadParam(f"dims must be a sequence of dimensions, got {dims!r}") from None
+    if not dims:
+        raise BadParam("dims must name at least one dimension")
+    for d in dims:
+        _check_dim(d)
     tol = 1e-13
 
     def one(inst_seed: int):
@@ -126,7 +135,9 @@ def fuzz_bijection(n: int, dims=(2, 3, 4), seed: int = 0) -> dict:
 
 
 def fuzz_adjoint(n: int, d: int = 3, seed: int = 0) -> dict:
-    """<phi(x), y> = <x, phi^dag(y)> within 1e-10 on random Hermitian pairs."""
+    """<phi(x), y> = <x, phi^dag(y)> within 1e-10 on random Hermitian pairs;
+    d is checked first."""
+    _check_dim(d)
     tol = 1e-10
 
     def one(inst_seed: int):

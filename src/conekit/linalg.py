@@ -70,7 +70,10 @@ def _check_eps(name: str, eps: float) -> None:
 
 def _is_int(val, low: int) -> bool:
     """The integer rule of every count, level, seed and dimension: val is a
-    numbers.Integral (numpy integers pass), not a bool, and >= low."""
+    numbers.Integral (numpy integers pass), not a bool, and >= low. An exact
+    int, the common case, is decided by its one comparison."""
+    if type(val) is int:
+        return val >= low
     return not isinstance(val, bool) and isinstance(val, numbers.Integral) and val >= low
 
 
@@ -277,14 +280,14 @@ def partial_transpose(x: MatrixOp, subsystem: str = "B") -> MatrixOp:
 def reshuffle(superop: np.ndarray, d: int) -> np.ndarray:
     """Superoperator ordering -> Choi ordering: out_{ij,kl} = in_{jl,ik}."""
     s4 = np.asarray(superop, dtype=np.complex128).reshape(d, d, d, d)
-    return np.einsum("jlik->ijkl", s4).reshape(d * d, d * d)
+    return s4.transpose(2, 0, 3, 1).reshape(d * d, d * d)
 
 
 def unreshuffle(choi: np.ndarray, d: int) -> np.ndarray:
     """Choi ordering -> superoperator ordering: out_{ab,ce} = in_{ca,eb}.
     Exact inverse of reshuffle (pure index permutation, no arithmetic)."""
     c4 = np.asarray(choi, dtype=np.complex128).reshape(d, d, d, d)
-    return np.einsum("caeb->abce", c4).reshape(d * d, d * d)
+    return c4.transpose(1, 3, 0, 2).reshape(d * d, d * d)
 
 
 def check_hermitian(m: np.ndarray) -> None:
@@ -359,6 +362,13 @@ def hs_inner(a: MatrixOp | np.ndarray, b: MatrixOp | np.ndarray) -> float:
         raise DimMismatch(f"shape mismatch {ma.shape} vs {mb.shape}")
     check_hermitian(ma)
     check_hermitian(mb)
+    return _pairing(ma, mb)
+
+
+def _pairing(ma: np.ndarray, mb: np.ndarray) -> float:
+    """Re Tr(A B) of two same-shape square arrays, with no entry rule or gate:
+    the one formula of hs_inner and of dual_pairing, whose Choi matrices
+    already passed their maps' gates."""
     return float(np.einsum("ij,ji->", ma, mb).real)
 
 

@@ -26,6 +26,7 @@ from conekit import (
     dual_pairing,
     from_kraus,
     hermitian_eig,
+    hs_inner,
     identity_map,
     is_ccp,
     is_cp,
@@ -347,6 +348,44 @@ def test_pairing_symmetric():
     a = reduction_family(3, 0.5)
     b = random_cp_map(3, 2, 3, 0)
     assert abs(dual_pairing(a, b) - dual_pairing(b, a)) <= 1e-10
+
+
+def _pairing_maps(i: int):
+    """Pair i of 20 seeded maps at d = 2..5, drawn from random_hp_map,
+    random_cp_map and random_k_positive_map in turn."""
+    d = 2 + i % 4
+    draws = (lambda s: random_hp_map(d, s),
+             lambda s: random_cp_map(d, 1 + s % d, 3, s),
+             lambda s: random_k_positive_map(d, 1 + s % d, s))
+    return draws[i % 3](2 * i), draws[(i + 1) % 3](2 * i + 1)
+
+
+def test_pairing_is_hs_inner_of_the_choi_matrices_bit_for_bit():
+    """dual_pairing is hs_inner's formula on the two Choi matrices: the same
+    float, compared with == and no tolerance."""
+    for i in range(20):
+        phi, psi = _pairing_maps(i)
+        assert dual_pairing(phi, psi) == hs_inner(choi(phi), choi(psi))
+
+
+def test_pairing_applies_no_second_hermiticity_gate(monkeypatch):
+    """Both maps passed MapRep's gate, so dual_pairing gates neither Choi
+    matrix again; maps on different M_d still raise DimMismatch."""
+    phi, psi = _pairing_maps(4)
+    calls = [0]
+    gate = linalg_mod._check_hermitian_pair
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return gate(*args, **kwargs)
+
+    monkeypatch.setattr(linalg_mod, "_check_hermitian_pair", counting)
+    dual_pairing(phi, psi)
+    assert calls[0] == 0
+    hs_inner(choi(phi), choi(psi))
+    assert calls[0] == 2
+    with pytest.raises(DimMismatch):
+        dual_pairing(identity_map(2), identity_map(3))
 
 
 # ---------------------------------------------------------------------------

@@ -159,19 +159,31 @@ def test_suite_names_exported():
     pytest.param(lambda: fuzz_composition(5, d=2, k=3), BadK, id="composition-k-above-d"),
     pytest.param(lambda: fuzz_duality(3, d=2.5), BadParam, id="duality-d-float"),
     pytest.param(lambda: fuzz_composition(3, d=2.5, k=2), BadParam, id="composition-d-float"),
+    pytest.param(lambda: fuzz_adjoint(1, d=0), BadParam, id="adjoint-d0"),
+    pytest.param(lambda: fuzz_bijection(2, dims=()), BadParam, id="bijection-no-dims"),
+    pytest.param(lambda: fuzz_bijection(2, dims=5), BadParam, id="bijection-dims-int"),
+    pytest.param(lambda: fuzz_bijection(2, dims=(3, 2.5)), BadParam, id="bijection-d-float-second"),
 ])
 def test_runs_that_check_nothing_are_rejected_before_drawing(call, error, monkeypatch):
-    """No instance, no level, a level outside 1..d or a d that is not an
-    integer >= 1 is refused before any random generator is built: a run
-    that checks nothing never passes."""
-    drawn = [0]
-    default_rng = np.random.default_rng
+    """No instance, no level, a level outside 1..d, no dimension or a d that
+    is not an integer >= 1 is refused before any random generator is built
+    and before any map is drawn (random_hp_map refuses a bad d by itself, so
+    it is counted too): a run that checks nothing never passes, and no
+    instance at a good d is checked before a bad one is refused."""
+    drawn = [0, 0]
+    default_rng, random_hp = np.random.default_rng, fuzz.random_hp_map
 
     def counting(*args, **kwargs):
         drawn[0] += 1
         return default_rng(*args, **kwargs)
 
+    def counting_hp(*args, **kwargs):
+        drawn[1] += 1
+        return random_hp(*args, **kwargs)
+
     monkeypatch.setattr(np.random, "default_rng", counting)
+    monkeypatch.setattr(fuzz, "random_hp_map", counting_hp)
     with pytest.raises(error):
         call()
-    assert drawn[0] == 0
+    assert drawn == [0, 0]
+

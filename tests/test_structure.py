@@ -89,14 +89,14 @@ SQUARE_SIDE_SITES = {"linalg._square_side"}
 # Every writer formats its array through _to_json, with no copy or check.
 SERIALIZE_MATRIXOP_SITES = {"serialize.matrix_from_json"}
 
-# The functions that may call np.einsum: the index permutations between the
-# superoperator and the Choi matrix, the Hilbert-Schmidt pairing, the
-# see-saw's effective matrix and the PPT witness's value. A map acts on a
-# matrix only through maps._right_action, one gemm, so a second map
-# contraction fails here.
+# The functions that may call np.einsum: the Hilbert-Schmidt pairing's one
+# formula (linalg._pairing, which hs_inner and dual_pairing share), the
+# see-saw's effective matrix and the PPT witness's value. The permutations
+# between the superoperator and the Choi matrix are transposes, and a map
+# acts on a matrix only through maps._right_action, one gemm, so a second
+# pairing formula or map contraction fails here.
 EINSUM_SITES = {
-    "linalg.reshuffle", "linalg.unreshuffle", "linalg.hs_inner",
-    "_seesaw._bottom", "certify._ppt_witness",
+    "linalg._pairing", "_seesaw._bottom", "certify._ppt_witness",
 }
 
 # Names the CLI never uses: it hands classify the operator as loaded, so no
