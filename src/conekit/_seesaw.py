@@ -339,7 +339,8 @@ class SeesawOpts:
     """The see-saw's restarts and seed, and the margin factor eps_neg of the
     decisions built on it. BadParam unless, in this order, restarts passes
     _check_count at 1 (a search that never runs has no value), seed at 0
-    and eps_neg _check_eps."""
+    and eps_neg _check_eps. restarts and seed are kept as Python ints, so a
+    numpy integer given here reaches no JSON report."""
 
     restarts: int = 20
     eps_neg: float = 1e-9
@@ -349,6 +350,8 @@ class SeesawOpts:
         _check_count("restarts", self.restarts, 1)
         _check_count("seed", self.seed, 0)
         _check_eps("eps_neg", self.eps_neg)
+        object.__setattr__(self, "restarts", int(self.restarts))
+        object.__setattr__(self, "seed", int(self.seed))
 
 
 DEFAULT_OPTS = SeesawOpts()

@@ -17,7 +17,6 @@ import numpy as np
 from ._seesaw import DEFAULT_OPTS, SeesawOpts, seesaw_minimize
 from .errors import BadParam, ConekitError, DimMismatch, NotPSD
 from .linalg import (
-    PSD_TOL,
     RANK_TOL,
     _TINY,
     BipartiteVector,
@@ -173,33 +172,32 @@ def dual_pairing(phi: MapRep, psi: MapRep) -> float:
     return _pairing(reshuffle(phi.super_mat, phi.d), reshuffle(psi.super_mat, psi.d))
 
 
-def schmidt_number_bounds(c: MatrixOp, *, construction: KrausSet | None = None
-                          ) -> tuple[int, int]:
-    """(lower, upper) bounds on the Schmidt number of a PSD bipartite matrix
-    C with declared dims: NotPSD unless C's spectrum `c.eig` is PSD within
-    PSD_TOL * max|C|, then `_schmidt_bounds`.
-
-    A construction must factor C: DimMismatch unless C's dims are (d, d) for
-    its operators on C^d, BadParam when its Choi matrix misses C by more than
-    PSD_TOL * max|C| (the reconstruction rule of `compose_certified`).
-    """
-    da, db = _dims(c)
-    if construction is not None:
-        if (da, db) != (construction.d,) * 2:
-            raise DimMismatch(f"C has dims {(da, db)}; its construction acts on M_{construction.d}")
-        err = float(np.abs(choi(construction.to_map()).mat - c.mat).max())
-        if err > _margin(c.mat, PSD_TOL):
-            raise BadParam(f"the Kraus construction misses C by {err:.3e}")
-    w = c.eig[0]
-    if float(w[0]) < -_margin(c.mat, PSD_TOL):
-        raise NotPSD(f"matrix has eigenvalue {w[0]:.3e}; Schmidt number undefined")
-    return _schmidt_bounds(c, construction)
+def _operator(x: MatrixOp | MapRep | KrausSet) -> tuple[MatrixOp, KrausSet | None]:
+    """C as `classify` and `schmidt_number_bounds` read it from x, and x when
+    it is a Kraus set: a MapRep, or a KrausSet's map, is read as its Choi
+    matrix, with dims (d, d); anything but a MatrixOp with dims raises MissingDims."""
+    kraus = None
+    if isinstance(x, KrausSet):
+        kraus, x = x, x.to_map()
+    c = choi(x) if isinstance(x, MapRep) else x
+    _dims(c)
+    return c, kraus
 
 
-def _schmidt_bounds(c: MatrixOp, construction: KrausSet | None) -> tuple[int, int]:
-    """The Schmidt-number bounds of a C already proven PSD (by the caller's
-    own margin: `classify`'s chains prove it at their top level), with a
-    construction that factors C or none.
+def schmidt_number_bounds(x: MatrixOp | MapRep | KrausSet) -> tuple[int, int]:
+    """(lower, upper) bounds on the Schmidt number of C, read from x by
+    `_operator`: NotPSD unless `is_cp`'s decision, the top level of C's
+    chain, proves C PSD, then `_schmidt_bounds` on that proof, as in `classify`."""
+    c, kraus = _operator(x)
+    cert = k_block_positive_certify(c, min(c.dims))
+    if cert.verdict is not Verdict.MEMBERSHIP:
+        raise NotPSD(f"matrix has eigenvalue {cert.value:.3e}; Schmidt number undefined")
+    return _schmidt_bounds(c, kraus)
+
+
+def _schmidt_bounds(c: MatrixOp, kraus: KrausSet | None) -> tuple[int, int]:
+    """The Schmidt-number bounds of a C proven PSD by the top level of its
+    chain, with the Kraus set that factors C or none.
 
     Lower bound: 1 + the largest k among the reduction detectors
     R_{1/k}: a -> tr(a) 1 - a/k, k = 1..min(dims)-1, that fire (a k-positive
@@ -209,7 +207,7 @@ def _schmidt_bounds(c: MatrixOp, construction: KrausSet | None) -> tuple[int, in
     min(dims) cannot fire, as no state has Schmidt number above min(dims),
     so none is applied. `maps._fire`, the rule of `detect_schmidt_number`
     too, decides the stack of images at every scale of C. Upper bound: the
-    largest operator rank of the construction, the Schmidt rank of the
+    largest operator rank of the Kraus set, the Schmidt rank of the
     range vector when C has rank one, else min(dims).
     """
     da, db = c.dims
@@ -220,8 +218,8 @@ def _schmidt_bounds(c: MatrixOp, construction: KrausSet | None) -> tuple[int, in
         fired = np.flatnonzero(_fire(_reduction_images(c.mat, da, db, range(1, kmax)))[1])
         if fired.size:  # image i is level k = i + 1, which proves k + 1
             lower = int(fired[-1]) + 2
-    if construction is not None:
-        upper, source = max(1, min(construction.rank, kmax)), "the Kraus rank"
+    if kraus is not None:
+        upper, source = max(1, min(kraus.rank, kmax)), "the Kraus rank"
     elif _rank(np.abs(w), RANK_TOL) == 1:
         upper = schmidt_decompose(BipartiteVector(da, db, v[:, -1])).rank
         source = "the Schmidt rank of C's range vector"
@@ -264,7 +262,7 @@ def classify(x: MatrixOp | MapRep | KrausSet, opts: SeesawOpts = DEFAULT_OPTS,
     and combined flags for the two-index cones, one for each pair (k, m) in
     1..min(dims).
 
-    x is C itself (a MatrixOp with dims, MissingDims otherwise), a MapRep,
+    x is read by `_operator`: C itself (a MatrixOp with dims), a MapRep,
     read as its Choi matrix, or a KrausSet, read as the Choi matrix of its
     map: the largest operator rank of a Kraus set then bounds the Schmidt
     number of C from above (the co-chain's matrix, the partial transpose,
@@ -279,11 +277,8 @@ def classify(x: MatrixOp | MapRep | KrausSet, opts: SeesawOpts = DEFAULT_OPTS,
     not the minimum; an inherited certificate keeps its level's own
     restarts_used, and 0 means that level ran no search.
     """
-    construction = None
-    if isinstance(x, KrausSet):
-        construction, x = x, x.to_map()
-    c = choi(x) if isinstance(x, MapRep) else x
-    dims = _dims(c)
+    c, kraus = _operator(x)
+    dims = c.dims
     top = min(dims)
 
     def chain(target_choi: MatrixOp, kraus: KrausSet | None = None
@@ -308,7 +303,7 @@ def classify(x: MatrixOp | MapRep | KrausSet, opts: SeesawOpts = DEFAULT_OPTS,
 
     # choi(co(phi)) = PT_B(choi(phi)): the co-chain reads the same matrix
     co_c = partial_transpose(c)
-    p, bounds = chain(c, construction)
+    p, bounds = chain(c, kraus)
     co_p, co_bounds = chain(co_c)
     cp = p[top].verdict is Verdict.MEMBERSHIP
 

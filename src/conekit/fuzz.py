@@ -33,9 +33,11 @@ def _sub_seeds(seed: int, n: int) -> list[int]:
 
 def _run(suite: str, n: int, seed: int, params: dict, one) -> dict:
     """The summary of instances seed .. seed + n - 1; one(inst_seed) returns
-    a failure detail or None. n >= 1 and seed >= 0 follow the integer rule."""
+    a failure detail or None. n >= 1 and seed >= 0 follow the integer rule,
+    and are kept as Python ints, as every suite keeps its params."""
     _check_count("n", n, 1)
     _check_count("seed", seed, 0)
+    n, seed = int(n), int(seed)
     failures = []
     for i in range(n):
         inst_seed = seed + i
@@ -74,7 +76,7 @@ def fuzz_duality(n: int, d: int = 3, ks=None, seed: int = 0) -> dict:
                 return f"pairing {val:.3e} < -{tol} at k={k}"
         return None
 
-    return _run("duality", n, seed, {"d": d, "ks": list(ks), "tol": tol}, one)
+    return _run("duality", n, seed, {"d": int(d), "ks": [int(k) for k in ks], "tol": tol}, one)
 
 
 def fuzz_composition(n: int, d: int = 3, k: int = 2, seed: int = 0) -> dict:
@@ -102,7 +104,7 @@ def fuzz_composition(n: int, d: int = 3, k: int = 2, seed: int = 0) -> dict:
             return f"level-{k} detector fired at {w[0]:.3e} on the composite"
         return None
 
-    return _run("composition", n, seed, {"d": d, "k": k, "tol": tol}, one)
+    return _run("composition", n, seed, {"d": int(d), "k": int(k), "tol": tol}, one)
 
 
 def fuzz_bijection(n: int, dims=(2, 3, 4), seed: int = 0) -> dict:
@@ -131,7 +133,7 @@ def fuzz_bijection(n: int, dims=(2, 3, 4), seed: int = 0) -> dict:
             return f"reshuffle round-trip not exact at d={d}"
         return None
 
-    return _run("bijection", n, seed, {"dims": list(dims), "tol": tol}, one)
+    return _run("bijection", n, seed, {"dims": [int(d) for d in dims], "tol": tol}, one)
 
 
 def fuzz_adjoint(n: int, d: int = 3, seed: int = 0) -> dict:
@@ -151,7 +153,7 @@ def fuzz_adjoint(n: int, d: int = 3, seed: int = 0) -> dict:
             return f"pairing mismatch {abs(lhs - rhs):.3e}"
         return None
 
-    return _run("adjoint", n, seed, {"d": d, "tol": tol}, one)
+    return _run("adjoint", n, seed, {"d": int(d), "tol": tol}, one)
 
 
 # Each suite by name, with where the CLI's --d and --k go among its

@@ -48,6 +48,7 @@ from conekit import (
     seesaw_minimize,
     swap_matrix,
     transpose_map,
+    werner_state,
 )
 from conekit.errors import (
     BadK,
@@ -403,11 +404,12 @@ def test_bounds_rank_one_choi():
 
 
 def test_bounds_with_construction():
+    """A Kraus set of rank-one operators is read as its map's Choi matrix,
+    which it factors, so its rank bounds the Schmidt number from above."""
     rng = np.random.default_rng(33)
     ops = rank_ops(rng, 3, 1, 5)
-    phi = from_kraus(ops)
-    bounds = schmidt_number_bounds(choi(phi), construction=KrausSet(tuple(ops)))
-    assert bounds == (1, 1)
+    assert schmidt_number_bounds(KrausSet(tuple(ops))) == (1, 1)
+    assert schmidt_number_bounds(from_kraus(ops)) == (1, 3)
 
 
 def test_bounds_eigen_kraus_can_be_looser_than_construction():
@@ -431,15 +433,6 @@ def test_bounds_require_psd():
         schmidt_number_bounds(c)
     with pytest.raises(NotPSD):
         schmidt_number_bounds(MatrixOp(swap_matrix(2).astype(complex), dims=(2, 2)))
-
-
-def test_bounds_contradiction_rejected():
-    """A construction claiming rank 1 for the maximally entangled projector
-    does not factor it, so it is refused as input (BadParam) before its rank
-    could contradict the fired detectors."""
-    fake = KrausSet((np.eye(3, dtype=complex)[:, :1] @ np.ones((1, 3)),))
-    with pytest.raises(BadParam, match="misses C"):
-        schmidt_number_bounds(max_entangled_projector(3), construction=fake)
 
 
 def test_bounds_contradiction_names_both_ends(monkeypatch):
@@ -467,21 +460,13 @@ def _horodecki_state(a):
 
 
 def test_bounds_refuse_a_construction_of_another_operator():
-    """An unrelated rank-one Kraus set claimed a Schmidt number of 1, a
-    separability claim, for the bound-entangled Horodecki state, whose own
-    bounds are (1, 3): a construction that does not factor C is refused."""
+    """The bound-entangled Horodecki state is PPT and fires no reduction
+    detector, so its bounds are (1, 3): nothing but a Kraus set of its own
+    could claim Schmidt number 1 for it, and a Kraus set is always read as
+    the operator it factors."""
     rho = _horodecki_state(0.5)
     assert np.linalg.eigvalsh(partial_transpose(rho).mat)[0] > -_margin(rho.mat, PSD_TOL)
     assert schmidt_number_bounds(rho) == (1, 3)
-    with pytest.raises(BadParam, match="misses C"):
-        schmidt_number_bounds(rho, construction=KrausSet([np.diag([1.0, 0.0, 0.0])]))
-
-
-def test_bounds_refuse_a_construction_of_another_dimension():
-    """A Kraus set on M_2 cannot factor a 3 x 3 state: DimMismatch at the
-    boundary, not the contradiction blamed on a detector's k tag."""
-    with pytest.raises(DimMismatch, match="M_2"):
-        schmidt_number_bounds(isotropic_state(3, 0.9), construction=KrausSet([np.eye(2)]))
 
 
 def test_bounds_separable_state():
@@ -674,6 +659,61 @@ def test_certifiers_need_bipartite_dims():
         schmidt_number_bounds(MatrixOp(np.eye(4)))
 
 
+def _shifted_spectrum(d, f, scale):
+    """scale * (C0 - f * 1e-9 * max|C0| * 1) for a seeded rank-deficient PSD
+    C0 on C^d (x) C^d: its bottom eigenvalue sits f times the PSD margin
+    1e-9 * max|C| below zero, outside the margin for f > 1, inside for f < 1
+    (adding f * 1e-9 * max|C0| to the diagonal moves max|C| by a relative
+    1e-9 at most, far below the 1e-3 gap of the pinned cases)."""
+    rng = np.random.default_rng(100 + d)
+    g = rng.normal(size=(d * d, d * d - 1)) + 1j * rng.normal(size=(d * d, d * d - 1))
+    c0 = g @ g.conj().T
+    c = c0 - f * 1e-9 * np.abs(c0).max() * np.eye(d * d)
+    return MatrixOp(scale * c, dims=(d, d))
+
+
+def _bounds_families():
+    """What schmidt_number_bounds and classify are both given: the atlas's
+    isotropic (d = 3) and Werner grids, seeded rank-k Kraus sets, reduction
+    maps just inside and just outside CP, and the shifted spectra."""
+    rng = np.random.default_rng(36)
+    return {
+        "isotropic": [isotropic_state(3, f) for f in np.linspace(0.0, 1.0, 10)],
+        "werner": [werner_state(p) for p in np.linspace(0.0, 1.0, 9)],
+        "kraus": [KrausSet(rank_ops(rng, d, k, 3)) for d in (2, 3, 4) for k in range(1, d + 1)],
+        "reduction": [reduction_family(d, 1.0 / d + t) for d in (2, 3, 4) for t in (-0.02, 0.02)],
+        "shifted": [_shifted_spectrum(d, f, scale) for d in (2, 3, 4)
+                    for f in (1 - 1e-3, 1 - 1e-6, 1.0, 1 + 1e-6, 1 + 1e-3)
+                    for scale in (1e-200, 1.0, 1e200)],
+    }
+
+
+def _bounds_or_none(x):
+    try:
+        return schmidt_number_bounds(x)
+    except NotPSD:
+        return None
+
+
+@pytest.mark.parametrize("family", ["isotropic", "werner", "kraus", "reduction", "shifted"])
+def test_bounds_agree_with_classify(family):
+    """schmidt_number_bounds takes what classify takes and stands on the same
+    top-level CP decision: equal bounds, and NotPSD exactly where classify
+    reports none."""
+    inputs = _bounds_families()[family]
+    got = [_bounds_or_none(x) for x in inputs]
+    want = [classify(x, SeesawOpts(restarts=1), include_dec=False).schmidt_number
+            for x in inputs]
+    assert got == want
+    if family == "reduction":
+        # R_c is CP exactly for c <= 1/d
+        assert [b is None for b in got] == [False, True] * 3
+    if family == "shifted":
+        # f = 1 -+ 1e-3 is inside / outside the margin at every d and scale
+        outcomes = np.array([b is None for b in got]).reshape(3, 5, 3)
+        assert not outcomes[:, 0].any() and outcomes[:, 4].all()
+
+
 # ---------------------------------------------------------------------------
 # Classification
 
@@ -773,8 +813,9 @@ def _barely_psd_choi():
 
 def test_classify_bounds_follow_the_chain_verdict():
     """The Schmidt bounds stand on the chain's own proof that C is PSD: a C
-    proven PSD within eps_neg is not re-judged against PSD_TOL. The
-    standalone schmidt_number_bounds keeps its own PSD gate."""
+    proven PSD within eps_neg is not re-judged against PSD_TOL.
+    schmidt_number_bounds makes the same top-level decision at the default
+    eps_neg, 1e-9, so it finds C not PSD."""
     c = _barely_psd_choi()
     rep = classify(c, SeesawOpts(eps_neg=1e-6, restarts=1))
     assert rep.p[3].detail == "choi-psd"
@@ -821,15 +862,15 @@ def test_classify_decomposes_a_psd_choi_once(monkeypatch):
 
 def test_classify_bounds_come_from_the_public_function(monkeypatch):
     """Each chain that proves its matrix PSD calls _schmidt_bounds, the body
-    of schmidt_number_bounds past its own PSD judgment, once, on the
+    of schmidt_number_bounds past the same top-level proof, once, on the
     MatrixOp whose spectrum its levels have already read, so C is not
     decomposed again."""
     bounds_calls, eigs = [], []
     bounds = certify_mod._schmidt_bounds
 
-    def counting_bounds(c, construction):
+    def counting_bounds(c, kraus):
         bounds_calls.append("eig" in vars(c))
-        return bounds(c, construction)
+        return bounds(c, kraus)
 
     def counting_eig(x, *args):
         eigs.append(x)

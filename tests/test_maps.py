@@ -660,12 +660,11 @@ def svd_calls(monkeypatch):
 
 
 def test_rank_reads_run_one_batched_svd(svd_calls):
-    """schmidt_number_bounds(construction=) and fuzz_composition read the
+    """schmidt_number_bounds of a Kraus set and fuzz_composition read the
     operator ranks from one batched SVD, not one SVD per operator."""
     rng = np.random.default_rng(51)
     ops = [_rand_mat(rng, 3, rank=1) for _ in range(5)]
-    c = choi(from_kraus(ops))
-    assert schmidt_number_bounds(c, construction=KrausSet(ops)) == (1, 1)
+    assert schmidt_number_bounds(KrausSet(ops)) == (1, 1)
     assert svd_calls == [(5, 3, 3)]
     svd_calls.clear()
     assert fuzz_composition(3, d=3, k=2, seed=4)["failed"] == 0

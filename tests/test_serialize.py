@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 import conekit.cli as cli
+import conekit.fuzz as fuzz_mod
 from conekit.errors import DimMismatch
 
 from conekit import (
     BipartiteVector,
     KrausSet,
     MatrixOp,
+    SeesawOpts,
     Verdict,
     choi,
     classify,
@@ -25,6 +27,7 @@ from conekit import (
     swap_matrix,
     transpose_map,
 )
+from conekit.fuzz import fuzz_adjoint, fuzz_bijection, fuzz_composition, fuzz_duality
 from conekit.serialize import (
     certificate_from_json,
     certificate_to_json,
@@ -77,6 +80,34 @@ def test_map_round_trip_tags_repr():
 def test_map_with_a_numpy_dimension_writes_the_same_bytes():
     """MapRep keeps d as an int, so a numpy integer d serializes as 2 does."""
     assert dumps(map_to_json(identity_map(np.int64(2)))) == dumps(map_to_json(identity_map(2)))
+
+
+_NUMPY_COUNTS = {
+    "adjoint d": (lambda: fuzz_adjoint(1, d=np.int64(3)), lambda: fuzz_adjoint(1, d=3)),
+    "bijection dims": (lambda: fuzz_bijection(1, dims=(np.int64(3),)),
+                       lambda: fuzz_bijection(1, dims=(3,))),
+    "duality ks": (lambda: fuzz_duality(1, d=3, ks=(np.int64(1),)),
+                   lambda: fuzz_duality(1, d=3, ks=(1,))),
+    "composition d, k": (lambda: fuzz_composition(1, d=np.int64(3), k=np.int64(2)),
+                         lambda: fuzz_composition(1, d=3, k=2)),
+    "adjoint n": (lambda: fuzz_adjoint(np.int64(2), d=3), lambda: fuzz_adjoint(2, d=3)),
+    "failure seeds": (lambda: fuzz_mod._run("x", np.int64(2), np.int64(5), {}, lambda s: "no"),
+                      lambda: fuzz_mod._run("x", 2, 5, {}, lambda s: "no")),
+    "classify restarts, seed": (
+        lambda: report_to_json(classify(reduction_family(3, 0.45),
+                                        SeesawOpts(restarts=np.int64(2), seed=np.int64(3)))),
+        lambda: report_to_json(classify(reduction_family(3, 0.45),
+                                        SeesawOpts(restarts=2, seed=3)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NUMPY_COUNTS))
+def test_numpy_counts_write_the_same_bytes(name):
+    """A count given as a numpy integer is kept as a Python int once checked
+    (by SeesawOpts, and in a fuzz summary's n, params and failure seeds), so
+    the JSON is that of the equal int rather than a TypeError."""
+    numpy_run, int_run = _NUMPY_COUNTS[name]
+    assert dumps(numpy_run()) == dumps(int_run())
 
 
 def test_map_from_json_requires_tag():

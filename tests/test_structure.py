@@ -63,15 +63,21 @@ BAD_K_SITES = {"linalg._check_level", "fuzz.fuzz_duality", "fuzz.run_suite"}
 # (_check_level for BadRank and fuzz._check_levels, SeesawOpts for the
 # see-saw's _check_search, MatrixOp.eig for the eigendecompositions handed
 # around as an eig parameter, checked by _checked_eig or trusted as _OwnEig,
-# the self-proving Witness for the Detector whose level was a label, and a
-# detection's evidence vector for its detector_id).
+# the self-proving Witness for the Detector whose level was a label, a
+# detection's evidence vector for its detector_id, and certify._operator for
+# the Kraus construction handed to schmidt_number_bounds beside C).
 RETIRED_NAMES = {"BadRank", "_check_levels", "_check_search",
-                 "_OwnEig", "_checked_eig", "_EIG_TOL", "Detector", "detector_id"}
+                 "_OwnEig", "_checked_eig", "_EIG_TOL", "Detector", "detector_id",
+                 "construction"}
 
 # The places that tell a MatrixOp from a raw array: linalg._matrix, which
 # also applies the entry rule (no NaN or infinite entry) to the raw array,
 # and linalg._dims, which refuses a raw array where bipartite dims are needed.
 MATRIXOP_TEST_SITES = {"linalg._matrix", "linalg._dims"}
+
+# The one reading of an operator argument: certify._operator tells a MapRep
+# or a KrausSet from C itself, for classify and schmidt_number_bounds alike.
+OPERATOR_TEST_SITES = {"certify._operator"}
 
 # The functions a functools memo may decorate: the see-saw's start frames
 # (one draw per configuration), the CLI's parser and a MatrixOp's spectrum
@@ -126,10 +132,11 @@ CERTIFY_EIG_CALLS = []
 FIRE_CALLERS = {"certify._schmidt_bounds", "witness.detect_schmidt_number"}
 
 # The functions that read PSD_TOL: the map layer's CP and block floors, a
-# witness's proof, the firing rule, and schmidt_number_bounds' PSD gate and
-# construction check. _fire is the only one that judges a detector image.
+# witness's proof and the firing rule. _fire is the only one that judges a
+# detector image; certify reads none, since its PSD decisions, those behind
+# the Schmidt bounds included, are chain levels at eps_neg.
 PSD_TOL_SITES = {"maps.kraus_decompose", "maps.compose_certified", "maps._witness_proof",
-                 "maps._fire", "certify.schmidt_number_bounds"}
+                 "maps._fire"}
 
 # STATE_TOL gates a state (its trace and its bottom eigenvalue) and decides
 # nothing else: detections fire by _fire's relative rule.
@@ -188,14 +195,17 @@ def _calls(*names):
     return is_match
 
 
-def _is_matrixop_test(node):
-    """isinstance(x, MatrixOp), also with MatrixOp inside a tuple of types."""
-    if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
-            and len(node.args) == 2):
-        return False
-    return any(isinstance(n, ast.Name) and n.id == "MatrixOp"
-               or isinstance(n, ast.Attribute) and n.attr == "MatrixOp"
-               for n in ast.walk(node.args[1]))
+def _isinstance_of(*types):
+    """A matcher of isinstance(x, T) for T one of these type names, also
+    inside a tuple of types."""
+    def is_match(node):
+        if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                and len(node.args) == 2):
+            return False
+        return any(isinstance(n, ast.Name) and n.id in types
+                   or isinstance(n, ast.Attribute) and n.attr in types
+                   for n in ast.walk(node.args[1]))
+    return is_match
 
 
 def _is_square_root(node):
@@ -333,7 +343,11 @@ def test_einsums_sit_in_allow_listed_functions():
 
 
 def test_matrixop_is_unwrapped_only_by_the_entry_rule():
-    assert _sites(_is_matrixop_test) == MATRIXOP_TEST_SITES
+    assert _sites(_isinstance_of("MatrixOp")) == MATRIXOP_TEST_SITES
+
+
+def test_an_operator_argument_is_read_in_one_place():
+    assert _sites(_isinstance_of("KrausSet", "MapRep")) == OPERATOR_TEST_SITES
 
 
 def test_square_sides_are_taken_only_by_the_square_side_rule():
